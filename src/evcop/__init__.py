@@ -45,7 +45,6 @@ from .pickands import (
 )
 from .families import (
     ParametricPickands,
-    family_pickands,
     pickands_estimator,
     greatest_convex_minorant,
     cfg_estimator,

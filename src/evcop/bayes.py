@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._quad import gauss_legendre, norm_grid, trapezoid_weights
 from .errors import InputError, NumericalError
 from .splinebasis import ZBasis, project_center
 
@@ -32,12 +33,7 @@ def _graded_gauss_rule(npts: int = 8):
     """
     edges = np.concatenate([[0.0], np.geomspace(1e-14, 0.05, 64),
                             np.linspace(0.05, 1.0, 121)[1:]])
-    xg, wg = np.polynomial.legendre.leggauss(npts)
-    a = edges[:-1][:, None]
-    b = edges[1:][:, None]
-    nodes = 0.5 * (b - a) * (xg[None, :] + 1.0) + a
-    weights = 0.5 * (b - a) * wg[None, :]
-    return nodes.ravel(), weights.ravel()
+    return gauss_legendre(edges, npts)
 
 
 _SING_NODES, _SING_WEIGHTS = _graded_gauss_rule()
@@ -133,8 +129,7 @@ class ClrDensity:
     cached on a trapezoid grid of 512 equispaced nodes plus the spline knots.
     """
 
-    def __init__(self, basis: ZBasis, theta, center_enabled: bool = False,
-                 eval_grid: np.ndarray | None = None):
+    def __init__(self, basis: ZBasis, theta, center_enabled: bool = False):
         self.basis = basis
         self.theta = np.asarray(theta, dtype=float)
         if self.theta.shape != (basis.dim,):
@@ -143,14 +138,12 @@ class ClrDensity:
         self.center_enabled = bool(center_enabled)
         self._center = project_center(basis) if center_enabled else np.zeros(basis.dim)
         self.coeffs = self.theta + self._center
-        if eval_grid is None:
-            eval_grid = np.unique(np.concatenate([
-                np.linspace(0.0, 1.0, 512), basis.interior_knots]))
-        self.eval_grid = np.asarray(eval_grid, dtype=float)
+        self.eval_grid = norm_grid(basis.interior_knots)
+        self._weights = trapezoid_weights(self.eval_grid)
         pv = self.log_spline(self.eval_grid)
         if np.any(np.abs(pv) > _CLR_OVERFLOW):
             raise NumericalError("spline exceeds exp range; coefficients diverged")
-        self.norm = float(np.trapezoid(np.exp(pv), self.eval_grid))
+        self.norm = float(self._weights @ np.exp(pv))
         self._pdf_grid = np.exp(pv) / self.norm
 
     def log_spline(self, x) -> np.ndarray:
@@ -164,7 +157,7 @@ class ClrDensity:
 
     def mean(self) -> float:
         """First moment on the cached grid."""
-        return float(np.trapezoid(self.eval_grid * self._pdf_grid, self.eval_grid))
+        return float(self._weights @ (self.eval_grid * self._pdf_grid))
 
     def clr_values(self, x) -> np.ndarray:
         """clr of the density; equals the spline itself (zero integral)."""

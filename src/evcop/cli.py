@@ -126,8 +126,7 @@ def _rebuild_copula(doc: dict) -> tuple[FittedModel, EvCopula]:
 
 def _fit_config_from_args(args) -> FitConfig:
     return FitConfig(basis_dim=args.dim, lam=args.lam, grid_k=args.grid_k,
-                     ordering_heuristic=not args.no_flip_heuristic,
-                     seed=args.seed)
+                     ordering_heuristic=not args.no_flip_heuristic)
 
 
 def cmd_fit(args) -> int:
@@ -199,13 +198,8 @@ def cmd_evaluate(args) -> int:
     if args.table:
         t = np.linspace(0.0, 1.0, 201)
         table = np.column_stack([t, pick(t), pick.deriv(t), pick.deriv2(t)])
-        write_pairs_table(args.table, table, "t,A,A1,A2")
+        write_pairs(args.table, table, "t,A,A1,A2")
     return 0
-
-
-def write_pairs_table(path, data, header):
-    np.savetxt(path, data, delimiter=",", fmt="%.17g", header=header,
-               comments="")
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=13)
     p.add_argument("--lambda", dest="lam", type=float, default=1e-4)
     p.add_argument("--grid-k", dest="grid_k", type=int, default=78)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--no-flip-heuristic", action="store_true")
     p.set_defaults(func=cmd_fit)
 

@@ -20,7 +20,6 @@ from .pickands import khoudraji
 
 __all__ = [
     "ParametricPickands",
-    "family_pickands",
     "pickands_estimator",
     "greatest_convex_minorant",
     "cfg_estimator",
@@ -179,17 +178,6 @@ class ParametricPickands:
 
     def deriv2(self, t):
         return self._impl.deriv2(t)
-
-
-def family_pickands(p: ParametricPickands, t, deriv_order: int = 0):
-    """Value or derivative of a parametric Pickands function."""
-    if deriv_order == 0:
-        return p(t)
-    if deriv_order == 1:
-        return p.deriv(t)
-    if deriv_order == 2:
-        return p.deriv2(t)
-    raise InputError(f"deriv_order must be 0, 1 or 2, got {deriv_order}")
 
 
 def pickands_estimator(sample, t):

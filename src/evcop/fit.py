@@ -9,7 +9,9 @@ nonparametric pilot estimate) lets the whole chain
 
 be evaluated as plain array arithmetic, so the penalized log-likelihood and
 its exact gradient (forward-mode differentiation of every step) are cheap
-enough for quasi-Newton optimization.
+enough for quasi-Newton optimization.  The objective and the tabulation of
+fitted models (:func:`pipeline_pickands`) share the Williamson kernel and
+the affine link, and both divide the transform by the kernel's W(0+) mass.
 """
 
 from __future__ import annotations
@@ -20,10 +22,18 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import minimize
 
+from ._quad import norm_grid, trapezoid_weights
 from .bayes import ClrDensity
 from .errors import InputError, NumericalError
 from .families import cfg_estimator
-from .pickands import PickandsModel, default_t_nodes, mirror, rotate
+from .pickands import (
+    PickandsModel,
+    default_t_nodes,
+    h_formula,
+    link,
+    mirror,
+    rotate,
+)
 from .splinebasis import (
     KnotConfig,
     ZBasis,
@@ -33,7 +43,7 @@ from .splinebasis import (
     quantile_knots,
 )
 from .williamson import (
-    _segment_edges,
+    WilliamsonKernel,
     default_w_nodes,
     normalize_w,
     williamson_from_density,
@@ -90,10 +100,8 @@ class FitConfig:
     grid_k: int = 78
     max_iter: int = 500
     grad_tol: float = 1e-4
-    normalize_w: bool = True
     ordering_heuristic: bool = True
     center: bool = True
-    seed: int | None = None
 
     def __post_init__(self):
         if self.lam < 0:
@@ -174,52 +182,18 @@ def empirical_w_grid(z_sample, k: int, pilot=None) -> np.ndarray:
 
 
 class _HhatPipeline:
-    """Precomputed design matrices for the coefficient-to-z-density chain.
+    """Precomputed design matrix for the coefficient-to-z-density chain.
 
-    Everything that depends only on the basis and the grid (basis values at
-    quadrature nodes, trapezoid weights) is assembled once; per-iteration
-    work is dense matrix arithmetic in the coefficient dimension.
+    The basis is evaluated once at the quadrature nodes of the Williamson
+    kernel on the grid; per-iteration work is dense matrix arithmetic in the
+    coefficient dimension.
     """
 
-    def __init__(self, basis: ZBasis, x_grid: np.ndarray, normalize: bool = True):
-        x = np.asarray(x_grid, dtype=float)
-        if x[0] != 0.0 or x[-1] != 1.0 or np.any(np.diff(x) <= 0):
-            raise InputError("x_grid must increase strictly from 0 to 1")
-        self.basis = basis
-        self.x = x
-        self.normalize = normalize
-        self.m = x.size - 2
-
-        grid_n = np.unique(np.concatenate([np.linspace(0.0, 1.0, 512),
-                                           basis.interior_knots]))
-        self.grid_n = grid_n
-        wn = np.zeros_like(grid_n)
-        dg = np.diff(grid_n)
-        wn[:-1] += 0.5 * dg
-        wn[1:] += 0.5 * dg
-        self.wn = wn
-        self.BN = basis.evaluate(grid_n)
-
-        edges = _segment_edges(x)
-        inner = edges[1:]                    # segments [x_1,x_2] .. [x_m,1]
-        self.r_nodes = inner
-        self.BR = basis.evaluate(inner.ravel())
-        dxs = np.diff(inner, axis=1)
-        wseg = np.zeros_like(inner)
-        wseg[:, :-1] += 0.5 * dxs
-        wseg[:, 1:] += 0.5 * dxs
-        self.wseg = wseg                     # P_j = sum_k wseg[j,k] f(r[j,k])
-        self.sseg = wseg / inner             # S_j = sum_k sseg[j,k] f(r[j,k])
-
-        self.first_nodes = edges[0]          # [0, x_1] for the W(0+) estimate
-        self.B0 = basis.evaluate(self.first_nodes)
-        w0 = np.zeros_like(self.first_nodes)
-        d0 = np.diff(self.first_nodes)
-        w0[:-1] += 0.5 * d0
-        w0[1:] += 0.5 * d0
-        self.w0 = w0
-
-        self.BX = basis.evaluate(x[1:-1])    # interior nodes, for W'' = f/x
+    def __init__(self, basis: ZBasis, x_grid: np.ndarray):
+        self.kernel = WilliamsonKernel(x_grid)
+        self.x_in = self.kernel.x[1:-1]
+        self.m = self.x_in.size
+        self.B = basis.evaluate(self.kernel.nodes.ravel())
 
     def forward(self, theta: np.ndarray, want_grad: bool):
         """Interpolation knots ``(t, h)`` of the z-density and their Jacobians.
@@ -230,85 +204,39 @@ class _HhatPipeline:
         theta = np.asarray(theta, dtype=float)
         d = theta.size
         m = self.m
-        x_in = self.x[1:-1]
+        shape = self.kernel.nodes.shape
 
-        pn = self.BN @ theta
-        live_n = np.abs(pn) < _EXP_CLIP
-        en = np.exp(np.clip(pn, -_EXP_CLIP, _EXP_CLIP))
-        I = float(self.wn @ en)
-
-        pr = (self.BR @ theta).reshape(self.r_nodes.shape)
-        live_r = np.abs(pr) < _EXP_CLIP
-        fr = np.exp(np.clip(pr, -_EXP_CLIP, _EXP_CLIP)) / I
-
-        px = self.BX @ theta
-        live_x = np.abs(px) < _EXP_CLIP
-        fx = np.exp(np.clip(px, -_EXP_CLIP, _EXP_CLIP)) / I
-
-        p0 = self.B0 @ theta
-        live_0 = np.abs(p0) < _EXP_CLIP
-        f0 = np.exp(np.clip(p0, -_EXP_CLIP, _EXP_CLIP)) / I
-
-        P = np.sum(self.wseg * fr, axis=1)
-        S = np.sum(self.sseg * fr, axis=1)
-        p_first = float(self.w0 @ f0)
-
-        wp = -np.cumsum(S[::-1])[::-1]
-        tail = np.cumsum(P[::-1])[::-1]
-        w = x_in * wp + tail
-        c = tail[0] + p_first if m > 0 else p_first
-
-        if self.normalize:
-            wn_, wpn, wppn = w / c, wp / c, (fx / x_in) / c
-        else:
-            wn_, wpn, wppn = w, wp, fx / x_in
-
-        t = 0.5 * (1.0 + x_in - wn_)
-        a = 0.5 * (1.0 + x_in + wn_)
-        ap = (1.0 + wpn) / (1.0 - wpn)
-        app = 4.0 * wppn / (1.0 - wpn) ** 3
-        rr = ap / a
-        h = 1.0 + (1.0 - 2.0 * t) * rr + t * (1.0 - t) * (app / a - rr * rr)
+        p = self.B @ theta
+        live = np.abs(p) < _EXP_CLIP
+        e = np.exp(np.clip(p, -_EXP_CLIP, _EXP_CLIP))
+        # dividing by the W(0+) mass, as normalize_w does for tabulated
+        # models, also normalizes the density: the kernel is linear
+        w, wp, wpp, _, c = self.kernel(e.reshape(shape))
+        w, wp, wpp = w / c, wp / c, wpp / c
+        t, a, ap, app = link(self.x_in, w, wp, wpp)
+        h = h_formula(t, a, ap, app)
 
         t_full = np.concatenate([[0.0], t, [1.0]])
         h_full = np.concatenate([[0.0], h, [0.0]])
-        dt = np.diff(t_full)
-        I_h = float(np.sum(dt * (h_full[:-1] + h_full[1:])) * 0.5)
+        wt = trapezoid_weights(t_full)
+        I_h = float(wt @ h_full)
 
         if not want_grad:
             return t_full, h_full, I_h, None, None, None
 
         # forward-mode Jacobians, one row per grid quantity
-        J_I = ((self.wn * en * live_n) @ self.BN)
-        J_fr = fr.ravel()[:, None] * (self.BR * live_r.ravel()[:, None]
-                                      - J_I[None, :] / I)
-        J_fr = J_fr.reshape(self.r_nodes.shape + (d,))
-        J_fx = fx[:, None] * (self.BX * live_x[:, None] - J_I[None, :] / I)
-        J_f0 = f0[:, None] * (self.B0 * live_0[:, None] - J_I[None, :] / I)
+        J_e = ((e * live)[:, None] * self.B).reshape(shape + (d,))
+        J_w, J_wp, J_wpp, _, J_c = self.kernel(J_e)
+        J_w = (J_w - w[:, None] * J_c) / c
+        J_wp = (J_wp - wp[:, None] * J_c) / c
+        J_wpp = (J_wpp - wpp[:, None] * J_c) / c
 
-        J_P = np.einsum("jk,jkd->jd", self.wseg, J_fr)
-        J_S = np.einsum("jk,jkd->jd", self.sseg, J_fr)
-        J_pfirst = self.w0 @ J_f0
-
-        J_wp = -np.cumsum(J_S[::-1], axis=0)[::-1]
-        J_tail = np.cumsum(J_P[::-1], axis=0)[::-1]
-        J_w = x_in[:, None] * J_wp + J_tail
-        J_c = J_tail[0] + J_pfirst
-
-        wpp_raw = fx / x_in
-        J_wpp_raw = J_fx / x_in[:, None]
-        if self.normalize:
-            J_wn = J_w / c - (w / c ** 2)[:, None] * J_c[None, :]
-            J_wpn = J_wp / c - (wp / c ** 2)[:, None] * J_c[None, :]
-            J_wppn = J_wpp_raw / c - (wpp_raw / c ** 2)[:, None] * J_c[None, :]
-        else:
-            J_wn, J_wpn, J_wppn = J_w, J_wp, J_wpp_raw
-
-        J_t = -0.5 * J_wn
-        J_a = 0.5 * J_wn
-        J_ap = (2.0 / (1.0 - wpn) ** 2)[:, None] * J_wpn
-        J_app = (4.0 / (1.0 - wpn) ** 3)[:, None] * J_wppn \
-            + (12.0 * wppn / (1.0 - wpn) ** 4)[:, None] * J_wpn
+        J_t = -0.5 * J_w
+        J_a = 0.5 * J_w
+        J_ap = (2.0 / (1.0 - wp) ** 2)[:, None] * J_wp
+        J_app = (4.0 / (1.0 - wp) ** 3)[:, None] * J_wpp \
+            + (12.0 * wpp / (1.0 - wp) ** 4)[:, None] * J_wp
+        rr = ap / a
         J_rr = J_ap / a[:, None] - (ap / a ** 2)[:, None] * J_a
 
         dh_dt = -2.0 * rr + (1.0 - 2.0 * t) * (app / a - rr * rr)
@@ -324,11 +252,7 @@ class _HhatPipeline:
         J_h_full[1:-1] = J_h
 
         dI_dt = 0.5 * (h_full[:-2] - h_full[2:])          # interior t nodes
-        dI_dh = np.empty(m + 2)
-        dI_dh[0] = 0.5 * (t_full[1] - t_full[0])
-        dI_dh[-1] = 0.5 * (t_full[-1] - t_full[-2])
-        dI_dh[1:-1] = 0.5 * (t_full[2:] - t_full[:-2])
-        J_Ih = dI_dt @ J_t_full[1:-1] + dI_dh @ J_h_full
+        J_Ih = dI_dt @ J_t + wt @ J_h_full
 
         return t_full, h_full, I_h, J_t_full, J_h_full, J_Ih
 
@@ -350,21 +274,18 @@ class HHat:
     __call__ = pdf
 
 
-def build_h_hat(theta, basis: ZBasis, x_grid, normalize: bool = True) -> HHat:
+def build_h_hat(theta, basis: ZBasis, x_grid) -> HHat:
     """Fast interpolated density of the pseudo-angle for given coefficients.
 
     ``theta`` are the full spline coefficients (center included, if any).
     Interior values follow the transform chain at the grid nodes; endpoint
     values are pinned to 0 and the trapezoid integral is normalized to 1 on
     the same knots.  A materially negative node value signals constraint
-    breakdown; when unnormalized it triggers one normalized retry.
+    breakdown.
     """
-    pipe = _HhatPipeline(basis, np.asarray(x_grid, dtype=float), normalize=normalize)
+    pipe = _HhatPipeline(basis, x_grid)
     t_full, h_full, _, _, _, _ = pipe.forward(np.asarray(theta, dtype=float), False)
     if np.min(h_full) < -1e-6:
-        if not normalize:
-            logger.warning("negative z-density values; retrying with normalization")
-            return build_h_hat(theta, basis, x_grid, normalize=True)
         raise NumericalError(
             f"z-density negative beyond tolerance (min {np.min(h_full):.3g})")
     return HHat(t_full, np.maximum(h_full, 0.0))
@@ -406,31 +327,31 @@ def _loss_and_grad(pipe: _HhatPipeline, omega: np.ndarray, z: np.ndarray,
     return value, grad
 
 
-def penalized_loglik(theta, basis: ZBasis, omega, x_grid, z_sample,
-                     lam: float, normalize: bool = True) -> float:
+def penalized_loglik(theta, basis: ZBasis, omega: np.ndarray, x_grid, z_sample,
+                     lam: float) -> float:
     """Penalized log-likelihood of the pseudo-angle sample.
 
     ``sum log h_hat(z_i) - lam * theta' Omega theta`` with density values
     floored at 1e-12 inside the logarithm.
     """
-    pipe = _HhatPipeline(basis, np.asarray(x_grid, dtype=float), normalize=normalize)
-    om = omega.omega if hasattr(omega, "omega") else np.asarray(omega, dtype=float)
-    value, _ = _loss_and_grad(pipe, om, np.asarray(z_sample, dtype=float),
-                              float(lam), np.asarray(theta, dtype=float), False)
+    pipe = _HhatPipeline(basis, x_grid)
+    value, _ = _loss_and_grad(pipe, np.asarray(omega, dtype=float),
+                              np.asarray(z_sample, dtype=float), float(lam),
+                              np.asarray(theta, dtype=float), False)
     return value
 
 
-def penalized_loglik_grad(theta, basis: ZBasis, omega, x_grid, z_sample,
-                          lam: float, normalize: bool = True):
+def penalized_loglik_grad(theta, basis: ZBasis, omega: np.ndarray, x_grid,
+                          z_sample, lam: float):
     """Value and exact gradient of :func:`penalized_loglik`.
 
     The gradient propagates forward-mode derivatives through every stage of
     the chain (no finite differences).
     """
-    pipe = _HhatPipeline(basis, np.asarray(x_grid, dtype=float), normalize=normalize)
-    om = omega.omega if hasattr(omega, "omega") else np.asarray(omega, dtype=float)
-    return _loss_and_grad(pipe, om, np.asarray(z_sample, dtype=float),
-                          float(lam), np.asarray(theta, dtype=float), True)
+    pipe = _HhatPipeline(basis, x_grid)
+    return _loss_and_grad(pipe, np.asarray(omega, dtype=float),
+                          np.asarray(z_sample, dtype=float), float(lam),
+                          np.asarray(theta, dtype=float), True)
 
 
 @dataclass(frozen=True)
@@ -457,19 +378,19 @@ class FittedModel:
 
 
 def pipeline_pickands(basis: ZBasis, theta, center_enabled: bool,
-                      flipped: bool, normalize: bool = True):
+                      flipped: bool):
     """Deterministic coefficients-to-Pickands conversion.
 
     Shared by the optimizer and by model deserialization so that a saved
-    model reproduces its in-memory counterpart exactly.
+    model reproduces its in-memory counterpart exactly.  The returned grid
+    is normalized and carries the raw W(0+) estimate.
     """
     dens = ClrDensity(basis, theta, center_enabled=center_enabled)
     grid = williamson_from_density(dens, default_w_nodes())
-    est = grid.w0_estimate
-    if normalize:
-        if abs(est - 1.0) > 1e-3:
-            logger.info("normalizing Williamson grid: W(0+) estimate %.5f", est)
-        grid = normalize_w(grid)
+    if abs(grid.w0_estimate - 1.0) > 1e-3:
+        logger.info("normalizing Williamson grid: W(0+) estimate %.5f",
+                    grid.w0_estimate)
+    grid = normalize_w(grid)
     model = rotate(grid, default_t_nodes())
     if flipped:
         model = mirror(model)
@@ -503,7 +424,7 @@ def optimize(z_sample, config: FitConfig | None = None,
     basis = build_zb_basis(replace(knots, degree=cfg.degree))
     omega = curvature_matrix(basis).omega
     center = project_center(basis) if cfg.center else np.zeros(basis.dim)
-    pipe = _HhatPipeline(basis, x_grid, normalize=cfg.normalize_w)
+    pipe = _HhatPipeline(basis, x_grid)
 
     # the curvature penalty acts on the perturbation away from the affine
     # center, so a dominating penalty collapses the fit onto the center model
@@ -538,8 +459,7 @@ def optimize(z_sample, config: FitConfig | None = None,
     ll, _ = _loss_and_grad(pipe, omega, zf, 0.0, full_hat, False)
     pen = cfg.lam * float(theta_hat @ omega @ theta_hat)
 
-    model, _, grid = pipeline_pickands(basis, theta_hat, cfg.center, flip,
-                                       normalize=cfg.normalize_w)
+    model, _, grid = pipeline_pickands(basis, theta_hat, cfg.center, flip)
     return FittedModel(theta=theta_hat, basis=basis, center_applied=cfg.center,
                        flipped=flip, loglik=ll, penalty=pen, lam=cfg.lam,
                        pickands=model, converged=converged,
@@ -611,12 +531,8 @@ def fit_univariate_density(sample, bounds, config: FitConfig | None = None
     basis = build_zb_basis(replace(knots, degree=cfg.degree))
     omega = curvature_matrix(basis).omega
 
-    grid = np.unique(np.concatenate([np.linspace(0.0, 1.0, 512),
-                                     basis.interior_knots]))
-    wtr = np.zeros_like(grid)
-    dg = np.diff(grid)
-    wtr[:-1] += 0.5 * dg
-    wtr[1:] += 0.5 * dg
+    grid = norm_grid(basis.interior_knots)
+    wtr = trapezoid_weights(grid)
     BG = basis.evaluate(grid)
     BD = basis.evaluate(y)
     n = y.size
@@ -647,7 +563,8 @@ def fit_univariate_density(sample, bounds, config: FitConfig | None = None
         np.max(np.abs(res.jac))) <= cfg.grad_tol
     dens = ClrDensity(basis, theta_hat, center_enabled=False)
     pv = dens(grid)
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * dg * (pv[:-1] + pv[1:]))])
+    cdf = np.concatenate([[0.0], np.cumsum(0.5 * np.diff(grid)
+                                           * (pv[:-1] + pv[1:]))])
     cdf /= cdf[-1]
     ll = float(np.sum(np.log(np.maximum(dens(y), _LOG_FLOOR))))
     pen = cfg.lam * float(theta_hat @ omega @ theta_hat)

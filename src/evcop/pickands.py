@@ -12,10 +12,12 @@ association measures and structural transformations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from ._hermite import hermite_interpolator
+from ._quad import gauss_legendre
 from ._rootfind import vector_bisect
 from .bayes import integrate_01
 from .errors import InputError
@@ -70,12 +72,30 @@ def _curvature_to_pickands(wpp, wp):
     return np.where(np.isfinite(out), out, np.inf)
 
 
+def link(x, w, wp, wpp):
+    """Affine link at points ``x`` of a 2-monotone transform.
+
+    Maps ``W``, ``W'`` and ``W''`` at ``x`` to the node ``t`` and the values
+    ``A``, ``A'`` and ``A''`` of the Pickands function there.
+    """
+    t = 0.5 * (1.0 + x - w)
+    a = 0.5 * (1.0 + x + w)
+    return t, a, _slope_to_pickands(wp), _curvature_to_pickands(wpp, wp)
+
+
+def h_formula(t, a, ap, app):
+    """Pseudo-angle density at ``t`` from ``A``, ``A'`` and ``A''`` there."""
+    r = ap / a
+    return 1.0 + (1.0 - 2.0 * t) * r + t * (1.0 - t) * (app / a - r * r)
+
+
 @dataclass(frozen=True)
 class PickandsModel:
     """Tabulated Pickands function with a C2 piecewise interpolator.
 
     ``app[0]`` (and occasionally ``app[-1]``) may be non-finite sentinels;
-    they impose no interpolation constraint.
+    they impose no interpolation constraint.  The interpolator is built on
+    first evaluation.
     """
 
     t: np.ndarray
@@ -83,11 +103,17 @@ class PickandsModel:
     ap: np.ndarray
     app: np.ndarray
 
-    def __post_init__(self):
-        ip = hermite_interpolator(self.t, self.a, self.ap, self.app)
-        object.__setattr__(self, "_ip", ip)
-        object.__setattr__(self, "_ip1", ip.derivative())
-        object.__setattr__(self, "_ip2", ip.derivative(2))
+    @cached_property
+    def _ip(self):
+        return hermite_interpolator(self.t, self.a, self.ap, self.app)
+
+    @cached_property
+    def _ip1(self):
+        return self._ip.derivative()
+
+    @cached_property
+    def _ip2(self):
+        return self._ip.derivative(2)
 
     def __call__(self, t):
         return self._ip(t)
@@ -129,11 +155,7 @@ def rotate(w, t_nodes=None) -> PickandsModel:
     ap = np.empty_like(t)
     app = np.empty_like(t)
     a[0] = a[-1] = 1.0
-    a[1:-1] = 0.5 * (1.0 + xi + w(xi))
-    wp_i = w.deriv(xi)
-    wpp_i = w.deriv2(xi)
-    ap[1:-1] = _slope_to_pickands(wp_i)
-    app[1:-1] = _curvature_to_pickands(wpp_i, wp_i)
+    _, a[1:-1], ap[1:-1], app[1:-1] = link(xi, w(xi), w.deriv(xi), w.deriv2(xi))
 
     wp0 = getattr(w, "deriv_at_zero", None)
     wp0 = float(w.deriv(0.0)) if wp0 is None else float(wp0)
@@ -240,8 +262,7 @@ def h_density(a):
         av = np.asarray(a(zi), dtype=float)
         apv = np.asarray(a.deriv(zi), dtype=float)
         appv = np.asarray(a.deriv2(zi), dtype=float)
-        r = apv / av
-        out[inner] = 1.0 + (1.0 - 2.0 * zi) * r + zi * (1.0 - zi) * (appv / av - r * r)
+        out[inner] = h_formula(zi, av, apv, appv)
         out[z <= 0.0] = h0
         out[z >= 1.0] = h1
         return float(out[0]) if scalar else out
@@ -296,22 +317,13 @@ def spectral_from_w(w, z_grid=None) -> SpectralMeasure:
                            h1=max(0.0, min(1.0, float(h1))))
 
 
-def _composite_gauss(fn, n_panels: int = 32, npts: int = 16) -> float:
-    edges = np.linspace(0.0, 1.0, n_panels + 1)
-    xg, wg = np.polynomial.legendre.leggauss(npts)
-    a = edges[:-1][:, None]
-    b = edges[1:][:, None]
-    nodes = 0.5 * (b - a) * (xg[None, :] + 1.0) + a
-    weights = 0.5 * (b - a) * wg[None, :]
-    return float(np.sum(weights * np.asarray(fn(nodes.ravel())).reshape(nodes.shape)))
-
-
 def gini_from_pickands(a) -> float:
     """Dependence index ``G = 4 (1 - integral of A)``: 0 at independence."""
     if hasattr(a, "integrate"):
         integral = a.integrate()
     else:
-        integral = _composite_gauss(a)
+        nodes, weights = gauss_legendre(np.linspace(0.0, 1.0, 33), 16)
+        integral = float(weights @ np.asarray(a(nodes), dtype=float))
     return 4.0 * (1.0 - integral)
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import splev
 
+from ._quad import gauss_legendre
 from .errors import InputError, NumericalError
 
 __all__ = [
@@ -59,16 +60,6 @@ class KnotConfig:
     @property
     def breakpoints(self) -> np.ndarray:
         return np.concatenate([[0.0], self.interior_knots, [1.0]])
-
-
-def _gauss_rule(breaks: np.ndarray, npts: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes/weights, ``npts`` per interval."""
-    xg, wg = np.polynomial.legendre.leggauss(npts)
-    a = breaks[:-1][:, None]
-    b = breaks[1:][:, None]
-    nodes = 0.5 * (b - a) * (xg[None, :] + 1.0) + a
-    weights = 0.5 * (b - a) * wg[None, :]
-    return nodes.ravel(), weights.ravel()
 
 
 def _bspline_design(full_knots: np.ndarray, degree: int, x: np.ndarray, deriv: int) -> np.ndarray:
@@ -160,7 +151,7 @@ def build_zb_basis(cfg: KnotConfig) -> ZBasis:
         V[j, j] = 1.0 / integrals[j]
         V[j + 1, j] = -1.0 / integrals[j + 1]
 
-    nodes, weights = _gauss_rule(cfg.breakpoints, 2 * d + 2)
+    nodes, weights = gauss_legendre(cfg.breakpoints, 2 * d + 2)
     B = _bspline_design(full, d, nodes, 0)
     G = (B * weights[:, None]).T @ B  # raw Gram, exact at this rule
     M = V.T @ G @ V
@@ -213,7 +204,7 @@ def _log_refined_rule(first_break: float, degree: int,
     """
     edges = first_break * ratio ** np.arange(n_sub, -1, -1.0)
     edges[0] = 0.0
-    return _gauss_rule(edges, 2 * degree + 2)
+    return gauss_legendre(edges, 2 * degree + 2)
 
 
 def center_quadrature(b: ZBasis) -> tuple[np.ndarray, np.ndarray]:
@@ -224,7 +215,7 @@ def center_quadrature(b: ZBasis) -> tuple[np.ndarray, np.ndarray]:
     """
     breaks = b.knot_config.breakpoints
     n0, w0 = _log_refined_rule(breaks[1], b.degree)
-    n1, w1 = _gauss_rule(breaks[1:], 2 * b.degree + 2)
+    n1, w1 = gauss_legendre(breaks[1:], 2 * b.degree + 2)
     return np.concatenate([n0, n1]), np.concatenate([w0, w1])
 
 

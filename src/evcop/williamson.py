@@ -7,19 +7,28 @@ way.  ``W'' (x) = f(x)/x`` and the survival identity
 ``W(x) = Fbar(x) + x W'(x)`` (``Fbar`` the survival function of ``f``) drive a
 backward recurrence that tabulates ``W`` and its derivatives on a grid while
 preserving 2-monotonicity at node resolution.
+
+The recurrence is a linear map of density values at fixed quadrature nodes
+(:class:`WilliamsonKernel`).  Tabulation applies it to the values of a
+density; the fit objective applies the same map to the values and the
+Jacobian columns of its spline density, so fitting and saved models share
+one construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import brentq
 
 from ._hermite import hermite_interpolator
+from ._quad import trapezoid_weights
 from .errors import InputError, NumericalError
 
 __all__ = [
+    "WilliamsonKernel",
     "WilliamsonGrid",
     "williamson_from_density",
     "normalize_w",
@@ -56,12 +65,57 @@ def _segment_edges(x: np.ndarray, nsub: int = 8) -> np.ndarray:
     return edges
 
 
+class WilliamsonKernel:
+    """The backward recurrence on a grid, as a linear map of density values.
+
+    ``nodes`` has one row per grid segment ``[x_j, x_{j+1}]`` (row 0 is
+    ``[0, x_1]``), log-spaced inside each segment to tame the ``1/r``
+    integrand near 0; ``nodes[j, 0] = x_j`` exactly.  Segment integrals of
+    ``f`` and ``f/r`` use the trapezoidal rule on these nodes.  The
+    recurrences
+    ``W'_j = W'_{j+1} - S_j`` and
+    ``W_j = W_{j+1} + x_j W'_j - x_{j+1} W'_{j+1} + P_j``
+    run from the right endpoint and keep ``W`` non-increasing and ``W'``
+    non-decreasing exactly.
+    """
+
+    def __init__(self, x_nodes):
+        x = np.asarray(x_nodes, dtype=float)
+        if x.ndim != 1 or x.size < 3:
+            raise InputError("x_nodes must be a 1-d grid with at least 3 nodes")
+        if x[0] != 0.0 or x[-1] != 1.0 or np.any(np.diff(x) <= 0.0):
+            raise InputError("x_nodes must increase strictly from 0 to 1")
+        self.x = x
+        self.nodes = _segment_edges(x)
+        self._weights = trapezoid_weights(self.nodes)
+        self._slope_weights = self._weights[1:] / self.nodes[1:]
+
+    def __call__(self, fv):
+        """``(w, wp, wpp, tail, c)`` at the interior grid nodes.
+
+        ``fv`` holds density values at :attr:`nodes`, optionally with trailing
+        axes (Jacobian columns) that the map carries along.  ``tail`` is the
+        mass right of each node and ``c`` the mass of [0, 1], the transform's
+        value at 0+.
+        """
+        fv = np.asarray(fv, dtype=float)
+        P = np.einsum("jk,jk...->j...", self._weights, fv)
+        S = np.einsum("jk,jk...->j...", self._slope_weights, fv[1:])
+        wp = -np.cumsum(S[::-1], axis=0)[::-1]
+        tail = np.cumsum(P[:0:-1], axis=0)[::-1]
+        x_in = self.x[1:-1].reshape((-1,) + (1,) * (fv.ndim - 2))
+        wpp = fv[1:, 0] / x_in
+        return x_in * wp + tail, wp, wpp, tail, tail[0] + P[0]
+
+
 @dataclass(frozen=True)
 class WilliamsonGrid:
     """Tabulated Williamson transform with a C2 piecewise interpolator.
 
     ``wp[0]`` and ``wpp[0]`` may be non-finite sentinels (unbounded slope at
-    0); such entries impose no interpolation constraint.
+    0); such entries impose no interpolation constraint.  ``w0_estimate`` is
+    the raw W(0+) mass, kept through normalization as a diagnostic.  The
+    interpolator is built on first evaluation.
     """
 
     x: np.ndarray
@@ -72,11 +126,17 @@ class WilliamsonGrid:
     tail_mass: np.ndarray = field(repr=False)
     normalized: bool = False
 
-    def __post_init__(self):
-        ip = hermite_interpolator(self.x, self.w, self.wp, self.wpp)
-        object.__setattr__(self, "_ip", ip)
-        object.__setattr__(self, "_ip1", ip.derivative())
-        object.__setattr__(self, "_ip2", ip.derivative(2))
+    @cached_property
+    def _ip(self):
+        return hermite_interpolator(self.x, self.w, self.wp, self.wpp)
+
+    @cached_property
+    def _ip1(self):
+        return self._ip.derivative()
+
+    @cached_property
+    def _ip2(self):
+        return self._ip.derivative(2)
 
     def __call__(self, x):
         return self._ip(x)
@@ -100,73 +160,37 @@ class WilliamsonGrid:
 def williamson_from_density(f, x_nodes) -> WilliamsonGrid:
     """Tabulate the Williamson transform of a density by backward recurrence.
 
-    Segment integrals of ``f`` and ``f/r`` use the trapezoidal rule on a
-    log-spaced refinement of each segment, taming the ``1/r`` integrand near
-    0.  The recurrences
-    ``W'_j = W'_{j+1} - S_j`` and
-    ``W_j = W_{j+1} + x_j W'_j - x_{j+1} W'_{j+1} + P_j``
-    run from the right endpoint and keep ``W`` non-increasing and ``W'``
-    non-decreasing exactly.
+    See :class:`WilliamsonKernel` for the quadrature and the recurrence.  A
+    density unbounded at 0 gets the mass of [0, x_1] from a geometric
+    refinement toward 0 instead.
     """
-    x = np.asarray(x_nodes, dtype=float)
-    if x.ndim != 1 or x.size < 3:
-        raise InputError("x_nodes must be a 1-d grid with at least 3 nodes")
-    if x[0] != 0.0 or x[-1] != 1.0 or np.any(np.diff(x) <= 0.0):
-        raise InputError("x_nodes must increase strictly from 0 to 1")
-    m = x.size - 2  # interior node count
-
-    edges = _segment_edges(x)  # (m+1, nsub+1)
-    inner = edges[1:]  # segments [x_1, x_2] .. [x_m, 1]
-    fv = np.asarray(f(inner.ravel()), dtype=float).reshape(inner.shape)
+    kernel = WilliamsonKernel(x_nodes)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        fv = np.asarray(f(kernel.nodes.ravel()), dtype=float).reshape(
+            kernel.nodes.shape)
+    singular = not np.isfinite(fv[0, 0])
+    if singular:
+        fv[0, 0] = 0.0  # the mass of [0, x_1] is taken below
     if not np.all(np.isfinite(fv)) or np.any(fv < 0.0):
         raise NumericalError("density evaluated non-finite or negative on (0, 1)")
-    dx = np.diff(inner, axis=1)
-    P = np.sum(dx * (fv[:, :-1] + fv[:, 1:]) * 0.5, axis=1)          # j = 1..m
-    g = fv / inner
-    S = np.sum(dx * (g[:, :-1] + g[:, 1:]) * 0.5, axis=1)            # j = 1..m
+    w_in, wp_in, wpp_in, tail_in, c = kernel(fv)
+    if singular:
+        sub = kernel.x[1] * 0.5 ** np.arange(24, -1, -1.0)
+        c = tail_in[0] + trapezoid_weights(sub) @ np.asarray(f(sub), dtype=float)
 
-    # mass of the first segment [0, x_1], used only for the W(0+) estimate
-    first = edges[0]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        f0 = float(np.asarray(f(0.0), dtype=float))
-    if np.isfinite(f0):
-        fv0 = np.concatenate([[f0], np.asarray(f(first[1:]), dtype=float)])
-        p_first = float(np.sum(np.diff(first) * (fv0[:-1] + fv0[1:]) * 0.5))
-    else:
-        # integrable singularity at 0: geometric refinement from the right
-        sub = x[1] * 0.5 ** np.arange(24, -1, -1.0)
-        fs = np.asarray(f(sub), dtype=float)
-        p_first = float(np.sum(np.diff(sub) * (fs[:-1] + fs[1:]) * 0.5))
-
-    # wp_j = -sum_{k >= j} S_k, j = 1..m; right endpoint slope is exactly 0
-    wp = np.empty(m + 2)
-    wp[0] = -np.inf
-    wp[-1] = 0.0
-    wp[1:m + 1] = -np.cumsum(S[::-1])[::-1]
-
-    tail = np.zeros(m + 2)
-    tail[1:m + 1] = np.cumsum(P[::-1])[::-1]
-    tail[0] = tail[1] + p_first
-
-    w = np.empty(m + 2)
-    w[-1] = 0.0
-    w[1:m + 1] = x[1:m + 1] * wp[1:m + 1] + tail[1:m + 1]
-    w[0] = 1.0
-
-    if m > 0 and w[1] > 1.2:
+    if w_in[0] > 1.2:
         raise NumericalError(
-            f"W(x_1) = {w[1]:.4f} > 1.2: grid too coarse for this density; "
+            f"W(x_1) = {w_in[0]:.4f} > 1.2: grid too coarse for this density; "
             "refine the grid or normalize the transform")
 
-    wpp = np.empty(m + 2)
-    wpp[0] = np.inf
-    with np.errstate(divide="ignore"):
-        fx = np.asarray(f(x[1:]), dtype=float)
-    wpp[1:] = fx / x[1:]
-
-    return WilliamsonGrid(x=x, w=w, wp=wp, wpp=wpp,
-                          w0_estimate=float(tail[0]), tail_mass=tail,
-                          normalized=False)
+    # the right endpoint slope is exactly 0; an unbounded slope at 0 is the
+    # generic case for densities positive at 0
+    w = np.concatenate([[1.0], w_in, [0.0]])
+    wp = np.concatenate([[-np.inf], wp_in, [0.0]])
+    wpp = np.concatenate([[np.inf], wpp_in, [fv[-1, -1]]])
+    tail = np.concatenate([[c], tail_in, [0.0]])
+    return WilliamsonGrid(x=kernel.x, w=w, wp=wp, wpp=wpp,
+                          w0_estimate=float(c), tail_mass=tail)
 
 
 def normalize_w(g: WilliamsonGrid) -> WilliamsonGrid:
@@ -174,8 +198,11 @@ def normalize_w(g: WilliamsonGrid) -> WilliamsonGrid:
 
     Dividing by the W(0+) estimate restores ``W(x) <= 1 - x`` (hence a
     Pickands function below 1) when coarse quadrature let the reconstruction
-    drift; the left endpoint is pinned back to exactly 1.
+    drift; the left endpoint is pinned back to exactly 1.  A normalized grid
+    is returned as it is; it keeps the raw estimate as ``w0_estimate``.
     """
+    if g.normalized:
+        return g
     c = g.w0_estimate
     if not (0.5 < c < 2.0):
         raise NumericalError(
@@ -183,7 +210,7 @@ def normalize_w(g: WilliamsonGrid) -> WilliamsonGrid:
     w = g.w / c
     w[0] = 1.0
     return WilliamsonGrid(x=g.x.copy(), w=w, wp=g.wp / c, wpp=g.wpp / c,
-                          w0_estimate=1.0, tail_mass=g.tail_mass / c,
+                          w0_estimate=c, tail_mass=g.tail_mass / c,
                           normalized=True)
 
 

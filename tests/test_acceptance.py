@@ -285,7 +285,7 @@ def test_criterion_09_gradient_check():
     for dim, k, lam in ((13, 78, 1e-4), (8, 40, 1e-5), (5, 20, 0.0)):
         x_grid = empirical_w_grid(z, k)
         basis = build_zb_basis(quantile_knots(x_grid[1:-1], dim - 3))
-        omega = curvature_matrix(basis)
+        omega = curvature_matrix(basis).omega
         for _ in range(5):
             theta = 0.3 * rng.standard_normal(basis.dim)
             _, grad = penalized_loglik_grad(theta, basis, omega, x_grid, z, lam)

@@ -5,7 +5,6 @@ from evcop.errors import InputError
 from evcop.families import (
     ParametricPickands,
     cfg_estimator,
-    family_pickands,
     greatest_convex_minorant,
     pickands_estimator,
 )
@@ -35,16 +34,6 @@ def test_family_theta_ranges():
         ParametricPickands("husler-reiss", -1.0)
     with pytest.raises(InputError):
         ParametricPickands("clayton", 1.0)
-
-
-def test_family_dispatch():
-    p = ParametricPickands("gumbel", 2.0)
-    t = 0.3
-    assert family_pickands(p, t, 0) == p(t)
-    assert family_pickands(p, t, 1) == p.deriv(t)
-    assert family_pickands(p, t, 2) == p.deriv2(t)
-    with pytest.raises(InputError):
-        family_pickands(p, t, 3)
 
 
 @pytest.mark.parametrize("family,grid", [("gumbel", GUMBEL_GRID),

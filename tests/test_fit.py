@@ -1,9 +1,16 @@
+import json
+
 import numpy as np
 import pytest
 
+import evcop.pickands
+import evcop.williamson
+from evcop.bayes import ClrDensity
 from evcop.copula import EvCopula, tvd_copulas
 from evcop.errors import InputError
+from evcop.families import ParametricPickands
 from evcop.fit import (
+    _HhatPipeline,
     FitConfig,
     build_h_hat,
     empirical_w_grid,
@@ -27,6 +34,7 @@ from evcop.pickands import (
     validate_pickands,
 )
 from evcop.splinebasis import build_zb_basis, curvature_matrix, quantile_knots
+from evcop.williamson import default_w_nodes, normalize_w, williamson_from_density
 
 
 def test_z_transform_values():
@@ -127,9 +135,9 @@ def test_penalized_loglik_penalty_scaling(gumbel2_sample):
     omega = curvature_matrix(basis)
     rng = np.random.default_rng(4)
     theta = 0.4 * rng.standard_normal(basis.dim)
-    l0 = penalized_loglik(theta, basis, omega, x_grid, z, 0.0)
-    l1 = penalized_loglik(theta, basis, omega, x_grid, z, 1.0)
-    l2 = penalized_loglik(theta, basis, omega, x_grid, z, 2.0)
+    l0 = penalized_loglik(theta, basis, omega.omega, x_grid, z, 0.0)
+    l1 = penalized_loglik(theta, basis, omega.omega, x_grid, z, 1.0)
+    l2 = penalized_loglik(theta, basis, omega.omega, x_grid, z, 2.0)
     pen = omega.quadratic_form(theta)
     assert pen > 0.0
     assert abs((l0 - l1) - pen) <= 1e-9 * max(1.0, abs(pen))
@@ -143,7 +151,7 @@ def test_gradient_matches_finite_differences(gumbel2_sample, dim, k, lam):
     x_grid = empirical_w_grid(z, k)
     knots = quantile_knots(x_grid[1:-1], dim - 3)
     basis = build_zb_basis(knots)
-    omega = curvature_matrix(basis)
+    omega = curvature_matrix(basis).omega
     rng = np.random.default_rng(5)
     for _ in range(5):
         theta = 0.3 * rng.standard_normal(basis.dim)
@@ -299,7 +307,8 @@ def test_mcmc_mode_consistent_with_map(gumbel2_sample):
         # curvature penalty on the perturbation away from the center
         if np.linalg.norm(theta) > 8.0:
             return -np.inf
-        ll = penalized_loglik(theta + center, fm.basis, omega, x_grid, z, 0.0)
+        ll = penalized_loglik(theta + center, fm.basis, omega.omega, x_grid, z,
+                              0.0)
         return ll - cfg.lam * float(theta @ omega.omega @ theta)
 
     chain = mcmc_sample(log_target, fm.basis.dim, 8000, seed=7,
@@ -342,3 +351,42 @@ def test_pipeline_validity_across_random_coefficients(basis13):
         theta = 0.7 * rng.standard_normal(13)
         model, _, _ = pipeline_pickands(basis13, theta, True, False)
         assert validate_pickands(model).passed(1e-6)
+
+
+def test_objective_and_tabulation_share_the_chain(basis13):
+    # the W implied by the objective's z-density nodes is the normalized
+    # tabulated transform of the same spline density
+    x = default_w_nodes()
+    pipe = _HhatPipeline(basis13, x)
+    rng = np.random.default_rng(12)
+    for _ in range(10):
+        theta = rng.standard_normal(13)
+        t_full = pipe.forward(theta, False)[0]
+        w_objective = 1.0 + x[1:-1] - 2.0 * t_full[1:-1]
+        grid = normalize_w(williamson_from_density(ClrDensity(basis13, theta), x))
+        assert np.max(np.abs(w_objective - grid.w[1:-1])) <= 1e-14
+
+
+def test_pipeline_builds_interpolators_only_when_read(basis13, monkeypatch):
+    calls = []
+    for module in (evcop.williamson, evcop.pickands):
+        def counted(*args, _build=module.hermite_interpolator, **kwargs):
+            calls.append(1)
+            return _build(*args, **kwargs)
+
+        monkeypatch.setattr(module, "hermite_interpolator", counted)
+    model, _, _ = pipeline_pickands(basis13, np.zeros(13), True, flipped=True)
+    assert len(calls) == 1  # the normalized transform, read by the rotation
+    model(0.3)
+    model.deriv(0.3)
+    assert len(calls) == 2
+
+
+def test_raw_w0_estimate_reported_and_reloaded():
+    uv = EvCopula(ParametricPickands("gumbel", 8.0)).simulate(1000, seed=1)
+    fm = optimize(z_transform(uv))
+    doc = json.loads(json.dumps(model_to_dict(fm)))
+    est = doc["diagnostics"]["w0_estimate"]
+    assert abs(est - 1.0) > 0.01
+    assert est == fm.w0_estimate
+    assert model_from_dict(doc).w0_estimate == est
