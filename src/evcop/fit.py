@@ -43,6 +43,7 @@ from .splinebasis import (
     quantile_knots,
 )
 from .williamson import (
+    WilliamsonGrid,
     WilliamsonKernel,
     default_w_nodes,
     normalize_w,
@@ -356,7 +357,11 @@ def penalized_loglik_grad(theta, basis: ZBasis, omega: np.ndarray, x_grid,
 
 @dataclass(frozen=True)
 class FittedModel:
-    """Result of a copula fit: coefficients plus the derived Pickands model."""
+    """Result of a copula fit: coefficients plus the derived Pickands model.
+
+    ``w_grid`` is the normalized Williamson grid that ``pickands`` was
+    rotated from (before any mirroring).
+    """
 
     theta: np.ndarray
     basis: ZBasis
@@ -368,7 +373,12 @@ class FittedModel:
     pickands: PickandsModel
     converged: bool
     iterations: int
-    w0_estimate: float = 1.0
+    w_grid: WilliamsonGrid = field(repr=False)
+
+    @property
+    def w0_estimate(self) -> float:
+        """Raw W(0+) mass of the spline density, before normalization."""
+        return self.w_grid.w0_estimate
 
     @property
     def coeffs(self) -> np.ndarray:
@@ -463,7 +473,7 @@ def optimize(z_sample, config: FitConfig | None = None,
     return FittedModel(theta=theta_hat, basis=basis, center_applied=cfg.center,
                        flipped=flip, loglik=ll, penalty=pen, lam=cfg.lam,
                        pickands=model, converged=converged,
-                       iterations=int(res.nit), w0_estimate=grid.w0_estimate)
+                       iterations=int(res.nit), w_grid=grid)
 
 
 @dataclass(frozen=True)
@@ -714,4 +724,4 @@ def model_from_dict(d: dict) -> FittedModel:
                        penalty=float(diag.get("penalty", np.nan)), lam=lam,
                        pickands=model, converged=bool(diag.get("converged", True)),
                        iterations=int(diag.get("iterations", 0)),
-                       w0_estimate=grid.w0_estimate)
+                       w_grid=grid)

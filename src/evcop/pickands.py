@@ -93,6 +93,7 @@ def h_formula(t, a, ap, app):
 class PickandsModel:
     """Tabulated Pickands function with a C2 piecewise interpolator.
 
+    The interpolator is made of quintic Hermite pieces in Bernstein form.
     ``app[0]`` (and occasionally ``app[-1]``) may be non-finite sentinels;
     they impose no interpolation constraint.  The interpolator is built on
     first evaluation.

@@ -112,6 +112,7 @@ class WilliamsonKernel:
 class WilliamsonGrid:
     """Tabulated Williamson transform with a C2 piecewise interpolator.
 
+    The interpolator is made of quintic Hermite pieces in Bernstein form.
     ``wp[0]`` and ``wpp[0]`` may be non-finite sentinels (unbounded slope at
     0); such entries impose no interpolation constraint.  ``w0_estimate`` is
     the raw W(0+) mass, kept through normalization as a diagnostic.  The

@@ -92,6 +92,44 @@ def test_evaluate_matches_before_and_after_save(tmp_path, gumbel_csv, capsys):
     assert first == second
 
 
+def test_evaluate_tabulates_once(tmp_path, gumbel_csv, monkeypatch, capsys):
+    import evcop.cli
+    import evcop.fit
+
+    model = str(tmp_path / "model.json")
+    main(["fit", gumbel_csv, "-o", model])
+    calls = []
+    for module in (evcop.fit, evcop.cli):
+        def counted(*args, _tabulate=module.pipeline_pickands, **kwargs):
+            calls.append(1)
+            return _tabulate(*args, **kwargs)
+
+        monkeypatch.setattr(module, "pipeline_pickands", counted)
+    assert main(["evaluate", model]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+def test_evaluate_reads_symmetrized_pickands(tmp_path, capsys):
+    from evcop.copula import EvCopula
+    from evcop.families import ParametricPickands
+    from evcop.fit import model_to_dict, optimize, z_transform
+
+    truth = EvCopula(ParametricPickands("gumbel", 3.0, khoudraji=(0.4, 1.0)))
+    doc = model_to_dict(optimize(z_transform(truth.simulate(500, seed=2))))
+    doc["symmetrized"] = True
+    model = tmp_path / "sym.json"
+    model.write_text(json.dumps(doc))
+    table = tmp_path / "table.csv"
+    assert main(["evaluate", str(model), "--table", str(table)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    a = read_pairs(table)[:, 1]  # A on a grid symmetric about 1/2
+    assert np.max(np.abs(a - a[::-1])) <= 1e-10
+    slopes = report["boundary_slopes"]
+    assert abs(slopes[0] + slopes[1]) <= 1e-10
+    assert report["constraints_ok"]
+
+
 def test_fit_exit_codes(tmp_path, capsys):
     assert main(["fit", str(tmp_path / "missing.csv")]) == 2
     small = tmp_path / "small.csv"
