@@ -17,7 +17,6 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .bayes import ClrDensity
 from .copula import EvCopula, tvd_copulas
 from .errors import EvcopError, InputError, NumericalError
 from .families import ParametricPickands
@@ -175,13 +174,12 @@ def cmd_evaluate(args) -> int:
         raise InputError("evaluate expects a copula model, not a margin model")
     fm, cop = _rebuild_copula(doc)
     pick = cop.pickands  # symmetrized when the document says so
-    dens = ClrDensity(fm.basis, fm.theta, center_enabled=fm.center_applied)
     sm = spectral_from_w(fm.w_grid)
     diag = validate_pickands(pick)
     report = {
         "gini": {
             "from_pickands": gini_from_pickands(pick),
-            "from_density": gini_from_density(dens),
+            "from_density": gini_from_density(fm.density),
             "from_copula": gini_from_copula(EvCopula(pick)),
         },
         "blomqvist_beta": blomqvist_beta(pick),

@@ -8,10 +8,11 @@ nonparametric pilot estimate) lets the whole chain
     coefficients -> density -> Williamson transform -> Pickands -> z-density
 
 be evaluated as plain array arithmetic, so the penalized log-likelihood and
-its exact gradient (forward-mode differentiation of every step) are cheap
-enough for quasi-Newton optimization.  The objective and the tabulation of
-fitted models (:func:`pipeline_pickands`) share the Williamson kernel and
-the affine link, and both divide the transform by the kernel's W(0+) mass.
+its exact reverse-mode (adjoint) gradient, one backward sweep through every
+step, are cheap enough for quasi-Newton optimization.  The objective and the
+tabulation of fitted models (:func:`pipeline_pickands`) share the Williamson
+kernel and the affine link, and both divide the transform by the kernel's
+W(0+) mass.
 """
 
 from __future__ import annotations
@@ -186,35 +187,31 @@ class _HhatPipeline:
     """Precomputed design matrix for the coefficient-to-z-density chain.
 
     The basis is evaluated once at the quadrature nodes of the Williamson
-    kernel on the grid; per-iteration work is dense matrix arithmetic in the
-    coefficient dimension.
+    kernel on the grid; per-iteration work is array arithmetic on the grid,
+    and the exact gradient is one reverse (adjoint) sweep through the same
+    stages that ends in a single product with the design matrix.
     """
 
     def __init__(self, basis: ZBasis, x_grid: np.ndarray):
         self.kernel = WilliamsonKernel(x_grid)
-        self.x_in = self.kernel.x[1:-1]
-        self.m = self.x_in.size
+        self.m = self.kernel.x_in.size
         self.B = basis.evaluate(self.kernel.nodes.ravel())
 
-    def forward(self, theta: np.ndarray, want_grad: bool):
-        """Interpolation knots ``(t, h)`` of the z-density and their Jacobians.
+    def forward(self, theta: np.ndarray):
+        """Interpolation knots ``(t, h)`` of the z-density and their mass.
 
-        Returns ``(t_full, h_full, I_h, J_t, J_h, J_Ih)``; the Jacobian slots
-        are None when ``want_grad`` is false.
+        Returns ``(t_full, h_full, I_h, pullback)``.  ``pullback(gt, gh, gI)``
+        maps cotangents of the interior knots ``t_full[1:-1]``,
+        ``h_full[1:-1]`` and of ``I_h`` to the gradient in ``theta``.
         """
-        theta = np.asarray(theta, dtype=float)
-        d = theta.size
-        m = self.m
-        shape = self.kernel.nodes.shape
-
-        p = self.B @ theta
+        p = self.B @ np.asarray(theta, dtype=float)
         live = np.abs(p) < _EXP_CLIP
         e = np.exp(np.clip(p, -_EXP_CLIP, _EXP_CLIP))
         # dividing by the W(0+) mass, as normalize_w does for tabulated
         # models, also normalizes the density: the kernel is linear
-        w, wp, wpp, _, c = self.kernel(e.reshape(shape))
+        w, wp, wpp, _, c = self.kernel(e.reshape(self.kernel.nodes.shape))
         w, wp, wpp = w / c, wp / c, wpp / c
-        t, a, ap, app = link(self.x_in, w, wp, wpp)
+        t, a, ap, app = link(self.kernel.x_in, w, wp, wpp)
         h = h_formula(t, a, ap, app)
 
         t_full = np.concatenate([[0.0], t, [1.0]])
@@ -222,40 +219,28 @@ class _HhatPipeline:
         wt = trapezoid_weights(t_full)
         I_h = float(wt @ h_full)
 
-        if not want_grad:
-            return t_full, h_full, I_h, None, None, None
+        def pullback(gt, gh, gI):
+            # I_h = wt(t) @ h: its weights move with the interior t nodes
+            gh = gh + gI * wt[1:-1]
+            # h_formula in (t, r = A'/A, A'', A)
+            r = ap / a
+            q = 1.0 - 2.0 * t
+            tt = t * (1.0 - t)
+            gt = gt + gI * 0.5 * (h_full[:-2] - h_full[2:]) \
+                + gh * (q * (app / a - r * r) - 2.0 * r)
+            gr = gh * (q - 2.0 * tt * r)
+            gapp = gh * tt / a
+            # link, then the division by c, which is linear: the sweep runs on
+            # c times the cotangents of the unnormalized (w, wp, wpp)
+            u = 1.0 / (1.0 - wp)
+            gw = 0.5 * (-(gapp * app + gr * r) / a - gt)
+            gwpp = 4.0 * gapp * u ** 3
+            gwp = 2.0 * gr / a * u * u + 3.0 * gwpp * wpp * u
+            gc = -(gw @ w + gwp @ wp + gwpp @ wpp)
+            gfv = self.kernel.transpose(gw, gwp, gwpp, gc)
+            return (gfv.ravel() * e * live) @ self.B / c
 
-        # forward-mode Jacobians, one row per grid quantity
-        J_e = ((e * live)[:, None] * self.B).reshape(shape + (d,))
-        J_w, J_wp, J_wpp, _, J_c = self.kernel(J_e)
-        J_w = (J_w - w[:, None] * J_c) / c
-        J_wp = (J_wp - wp[:, None] * J_c) / c
-        J_wpp = (J_wpp - wpp[:, None] * J_c) / c
-
-        J_t = -0.5 * J_w
-        J_a = 0.5 * J_w
-        J_ap = (2.0 / (1.0 - wp) ** 2)[:, None] * J_wp
-        J_app = (4.0 / (1.0 - wp) ** 3)[:, None] * J_wpp \
-            + (12.0 * wpp / (1.0 - wp) ** 4)[:, None] * J_wp
-        rr = ap / a
-        J_rr = J_ap / a[:, None] - (ap / a ** 2)[:, None] * J_a
-
-        dh_dt = -2.0 * rr + (1.0 - 2.0 * t) * (app / a - rr * rr)
-        dh_drr = (1.0 - 2.0 * t) - 2.0 * t * (1.0 - t) * rr
-        dh_dapp = t * (1.0 - t) / a
-        dh_da = -t * (1.0 - t) * app / a ** 2
-        J_h = (dh_dt[:, None] * J_t + dh_drr[:, None] * J_rr
-               + dh_dapp[:, None] * J_app + dh_da[:, None] * J_a)
-
-        J_t_full = np.zeros((m + 2, d))
-        J_t_full[1:-1] = J_t
-        J_h_full = np.zeros((m + 2, d))
-        J_h_full[1:-1] = J_h
-
-        dI_dt = 0.5 * (h_full[:-2] - h_full[2:])          # interior t nodes
-        J_Ih = dI_dt @ J_t + wt @ J_h_full
-
-        return t_full, h_full, I_h, J_t_full, J_h_full, J_Ih
+        return t_full, h_full, I_h, pullback
 
 
 class HHat:
@@ -285,7 +270,7 @@ def build_h_hat(theta, basis: ZBasis, x_grid) -> HHat:
     breakdown.
     """
     pipe = _HhatPipeline(basis, x_grid)
-    t_full, h_full, _, _, _, _ = pipe.forward(np.asarray(theta, dtype=float), False)
+    t_full, h_full, _, _ = pipe.forward(theta)
     if np.min(h_full) < -1e-6:
         raise NumericalError(
             f"z-density negative beyond tolerance (min {np.min(h_full):.3g})")
@@ -294,7 +279,7 @@ def build_h_hat(theta, basis: ZBasis, x_grid) -> HHat:
 
 def _loss_and_grad(pipe: _HhatPipeline, omega: np.ndarray, z: np.ndarray,
                    lam: float, theta: np.ndarray, want_grad: bool):
-    t_full, h_full, I_h, J_t, J_h, J_Ih = pipe.forward(theta, want_grad)
+    t_full, h_full, I_h, pullback = pipe.forward(theta)
     I_h = max(I_h, 1e-300)
     idx = np.clip(np.searchsorted(t_full, z, side="right") - 1, 0, pipe.m)
     tl = t_full[idx]
@@ -324,7 +309,8 @@ def _loss_and_grad(pipe: _HhatPipeline, omega: np.ndarray, z: np.ndarray,
           + np.bincount(idx + 1, weights=coef_hr, minlength=nnode))
     gt = (np.bincount(idx, weights=coef_tl, minlength=nnode)
           + np.bincount(idx + 1, weights=coef_tr, minlength=nnode))
-    grad = gh @ J_h + gt @ J_t - n_live * J_Ih / I_h - 2.0 * lam * (omega @ theta)
+    grad = pullback(gt[1:-1], gh[1:-1], -n_live / I_h) \
+        - 2.0 * lam * (omega @ theta)
     return value, grad
 
 
@@ -346,8 +332,8 @@ def penalized_loglik_grad(theta, basis: ZBasis, omega: np.ndarray, x_grid,
                           z_sample, lam: float):
     """Value and exact gradient of :func:`penalized_loglik`.
 
-    The gradient propagates forward-mode derivatives through every stage of
-    the chain (no finite differences).
+    The gradient is exact reverse-mode (adjoint) differentiation: one
+    backward sweep through every stage of the chain (no finite differences).
     """
     pipe = _HhatPipeline(basis, x_grid)
     return _loss_and_grad(pipe, np.asarray(omega, dtype=float),
@@ -359,8 +345,9 @@ def penalized_loglik_grad(theta, basis: ZBasis, omega: np.ndarray, x_grid,
 class FittedModel:
     """Result of a copula fit: coefficients plus the derived Pickands model.
 
-    ``w_grid`` is the normalized Williamson grid that ``pickands`` was
-    rotated from (before any mirroring).
+    ``density`` is the spline density and ``w_grid`` the normalized
+    Williamson grid that ``pickands`` was rotated from (before any
+    mirroring).
     """
 
     theta: np.ndarray
@@ -373,6 +360,7 @@ class FittedModel:
     pickands: PickandsModel
     converged: bool
     iterations: int
+    density: ClrDensity = field(repr=False)
     w_grid: WilliamsonGrid = field(repr=False)
 
     @property
@@ -469,11 +457,11 @@ def optimize(z_sample, config: FitConfig | None = None,
     ll, _ = _loss_and_grad(pipe, omega, zf, 0.0, full_hat, False)
     pen = cfg.lam * float(theta_hat @ omega @ theta_hat)
 
-    model, _, grid = pipeline_pickands(basis, theta_hat, cfg.center, flip)
+    model, dens, grid = pipeline_pickands(basis, theta_hat, cfg.center, flip)
     return FittedModel(theta=theta_hat, basis=basis, center_applied=cfg.center,
                        flipped=flip, loglik=ll, penalty=pen, lam=cfg.lam,
                        pickands=model, converged=converged,
-                       iterations=int(res.nit), w_grid=grid)
+                       iterations=int(res.nit), density=dens, w_grid=grid)
 
 
 @dataclass(frozen=True)
@@ -718,10 +706,10 @@ def model_from_dict(d: dict) -> FittedModel:
         diag = d.get("diagnostics", {})
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed model dictionary: {exc}") from exc
-    model, _, grid = pipeline_pickands(basis, theta, center_applied, flipped)
+    model, dens, grid = pipeline_pickands(basis, theta, center_applied, flipped)
     return FittedModel(theta=theta, basis=basis, center_applied=center_applied,
                        flipped=flipped, loglik=float(diag.get("loglik", np.nan)),
                        penalty=float(diag.get("penalty", np.nan)), lam=lam,
                        pickands=model, converged=bool(diag.get("converged", True)),
                        iterations=int(diag.get("iterations", 0)),
-                       w_grid=grid)
+                       density=dens, w_grid=grid)

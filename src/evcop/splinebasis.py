@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import splev
+from scipy.interpolate import BSpline
 
 from ._quad import gauss_legendre
 from .errors import InputError, NumericalError
@@ -65,14 +65,8 @@ class KnotConfig:
 def _bspline_design(full_knots: np.ndarray, degree: int, x: np.ndarray, deriv: int) -> np.ndarray:
     """Design matrix of all clamped B-splines at ``x``: shape (len(x), nbasis)."""
     nb = len(full_knots) - degree - 1
-    x = np.asarray(x, dtype=float)
-    out = np.empty((x.size, nb))
-    c = np.zeros(nb)
-    for j in range(nb):
-        c[j] = 1.0
-        out[:, j] = splev(x.ravel(), (full_knots, c, degree), der=deriv)
-        c[j] = 0.0
-    return out
+    x = np.asarray(x, dtype=float).ravel()
+    return BSpline(full_knots, np.eye(nb), degree)(x, nu=deriv)
 
 
 @dataclass(frozen=True)

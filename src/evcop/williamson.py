@@ -10,9 +10,9 @@ preserving 2-monotonicity at node resolution.
 
 The recurrence is a linear map of density values at fixed quadrature nodes
 (:class:`WilliamsonKernel`).  Tabulation applies it to the values of a
-density; the fit objective applies the same map to the values and the
-Jacobian columns of its spline density, so fitting and saved models share
-one construction.
+density; the fit objective applies the same map to its spline density and
+the map's transpose to the cotangents of its reverse-mode gradient, so
+fitting and saved models share one construction.
 """
 
 from __future__ import annotations
@@ -76,7 +76,8 @@ class WilliamsonKernel:
     ``W'_j = W'_{j+1} - S_j`` and
     ``W_j = W_{j+1} + x_j W'_j - x_{j+1} W'_{j+1} + P_j``
     run from the right endpoint and keep ``W`` non-increasing and ``W'``
-    non-decreasing exactly.
+    non-decreasing exactly.  :meth:`transpose` is the adjoint map, which
+    carries cotangents of the outputs back to the density values.
     """
 
     def __init__(self, x_nodes):
@@ -86,6 +87,7 @@ class WilliamsonKernel:
         if x[0] != 0.0 or x[-1] != 1.0 or np.any(np.diff(x) <= 0.0):
             raise InputError("x_nodes must increase strictly from 0 to 1")
         self.x = x
+        self.x_in = x[1:-1]
         self.nodes = _segment_edges(x)
         self._weights = trapezoid_weights(self.nodes)
         self._slope_weights = self._weights[1:] / self.nodes[1:]
@@ -93,19 +95,30 @@ class WilliamsonKernel:
     def __call__(self, fv):
         """``(w, wp, wpp, tail, c)`` at the interior grid nodes.
 
-        ``fv`` holds density values at :attr:`nodes`, optionally with trailing
-        axes (Jacobian columns) that the map carries along.  ``tail`` is the
-        mass right of each node and ``c`` the mass of [0, 1], the transform's
-        value at 0+.
+        ``fv`` holds density values at :attr:`nodes`.  ``tail`` is the mass
+        right of each node and ``c`` the mass of [0, 1], the transform's value
+        at 0+.
         """
         fv = np.asarray(fv, dtype=float)
-        P = np.einsum("jk,jk...->j...", self._weights, fv)
-        S = np.einsum("jk,jk...->j...", self._slope_weights, fv[1:])
-        wp = -np.cumsum(S[::-1], axis=0)[::-1]
-        tail = np.cumsum(P[:0:-1], axis=0)[::-1]
-        x_in = self.x[1:-1].reshape((-1,) + (1,) * (fv.ndim - 2))
-        wpp = fv[1:, 0] / x_in
-        return x_in * wp + tail, wp, wpp, tail, tail[0] + P[0]
+        P = np.einsum("jk,jk->j", self._weights, fv)
+        S = np.einsum("jk,jk->j", self._slope_weights, fv[1:])
+        wp = -np.cumsum(S[::-1])[::-1]
+        tail = np.cumsum(P[:0:-1])[::-1]
+        wpp = fv[1:, 0] / self.x_in
+        return self.x_in * wp + tail, wp, wpp, tail, tail[0] + P[0]
+
+    def transpose(self, gw, gwp, gwpp, gc):
+        """Cotangent of the density values from those of ``(w, wp, wpp, c)``.
+
+        The reverse of each suffix sum in :meth:`__call__` is a prefix sum.
+        """
+        gS = -np.cumsum(gwp + self.x_in * gw)
+        # c is the sum of all P, so gc reaches every one of them
+        gP = np.concatenate([[0.0], np.cumsum(gw)]) + gc
+        gfv = self._weights * gP[:, None]
+        gfv[1:] += self._slope_weights * gS[:, None]
+        gfv[1:, 0] += gwpp / self.x_in
+        return gfv
 
 
 @dataclass(frozen=True)

@@ -110,6 +110,26 @@ def test_evaluate_tabulates_once(tmp_path, gumbel_csv, monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_evaluate_builds_the_density_once(tmp_path, gumbel_csv, monkeypatch,
+                                          capsys):
+    from evcop.bayes import ClrDensity
+
+    model = str(tmp_path / "model.json")
+    main(["fit", gumbel_csv, "-o", model])
+    capsys.readouterr()
+    calls = []
+
+    def counted(self, *args, _init=ClrDensity.__init__, **kwargs):
+        calls.append(1)
+        _init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ClrDensity, "__init__", counted)
+    assert main(["evaluate", model]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(calls) == 1
+    assert np.isfinite(report["gini"]["from_density"])
+
+
 def test_evaluate_reads_symmetrized_pickands(tmp_path, capsys):
     from evcop.copula import EvCopula
     from evcop.families import ParametricPickands

@@ -10,7 +10,10 @@ from evcop.copula import EvCopula, tvd_copulas
 from evcop.errors import InputError
 from evcop.families import ParametricPickands
 from evcop.fit import (
+    _EXP_CLIP,
+    _LOG_FLOOR,
     _HhatPipeline,
+    _loss_and_grad,
     FitConfig,
     build_h_hat,
     empirical_w_grid,
@@ -30,10 +33,17 @@ from evcop.pickands import (
     blomqvist_beta,
     gini_from_pickands,
     h_density,
+    h_formula,
+    link,
     upper_tail,
     validate_pickands,
 )
-from evcop.splinebasis import build_zb_basis, curvature_matrix, quantile_knots
+from evcop.splinebasis import (
+    build_zb_basis,
+    curvature_matrix,
+    project_center,
+    quantile_knots,
+)
 from evcop.williamson import default_w_nodes, normalize_w, williamson_from_density
 
 
@@ -165,6 +175,163 @@ def test_gradient_matches_finite_differences(gumbel2_sample, dim, k, lam):
                      - penalized_loglik(theta - e, basis, omega, x_grid, z,
                                         lam)) / (2 * h)
         assert np.max(np.abs(grad - fd)) / np.max(np.abs(fd)) <= 1e-4
+
+
+def _forward_mode_loss_and_grad(pipe, omega, z, lam, theta):
+    """Reference: the objective with one Jacobian column per coefficient.
+
+    This is the forward-mode differentiation the objective used before its
+    reverse sweep; the kernel, being linear, is applied column by column.
+    """
+    kernel = pipe.kernel
+    shape = kernel.nodes.shape
+    d = theta.size
+    p = pipe.B @ theta
+    live = np.abs(p) < _EXP_CLIP
+    e = np.exp(np.clip(p, -_EXP_CLIP, _EXP_CLIP))
+    w, wp, wpp, _, c = kernel(e.reshape(shape))
+    w, wp, wpp = w / c, wp / c, wpp / c
+    t, a, ap, app = link(kernel.x_in, w, wp, wpp)
+    h = h_formula(t, a, ap, app)
+    t_full = np.concatenate([[0.0], t, [1.0]])
+    h_full = np.concatenate([[0.0], h, [0.0]])
+    wt = 0.5 * np.concatenate([[t_full[1] - t_full[0]],
+                               t_full[2:] - t_full[:-2],
+                               [t_full[-1] - t_full[-2]]])
+    I_h = max(float(wt @ h_full), 1e-300)
+
+    J_e = ((e * live)[:, None] * pipe.B).reshape(shape + (d,))
+    cols = [kernel(J_e[..., i]) for i in range(d)]
+    J_w, J_wp, J_wpp, _, J_c = (np.stack(q, axis=-1) for q in zip(*cols))
+    J_w = (J_w - w[:, None] * J_c) / c
+    J_wp = (J_wp - wp[:, None] * J_c) / c
+    J_wpp = (J_wpp - wpp[:, None] * J_c) / c
+    J_t = -0.5 * J_w
+    J_a = 0.5 * J_w
+    J_ap = (2.0 / (1.0 - wp) ** 2)[:, None] * J_wp
+    J_app = (4.0 / (1.0 - wp) ** 3)[:, None] * J_wpp \
+        + (12.0 * wpp / (1.0 - wp) ** 4)[:, None] * J_wp
+    rr = ap / a
+    J_rr = J_ap / a[:, None] - (ap / a ** 2)[:, None] * J_a
+    dh_dt = -2.0 * rr + (1.0 - 2.0 * t) * (app / a - rr * rr)
+    dh_drr = (1.0 - 2.0 * t) - 2.0 * t * (1.0 - t) * rr
+    dh_dapp = t * (1.0 - t) / a
+    dh_da = -t * (1.0 - t) * app / a ** 2
+    J_h = (dh_dt[:, None] * J_t + dh_drr[:, None] * J_rr
+           + dh_dapp[:, None] * J_app + dh_da[:, None] * J_a)
+    J_Ih = 0.5 * (h_full[:-2] - h_full[2:]) @ J_t + wt[1:-1] @ J_h
+
+    idx = np.clip(np.searchsorted(t_full, z, side="right") - 1, 0, pipe.m)
+    tl, tr = t_full[idx], t_full[idx + 1]
+    hl, hr = h_full[idx], h_full[idx + 1]
+    delta = tr - tl
+    s = (z - tl) / delta
+    raw = hl * (1.0 - s) + hr * s
+    live_z = raw / I_h > _LOG_FLOOR
+    inv_raw = np.where(live_z, 1.0 / np.maximum(raw, 1e-300), 0.0)
+    # rows of J_t and J_h for the left and right knot of every observation;
+    # the pinned end knots have zero rows
+    J_t_full = np.vstack([np.zeros(d), J_t, np.zeros(d)])
+    J_h_full = np.vstack([np.zeros(d), J_h, np.zeros(d)])
+    slope = hr - hl
+    grad_z = (((1.0 - s) * inv_raw) @ J_h_full[idx]
+              + (s * inv_raw) @ J_h_full[idx + 1]
+              + (slope * (z - tr) / delta ** 2 * inv_raw) @ J_t_full[idx]
+              - (slope * (z - tl) / delta ** 2 * inv_raw) @ J_t_full[idx + 1])
+    return grad_z - np.sum(live_z) * J_Ih / I_h - 2.0 * lam * (omega @ theta)
+
+
+@pytest.fixture(scope="module")
+def gumbel_objectives():
+    """Objective pieces of n=1000 Gumbel samples, set up as `optimize` does."""
+    out = {}
+    for theta in (1.5, 4.0, 20.0):
+        uv = EvCopula(ParametricPickands("gumbel", theta)).simulate(1000,
+                                                                    seed=3)
+        z = z_transform(uv)
+        if ordering_heuristic(z):
+            z = 1.0 - z
+        x_grid = empirical_w_grid(z, 78)
+        basis = build_zb_basis(quantile_knots(x_grid[1:-1], 10))
+        out[theta] = (basis, x_grid, z, curvature_matrix(basis).omega,
+                      project_center(basis))
+    return out
+
+
+def _offset(rng, dim, norm):
+    v = rng.standard_normal(dim)
+    return norm * v / np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("dep", [1.5, 4.0, 20.0])
+def test_adjoint_gradient_matches_forward_mode(gumbel_objectives, dep):
+    basis, x_grid, z, omega, center = gumbel_objectives[dep]
+    pipe = _HhatPipeline(basis, x_grid)
+    rng = np.random.default_rng(int(dep))
+    for norm in (0.0, 1.0, 3.0, 10.0):
+        theta = center + _offset(rng, basis.dim, norm)
+        _, grad = _loss_and_grad(pipe, omega, z, 1e-4, theta, True)
+        ref = _forward_mode_loss_and_grad(pipe, omega, z, 1e-4, theta)
+        assert np.max(np.abs(grad - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_adjoint_gradient_matches_finite_differences(gumbel_objectives):
+    basis, x_grid, z, omega, center = gumbel_objectives[1.5]
+    pipe = _HhatPipeline(basis, x_grid)
+    rng = np.random.default_rng(6)
+
+    def value_and_bins(theta):
+        # the objective has kinks where an observation crosses a moving t
+        # node; a valid difference quotient keeps every bin fixed
+        bins = np.searchsorted(pipe.forward(theta)[0], z)
+        return _loss_and_grad(pipe, omega, z, 1e-4, theta, False)[0], bins
+
+    for norm in (0.0, 1.0):
+        theta = center + _offset(rng, basis.dim, norm)
+        _, grad = _loss_and_grad(pipe, omega, z, 1e-4, theta, True)
+        bins = value_and_bins(theta)[1]
+        fd = np.empty(basis.dim)
+        for i in range(basis.dim):
+            step = np.zeros(basis.dim)
+            step[i] = 1e-6
+            up, bins_up = value_and_bins(theta + step)
+            down, bins_down = value_and_bins(theta - step)
+            assert np.array_equal(bins_up, bins)
+            assert np.array_equal(bins_down, bins)
+            fd[i] = (up - down) / 2e-6
+        assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(grad))
+
+
+def test_clipped_exponentials_contribute_nothing(gumbel_objectives):
+    basis, x_grid, z, omega, center = gumbel_objectives[4.0]
+    pipe = _HhatPipeline(basis, x_grid)
+    theta = center + _offset(np.random.default_rng(7), basis.dim, 1.0)
+    theta *= 1.1 * _EXP_CLIP / np.max(np.abs(pipe.B @ theta))
+    clipped = np.abs(pipe.B @ theta) >= _EXP_CLIP
+    assert 0 < np.sum(clipped) < clipped.size
+    value, grad = _loss_and_grad(pipe, omega, z, 1e-4, theta, True)
+    ref = _forward_mode_loss_and_grad(pipe, omega, z, 1e-4, theta)
+    assert np.isfinite(value)
+    assert np.max(np.abs(grad - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # moving the clipped spline values further out changes nothing at all
+    pipe.B[clipped] *= 2.0
+    assert _loss_and_grad(pipe, omega, z, 1e-4, theta, True)[0] == value
+    assert np.array_equal(_loss_and_grad(pipe, omega, z, 1e-4, theta, True)[1],
+                          grad)
+
+
+def test_floored_observations_contribute_nothing(gumbel_objectives):
+    basis, x_grid, z, omega, center = gumbel_objectives[1.5]
+    pipe = _HhatPipeline(basis, x_grid)
+    theta = center + _offset(np.random.default_rng(8), basis.dim, 1.0)
+    # the z-density is pinned to 0 at both ends, so these fall below the floor
+    z_floor = np.concatenate([z, [0.0, 1e-300, 1.0]])
+    value, grad = _loss_and_grad(pipe, omega, z, 1e-4, theta, True)
+    value_f, grad_f = _loss_and_grad(pipe, omega, z_floor, 1e-4, theta, True)
+    ref = _forward_mode_loss_and_grad(pipe, omega, z_floor, 1e-4, theta)
+    assert value_f == pytest.approx(value + 3.0 * np.log(_LOG_FLOOR), abs=1e-9)
+    assert np.max(np.abs(grad_f - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.array_equal(grad_f, grad)
 
 
 def test_optimize_requires_sample():
@@ -361,7 +528,7 @@ def test_objective_and_tabulation_share_the_chain(basis13):
     rng = np.random.default_rng(12)
     for _ in range(10):
         theta = rng.standard_normal(13)
-        t_full = pipe.forward(theta, False)[0]
+        t_full = pipe.forward(theta)[0]
         w_objective = 1.0 + x[1:-1] - 2.0 * t_full[1:-1]
         grid = normalize_w(williamson_from_density(ClrDensity(basis13, theta), x))
         assert np.max(np.abs(w_objective - grid.w[1:-1])) <= 1e-14

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy.interpolate import splev
 
 from evcop.errors import InputError
 from evcop.splinebasis import (
     KnotConfig,
+    _bspline_design,
     build_zb_basis,
     center_quadrature,
     curvature_matrix,
@@ -73,6 +75,37 @@ def test_eval_derivative_matches_finite_differences():
     d_an = eval_basis(b, x, deriv=1) @ theta
     d_fd = ((eval_basis(b, x + h) - eval_basis(b, x - h)) @ theta) / (2 * h)
     assert np.max(np.abs(d_an - d_fd)) / np.max(np.abs(d_fd)) <= 1e-5
+
+
+def _splev_design(full_knots, degree, x, deriv):
+    """Reference design matrix: one ``splev`` call per B-spline."""
+    nb = len(full_knots) - degree - 1
+    out = np.empty((x.size, nb))
+    c = np.zeros(nb)
+    for j in range(nb):
+        c[j] = 1.0
+        out[:, j] = splev(x, (full_knots, c, degree), der=deriv)
+        c[j] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("degree", [2, 3, 5])
+def test_design_matrix_matches_splev_loop(degree):
+    rng = np.random.default_rng(degree)
+    for _ in range(10):
+        cfg = KnotConfig(tuple(np.sort(rng.uniform(0.01, 0.99,
+                                                   rng.integers(1, 15)))),
+                         degree=degree)
+        x = np.concatenate([[0.0, 1.0], cfg.interior_knots,
+                            rng.uniform(0.0, 1.0, 300),
+                            np.geomspace(1e-9, 1e-2, 20)])
+        full = cfg.full_knots
+        assert np.array_equal(_bspline_design(full, degree, x, 0),
+                              _splev_design(full, degree, x, 0))
+        for deriv in (1, 2):
+            ref = _splev_design(full, degree, x, deriv)
+            err = np.abs(_bspline_design(full, degree, x, deriv) - ref)
+            assert np.all(err <= 1e-14 * np.max(np.abs(ref), axis=0))
 
 
 def test_eval_rejects_outside_domain():

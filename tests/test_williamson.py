@@ -5,6 +5,7 @@ from evcop.bayes import tvd
 from evcop.errors import InputError, NumericalError
 from evcop.pickands import rotate
 from evcop.williamson import (
+    WilliamsonKernel,
     default_w_nodes,
     fixed_point,
     normalize_w,
@@ -66,6 +67,23 @@ def test_spiky_density_detected():
 
     with pytest.raises(NumericalError):
         williamson_from_density(spike, np.array([0.0, 0.25, 0.5, 0.75, 1.0]))
+
+
+def test_kernel_transpose_is_the_adjoint():
+    # <K f, g> = <f, K' g> for the outputs (w, wp, wpp, c)
+    rng = np.random.default_rng(3)
+    for x in (default_w_nodes(), np.concatenate([[0.0], np.sort(
+            rng.uniform(0.0, 1.0, 40)), [1.0]])):
+        kernel = WilliamsonKernel(x)
+        fv = rng.random(kernel.nodes.shape)
+        w, wp, wpp, _, c = kernel(fv)
+        g = [rng.standard_normal(w.size) for _ in range(3)]
+        gc = rng.standard_normal()
+        lhs = g[0] @ w + g[1] @ wp + g[2] @ wpp + gc * c
+        gfv = kernel.transpose(*g, gc)
+        assert gfv.shape == fv.shape
+        scale = sum(np.abs(gi) @ np.abs(v) for gi, v in zip(g, (w, wp, wpp)))
+        assert abs(lhs - np.sum(gfv * fv)) <= 1e-13 * (scale + abs(gc * c))
 
 
 def test_normalize_w_roundtrip(basis13):
