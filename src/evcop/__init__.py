@@ -56,8 +56,7 @@ from .fit import (
     z_transform,
     empirical_w_grid,
     build_h_hat,
-    penalized_loglik,
-    penalized_loglik_grad,
+    PenalizedLikelihood,
     optimize,
     ordering_heuristic,
     fit_univariate_density,

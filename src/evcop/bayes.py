@@ -47,7 +47,7 @@ def integrate_01(fn) -> float:
     return float(_SING_WEIGHTS @ vals)
 
 
-def clr(f, grid: np.ndarray | None = None):
+def clr(f):
     """Centered log-ratio of a positive density: log f minus its mean.
 
     The mean of ``log f`` is computed with a singularity-tolerant rule so
@@ -135,7 +135,6 @@ class ClrDensity:
         if self.theta.shape != (basis.dim,):
             raise InputError(
                 f"theta must have shape ({basis.dim},), got {self.theta.shape}")
-        self.center_enabled = bool(center_enabled)
         self._center = project_center(basis) if center_enabled else np.zeros(basis.dim)
         self.coeffs = self.theta + self._center
         self.eval_grid = norm_grid(basis.interior_knots)
@@ -158,7 +157,3 @@ class ClrDensity:
     def mean(self) -> float:
         """First moment on the cached grid."""
         return float(self._weights @ (self.eval_grid * self._pdf_grid))
-
-    def clr_values(self, x) -> np.ndarray:
-        """clr of the density; equals the spline itself (zero integral)."""
-        return self.log_spline(x)

@@ -18,10 +18,12 @@ W(0+) mass.
 from __future__ import annotations
 
 import logging
+from itertools import islice
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.special import ndtr, ndtri
 
 from ._quad import norm_grid, trapezoid_weights
 from .bayes import ClrDensity
@@ -59,8 +61,7 @@ __all__ = [
     "z_transform",
     "empirical_w_grid",
     "build_h_hat",
-    "penalized_loglik",
-    "penalized_loglik_grad",
+    "PenalizedLikelihood",
     "optimize",
     "ordering_heuristic",
     "fit_univariate_density",
@@ -252,7 +253,6 @@ class HHat:
         if integral <= 0:
             raise NumericalError("degenerate z-density: non-positive mass")
         self.h = np.asarray(h_knots, dtype=float) / integral
-        self.raw_integral = integral
 
     def pdf(self, z):
         return np.interp(z, self.t, self.h)
@@ -277,8 +277,8 @@ def build_h_hat(theta, basis: ZBasis, x_grid) -> HHat:
     return HHat(t_full, np.maximum(h_full, 0.0))
 
 
-def _loss_and_grad(pipe: _HhatPipeline, omega: np.ndarray, z: np.ndarray,
-                   lam: float, theta: np.ndarray, want_grad: bool):
+def _loss_and_grad(pipe: _HhatPipeline, z: np.ndarray, theta: np.ndarray,
+                   want_grad: bool):
     t_full, h_full, I_h, pullback = pipe.forward(theta)
     I_h = max(I_h, 1e-300)
     idx = np.clip(np.searchsorted(t_full, z, side="right") - 1, 0, pipe.m)
@@ -292,10 +292,8 @@ def _loss_and_grad(pipe: _HhatPipeline, omega: np.ndarray, z: np.ndarray,
     hhat = raw / I_h
     live = hhat > _LOG_FLOOR
     ll = float(np.sum(np.log(np.maximum(hhat, _LOG_FLOOR))))
-    pen = lam * float(theta @ omega @ theta)
-    value = ll - pen
     if not want_grad:
-        return value, None
+        return ll, None
 
     inv_raw = np.where(live, 1.0 / np.maximum(raw, 1e-300), 0.0)
     n_live = int(np.sum(live))
@@ -309,36 +307,40 @@ def _loss_and_grad(pipe: _HhatPipeline, omega: np.ndarray, z: np.ndarray,
           + np.bincount(idx + 1, weights=coef_hr, minlength=nnode))
     gt = (np.bincount(idx, weights=coef_tl, minlength=nnode)
           + np.bincount(idx + 1, weights=coef_tr, minlength=nnode))
-    grad = pullback(gt[1:-1], gh[1:-1], -n_live / I_h) \
-        - 2.0 * lam * (omega @ theta)
-    return value, grad
+    return ll, pullback(gt[1:-1], gh[1:-1], -n_live / I_h)
 
 
-def penalized_loglik(theta, basis: ZBasis, omega: np.ndarray, x_grid, z_sample,
-                     lam: float) -> float:
-    """Penalized log-likelihood of the pseudo-angle sample.
+class PenalizedLikelihood:
+    """Penalized log-likelihood of a pseudo-angle sample, set up once.
 
-    ``sum log h_hat(z_i) - lam * theta' Omega theta`` with density values
-    floored at 1e-12 inside the logarithm.
+    ``value(theta) = sum log h_hat(z_i) - lam * theta' Omega theta``, the data
+    term (densities floored at 1e-12) taken at ``theta + center``: a dominating
+    penalty collapses a fit onto the center model.  The basis is evaluated on
+    the grid once, here.
     """
-    pipe = _HhatPipeline(basis, x_grid)
-    value, _ = _loss_and_grad(pipe, np.asarray(omega, dtype=float),
-                              np.asarray(z_sample, dtype=float), float(lam),
-                              np.asarray(theta, dtype=float), False)
-    return value
 
+    def __init__(self, basis: ZBasis, x_grid, z, lam: float, center=0.0):
+        self.pipe = _HhatPipeline(basis, x_grid)
+        self.omega = curvature_matrix(basis).omega
+        self.z = np.asarray(z, dtype=float)
+        self.lam = float(lam)
+        self.center = np.zeros(basis.dim) + center
 
-def penalized_loglik_grad(theta, basis: ZBasis, omega: np.ndarray, x_grid,
-                          z_sample, lam: float):
-    """Value and exact gradient of :func:`penalized_loglik`.
+    def loglik(self, theta) -> float:
+        """The data term alone."""
+        return _loss_and_grad(self.pipe, self.z, theta + self.center, False)[0]
 
-    The gradient is exact reverse-mode (adjoint) differentiation: one
-    backward sweep through every stage of the chain (no finite differences).
-    """
-    pipe = _HhatPipeline(basis, x_grid)
-    return _loss_and_grad(pipe, np.asarray(omega, dtype=float),
-                          np.asarray(z_sample, dtype=float), float(lam),
-                          np.asarray(theta, dtype=float), True)
+    def penalty(self, theta) -> float:
+        return self.lam * float(theta @ self.omega @ theta)
+
+    def value(self, theta) -> float:
+        return self.loglik(theta) - self.penalty(theta)
+
+    def value_and_grad(self, theta):
+        """Value and exact reverse-mode (adjoint) gradient."""
+        ll, grad = _loss_and_grad(self.pipe, self.z, theta + self.center, True)
+        return (ll - self.penalty(theta),
+                grad - 2.0 * self.lam * (self.omega @ theta))
 
 
 @dataclass(frozen=True)
@@ -420,28 +422,17 @@ def optimize(z_sample, config: FitConfig | None = None,
     x_grid = empirical_w_grid(zf, cfg.grid_k)
     knots = quantile_knots(x_grid[1:-1], cfg.basis_dim - cfg.degree)
     basis = build_zb_basis(replace(knots, degree=cfg.degree))
-    omega = curvature_matrix(basis).omega
-    center = project_center(basis) if cfg.center else np.zeros(basis.dim)
-    pipe = _HhatPipeline(basis, x_grid)
-
-    # the curvature penalty acts on the perturbation away from the affine
-    # center, so a dominating penalty collapses the fit onto the center model
-    def negloss(theta_pert):
-        full = theta_pert + center
-        value, grad = _loss_and_grad(pipe, omega, zf, 0.0, full, True)
-        pen = cfg.lam * float(theta_pert @ omega @ theta_pert)
-        grad = grad - 2.0 * cfg.lam * (omega @ theta_pert)
-        return -(value - pen), -grad
-
-    white = _penalty_whitener(omega, cfg.lam)
+    center = project_center(basis) if cfg.center else 0.0
+    lik = PenalizedLikelihood(basis, x_grid, zf, cfg.lam, center)
+    white = _penalty_whitener(lik.omega, cfg.lam)
 
     def negloss_white(phi):
-        value, grad = negloss(white @ phi)
-        return value, white @ grad
+        value, grad = lik.value_and_grad(white @ phi)
+        return -value, white @ -grad
 
     callback = None
     if trace is not None:
-        callback = lambda phi: trace.append(-negloss(white @ phi)[0])  # noqa: E731
+        callback = lambda phi: trace.append(lik.value(white @ phi))  # noqa: E731
 
     res = minimize(negloss_white, np.zeros(basis.dim), jac=True,
                    method="L-BFGS-B", callback=callback,
@@ -453,13 +444,10 @@ def optimize(z_sample, config: FitConfig | None = None,
     if not converged:
         logger.warning("optimizer stopped without convergence: %s",
                        res.message)
-    full_hat = theta_hat + center
-    ll, _ = _loss_and_grad(pipe, omega, zf, 0.0, full_hat, False)
-    pen = cfg.lam * float(theta_hat @ omega @ theta_hat)
-
     model, dens, grid = pipeline_pickands(basis, theta_hat, cfg.center, flip)
     return FittedModel(theta=theta_hat, basis=basis, center_applied=cfg.center,
-                       flipped=flip, loglik=ll, penalty=pen, lam=cfg.lam,
+                       flipped=flip, loglik=lik.loglik(theta_hat),
+                       penalty=lik.penalty(theta_hat), lam=cfg.lam,
                        pickands=model, converged=converged,
                        iterations=int(res.nit), density=dens, w_grid=grid)
 
@@ -620,52 +608,69 @@ def default_random_basis(dim: int = 13, degree: int = 3) -> ZBasis:
     return build_zb_basis(KnotConfig(interior_knots=knots, degree=degree))
 
 
+# proposals per batch of the prior sampler, and per call before it gives up
+_PRIOR_BATCH = 1024
+_PRIOR_BUDGET = 1_000_000
+
+
+def _prior_draws(lam: float, R: float, omega: np.ndarray, center: np.ndarray,
+                 rng: np.random.Generator):
+    """Endless exact i.i.d. draws of the truncated curvature prior.
+
+    With ``Omega = U diag(e) U'``, ``(U' theta)_k`` is Gaussian about ``-(U'
+    center)_k`` with variance ``1 / (2 lam e_k)``, or flat along null
+    directions (all at ``lam = 0``).  Proposals truncate the Gaussians to
+    [-R, R] by inverse CDF and draw the flat part uniformly in its radius-R
+    ball; on the ball ``|theta| <= R``, inside their support, they are
+    proportional to the prior, so keeping those that fall in it is exact.
+    """
+    evals, U = np.linalg.eigh(omega)  # ascending: null directions first
+    n_flat = int(np.sum(evals <= 1e-9 * evals[-1])) if lam > 0 else evals.size
+    mu = -(U.T @ center)[n_flat:]
+    sd = 1.0 / np.sqrt(2.0 * lam * evals[n_flat:])
+    lo, hi = ndtr((-R - mu) / sd), ndtr((R - mu) / sd)
+    kept = 0
+    for tried in range(_PRIOR_BATCH, _PRIOR_BUDGET + 1, _PRIOR_BATCH):
+        g = rng.standard_normal((_PRIOR_BATCH, n_flat))
+        g *= R * rng.random((_PRIOR_BATCH, 1)) ** (1.0 / n_flat) \
+            / np.linalg.norm(g, axis=1, keepdims=True)
+        u = rng.random((_PRIOR_BATCH, mu.size))
+        theta = np.hstack([g, mu + sd * ndtri(lo + (hi - lo) * u)]) @ U.T
+        ok = np.linalg.norm(theta, axis=1) <= R
+        kept += int(np.sum(ok))
+        yield from theta[ok]
+    raise NumericalError(
+        f"truncated prior sampler kept {kept} of {tried} proposals "
+        f"(acceptance {kept / tried:.2g}) at lam={lam:g}, R={R:g}")
+
+
 def random_pickands(lam: float, R: float, n: int, seed=None,
-                    basis: ZBasis | None = None, thin: int = 3000,
+                    basis: ZBasis | None = None,
                     return_pre_mirror: bool = False):
     """Random Pickands functions from the truncated curvature prior.
 
-    States are drawn by Metropolis sampling of
-    ``p(theta) ~ exp(-lam * (theta + theta0)' Omega (theta + theta0))``
-    restricted to the ball ``|theta| <= R`` (theta0 the affine center), then
-    pushed through the full construction.  Every second model is mirrored so
-    the collection has no preferred orientation.
+    Exact draws of ``p(theta) ~ exp(-lam * (theta + theta0)' Omega (theta +
+    theta0))`` on the ball ``|theta| <= R`` (theta0 the affine center) by
+    rejection sampling, pushed through the full construction; up to n draws
+    that fail tabulation are replaced, with a warning.  Every second model is
+    mirrored so the collection has no preferred orientation.
     """
     if lam < 0 or R <= 0 or n < 1:
         raise InputError("need lam >= 0, R > 0, n >= 1")
     basis = basis if basis is not None else default_random_basis()
-    omega = curvature_matrix(basis).omega
-    center = project_center(basis)
-
-    def log_target(theta):
-        if np.linalg.norm(theta) > R:
-            return -np.inf
-        tb = theta + center
-        return -lam * float(tb @ omega @ tb)
-
-    # start near the step the stiffest penalized direction tolerates; the
-    # burn-in adaptation then settles the overall acceptance rate
-    stiffness = max(1.0, lam * float(np.linalg.eigvalsh(omega)[-1]))
-    step0 = min(0.3 * R, 2.4 / np.sqrt(stiffness)) / np.sqrt(basis.dim)
-    total = max(int(np.ceil(1.3 * n * thin / 0.8)) + 200, 4000)
-    chain = mcmc_sample(log_target, basis.dim, total, seed=seed,
-                        step_scale=step0)
-    states = chain[::thin]
-
-    models = []
-    raw_models = []
-    for theta in states:
-        if len(models) == n:
-            break
+    draws = _prior_draws(lam, R, curvature_matrix(basis).omega,
+                         project_center(basis), np.random.default_rng(seed))
+    models, raw_models = [], []
+    for theta in islice(draws, 2 * n):
         try:
             model, _, _ = pipeline_pickands(basis, theta, True, False)
         except (NumericalError, InputError) as exc:
             logger.warning("random model rejected, resampling: %s", exc)
             continue
         raw_models.append(model)
-        if len(models) % 2 == 1:
-            model = mirror(model)
-        models.append(model)
+        models.append(mirror(model) if len(models) % 2 == 1 else model)
+        if len(models) == n:
+            break
     if len(models) < n:
         raise NumericalError(
             f"could only generate {len(models)} of {n} random models")

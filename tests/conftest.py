@@ -3,7 +3,13 @@ import pytest
 
 from evcop.copula import EvCopula
 from evcop.families import ParametricPickands
-from evcop.fit import FitConfig, optimize, pipeline_pickands, z_transform
+from evcop.fit import (
+    FitConfig,
+    optimize,
+    pipeline_pickands,
+    random_pickands,
+    z_transform,
+)
 from evcop.splinebasis import KnotConfig, build_zb_basis
 
 
@@ -34,6 +40,12 @@ def center_model(basis13):
     """Pickands model of the affine center (zero coefficients)."""
     model, dens, grid = pipeline_pickands(basis13, np.zeros(13), True, False)
     return model, dens, grid
+
+
+@pytest.fixture(scope="session")
+def random_models_200():
+    """200 random models from the truncated curvature prior, lam=1e-4, R=5."""
+    return random_pickands(1e-4, 5.0, 200, seed=20250810)
 
 
 def random_spline_density(basis, rng, scale=0.5, center=True):

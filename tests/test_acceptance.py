@@ -15,13 +15,11 @@ from evcop.copula import EvCopula, supnorm_bound_check, tvd_copulas
 from evcop.families import ParametricPickands, cfg_estimator
 from evcop.fit import (
     FitConfig,
+    PenalizedLikelihood,
     empirical_w_grid,
     mcmc_sample,
     optimize,
-    penalized_loglik,
-    penalized_loglik_grad,
     pipeline_pickands,
-    random_pickands,
     z_transform,
 )
 from evcop.pickands import (
@@ -60,11 +58,6 @@ class _Quadratic:
 
     def deriv2(self, t):
         return np.full_like(np.asarray(t, dtype=float), 2.0)
-
-
-@pytest.fixture(scope="module")
-def random_models_200():
-    return random_pickands(1e-4, 5.0, 200, seed=20250810)
 
 
 def test_criterion_01_closed_form_round_trip():
@@ -285,18 +278,16 @@ def test_criterion_09_gradient_check():
     for dim, k, lam in ((13, 78, 1e-4), (8, 40, 1e-5), (5, 20, 0.0)):
         x_grid = empirical_w_grid(z, k)
         basis = build_zb_basis(quantile_knots(x_grid[1:-1], dim - 3))
-        omega = curvature_matrix(basis).omega
+        lik = PenalizedLikelihood(basis, x_grid, z, lam)
         for _ in range(5):
             theta = 0.3 * rng.standard_normal(basis.dim)
-            _, grad = penalized_loglik_grad(theta, basis, omega, x_grid, z, lam)
+            _, grad = lik.value_and_grad(theta)
             fd = np.empty(basis.dim)
             for i in range(basis.dim):
                 h = 1e-6 * max(1.0, abs(theta[i]))
                 e = np.zeros(basis.dim)
                 e[i] = h
-                fd[i] = (penalized_loglik(theta + e, basis, omega, x_grid, z, lam)
-                         - penalized_loglik(theta - e, basis, omega, x_grid,
-                                            z, lam)) / (2 * h)
+                fd[i] = (lik.value(theta + e) - lik.value(theta - e)) / (2 * h)
             worst = max(worst, float(np.max(np.abs(grad - fd))
                                      / np.max(np.abs(fd))))
     ok = worst <= 1e-4

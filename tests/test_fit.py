@@ -1,21 +1,27 @@
 import json
+from itertools import islice
 
 import numpy as np
 import pytest
+from scipy.stats import chi2, ks_2samp, kstest
 
+import evcop.fit
 import evcop.pickands
 import evcop.williamson
 from evcop.bayes import ClrDensity
 from evcop.copula import EvCopula, tvd_copulas
-from evcop.errors import InputError
+from evcop.errors import InputError, NumericalError
 from evcop.families import ParametricPickands
 from evcop.fit import (
     _EXP_CLIP,
     _LOG_FLOOR,
     _HhatPipeline,
     _loss_and_grad,
+    _prior_draws,
     FitConfig,
+    PenalizedLikelihood,
     build_h_hat,
+    default_random_basis,
     empirical_w_grid,
     fit_univariate_density,
     mcmc_sample,
@@ -23,8 +29,6 @@ from evcop.fit import (
     model_to_dict,
     optimize,
     ordering_heuristic,
-    penalized_loglik,
-    penalized_loglik_grad,
     pipeline_pickands,
     random_pickands,
     z_transform,
@@ -145,9 +149,8 @@ def test_penalized_loglik_penalty_scaling(gumbel2_sample):
     omega = curvature_matrix(basis)
     rng = np.random.default_rng(4)
     theta = 0.4 * rng.standard_normal(basis.dim)
-    l0 = penalized_loglik(theta, basis, omega.omega, x_grid, z, 0.0)
-    l1 = penalized_loglik(theta, basis, omega.omega, x_grid, z, 1.0)
-    l2 = penalized_loglik(theta, basis, omega.omega, x_grid, z, 2.0)
+    l0, l1, l2 = (PenalizedLikelihood(basis, x_grid, z, lam).value(theta)
+                  for lam in (0.0, 1.0, 2.0))
     pen = omega.quadratic_form(theta)
     assert pen > 0.0
     assert abs((l0 - l1) - pen) <= 1e-9 * max(1.0, abs(pen))
@@ -161,19 +164,17 @@ def test_gradient_matches_finite_differences(gumbel2_sample, dim, k, lam):
     x_grid = empirical_w_grid(z, k)
     knots = quantile_knots(x_grid[1:-1], dim - 3)
     basis = build_zb_basis(knots)
-    omega = curvature_matrix(basis).omega
+    lik = PenalizedLikelihood(basis, x_grid, z, lam)
     rng = np.random.default_rng(5)
     for _ in range(5):
         theta = 0.3 * rng.standard_normal(basis.dim)
-        _, grad = penalized_loglik_grad(theta, basis, omega, x_grid, z, lam)
+        _, grad = lik.value_and_grad(theta)
         fd = np.empty(basis.dim)
         for i in range(basis.dim):
             h = 1e-6 * max(1.0, abs(theta[i]))
             e = np.zeros(basis.dim)
             e[i] = h
-            fd[i] = (penalized_loglik(theta + e, basis, omega, x_grid, z, lam)
-                     - penalized_loglik(theta - e, basis, omega, x_grid, z,
-                                        lam)) / (2 * h)
+            fd[i] = (lik.value(theta + e) - lik.value(theta - e)) / (2 * h)
         assert np.max(np.abs(grad - fd)) / np.max(np.abs(fd)) <= 1e-4
 
 
@@ -266,29 +267,29 @@ def _offset(rng, dim, norm):
 @pytest.mark.parametrize("dep", [1.5, 4.0, 20.0])
 def test_adjoint_gradient_matches_forward_mode(gumbel_objectives, dep):
     basis, x_grid, z, omega, center = gumbel_objectives[dep]
-    pipe = _HhatPipeline(basis, x_grid)
+    lik = PenalizedLikelihood(basis, x_grid, z, 1e-4)
     rng = np.random.default_rng(int(dep))
     for norm in (0.0, 1.0, 3.0, 10.0):
         theta = center + _offset(rng, basis.dim, norm)
-        _, grad = _loss_and_grad(pipe, omega, z, 1e-4, theta, True)
-        ref = _forward_mode_loss_and_grad(pipe, omega, z, 1e-4, theta)
+        _, grad = lik.value_and_grad(theta)
+        ref = _forward_mode_loss_and_grad(lik.pipe, omega, z, 1e-4, theta)
         assert np.max(np.abs(grad - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_adjoint_gradient_matches_finite_differences(gumbel_objectives):
     basis, x_grid, z, omega, center = gumbel_objectives[1.5]
-    pipe = _HhatPipeline(basis, x_grid)
+    lik = PenalizedLikelihood(basis, x_grid, z, 1e-4)
     rng = np.random.default_rng(6)
 
     def value_and_bins(theta):
         # the objective has kinks where an observation crosses a moving t
         # node; a valid difference quotient keeps every bin fixed
-        bins = np.searchsorted(pipe.forward(theta)[0], z)
-        return _loss_and_grad(pipe, omega, z, 1e-4, theta, False)[0], bins
+        bins = np.searchsorted(lik.pipe.forward(theta)[0], z)
+        return lik.value(theta), bins
 
     for norm in (0.0, 1.0):
         theta = center + _offset(rng, basis.dim, norm)
-        _, grad = _loss_and_grad(pipe, omega, z, 1e-4, theta, True)
+        _, grad = lik.value_and_grad(theta)
         bins = value_and_bins(theta)[1]
         fd = np.empty(basis.dim)
         for i in range(basis.dim):
@@ -304,34 +305,69 @@ def test_adjoint_gradient_matches_finite_differences(gumbel_objectives):
 
 def test_clipped_exponentials_contribute_nothing(gumbel_objectives):
     basis, x_grid, z, omega, center = gumbel_objectives[4.0]
-    pipe = _HhatPipeline(basis, x_grid)
+    lik = PenalizedLikelihood(basis, x_grid, z, 1e-4)
+    B = lik.pipe.B
     theta = center + _offset(np.random.default_rng(7), basis.dim, 1.0)
-    theta *= 1.1 * _EXP_CLIP / np.max(np.abs(pipe.B @ theta))
-    clipped = np.abs(pipe.B @ theta) >= _EXP_CLIP
+    theta *= 1.1 * _EXP_CLIP / np.max(np.abs(B @ theta))
+    clipped = np.abs(B @ theta) >= _EXP_CLIP
     assert 0 < np.sum(clipped) < clipped.size
-    value, grad = _loss_and_grad(pipe, omega, z, 1e-4, theta, True)
-    ref = _forward_mode_loss_and_grad(pipe, omega, z, 1e-4, theta)
+    value, grad = lik.value_and_grad(theta)
+    ref = _forward_mode_loss_and_grad(lik.pipe, omega, z, 1e-4, theta)
     assert np.isfinite(value)
     assert np.max(np.abs(grad - ref)) <= 1e-12 * np.max(np.abs(ref))
     # moving the clipped spline values further out changes nothing at all
-    pipe.B[clipped] *= 2.0
-    assert _loss_and_grad(pipe, omega, z, 1e-4, theta, True)[0] == value
-    assert np.array_equal(_loss_and_grad(pipe, omega, z, 1e-4, theta, True)[1],
-                          grad)
+    B[clipped] *= 2.0
+    assert lik.value_and_grad(theta)[0] == value
+    assert np.array_equal(lik.value_and_grad(theta)[1], grad)
 
 
 def test_floored_observations_contribute_nothing(gumbel_objectives):
     basis, x_grid, z, omega, center = gumbel_objectives[1.5]
-    pipe = _HhatPipeline(basis, x_grid)
     theta = center + _offset(np.random.default_rng(8), basis.dim, 1.0)
     # the z-density is pinned to 0 at both ends, so these fall below the floor
     z_floor = np.concatenate([z, [0.0, 1e-300, 1.0]])
-    value, grad = _loss_and_grad(pipe, omega, z, 1e-4, theta, True)
-    value_f, grad_f = _loss_and_grad(pipe, omega, z_floor, 1e-4, theta, True)
-    ref = _forward_mode_loss_and_grad(pipe, omega, z_floor, 1e-4, theta)
+    value, grad = PenalizedLikelihood(basis, x_grid, z, 1e-4).value_and_grad(
+        theta)
+    lik_f = PenalizedLikelihood(basis, x_grid, z_floor, 1e-4)
+    value_f, grad_f = lik_f.value_and_grad(theta)
+    ref = _forward_mode_loss_and_grad(lik_f.pipe, omega, z_floor, 1e-4, theta)
     assert value_f == pytest.approx(value + 3.0 * np.log(_LOG_FLOOR), abs=1e-9)
     assert np.max(np.abs(grad_f - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert np.array_equal(grad_f, grad)
+
+
+def _count_pipeline_builds(monkeypatch):
+    builds = []
+    init = _HhatPipeline.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_HhatPipeline, "__init__", counted)
+    return builds
+
+
+def test_value_and_grad_is_the_loss_and_grad_composition(gumbel_objectives):
+    # the data term at theta + center minus the penalty on theta, as the
+    # optimizer composed it by hand before the likelihood object
+    basis, x_grid, z, omega, center = gumbel_objectives[4.0]
+    lik = PenalizedLikelihood(basis, x_grid, z, 1e-4, center)
+    pipe = _HhatPipeline(basis, x_grid)
+    rng = np.random.default_rng(10)
+    for norm in (0.0, 1.0, 3.0):
+        theta = _offset(rng, basis.dim, norm)
+        ll, g = _loss_and_grad(pipe, z, theta + center, True)
+        value, grad = lik.value_and_grad(theta)
+        assert value == ll - 1e-4 * float(theta @ omega @ theta)
+        assert np.array_equal(grad, g - 2.0 * 1e-4 * (omega @ theta))
+        assert lik.value(theta) == value
+
+
+def test_optimize_builds_one_pipeline(gumbel2_sample, monkeypatch):
+    builds = _count_pipeline_builds(monkeypatch)
+    optimize(z_transform(gumbel2_sample), FitConfig(lam=1e-4))
+    assert len(builds) == 1
 
 
 def test_optimize_requires_sample():
@@ -459,35 +495,118 @@ def test_mcmc_truncated_prior_stays_in_ball(basis13):
     assert np.max(np.linalg.norm(chain, axis=1)) <= R
 
 
-def test_mcmc_mode_consistent_with_map(gumbel2_sample):
+def test_mcmc_mode_consistent_with_map(gumbel2_sample, monkeypatch):
     z = z_transform(gumbel2_sample)
     cfg = FitConfig(lam=1e-4)
     fm = optimize(z, cfg, force_flip=False)
     x_grid = empirical_w_grid(z, cfg.grid_k)
-    omega = curvature_matrix(fm.basis)
-    from evcop.splinebasis import project_center
-
-    center = project_center(fm.basis)
+    builds = _count_pipeline_builds(monkeypatch)
+    # same objective the optimizer maximizes: data term plus the curvature
+    # penalty on the perturbation away from the center
+    lik = PenalizedLikelihood(fm.basis, x_grid, z, cfg.lam,
+                              project_center(fm.basis))
 
     def log_target(theta):
-        # same objective the optimizer maximizes: data term plus the
-        # curvature penalty on the perturbation away from the center
         if np.linalg.norm(theta) > 8.0:
             return -np.inf
-        ll = penalized_loglik(theta + center, fm.basis, omega.omega, x_grid, z,
-                              0.0)
-        return ll - cfg.lam * float(theta @ omega.omega @ theta)
+        return lik.value(theta)
 
     chain = mcmc_sample(log_target, fm.basis.dim, 8000, seed=7,
                         step_scale=0.05, x0=fm.theta)
     best = max(log_target(s) for s in chain[::20])
     assert log_target(fm.theta) - best <= 2.0
     assert best <= log_target(fm.theta) + 1e-6
+    assert len(builds) == 1
+
+
+@pytest.fixture(scope="module")
+def random_prior():
+    """Curvature matrix and center of the basis random models use."""
+    basis = default_random_basis()
+    return curvature_matrix(basis).omega, project_center(basis)
+
+
+def _draws(lam, R, prior, seed, n):
+    rng = np.random.default_rng(seed)
+    return np.array(list(islice(_prior_draws(lam, R, *prior, rng), n)))
+
+
+def test_flat_prior_is_uniform_on_the_ball(random_prior):
+    # at lam = 0 every direction is flat: P(|theta| <= r) = (r / R)^13
+    norms = np.linalg.norm(_draws(0.0, 5.0, random_prior, 13, 2000), axis=1)
+    assert kstest(norms, lambda r: (r / 5.0) ** 13).pvalue > 0.01
+
+
+@pytest.mark.parametrize("lam", [1e-3, 1e-5, 1e-7, 0.0])
+def test_prior_draws_stay_in_the_ball(random_prior, lam):
+    draws = _draws(lam, 5.0, random_prior, 14, 500)
+    assert draws.shape == (500, 13)
+    assert np.max(np.linalg.norm(draws, axis=1)) <= 5.0
+
+
+def test_penalized_directions_follow_the_gaussian_prior(random_prior):
+    # at lam = 1e-2 the penalized coordinates spread about 0.4, far inside
+    # R = 5, so away from the ball's edge along the null direction
+    # 2 lam (theta + c)' Omega (theta + c) is chi-square with 12 dof
+    omega, center = random_prior
+    draws = _draws(1e-2, 5.0, random_prior, 15, 2000)
+    null = np.linalg.eigh(omega)[1][:, 0]
+    inner = draws[np.abs(draws @ null) <= 4.0] + center
+    q = 2e-2 * np.einsum("ij,jk,ik->i", inner, omega, inner)
+    assert kstest(q, chi2(12).cdf).pvalue > 0.01
+
+
+def test_same_seed_gives_same_random_models():
+    t = np.linspace(0.0, 1.0, 101)
+    first = random_pickands(1e-4, 5.0, 3, seed=21)
+    second = random_pickands(1e-4, 5.0, 3, seed=21)
+    assert all(np.array_equal(a(t), b(t)) for a, b in zip(first, second))
+
+
+def test_prior_sampler_reports_low_acceptance(monkeypatch):
+    # about 1e-4 of the proposals land in the ball at lam = 1e-9, R = 5
+    monkeypatch.setattr(evcop.fit, "_PRIOR_BUDGET", 4 * 1024)
+    with pytest.raises(NumericalError, match=r"acceptance .* lam=1e-09, R=5"):
+        random_pickands(1e-9, 5.0, 50, seed=0)
+
+
+def _metropolis_prior_states(lam, R, n, seed, thin=3000):
+    """Reference: the chain random_pickands ran before it sampled exactly.
+
+    Same target, starting step, chain length and thinning.
+    """
+    basis = default_random_basis()
+    omega = curvature_matrix(basis).omega
+    center = project_center(basis)
+
+    def log_target(theta):
+        if np.linalg.norm(theta) > R:
+            return -np.inf
+        tb = theta + center
+        return -lam * float(tb @ omega @ tb)
+
+    stiffness = max(1.0, lam * float(np.linalg.eigvalsh(omega)[-1]))
+    step0 = min(0.3 * R, 2.4 / np.sqrt(stiffness)) / np.sqrt(basis.dim)
+    total = max(int(np.ceil(1.3 * n * thin / 0.8)) + 200, 4000)
+    chain = mcmc_sample(log_target, basis.dim, total, seed=seed,
+                        step_scale=step0)
+    return basis, chain[::thin][:n]
+
+
+def test_exact_prior_matches_metropolis_reference(random_models_200):
+    # the reference chain has the seed the 200 study models were drawn with
+    # before the exact sampler
+    basis, states = _metropolis_prior_states(1e-4, 5.0, 200, seed=20250810)
+    reference = [gini_from_pickands(pipeline_pickands(basis, theta, True,
+                                                      False)[0])
+                 for theta in states]
+    exact = [gini_from_pickands(m) for m in random_models_200]
+    assert len(exact) == len(reference) == 200
+    assert ks_2samp(exact, reference).pvalue > 0.01
 
 
 def test_random_pickands_validity_and_mirroring():
-    models, raw = random_pickands(1e-4, 5.0, 6, seed=8, thin=200,
-                                  return_pre_mirror=True)
+    models, raw = random_pickands(1e-4, 5.0, 6, seed=8, return_pre_mirror=True)
     t = np.linspace(0, 1, 201)
     for i, m in enumerate(models):
         assert validate_pickands(m).passed(1e-6)
