@@ -24,7 +24,6 @@ from .williamson import (
     normalize_w,
     w_power_complement,
     w_uniform_power,
-    fixed_point,
 )
 from .pickands import (
     PickandsModel,
@@ -33,6 +32,7 @@ from .pickands import (
     rotate_inverse,
     h_density,
     spectral_from_w,
+    fixed_point,
     gini_from_pickands,
     gini_from_density,
     gini_from_copula,
@@ -55,7 +55,6 @@ from .fit import (
     FittedModel,
     z_transform,
     empirical_w_grid,
-    build_h_hat,
     PenalizedLikelihood,
     optimize,
     ordering_heuristic,

@@ -23,6 +23,7 @@ from .families import ParametricPickands
 from .fit import (
     FitConfig,
     FittedModel,
+    default_random_basis,
     fit_univariate_density,
     model_from_dict,
     model_to_dict,
@@ -33,6 +34,7 @@ from .fit import (
 )
 from .pickands import (
     blomqvist_beta,
+    fixed_point,
     gini_from_copula,
     gini_from_density,
     gini_from_pickands,
@@ -41,7 +43,6 @@ from .pickands import (
     upper_tail,
     validate_pickands,
 )
-from .williamson import fixed_point
 
 __all__ = [
     "main",
@@ -282,9 +283,10 @@ def run_tvd_study(spec: dict, workers: int = 1):
     count = int(conf.get("count", 20))
     lam = float(conf.get("lambda", 1e-4))
     radius = float(conf.get("R", 5.0))
+    basis = default_random_basis(int(conf.get("dim", 13)))
     sizes = [int(s) for s in spec.get("sample_sizes", [1000])]
     reps = int(spec.get("replications", 1))
-    models = random_pickands(lam, radius, count, seed=seed)
+    models = random_pickands(lam, radius, count, seed=seed, basis=basis)
     cfg = _fit_config_from_spec(spec)
     payloads = []
     for cid, model in enumerate(models):

@@ -10,9 +10,11 @@ nonparametric pilot estimate) lets the whole chain
 be evaluated as plain array arithmetic, so the penalized log-likelihood and
 its exact reverse-mode (adjoint) gradient, one backward sweep through every
 step, are cheap enough for quasi-Newton optimization.  The objective and the
-tabulation of fitted models (:func:`pipeline_pickands`) share the Williamson
-kernel and the affine link, and both divide the transform by the kernel's
-W(0+) mass.
+tabulation of fitted models (:func:`pipeline_pickands`) are one construction:
+both run the Williamson kernel, divide the transform by its W(0+) mass and
+map each grid node through the affine link.  The objective does so on the
+fitting grid, the tabulation on :func:`evcop.williamson.default_w_nodes`,
+where the saved model reads ``A`` at the link images without inverting W.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .errors import InputError, NumericalError
 from .families import cfg_estimator
 from .pickands import (
     PickandsModel,
-    default_t_nodes,
     h_formula,
     link,
     mirror,
@@ -60,7 +61,6 @@ __all__ = [
     "FittedModel",
     "z_transform",
     "empirical_w_grid",
-    "build_h_hat",
     "PenalizedLikelihood",
     "optimize",
     "ordering_heuristic",
@@ -244,39 +244,6 @@ class _HhatPipeline:
         return t_full, h_full, I_h, pullback
 
 
-class HHat:
-    """Piecewise-linear density of the pseudo-angle, normalized exactly."""
-
-    def __init__(self, t_knots: np.ndarray, h_knots: np.ndarray):
-        self.t = np.asarray(t_knots, dtype=float)
-        integral = float(np.trapezoid(h_knots, t_knots))
-        if integral <= 0:
-            raise NumericalError("degenerate z-density: non-positive mass")
-        self.h = np.asarray(h_knots, dtype=float) / integral
-
-    def pdf(self, z):
-        return np.interp(z, self.t, self.h)
-
-    __call__ = pdf
-
-
-def build_h_hat(theta, basis: ZBasis, x_grid) -> HHat:
-    """Fast interpolated density of the pseudo-angle for given coefficients.
-
-    ``theta`` are the full spline coefficients (center included, if any).
-    Interior values follow the transform chain at the grid nodes; endpoint
-    values are pinned to 0 and the trapezoid integral is normalized to 1 on
-    the same knots.  A materially negative node value signals constraint
-    breakdown.
-    """
-    pipe = _HhatPipeline(basis, x_grid)
-    t_full, h_full, _, _ = pipe.forward(theta)
-    if np.min(h_full) < -1e-6:
-        raise NumericalError(
-            f"z-density negative beyond tolerance (min {np.min(h_full):.3g})")
-    return HHat(t_full, np.maximum(h_full, 0.0))
-
-
 def _loss_and_grad(pipe: _HhatPipeline, z: np.ndarray, theta: np.ndarray,
                    want_grad: bool):
     t_full, h_full, I_h, pullback = pipe.forward(theta)
@@ -391,7 +358,7 @@ def pipeline_pickands(basis: ZBasis, theta, center_enabled: bool,
         logger.info("normalizing Williamson grid: W(0+) estimate %.5f",
                     grid.w0_estimate)
     grid = normalize_w(grid)
-    model = rotate(grid, default_t_nodes())
+    model = rotate(grid)
     if flipped:
         model = mirror(model)
     return model, dens, grid

@@ -20,7 +20,8 @@ from ._hermite import hermite_interpolator
 from ._quad import gauss_legendre
 from ._rootfind import vector_bisect
 from .bayes import integrate_01
-from .errors import InputError
+from .errors import InputError, NumericalError
+from .williamson import WilliamsonGrid, default_w_nodes
 
 __all__ = [
     "PickandsModel",
@@ -30,6 +31,7 @@ __all__ = [
     "rotate_inverse",
     "h_density",
     "spectral_from_w",
+    "fixed_point",
     "gini_from_pickands",
     "gini_from_density",
     "gini_from_copula",
@@ -39,20 +41,12 @@ __all__ = [
     "symmetrize",
     "mirror",
     "validate_pickands",
-    "default_t_nodes",
 ]
 
-
-def default_t_nodes() -> np.ndarray:
-    """Canonical Pickands tabulation grid, clustered toward both endpoints.
-
-    The first and last interior nodes sit at 5e-4: the boundary pieces then
-    extend the pinned endpoint slopes smoothly instead of chasing the
-    (possibly unbounded) curvature right next to the ends.
-    """
-    left = np.geomspace(5e-4, 0.02, 15)
-    mid = np.linspace(0.02, 0.98, 401)
-    return np.unique(np.concatenate([[0.0], left, mid, 1.0 - left[::-1], [1.0]]))
+# interior tabulation nodes closer than this to an end are dropped: the
+# boundary pieces then extend the pinned endpoint slopes smoothly instead of
+# chasing the (possibly unbounded) curvature right next to the ends
+_EDGE = 5e-4
 
 
 def _slope_to_pickands(wp):
@@ -93,10 +87,10 @@ def h_formula(t, a, ap, app):
 class PickandsModel:
     """Tabulated Pickands function with a C2 piecewise interpolator.
 
-    The interpolator is made of quintic Hermite pieces in Bernstein form.
-    ``app[0]`` (and occasionally ``app[-1]``) may be non-finite sentinels;
-    they impose no interpolation constraint.  The interpolator is built on
-    first evaluation.
+    The interpolator is made of quintic Hermite pieces in Bernstein form and
+    is built when the model is constructed.  ``app[0]`` (and occasionally
+    ``app[-1]``) may be non-finite sentinels; they impose no interpolation
+    constraint.
     """
 
     t: np.ndarray
@@ -104,9 +98,9 @@ class PickandsModel:
     ap: np.ndarray
     app: np.ndarray
 
-    @cached_property
-    def _ip(self):
-        return hermite_interpolator(self.t, self.a, self.ap, self.app)
+    def __post_init__(self):
+        object.__setattr__(self, "_ip", hermite_interpolator(
+            self.t, self.a, self.ap, self.app))
 
     @cached_property
     def _ip1(self):
@@ -129,47 +123,37 @@ class PickandsModel:
         return float(self._ip.integrate(0.0, 1.0))
 
 
-def rotate(w, t_nodes=None) -> PickandsModel:
-    """Pickands function of a 2-monotone transform, tabulated on ``t_nodes``.
+def rotate(w) -> PickandsModel:
+    """Pickands function of a 2-monotone transform, by the affine link.
 
-    For each interior node the equation ``(1 + x - W(x)) / 2 = t`` is solved
-    by bracketed bisection (the left side is strictly increasing), then the
-    value and derivatives follow from the affine link.  Endpoint slopes use
-    the one-sided limits of ``W'``; an unbounded slope at 0 gives
+    Each node ``x`` of a tabulated :class:`WilliamsonGrid` (or of
+    :func:`default_w_nodes`, where an analytic ``W`` is evaluated) maps to
+    the node ``t = (1 + x - W(x)) / 2`` with ``A = (1 + x + W(x)) / 2`` and
+    ``A'``, ``A''`` in closed form, so the values are exact at the nodes.
+    Interior nodes with ``t`` within 5e-4 of an end are dropped.  Endpoint
+    slopes use the one-sided limits of ``W'``; an unbounded slope at 0 gives
     ``A'(0+) = -1``.
     """
-    if not (abs(float(w(0.0)) - 1.0) <= 1e-3 and abs(float(w(1.0))) <= 1e-3):
-        raise InputError(
-            f"not a unit 2-monotone transform: W(0)={float(w(0.0)):.4f}, "
-            f"W(1)={float(w(1.0)):.4f}")
-    t = default_t_nodes() if t_nodes is None else np.asarray(t_nodes, dtype=float)
-    if t[0] != 0.0 or t[-1] != 1.0 or np.any(np.diff(t) <= 0):
-        raise InputError("t_nodes must increase strictly from 0 to 1")
-    ti = t[1:-1]
-
-    def resid(x):
-        return 0.5 * (1.0 + x - w(x)) - ti
-
-    xi = vector_bisect(resid, np.zeros_like(ti), np.ones_like(ti), iters=60)
-
-    a = np.empty_like(t)
-    ap = np.empty_like(t)
-    app = np.empty_like(t)
-    a[0] = a[-1] = 1.0
-    _, a[1:-1], ap[1:-1], app[1:-1] = link(xi, w(xi), w.deriv(xi), w.deriv2(xi))
-
-    wp0 = getattr(w, "deriv_at_zero", None)
-    wp0 = float(w.deriv(0.0)) if wp0 is None else float(wp0)
-    wp1 = getattr(w, "deriv_at_one", None)
-    wp1 = float(w.deriv(1.0)) if wp1 is None else float(wp1)
-    ap[0] = _slope_to_pickands(wp0)
-    ap[-1] = _slope_to_pickands(wp1)
-    if np.isfinite(wp0):
-        app[0] = _curvature_to_pickands(float(w.deriv2(0.0)), wp0)
+    if isinstance(w, WilliamsonGrid):
+        x, wv, wp, wpp = w.x, w.w, w.wp, w.wpp
     else:
-        app[0] = np.inf
-    app[-1] = _curvature_to_pickands(float(w.deriv2(1.0)), wp1)
-
+        x = default_w_nodes()
+        wv = np.asarray(w(x), dtype=float)
+        if not (abs(wv[0] - 1.0) <= 1e-3 and abs(wv[-1]) <= 1e-3):
+            raise InputError(
+                f"not a unit 2-monotone transform: W(0)={wv[0]:.4f}, "
+                f"W(1)={wv[-1]:.4f}")
+        wp = np.array(w.deriv(x), dtype=float)
+        # one-sided endpoint slopes, where the transform reports them
+        wp[0] = getattr(w, "deriv_at_zero", wp[0])
+        wp[-1] = getattr(w, "deriv_at_one", wp[-1])
+        wpp = w.deriv2(x)
+    t, a, ap, app = link(x, wv, wp, wpp)
+    keep = (t >= _EDGE) & (t <= 1.0 - _EDGE)
+    keep[0] = keep[-1] = True
+    t, a, ap, app = t[keep], a[keep], ap[keep], app[keep]
+    t[0], t[-1] = 0.0, 1.0
+    a[0] = a[-1] = 1.0
     # clip round-off excursions above the admissible band
     np.minimum(a, 1.0, out=a)
     return PickandsModel(t=t, a=a, ap=ap, app=app)
@@ -284,38 +268,33 @@ class SpectralMeasure:
         return float(np.trapezoid(self.z * self.eta, self.z) + self.h1)
 
 
-def spectral_from_w(w, z_grid=None) -> SpectralMeasure:
+def spectral_from_w(w) -> SpectralMeasure:
     """Spectral measure induced by a 2-monotone transform.
 
-    The density is ``eta(z) = 4 W''(x) / (1 - W'(x))^3`` at ``x = t^{-1}(z)``;
-    the atoms are ``H0 = 2 / (1 - W'(0+))`` and
-    ``H1 = -2 W'(1-) / (1 - W'(1-))``.  An unbounded slope at 0 gives H0 = 0.
+    Read off :func:`rotate`: the density is ``A''`` at its nodes (0 where
+    unbounded), and the atoms are ``H0 = 1 + A'(0)`` and ``H1 = 1 - A'(1)``.
+    An unbounded slope ``W'(0+)`` gives H0 = 0.
     """
-    if z_grid is None:
-        edge = np.geomspace(1e-9, 0.01, 40)
-        z = np.unique(np.concatenate([edge, np.linspace(0.01, 0.99, 481),
-                                      1.0 - edge[::-1]]))
-    else:
-        z = np.asarray(z_grid, dtype=float)
+    a = rotate(w)
+    eta = np.where(np.isfinite(a.app), a.app, 0.0)
+    return SpectralMeasure(z=a.t, eta=eta,
+                           h0=max(0.0, min(1.0, 1.0 + float(a.ap[0]))),
+                           h1=max(0.0, min(1.0, 1.0 - float(a.ap[-1]))))
 
-    def resid(x):
-        return 0.5 * (1.0 + x - w(x)) - z
 
-    x = vector_bisect(resid, np.zeros_like(z), np.ones_like(z), iters=60,
-                      check_bracket=False)
-    wp = np.asarray(w.deriv(x), dtype=float)
-    wpp = np.asarray(w.deriv2(x), dtype=float)
-    eta = _curvature_to_pickands(wpp, wp)
-    eta = np.where(np.isfinite(eta), eta, 0.0)
+def fixed_point(w) -> float:
+    """The unique solution of W(x) = x for a 2-monotone W with W(1) = 0.
 
-    wp0 = getattr(w, "deriv_at_zero", None)
-    wp0 = float(w.deriv(0.0)) if wp0 is None else float(wp0)
-    wp1 = getattr(w, "deriv_at_one", None)
-    wp1 = float(w.deriv(1.0)) if wp1 is None else float(wp1)
-    h0 = 0.0 if not np.isfinite(wp0) else 2.0 / (1.0 - wp0)
-    h1 = -2.0 * wp1 / (1.0 - wp1)
-    return SpectralMeasure(z=z, eta=eta, h0=max(0.0, min(1.0, float(h0))),
-                           h1=max(0.0, min(1.0, float(h1))))
+    The link maps it to ``t = 1/2``, so it is ``A(1/2) - 1/2`` with ``A``
+    from :func:`rotate`.  Raises :class:`NumericalError` when ``W`` is not
+    a unit transform, so that ``W(x) - x`` need not change sign on [0, 1].
+    """
+    try:
+        a = rotate(w)
+    except InputError as exc:
+        raise NumericalError(
+            f"W(x) - x has no certified sign change on [0, 1]: {exc}") from exc
+    return float(a(0.5)) - 0.5
 
 
 def gini_from_pickands(a) -> float:

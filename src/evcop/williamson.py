@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ._hermite import hermite_interpolator
 from ._quad import trapezoid_weights
@@ -34,17 +33,25 @@ __all__ = [
     "normalize_w",
     "w_power_complement",
     "w_uniform_power",
-    "fixed_point",
     "default_w_nodes",
 ]
 
 
 def default_w_nodes() -> np.ndarray:
-    """Canonical tabulation grid: geometric near 0, uniform elsewhere."""
+    """Canonical tabulation grid: geometric toward both ends, uniform between.
+
+    Saved models are tabulated at the link images of these nodes (see
+    :func:`evcop.pickands.rotate`), so the grid is laid out for them: near 0
+    the image ``t = (1 + x - W(x)) / 2`` grows like ``x |W'(x)|`` and W' is
+    unbounded for densities positive at 0, hence the run from 1e-10; near 1
+    the image approaches 1 like ``(1 - x) / 2``.  530 nodes.
+    """
     return np.unique(np.concatenate([
         [0.0],
-        np.geomspace(1e-6, 0.02, 49),
-        np.linspace(0.02, 1.0, 481),
+        np.geomspace(1e-10, 0.01, 70),
+        np.linspace(0.01, 0.98, 430),
+        1.0 - np.geomspace(1e-6, 0.02, 30),
+        [1.0],
     ]))
 
 
@@ -321,15 +328,3 @@ def w_uniform_power(theta: float) -> _AnalyticW:
             return (1.0 / theta) * x ** (1.0 / theta - 2.0)
 
     return _AnalyticW(fn, d1, d2, f"W_U^{theta:g}")
-
-
-def fixed_point(w) -> float:
-    """The unique solution of W(x) = x for a 2-monotone W with W(1) = 0."""
-    def g(x):
-        return float(w(x)) - x
-
-    g0, g1 = g(0.0), g(1.0)
-    if g0 <= 0.0 or g1 >= 0.0:
-        raise NumericalError(
-            f"no sign change for W(x) - x on [0, 1] (g(0)={g0:.3g}, g(1)={g1:.3g})")
-    return float(brentq(g, 0.0, 1.0, xtol=1e-14, rtol=4 * np.finfo(float).eps))

@@ -226,6 +226,18 @@ def test_study_parallel_matches_serial(tmp_path):
     assert _strip_runtime_rows(rows1) == _strip_runtime_rows(rows2)
 
 
+def test_study_random_truths_follow_spec_dim():
+    def one_model_study(dim):
+        spec = {"study": "tvd", "seed": 1, "sample_sizes": [250],
+                "random_evc": {"lambda": 1e-4, "R": 5.0, "dim": dim,
+                               "count": 1}}
+        _, rows, _, meta = run_study(spec, workers=1)
+        return rows[0]["tvd"], rows[0]["gini"], meta["truth_gini"][0]
+
+    assert all(a != b for a, b in zip(one_model_study(8),
+                                      one_model_study(13)))
+
+
 def test_study_bias_variance_envelope(tmp_path, capsys):
     spec = {"study": "bias-variance", "seed": 5, "sample_sizes": [300],
             "replications": 3,

@@ -20,7 +20,6 @@ from evcop.fit import (
     _prior_draws,
     FitConfig,
     PenalizedLikelihood,
-    build_h_hat,
     default_random_basis,
     empirical_w_grid,
     fit_univariate_density,
@@ -39,6 +38,7 @@ from evcop.pickands import (
     h_density,
     h_formula,
     link,
+    rotate,
     upper_tail,
     validate_pickands,
 )
@@ -106,14 +106,19 @@ def test_empirical_w_grid_increasing(gumbel2_sample):
         empirical_w_grid(z, 1)
 
 
+def _h_hat_knots(coeffs, basis, x_grid):
+    """The objective's z-density knots, divided by their trapezoid mass."""
+    t, h, I_h, _ = _HhatPipeline(basis, x_grid).forward(coeffs)
+    return t, h / I_h
+
+
 def test_build_h_hat_normalization_and_consistency(gumbel2_fit, gumbel2_sample):
     fm = gumbel2_fit
     z = z_transform(gumbel2_sample)
     zf = 1.0 - z if fm.flipped else z
-    x_grid = empirical_w_grid(zf, 78)
-    hh = build_h_hat(fm.coeffs, fm.basis, x_grid)
+    t, h = _h_hat_knots(fm.coeffs, fm.basis, empirical_w_grid(zf, 78))
     # exact unit mass on its own knots
-    assert abs(np.trapezoid(hh.h, hh.t) - 1.0) <= 1e-12
+    assert abs(np.trapezoid(h, t) - 1.0) <= 1e-12
 
     # converges to the density computed through the dense route as the grid
     # grows; knot values already agree at the default grid size
@@ -121,11 +126,11 @@ def test_build_h_hat_normalization_and_consistency(gumbel2_fit, gumbel2_sample):
                                             fm.center_applied, False)
     h_slow = h_density(dens_model)
     zz = np.linspace(0.05, 0.95, 181)
-    assert np.max(np.abs(hh.h[1:-1] - h_slow(hh.t[1:-1]))) <= 0.02
+    assert np.max(np.abs(h[1:-1] - h_slow(t[1:-1]))) <= 0.02
     errs = []
     for k in (40, 78, 300):
-        hk = build_h_hat(fm.coeffs, fm.basis, empirical_w_grid(zf, k))
-        errs.append(float(np.max(np.abs(hk(zz) - h_slow(zz)))))
+        tk, hk = _h_hat_knots(fm.coeffs, fm.basis, empirical_w_grid(zf, k))
+        errs.append(float(np.max(np.abs(np.interp(zz, tk, hk) - h_slow(zz)))))
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] <= 0.05
 
@@ -136,9 +141,9 @@ def test_build_h_hat_near_independence():
     z = z_transform(uv)
     fm = optimize(z, FitConfig(lam=1e-4))
     x_grid = empirical_w_grid(1.0 - z if fm.flipped else z, 78)
-    hh = build_h_hat(fm.coeffs, fm.basis, x_grid)
+    t, h = _h_hat_knots(fm.coeffs, fm.basis, x_grid)
     zz = np.linspace(0.1, 0.9, 101)
-    assert np.mean(np.abs(hh(zz) - 1.0)) <= 0.15
+    assert np.mean(np.abs(np.interp(zz, t, h) - 1.0)) <= 0.15
 
 
 def test_penalized_loglik_penalty_scaling(gumbel2_sample):
@@ -637,6 +642,20 @@ def test_pipeline_validity_across_random_coefficients(basis13):
         theta = 0.7 * rng.standard_normal(13)
         model, _, _ = pipeline_pickands(basis13, theta, True, False)
         assert validate_pickands(model).passed(1e-6)
+    # directions at the radius of the study's default prior ball; a draw may
+    # be refused with NumericalError, but no returned model may be invalid
+    basis = default_random_basis()
+    refused = 0
+    for _ in range(60):
+        theta = rng.standard_normal(13)
+        theta *= 5.0 / np.linalg.norm(theta)
+        try:
+            model, _, _ = pipeline_pickands(basis, theta, True, False)
+        except NumericalError:
+            refused += 1
+            continue
+        assert validate_pickands(model).passed(1e-6)
+    assert refused <= 5
 
 
 def test_objective_and_tabulation_share_the_chain(basis13):
@@ -651,6 +670,14 @@ def test_objective_and_tabulation_share_the_chain(basis13):
         w_objective = 1.0 + x[1:-1] - 2.0 * t_full[1:-1]
         grid = normalize_w(williamson_from_density(ClrDensity(basis13, theta), x))
         assert np.max(np.abs(w_objective - grid.w[1:-1])) <= 1e-14
+        # the saved model's interior nodes are the objective's knots away
+        # from the ends, with the same z-density there up to round-off
+        t, h = t_full[1:-1], pipe.forward(theta)[1][1:-1]
+        inner = (t >= 5e-4) & (t <= 1.0 - 5e-4)
+        m = rotate(grid)
+        assert np.max(np.abs(t[inner] - m.t[1:-1])) <= 1e-14
+        h_model = h_formula(m.t[1:-1], m.a[1:-1], m.ap[1:-1], m.app[1:-1])
+        assert np.max(np.abs(h[inner] - h_model) / np.abs(h_model)) <= 1e-12
 
 
 def test_pipeline_builds_interpolators_only_when_read(basis13, monkeypatch):
@@ -661,11 +688,15 @@ def test_pipeline_builds_interpolators_only_when_read(basis13, monkeypatch):
             return _build(*args, **kwargs)
 
         monkeypatch.setattr(module, "hermite_interpolator", counted)
+    # the rotation builds its model's interpolator; mirroring builds another
+    # for the reflected table; no W interpolator is built
+    model, _, _ = pipeline_pickands(basis13, np.zeros(13), True, flipped=False)
+    assert len(calls) == 1
     model, _, _ = pipeline_pickands(basis13, np.zeros(13), True, flipped=True)
-    assert len(calls) == 1  # the normalized transform, read by the rotation
+    assert len(calls) == 3
     model(0.3)
     model.deriv(0.3)
-    assert len(calls) == 2
+    assert len(calls) == 3
 
 
 def test_raw_w0_estimate_reported_and_reloaded():

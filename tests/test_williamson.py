@@ -3,11 +3,10 @@ import pytest
 
 from evcop.bayes import tvd
 from evcop.errors import InputError, NumericalError
-from evcop.pickands import rotate
+from evcop.pickands import fixed_point, rotate
 from evcop.williamson import (
     WilliamsonKernel,
     default_w_nodes,
-    fixed_point,
     normalize_w,
     w_power_complement,
     w_uniform_power,
