@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 import time
@@ -55,6 +56,12 @@ __all__ = [
     "joint_pipeline",
 ]
 
+logger = logging.getLogger("evcop")
+
+# share of a column's values repeating an earlier value above which
+# pseudo_observations warns
+_TIE_SHARE = 0.01
+
 
 # ---------------------------------------------------------------------------
 # file formats
@@ -90,13 +97,23 @@ def write_pairs(path, data: np.ndarray, header: str = "u,v") -> None:
 
 
 def pseudo_observations(raw: np.ndarray) -> np.ndarray:
-    """Rank transform to (0, 1): rank / (n + 1), average ranks on ties."""
+    """Rank transform to (0, 1): rank / (n + 1), average ranks on ties.
+
+    The model assumes continuous margins.  A warning is logged for each
+    column in which more than 1% of the values repeat an earlier value of
+    that column.
+    """
     from scipy.stats import rankdata
 
     raw = np.asarray(raw, dtype=float)
     n = raw.shape[0]
     out = np.empty_like(raw)
     for j in range(raw.shape[1]):
+        tied = 1.0 - np.unique(raw[:, j]).size / n
+        if tied > _TIE_SHARE:
+            logger.warning("pseudo_observations: %.1f%% of column %d repeats "
+                           "earlier values; ties break the continuous-margin "
+                           "assumption", 100.0 * tied, j + 1)
         out[:, j] = rankdata(raw[:, j], method="average") / (n + 1.0)
     return out
 
@@ -175,7 +192,10 @@ def cmd_evaluate(args) -> int:
         raise InputError("evaluate expects a copula model, not a margin model")
     fm, cop = _rebuild_copula(doc)
     pick = cop.pickands  # symmetrized when the document says so
-    sm = spectral_from_w(fm.w_grid)
+    # fm.pickands is the rotation of fm.w_grid, mirrored when the fit
+    # flipped; mirroring swaps the atoms and leaves A(1/2) unchanged
+    sm = spectral_from_w(fm.pickands)
+    h0, h1 = (sm.h1, sm.h0) if fm.flipped else (sm.h0, sm.h1)
     diag = validate_pickands(pick)
     report = {
         "gini": {
@@ -185,9 +205,9 @@ def cmd_evaluate(args) -> int:
         },
         "blomqvist_beta": blomqvist_beta(pick),
         "upper_tail": upper_tail(pick),
-        "fixed_point": fixed_point(fm.w_grid),
+        "fixed_point": fixed_point(fm.pickands),
         "boundary_slopes": [float(pick.deriv(0.0)), float(pick.deriv(1.0))],
-        "spectral": {"H0": sm.h0, "H1": sm.h1},
+        "spectral": {"H0": h0, "H1": h1},
         "constraints_ok": diag.passed(1e-6),
         "survival": bool(doc.get("survival", False)),
     }

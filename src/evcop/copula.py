@@ -3,8 +3,9 @@
 ``C(u, v) = exp(log(uv) A(log u / log(uv)))`` for a Pickands function ``A``.
 The class also evaluates through the survival transform
 ``u + v - 1 + C(1 - u, 1 - v)``, which swaps lower and upper tail behavior.
-Simulation inverts the conditional distribution ``dC/du`` by bracketed
-bisection with a guarded Newton polish.
+Simulation inverts the conditional distribution ``dC/du``: a table of it at
+the nodes of the Pickands function brackets each root, and safeguarded Newton
+steps solve inside the bracket.
 """
 
 from __future__ import annotations
@@ -16,8 +17,17 @@ import numpy as np
 
 from ._rootfind import vector_bisect
 from .errors import InputError, NumericalError
+from .pickands import PickandsModel
 
 __all__ = ["EvCopula", "tvd_copulas", "supnorm_bound_check", "SupnormBound"]
+
+# simulation solves for v in [_V_MIN, _V_MAX]; its table holds the nodes of
+# a tabulated model (_T_GRID for other objects) and geometric runs to t = 0
+# and t = 1; draws still open after _NEWTON_STEPS steps are bisected
+_V_MIN, _V_MAX = 1e-15, 1.0 - 1e-15
+_T_GRID = np.linspace(0.0, 1.0, 401)
+_T_RUN = np.geomspace(1e-12, 1e-3, 37)
+_NEWTON_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -72,7 +82,8 @@ class EvCopula:
         pv = u * scale * (a - t * ap)
         return pu, pv
 
-    def _pdf_base(self, u, v):
+    def _cond_and_pdf_base(self, u, v):
+        """``dC/du`` and the density, from one evaluation of A, A' and A''."""
         u, v = np.broadcast_arrays(np.asarray(u, dtype=float),
                                    np.asarray(v, dtype=float))
         lu = np.log(u)
@@ -82,8 +93,10 @@ class EvCopula:
         a = np.asarray(self.pickands(t), dtype=float)
         ap = np.asarray(self.pickands.deriv(t), dtype=float)
         app = np.asarray(self.pickands.deriv2(t), dtype=float)
+        scale = np.exp(s * (a - 1.0))
+        cond = v * scale * (a + (1.0 - t) * ap)
         core = (a + (1.0 - t) * ap) * (a - t * ap) - t * (1.0 - t) * app / s
-        return np.exp(s * (a - 1.0)) * core
+        return cond, scale * core
 
     # -- public surface ------------------------------------------------------
 
@@ -127,10 +140,10 @@ class EvCopula:
         """Copula density (interior arguments)."""
         scalar = np.ndim(u) == 0 and np.ndim(v) == 0
         if self.survival:
-            out = self._pdf_base(1.0 - np.asarray(u, dtype=float),
-                                 1.0 - np.asarray(v, dtype=float))
+            _, out = self._cond_and_pdf_base(1.0 - np.asarray(u, dtype=float),
+                                             1.0 - np.asarray(v, dtype=float))
         else:
-            out = self._pdf_base(u, v)
+            _, out = self._cond_and_pdf_base(u, v)
         out = np.asarray(out)
         return float(out.flat[0]) if scalar else out
 
@@ -138,9 +151,10 @@ class EvCopula:
         """Draw ``n`` pairs by conditional-distribution inversion.
 
         For each uniform pair ``(U, P)`` the second coordinate solves
-        ``dC/du(U, v) = P``; the solution is bracketed by bisection and
-        polished by Newton steps that are only accepted when they reduce the
-        residual.  Deterministic for a given seed.
+        ``dC/du(U, v) = P``.  A table of the conditional CDF at the nodes of
+        the Pickands function brackets every root, and safeguarded Newton
+        steps in ``v`` solve inside the bracket.  Deterministic for a given
+        seed; at independence the draw is ``(U, P)`` itself.
         """
         if n < 1:
             raise InputError("n must be >= 1")
@@ -153,27 +167,15 @@ class EvCopula:
             while np.any(bad):
                 arr[bad] = rng.random(int(np.sum(bad)))
                 bad = arr <= 0.0
-
-        def resid(v):
-            return self.partial_u(u, v) - p
-
-        lo = np.full(n, 1e-15)
-        hi = np.full(n, 1.0 - 1e-15)
-        v = vector_bisect(resid, lo, hi, iters=50, check_bracket=False)
-        r = resid(v)
-        for _ in range(2):
-            dens = self.pdf(u, v)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = np.where(np.isfinite(dens) & (dens > 1e-12), r / dens, 0.0)
-            v_new = np.clip(v - step, 1e-15, 1.0 - 1e-15)
-            r_new = resid(v_new)
-            better = np.abs(r_new) <= np.abs(r)
-            v = np.where(better, v_new, v)
-            r = np.where(better, r_new, r)
+        if self.survival:
+            w, r = self._invert_base(1.0 - u, 1.0 - p)
+            v = 1.0 - w
+        else:
+            v, r = self._invert_base(u, p)
         if not np.all(np.isfinite(v)):
             raise NumericalError("conditional inversion produced non-finite values")
-        # a residual surviving bisection and polish means the conditional CDF
-        # never crossed the target level: the dependence function is invalid
+        # a residual surviving the solve means the conditional CDF never
+        # crossed the target level: the dependence function is invalid
         stuck = np.abs(r) > 1e-6
         if np.any(stuck):
             bad = int(np.argmax(stuck))
@@ -182,6 +184,78 @@ class EvCopula:
                 f"(residual {r[bad]:.3g}); the dependence function is not a "
                 "valid Pickands function")
         return np.column_stack([u, v])
+
+    def _invert_base(self, u, p):
+        """Roots ``v`` of ``dC/du(u, v) = p`` in the base copula, and residuals.
+
+        In the pseudo-angle ``t`` the point is ``v = u^((1 - t)/t)`` and the
+        conditional CDF is ``exp(log u (A/t - 1)) (A + (1 - t) A')``, so one
+        table of ``A/t - 1`` and ``A + (1 - t) A'`` brackets every root by a
+        binary search over its nodes.  Newton steps in ``v`` then run on the
+        open draws only, and a step that leaves the bracket bisects it.
+        """
+        a = self.pickands
+        nodes = a.t if isinstance(a, PickandsModel) else _T_GRID
+        tt = np.unique(np.concatenate([nodes, _T_RUN, 1.0 - _T_RUN]))[1:-1]
+        av = np.asarray(a(tt), dtype=float)
+        dv = av + (1.0 - tt) * np.asarray(a.deriv(tt), dtype=float)
+        # rows 0 and -1 are t = 0 and t = 1, where the conditional CDF is 0
+        # and 1 and v is 0 and 1
+        g = np.concatenate([[np.inf], av / tt - 1.0, [0.0]])
+        d = np.concatenate([[1.0], dv, [1.0]])
+        q = np.concatenate([[np.inf], (1.0 - tt) / tt, [0.0]])
+        tt = np.concatenate([[0.0], tt, [1.0]])
+
+        # F(lo) < p <= F(hi) throughout, so a bracket of width 1 stays put
+        lu = np.log(u)
+        lo = np.zeros(u.size, dtype=np.intp)
+        hi = np.full(u.size, tt.size - 1, dtype=np.intp)
+        for _ in range(int(np.ceil(np.log2(tt.size - 1)))):
+            mid = (lo + hi) // 2
+            up = np.exp(lu * g[mid]) * d[mid] >= p
+            hi = np.where(up, mid, hi)
+            lo = np.where(up, lo, mid)
+        # start where the linear interpolant in t reaches p
+        f_lo = np.exp(lu * g[lo]) * d[lo]
+        f_hi = np.exp(lu * g[hi]) * d[hi]
+        t0 = tt[lo] + (p - f_lo) / (f_hi - f_lo) * (tt[hi] - tt[lo])
+        v_lo = np.clip(np.exp(lu * q[lo]), _V_MIN, _V_MAX)
+        v_hi = np.clip(np.exp(lu * q[hi]), _V_MIN, _V_MAX)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v = np.clip(np.exp(lu * ((1.0 - t0) / t0)), v_lo, v_hi)
+
+        r = np.empty(u.size)
+        act = np.arange(u.size)
+        for _ in range(_NEWTON_STEPS):
+            va = v[act]
+            cond, dens = self._cond_and_pdf_base(u[act], va)
+            ra = cond - p[act]
+            r[act] = ra
+            la = np.where(ra < 0.0, va, v_lo[act])
+            ha = np.where(ra >= 0.0, va, v_hi[act])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = ra / dens
+            done = ((np.abs(step) <= 1e-9 * np.minimum(va, 1.0 - va) + 4e-16 * va)
+                    & (np.abs(ra) <= 1e-6))
+            # a converged draw takes its last step unbracketed: at
+            # independence that step is v - (v - p) = p exactly
+            v[act[done]] = np.clip(va[done] - step[done], _V_MIN, _V_MAX)
+            nxt = va - step
+            nxt = np.where((nxt > la) & (nxt < ha), nxt, 0.5 * (la + ha))
+            open_ = ~done
+            act = act[open_]
+            v[act], v_lo[act], v_hi[act] = nxt[open_], la[open_], ha[open_]
+            if act.size == 0:
+                return v, r
+        ua, pa = u[act], p[act]
+
+        def resid(x):
+            return self._partials_base(ua, x)[0] - pa
+
+        v[act] = vector_bisect(resid, v_lo[act], v_hi[act], iters=50,
+                               check_bracket=False)
+        r[act] = resid(v[act])
+        return v, r
 
 
 def tvd_copulas(c1, c2, eps: float = 1e-4, npts: int = 96, full: bool = False):

@@ -271,11 +271,12 @@ class SpectralMeasure:
 def spectral_from_w(w) -> SpectralMeasure:
     """Spectral measure induced by a 2-monotone transform.
 
-    Read off :func:`rotate`: the density is ``A''`` at its nodes (0 where
-    unbounded), and the atoms are ``H0 = 1 + A'(0)`` and ``H1 = 1 - A'(1)``.
-    An unbounded slope ``W'(0+)`` gives H0 = 0.
+    Read off :func:`rotate` (``w`` may also be the model it returned): the
+    density is ``A''`` at its nodes (0 where unbounded), and the atoms are
+    ``H0 = 1 + A'(0)`` and ``H1 = 1 - A'(1)``.  An unbounded slope
+    ``W'(0+)`` gives H0 = 0.
     """
-    a = rotate(w)
+    a = w if isinstance(w, PickandsModel) else rotate(w)
     eta = np.where(np.isfinite(a.app), a.app, 0.0)
     return SpectralMeasure(z=a.t, eta=eta,
                            h0=max(0.0, min(1.0, 1.0 + float(a.ap[0]))),
@@ -286,9 +287,12 @@ def fixed_point(w) -> float:
     """The unique solution of W(x) = x for a 2-monotone W with W(1) = 0.
 
     The link maps it to ``t = 1/2``, so it is ``A(1/2) - 1/2`` with ``A``
-    from :func:`rotate`.  Raises :class:`NumericalError` when ``W`` is not
-    a unit transform, so that ``W(x) - x`` need not change sign on [0, 1].
+    from :func:`rotate` (``w`` may also be the model it returned).  Raises
+    :class:`NumericalError` when ``W`` is not a unit transform, so that
+    ``W(x) - x`` need not change sign on [0, 1].
     """
+    if isinstance(w, PickandsModel):
+        return float(w(0.5)) - 0.5
     try:
         a = rotate(w)
     except InputError as exc:

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 
 import numpy as np
@@ -56,6 +57,19 @@ def test_pseudo_observations_in_unit_interval():
     assert np.array_equal(np.argsort(ps[:, 0]), np.argsort(raw[:, 0]))
 
 
+def test_pseudo_observations_warn_on_ties(caplog):
+    rng = np.random.default_rng(3)
+    five_levels = rng.integers(0, 5, size=(200, 2)).astype(float)
+    with caplog.at_level(logging.WARNING, logger="evcop"):
+        pseudo_observations(five_levels)
+    warned = [r for r in caplog.records if "repeats earlier values" in r.getMessage()]
+    assert len(warned) == 2  # one per column
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="evcop"):
+        pseudo_observations(rng.lognormal(size=(200, 2)))
+    assert not caplog.records
+
+
 def test_fit_simulate_evaluate_cycle(tmp_path, gumbel_csv, capsys):
     model = str(tmp_path / "model.json")
     rc = main(["fit", gumbel_csv, "-o", model, "--lambda", "1e-5"])
@@ -108,6 +122,45 @@ def test_evaluate_tabulates_once(tmp_path, gumbel_csv, monkeypatch, capsys):
     assert main(["evaluate", model]) == 0
     capsys.readouterr()
     assert len(calls) == 1
+
+
+def test_evaluate_rotates_once(tmp_path, gumbel2, monkeypatch, capsys):
+    import evcop.fit
+    import evcop.pickands
+    from evcop.copula import EvCopula
+    from evcop.families import ParametricPickands
+    from evcop.fit import model_from_dict
+    from evcop.pickands import fixed_point, spectral_from_w
+
+    tawn = EvCopula(ParametricPickands("gumbel", 3.0, khoudraji=(0.4, 0.9)))
+    flips = set()
+    for name, truth, seed in (("gumbel", gumbel2, 5), ("tawn", tawn, 2)):
+        data = tmp_path / f"{name}.csv"
+        write_pairs(data, truth.simulate(400, seed=seed))
+        model = str(tmp_path / f"{name}.json")
+        assert main(["fit", str(data), "-o", model]) == 0
+        capsys.readouterr()
+        with open(model, encoding="utf-8") as fh:
+            fm = model_from_dict(json.load(fh))
+        flips.add(fm.flipped)
+        # the report as read from a second rotation of the saved grid
+        sm = spectral_from_w(fm.w_grid)
+        fp = fixed_point(fm.w_grid)
+        calls = []
+        with monkeypatch.context() as patch:
+            for module in (evcop.fit, evcop.pickands):
+                def counted(*args, _rotate=module.rotate, **kwargs):
+                    calls.append(1)
+                    return _rotate(*args, **kwargs)
+
+                patch.setattr(module, "rotate", counted)
+            assert main(["evaluate", model]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert len(calls) == 1
+        assert report["spectral"] == {"H0": sm.h0, "H1": sm.h1}
+        # a flipped model is mirrored, which moves A(1/2) by round-off only
+        assert abs(report["fixed_point"] - fp) <= 1e-15
+    assert flips == {False, True}
 
 
 def test_evaluate_builds_the_density_once(tmp_path, gumbel_csv, monkeypatch,

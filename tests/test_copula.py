@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from evcop._rootfind import vector_bisect
 from evcop.copula import EvCopula, supnorm_bound_check, tvd_copulas
 from evcop.errors import InputError
 from evcop.families import ParametricPickands
+from evcop.fit import random_pickands
+from evcop.pickands import PickandsModel
 
 
 class FlatPickands:
@@ -164,6 +167,91 @@ def test_simulate_rejects_invalid_dependence():
 
     with pytest.raises(NumericalError):
         EvCopula(Below()).simulate(200, seed=0)
+
+
+def _bisection_solve(cop, u, p):
+    """Reference: the sampler's solve before its table-bracketed Newton.
+
+    50 bisection steps on [1e-15, 1 - 1e-15], then two Newton polishes that
+    are kept only when they do not raise the residual.
+    """
+    def resid(v):
+        return cop.partial_u(u, v) - p
+
+    n = u.size
+    v = vector_bisect(resid, np.full(n, 1e-15), np.full(n, 1.0 - 1e-15),
+                      iters=50, check_bracket=False)
+    r = resid(v)
+    for _ in range(2):
+        dens = cop.pdf(u, v)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(np.isfinite(dens) & (dens > 1e-12), r / dens, 0.0)
+        v_new = np.clip(v - step, 1e-15, 1.0 - 1e-15)
+        r_new = resid(v_new)
+        better = np.abs(r_new) <= np.abs(r)
+        v = np.where(better, v_new, v)
+        r = np.where(better, r_new, r)
+    return v, r
+
+
+def _bisection_simulate(cop, n, seed):
+    rng = np.random.default_rng(seed)
+    u = rng.random(n)
+    p = rng.random(n)
+    return np.column_stack([u, _bisection_solve(cop, u, p)[0]])
+
+
+def _sampler_truths():
+    spline5 = random_pickands(1e-4, 5.0, 3, seed=5)
+    spline15 = random_pickands(1e-4, 15.0, 3, seed=15)
+    truths = [EvCopula(m) for m in (*spline5, *spline15)]
+    truths += [EvCopula(ParametricPickands("gumbel", th)) for th in (1.2, 20.0, 50.0)]
+    truths.append(EvCopula(ParametricPickands("gumbel", 3.0, khoudraji=(0.4, 0.9))))
+    truths.append(EvCopula(ParametricPickands("gumbel", 2.0), survival=True))
+    truths.append(EvCopula(spline5[0], survival=True))
+    return truths
+
+
+def test_simulate_matches_bisection_reference():
+    for i, cop in enumerate(_sampler_truths()):
+        sample = cop.simulate(1000, seed=100 + i)
+        ref = _bisection_simulate(cop, 1000, 100 + i)
+        assert np.array_equal(sample[:, 0], ref[:, 0])
+        assert np.max(np.abs(sample[:, 1] - ref[:, 1])) <= 1e-12
+
+
+def test_simulate_converges_near_the_edges():
+    # u within 1e-6 of 1, p near 0 or 1: the root sits in a corner of the
+    # square, and the solve must get as close to it as the reference does
+    u = 1.0 - np.array([1e-6, 3e-7, 1e-7])
+    p = np.array([1e-9, 1e-6, 1e-3, 1.0 - 1e-3, 1.0 - 1e-6, 1.0 - 1e-9])
+    u, p = (a.ravel() for a in np.meshgrid(u, p))
+    spline = random_pickands(1e-4, 5.0, 1, seed=7)[0]
+    for cop in (EvCopula(spline), EvCopula(ParametricPickands("gumbel", 2.0)),
+                EvCopula(ParametricPickands("gumbel", 50.0))):
+        for uu, pp in ((u, p), (1.0 - u, 1.0 - p)):
+            v, r = cop._invert_base(uu, pp)
+            assert np.all((v >= 1e-15) & (v <= 1.0 - 1e-15))
+            assert np.max(np.abs(r)) <= 1e-6
+            resid = np.abs(cop.partial_u(uu, v) - pp)
+            ref = np.abs(_bisection_solve(cop, uu, pp)[1])
+            assert np.all(resid <= np.maximum(ref, 1e-10))
+
+
+def test_simulate_evaluation_budget(monkeypatch):
+    points = [0]
+    for name in ("__call__", "deriv", "deriv2"):
+        method = getattr(PickandsModel, name)
+
+        def counted(self, t, method=method):
+            points[0] += np.size(t)
+            return method(self, t)
+
+        monkeypatch.setattr(PickandsModel, name, counted)
+    for model in random_pickands(1e-4, 5.0, 3, seed=9):
+        points[0] = 0
+        EvCopula(model).simulate(1000, seed=4)
+        assert points[0] <= 20 * 1000
 
 
 def test_simulate_blomqvist(gumbel2):
