@@ -10,7 +10,6 @@ from .errors import EvcopError, InputError, NumericalError
 from .splinebasis import (
     KnotConfig,
     ZBasis,
-    CurvatureMatrix,
     build_zb_basis,
     eval_basis,
     curvature_matrix,

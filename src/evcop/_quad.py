@@ -20,6 +20,19 @@ def gauss_legendre(edges, npts: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes.ravel(), weights.ravel()
 
 
+def gauss_square(eps: float, npts: int):
+    """Tensor Gauss-Legendre rule on ``[eps, 1 - eps]^2``, ``npts`` per side.
+
+    Returns the node coordinates ``(u, v)`` as ``(npts, npts)`` grids and the
+    matching weights.
+    """
+    # the right edge is eps plus the exact width 1 - 2 eps: (1 - eps) - eps
+    # rounds away from 1 - 2 eps at some eps (1e-6), which moves every node
+    x, w = gauss_legendre([eps, eps + (1.0 - 2.0 * eps)], npts)
+    u, v = np.meshgrid(x, x, indexing="ij")
+    return u, v, np.outer(w, w)
+
+
 def trapezoid_weights(x) -> np.ndarray:
     """Trapezoid-rule weights for the nodes ``x`` along their last axis."""
     x = np.asarray(x, dtype=float)
@@ -28,6 +41,11 @@ def trapezoid_weights(x) -> np.ndarray:
     w[..., :-1] += 0.5 * d
     w[..., 1:] += 0.5 * d
     return w
+
+
+def cumulative_trapezoid(x, y) -> np.ndarray:
+    """Running trapezoid integral of ``y`` over the nodes ``x``, 0 at ``x[0]``."""
+    return np.concatenate([[0.0], np.cumsum(0.5 * np.diff(x) * (y[:-1] + y[1:]))])
 
 
 def norm_grid(knots) -> np.ndarray:

@@ -4,24 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericalError
 
-
-def vector_bisect(fn, lo, hi, iters: int = 60, check_bracket: bool = True) -> np.ndarray:
+def vector_bisect(fn, lo, hi, iters: int = 60) -> np.ndarray:
     """Roots of ``fn`` (vectorized, increasing in its argument) per component.
 
     ``fn`` maps an array of trial points to an array of residuals; ``lo`` and
-    ``hi`` must bracket a sign change componentwise.
+    ``hi`` must bracket a sign change componentwise, which is not checked.
     """
     lo = np.array(lo, dtype=float, copy=True)
     hi = np.array(hi, dtype=float, copy=True)
-    flo = fn(lo)
-    fhi = fn(hi)
-    if check_bracket and np.any(flo * fhi > 0):
-        bad = int(np.argmax(flo * fhi > 0))
-        raise NumericalError(
-            f"root not bracketed at component {bad}: f(lo)={flo.flat[bad]:.3g}, "
-            f"f(hi)={fhi.flat[bad]:.3g}")
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
         fm = fn(mid)

@@ -25,15 +25,16 @@ def default_grid(n: int = 2049) -> np.ndarray:
     return np.linspace(0.0, 1.0, n)
 
 
-def _graded_gauss_rule(npts: int = 8):
+def _graded_gauss_rule():
     """Quadrature on (0, 1] robust to integrable endpoint singularities at 0.
 
     Geometric panels absorb log-type behavior near 0; the uniform panels keep
-    the rule accurate for piecewise-smooth integrands away from it.
+    the rule accurate for piecewise-smooth integrands away from it.  Eight
+    Gauss-Legendre points per panel.
     """
     edges = np.concatenate([[0.0], np.geomspace(1e-14, 0.05, 64),
                             np.linspace(0.05, 1.0, 121)[1:]])
-    return gauss_legendre(edges, npts)
+    return gauss_legendre(edges, 8)
 
 
 _SING_NODES, _SING_WEIGHTS = _graded_gauss_rule()

@@ -19,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .copula import EvCopula, tvd_copulas
-from .errors import EvcopError, InputError, NumericalError
+from .errors import EvcopError, InputError, NumericalError, read_field
 from .families import ParametricPickands
 from .fit import (
     FitConfig,
@@ -118,14 +118,15 @@ def pseudo_observations(raw: np.ndarray) -> np.ndarray:
     return out
 
 
-def _load_model(path) -> dict:
+def _load_json(path) -> dict:
+    """The JSON object in a model or study-spec file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
-        raise InputError(f"{path}: model file must contain a JSON object")
+        raise InputError(f"{path}: the file must contain a JSON object")
     return doc
 
 
@@ -143,7 +144,7 @@ def _rebuild_copula(doc: dict) -> tuple[FittedModel, EvCopula]:
 
 def _fit_config_from_args(args) -> FitConfig:
     return FitConfig(basis_dim=args.dim, lam=args.lam, grid_k=args.grid_k,
-                     ordering_heuristic=not args.no_flip_heuristic)
+                     flip=False if args.no_flip_heuristic else None)
 
 
 def cmd_fit(args) -> int:
@@ -178,7 +179,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    doc = _load_model(args.model)
+    doc = _load_json(args.model)
     _, cop = _rebuild_copula(doc)
     sample = cop.simulate(args.n, seed=args.seed)
     write_pairs(args.output, sample)
@@ -187,7 +188,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    doc = _load_model(args.model)
+    doc = _load_json(args.model)
     if doc.get("kind") == "margin":
         raise InputError("evaluate expects a copula model, not a margin model")
     fm, cop = _rebuild_copula(doc)
@@ -223,19 +224,24 @@ def cmd_evaluate(args) -> int:
 # studies
 
 
+def _int_list(values) -> list[int]:
+    return [int(v) for v in values]
+
+
 def _family_copula(conf: dict) -> EvCopula:
-    alpha = float(conf.get("alpha", 1.0))
-    beta = float(conf.get("beta", 1.0))
+    if not isinstance(conf, dict):
+        raise InputError("each entry of field 'families' must be an object")
+    alpha = read_field(conf, "alpha", float, 1.0)
+    beta = read_field(conf, "beta", float, 1.0)
     kh = None if alpha == 1.0 and beta == 1.0 else (alpha, beta)
-    return EvCopula(ParametricPickands(conf["family"], float(conf["theta"]),
+    return EvCopula(ParametricPickands(read_field(conf, "family", str),
+                                       read_field(conf, "theta", float),
                                        khoudraji=kh))
 
 
-def _fit_config_from_spec(spec: dict, lam_override=None) -> FitConfig:
-    fit = spec.get("fit", {})
-    lam = lam_override if lam_override is not None else fit.get("lambda", 1e-4)
-    return FitConfig(basis_dim=int(fit.get("dim", 13)), lam=float(lam),
-                     grid_k=int(fit.get("grid_k", 78)))
+def _fit_config_from_spec(spec: dict, lam: float) -> FitConfig:
+    return FitConfig(basis_dim=read_field(spec, "fit.dim", int, 13), lam=lam,
+                     grid_k=read_field(spec, "fit.grid_k", int, 78))
 
 
 def _study_run(payload):
@@ -243,42 +249,48 @@ def _study_run(payload):
     truth, cfg, size, seed_key, copula_id, replicate, t_grid = payload
     rng = np.random.default_rng(np.random.SeedSequence(seed_key))
     start = time.perf_counter()
+    row = {"copula_id": copula_id, "sample_size": size,
+           "replicate": replicate, "tvd": float("nan"),
+           "gini": float("nan"), "beta": float("nan")}
+    curve = error = None
     try:
         sample = truth.simulate(size, seed=rng)
         fitted = optimize(z_transform(sample), cfg)
-        tvd = tvd_copulas(EvCopula(fitted.pickands), truth)
-        row = {
-            "copula_id": copula_id,
-            "sample_size": size,
-            "replicate": replicate,
-            "tvd": tvd,
-            "gini": gini_from_pickands(fitted.pickands),
-            "beta": blomqvist_beta(fitted.pickands),
-            "runtime_s": time.perf_counter() - start,
-        }
-        curve = None if t_grid is None else np.asarray(fitted.pickands(t_grid))
-        return row, curve, None
+        row.update(tvd=tvd_copulas(EvCopula(fitted.pickands), truth),
+                   gini=gini_from_pickands(fitted.pickands),
+                   beta=blomqvist_beta(fitted.pickands))
+        if t_grid is not None:
+            curve = np.asarray(fitted.pickands(t_grid))
     except EvcopError as exc:  # recorded, not fatal
-        row = {"copula_id": copula_id, "sample_size": size,
-               "replicate": replicate, "tvd": float("nan"),
-               "gini": float("nan"), "beta": float("nan"),
-               "runtime_s": time.perf_counter() - start}
-        return row, None, str(exc)
+        error = str(exc)
+    row["runtime_s"] = time.perf_counter() - start
+    return row, curve, error
 
 
 def _worker_count(requested=None) -> int:
+    if requested is not None and requested < 1:
+        raise InputError(f"--workers must be >= 1, got {requested}")
+    n = requested or os.cpu_count() or 1
     cap = os.environ.get("EVCOP_THREADS")
-    n = requested if requested else (os.cpu_count() or 1)
     if cap:
-        n = min(n, max(1, int(cap)))
-    return max(1, n)
+        try:
+            n = min(n, max(1, int(cap)))
+        except ValueError:
+            raise InputError(
+                f"EVCOP_THREADS must be an integer, got {cap!r}") from None
+    return n
 
 
 def _run_all(payloads, workers: int):
+    """Results of the study runs, their rows, and their summary and errors."""
     if workers <= 1 or len(payloads) <= 1:
-        return [_study_run(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_study_run, payloads))
+        results = [_study_run(p) for p in payloads]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_study_run, payloads))
+    rows = [r for r, _, _ in results]
+    return results, rows, {"summary": _summarize(rows),
+                           "errors": [e for _, _, e in results if e]}
 
 
 def _summarize(rows) -> list[dict]:
@@ -298,16 +310,16 @@ def _summarize(rows) -> list[dict]:
 
 def run_tvd_study(spec: dict, workers: int = 1):
     """Random-copula recovery study scored by total variation distance."""
-    conf = spec.get("random_evc", {})
-    seed = int(spec.get("seed", 0))
-    count = int(conf.get("count", 20))
-    lam = float(conf.get("lambda", 1e-4))
-    radius = float(conf.get("R", 5.0))
-    basis = default_random_basis(int(conf.get("dim", 13)))
-    sizes = [int(s) for s in spec.get("sample_sizes", [1000])]
-    reps = int(spec.get("replications", 1))
+    seed = read_field(spec, "seed", int, 0)
+    count = read_field(spec, "random_evc.count", int, 20)
+    lam = read_field(spec, "random_evc.lambda", float, 1e-4)
+    radius = read_field(spec, "random_evc.R", float, 5.0)
+    basis = default_random_basis(read_field(spec, "random_evc.dim", int, 13))
+    sizes = read_field(spec, "sample_sizes", _int_list, [1000])
+    reps = read_field(spec, "replications", int, 1)
+    cfg = _fit_config_from_spec(spec, read_field(spec, "fit.lambda", float,
+                                                 1e-4))
     models = random_pickands(lam, radius, count, seed=seed, basis=basis)
-    cfg = _fit_config_from_spec(spec)
     payloads = []
     for cid, model in enumerate(models):
         truth = EvCopula(model)
@@ -315,11 +327,10 @@ def run_tvd_study(spec: dict, workers: int = 1):
             for rep in range(reps):
                 payloads.append((truth, cfg, size, (seed, cid, si, rep),
                                  cid, rep, None))
-    results = _run_all(payloads, workers)
-    rows = [r for r, _, _ in results]
-    errors = [e for _, _, e in results if e]
-    truth_ginis = {cid: gini_from_pickands(m) for cid, m in enumerate(models)}
-    return rows, _summarize(rows), {"errors": errors, "truth_gini": truth_ginis}
+    _, rows, meta = _run_all(payloads, workers)
+    meta["truth_gini"] = {cid: gini_from_pickands(m)
+                          for cid, m in enumerate(models)}
+    return rows, meta
 
 
 def run_bias_variance_study(spec: dict, workers: int = 1):
@@ -327,25 +338,23 @@ def run_bias_variance_study(spec: dict, workers: int = 1):
     fams = spec.get("families")
     if not fams:
         raise InputError("bias-variance study requires a 'families' list")
-    seed = int(spec.get("seed", 0))
-    sizes = [int(s) for s in spec.get("sample_sizes", [1000])]
-    reps = int(spec.get("replications", 100))
+    seed = read_field(spec, "seed", int, 0)
+    sizes = read_field(spec, "sample_sizes", _int_list, [1000])
+    reps = read_field(spec, "replications", int, 100)
+    lam = read_field(spec, "fit.lambda", float, 1e-4)
     t_grid = np.linspace(0.0, 1.0, 101)
     payloads = []
     truths = []
     for cid, fam in enumerate(fams):
         truth = _family_copula(fam)
         truths.append(truth)
-        cfg = _fit_config_from_spec(spec, lam_override=fam.get("lambda"))
+        cfg = _fit_config_from_spec(spec, read_field(fam, "lambda", float, lam))
         for si, size in enumerate(sizes):
             for rep in range(reps):
                 payloads.append((truth, cfg, size, (seed, cid, si, rep),
                                  cid, rep, t_grid))
-    results = _run_all(payloads, workers)
-    rows = [r for r, _, _ in results]
-    errors = [e for _, _, e in results if e]
-
-    envelope = []
+    results, rows, meta = _run_all(payloads, workers)
+    envelope = meta["envelope"] = []
     for cid, truth in enumerate(truths):
         curves = np.asarray([c for (r, c, _) in results
                              if r["copula_id"] == cid and c is not None])
@@ -360,10 +369,16 @@ def run_bias_variance_study(spec: dict, workers: int = 1):
                              "truth": float(truth_vals[j]),
                              "mean": float(mean[j]), "q01": float(q01[j]),
                              "q99": float(q99[j])})
-    return rows, envelope, {"errors": errors, "summary": _summarize(rows)}
+    return rows, meta
 
 
 def run_study(spec: dict, workers: int = 1):
+    """Run the study a spec describes: ``(kind, rows, meta)``.
+
+    ``meta`` holds the ``summary`` and the ``errors`` for both kinds; tvd
+    studies add the ``truth_gini`` of each random model and bias-variance
+    studies the ``envelope``.
+    """
     kind = spec.get("study")
     if kind == "tvd":
         return ("tvd",) + run_tvd_study(spec, workers)
@@ -387,25 +402,17 @@ def _fmt(v):
 
 
 def cmd_study(args) -> int:
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        try:
-            spec = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{args.spec}: not valid JSON ({exc})") from exc
-    workers = _worker_count(args.workers)
-    kind, rows, extra, meta = run_study(spec, workers)
+    spec = _load_json(args.spec)
+    _, rows, meta = run_study(spec, _worker_count(args.workers))
     _write_rows(args.output, rows,
                 ["copula_id", "sample_size", "replicate", "tvd", "gini",
                  "beta", "runtime_s"])
     print(f"wrote {len(rows)} runs to {args.output}")
-    if kind == "tvd":
-        summary = extra
-    else:
-        summary = meta["summary"]
-        if args.envelope:
-            _write_rows(args.envelope, extra,
-                        ["copula_id", "t", "truth", "mean", "q01", "q99"])
-            print(f"wrote envelope to {args.envelope}")
+    if args.envelope and "envelope" in meta:
+        _write_rows(args.envelope, meta["envelope"],
+                    ["copula_id", "t", "truth", "mean", "q01", "q99"])
+        print(f"wrote envelope to {args.envelope}")
+    summary = meta["summary"]
     if summary:
         hdr = ["sample_size", "mean", "q10", "q25", "q50", "q75", "q90", "runs"]
         print(",".join(hdr))
@@ -413,7 +420,7 @@ def cmd_study(args) -> int:
             print(",".join(_fmt(s[c]) for c in hdr))
         if args.summary:
             _write_rows(args.summary, summary, hdr)
-    for err in meta.get("errors", []):
+    for err in meta["errors"]:
         print(f"run failed: {err}", file=sys.stderr)
     return 0
 
@@ -424,8 +431,7 @@ def cmd_study(args) -> int:
 
 def joint_pipeline(data: np.ndarray, margin_dim: int = 17,
                    margin_lam: float = 10.0, copula_dim: int = 13,
-                   copula_lam: float = 1e-5, grid_k: int = 78,
-                   bounds=None, n_samples: int = 500, seed=0):
+                   copula_lam: float = 1e-5, bounds=None, n_samples: int = 500, seed=0):
     """Shared-margin joint model for ordered pairs (col1 >= col2).
 
     The sample is duplicated with swapped columns so both margins coincide,
@@ -447,9 +453,7 @@ def joint_pipeline(data: np.ndarray, margin_dim: int = 17,
         lo, hi = float(pooled.min()), float(pooled.max())
         pad = 0.05 * (hi - lo)
         bounds = (lo - pad, hi + pad)
-    margin = fit_univariate_density(pooled, bounds,
-                                    FitConfig(basis_dim=margin_dim,
-                                              lam=margin_lam))
+    margin = fit_univariate_density(pooled, bounds, margin_dim, margin_lam)
 
     srt = np.sort(pooled)
     n2 = pooled.size
@@ -462,7 +466,7 @@ def joint_pipeline(data: np.ndarray, margin_dim: int = 17,
     surv = np.column_stack([1.0 - u, 1.0 - v])
     fitted = optimize(z_transform(surv),
                       FitConfig(basis_dim=copula_dim, lam=copula_lam,
-                                grid_k=min(grid_k, max(8, n2 - 2))))
+                                grid_k=min(78, max(8, n2 - 2))))
     sym = symmetrize(fitted.pickands)
     final = EvCopula(sym, survival=True)
 

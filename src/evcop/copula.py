@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._quad import gauss_square
 from ._rootfind import vector_bisect
 from .errors import InputError, NumericalError
 from .pickands import PickandsModel
@@ -28,6 +29,8 @@ _V_MIN, _V_MAX = 1e-15, 1.0 - 1e-15
 _T_GRID = np.linspace(0.0, 1.0, 401)
 _T_RUN = np.geomspace(1e-12, 1e-3, 37)
 _NEWTON_STEPS = 8
+# tvd_copulas integrates on [_TVD_EPS, 1 - _TVD_EPS]^2 by a 96 x 96 Gauss rule
+_TVD_EPS = 1e-4
 
 
 @dataclass(frozen=True)
@@ -252,33 +255,28 @@ class EvCopula:
         def resid(x):
             return self._partials_base(ua, x)[0] - pa
 
-        v[act] = vector_bisect(resid, v_lo[act], v_hi[act], iters=50,
-                               check_bracket=False)
+        v[act] = vector_bisect(resid, v_lo[act], v_hi[act], iters=50)
         r[act] = resid(v[act])
         return v, r
 
 
-def tvd_copulas(c1, c2, eps: float = 1e-4, npts: int = 96, full: bool = False):
+def tvd_copulas(c1, c2, full: bool = False):
     """Total variation distance between two copula densities.
 
-    Tensor Gauss-Legendre quadrature of ``|c1 - c2| / 2`` on the square
-    ``[eps, 1-eps]^2``.  The excluded boundary strip carries copula mass at
-    most ``4 eps`` under each model, so the truncation understates the true
-    distance by at most ``4 eps``; with ``full=True`` that bound is returned
-    alongside the value.
+    96 x 96 tensor Gauss-Legendre quadrature of ``|c1 - c2| / 2`` on the
+    square ``[eps, 1-eps]^2``, ``eps = 1e-4``.  The excluded boundary strip
+    carries copula mass at most ``4 eps`` under each model, so the truncation
+    understates the true distance by at most ``4 eps``; with ``full=True``
+    that bound is returned alongside the value.
     """
-    xg, wg = np.polynomial.legendre.leggauss(npts)
-    nodes = 0.5 * (1.0 - 2.0 * eps) * (xg + 1.0) + eps
-    uu, vv = np.meshgrid(nodes, nodes, indexing="ij")
+    uu, vv, w2 = gauss_square(_TVD_EPS, 96)
     d1 = np.asarray(c1.pdf(uu, vv), dtype=float)
     d2 = np.asarray(c2.pdf(uu, vv), dtype=float)
     if not (np.all(np.isfinite(d1)) and np.all(np.isfinite(d2))):
         raise NumericalError("non-finite copula density inside the unit square")
-    w2 = np.outer(wg, wg) * (0.5 * (1.0 - 2.0 * eps)) ** 2
     value = float(0.5 * np.sum(w2 * np.abs(d1 - d2)))
-    bound = 4.0 * eps
     if full:
-        return value, bound
+        return value, 4.0 * _TVD_EPS
     return value
 
 
@@ -288,20 +286,21 @@ class SupnormBound(NamedTuple):
     measured: float
 
 
-def supnorm_bound_check(a1, a2, n_probes: int = 1000,
-                        grid: int = 100) -> SupnormBound:
+def supnorm_bound_check(a1, a2) -> SupnormBound:
     """Sup-norm gap between two copulas against its Pickands-level bound.
 
-    ``gamma`` is the sup distance between the two Pickands functions; the
-    copula sup distance never exceeds ``2 gamma / (1 + 2 gamma)^(1 + 1/(2 gamma))``.
+    ``gamma`` is the sup distance between the two Pickands functions on 1000
+    equispaced probes; the copula sup distance, measured on the 100 x 100
+    grid of multiples of 1/101, never exceeds
+    ``2 gamma / (1 + 2 gamma)^(1 + 1/(2 gamma))``.
     """
-    t = np.linspace(0.0, 1.0, n_probes)
+    t = np.linspace(0.0, 1.0, 1000)
     gamma = float(np.max(np.abs(np.asarray(a1(t)) - np.asarray(a2(t)))))
     if gamma == 0.0:
         bound = 0.0
     else:
         bound = 2.0 * gamma / (1.0 + 2.0 * gamma) ** (1.0 + 1.0 / (2.0 * gamma))
-    g = np.arange(1, grid + 1) / (grid + 1)
+    g = np.arange(1, 101) / 101
     uu, vv = np.meshgrid(g, g, indexing="ij")
     c1 = EvCopula(a1).cdf(uu, vv)
     c2 = EvCopula(a2).cdf(uu, vv)

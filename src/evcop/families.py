@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
+from ._quad import cumulative_trapezoid
 from .errors import InputError
 from .pickands import khoudraji
 
@@ -265,8 +266,5 @@ def cfg_estimator(sample, t_grid, from_z: bool = False) -> np.ndarray:
         integrand = (hcdf - grid) / (grid * (1.0 - grid))
     integrand[0] = 0.0
     integrand[-1] = 0.0
-    dg = np.diff(grid)
-    log_a = np.concatenate([[0.0],
-                            np.cumsum(0.5 * dg * (integrand[:-1] + integrand[1:]))])
-    out = np.exp(np.interp(t_arr, grid, log_a))
+    out = np.exp(np.interp(t_arr, grid, cumulative_trapezoid(grid, integrand)))
     return float(out[0]) if np.ndim(t_grid) == 0 else out

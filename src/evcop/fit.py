@@ -21,15 +21,15 @@ from __future__ import annotations
 
 import logging
 from itertools import islice
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize
 from scipy.special import ndtr, ndtri
 
-from ._quad import norm_grid, trapezoid_weights
+from ._quad import cumulative_trapezoid, norm_grid, trapezoid_weights
 from .bayes import ClrDensity
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, read_field
 from .families import cfg_estimator
 from .pickands import (
     PickandsModel,
@@ -75,6 +75,12 @@ __all__ = [
 
 _LOG_FLOOR = 1e-12
 _EXP_CLIP = 300.0
+# spline degree of every fitted basis (the degree quantile_knots returns)
+_DEGREE = 3
+# L-BFGS-B iteration cap, and the largest gradient entry that counts as
+# converged when scipy stops for another reason
+_MAX_ITER = 500
+_GRAD_TOL = 1e-4
 
 
 def _penalty_whitener(omega: np.ndarray, lam: float) -> np.ndarray:
@@ -91,30 +97,27 @@ def _penalty_whitener(omega: np.ndarray, lam: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Knobs of the estimation pipeline.
+    """Settings of a copula fit.
 
     ``lam`` is the curvature penalty weight; ``grid_k`` the number of interior
-    interpolation nodes (grid size ``grid_k + 2``).
+    interpolation nodes (grid size ``grid_k + 2``).  ``flip`` fixes whether
+    the variable ordering is swapped; ``None`` lets
+    :func:`ordering_heuristic` decide.
     """
 
     basis_dim: int = 13
-    degree: int = 3
     lam: float = 1e-4
     grid_k: int = 78
-    max_iter: int = 500
-    grad_tol: float = 1e-4
-    ordering_heuristic: bool = True
-    center: bool = True
+    flip: bool | None = None
 
     def __post_init__(self):
         if self.lam < 0:
             raise InputError("lam must be >= 0")
         if self.grid_k < 8:
             raise InputError("grid_k must be >= 8")
-        if self.basis_dim < 2:
-            raise InputError("basis_dim must be >= 2")
-        if self.basis_dim <= self.degree:
-            raise InputError("basis_dim must exceed the spline degree")
+        if self.basis_dim <= _DEGREE:
+            raise InputError(
+                f"basis_dim must exceed the spline degree {_DEGREE}")
 
 
 def z_transform(sample) -> np.ndarray:
@@ -288,7 +291,7 @@ class PenalizedLikelihood:
 
     def __init__(self, basis: ZBasis, x_grid, z, lam: float, center=0.0):
         self.pipe = _HhatPipeline(basis, x_grid)
-        self.omega = curvature_matrix(basis).omega
+        self.omega = curvature_matrix(basis)
         self.z = np.asarray(z, dtype=float)
         self.lam = float(lam)
         self.center = np.zeros(basis.dim) + center
@@ -364,9 +367,36 @@ def pipeline_pickands(basis: ZBasis, theta, center_enabled: bool,
     return model, dens, grid
 
 
+def _maximize(value_and_grad, omega: np.ndarray, lam: float, callback=None):
+    """L-BFGS-B ascent from zero, in the coordinates whitened by the penalty.
+
+    ``value_and_grad(theta)`` returns the objective and its gradient;
+    ``callback``, when given, receives every accepted iterate.  Returns the
+    maximizer, the number of iterations and whether the run converged: scipy
+    reports success, or no gradient entry exceeds the tolerance.
+    """
+    white = _penalty_whitener(omega, lam)
+
+    def negloss_white(phi):
+        value, grad = value_and_grad(white @ phi)
+        return -value, white @ -grad
+
+    res = minimize(negloss_white, np.zeros(omega.shape[0]), jac=True,
+                   method="L-BFGS-B",
+                   callback=None if callback is None
+                   else lambda phi: callback(white @ phi),
+                   options={"maxiter": _MAX_ITER, "gtol": _GRAD_TOL,
+                            "ftol": 1e-13, "maxcor": 20})
+    converged = bool(res.success) or float(
+        np.max(np.abs(res.jac))) <= _GRAD_TOL
+    if not converged:
+        logger.warning("optimizer stopped without convergence: %s",
+                       res.message)
+    return white @ res.x, int(res.nit), converged
+
+
 def optimize(z_sample, config: FitConfig | None = None,
-             force_flip: bool | None = None, trace: list | None = None
-             ) -> FittedModel:
+             trace: list | None = None) -> FittedModel:
     """Fit the spline copula model to a pseudo-angle sample.
 
     Quasi-Newton ascent of the penalized log-likelihood from the affine
@@ -380,43 +410,23 @@ def optimize(z_sample, config: FitConfig | None = None,
     if z.size < 30:
         raise InputError(f"sample size {z.size} < 30")
 
-    if force_flip is not None:
-        flip = bool(force_flip)
-    else:
-        flip = ordering_heuristic(z) if cfg.ordering_heuristic else False
+    flip = ordering_heuristic(z) if cfg.flip is None else bool(cfg.flip)
     zf = 1.0 - z if flip else z
 
     x_grid = empirical_w_grid(zf, cfg.grid_k)
-    knots = quantile_knots(x_grid[1:-1], cfg.basis_dim - cfg.degree)
-    basis = build_zb_basis(replace(knots, degree=cfg.degree))
-    center = project_center(basis) if cfg.center else 0.0
-    lik = PenalizedLikelihood(basis, x_grid, zf, cfg.lam, center)
-    white = _penalty_whitener(lik.omega, cfg.lam)
-
-    def negloss_white(phi):
-        value, grad = lik.value_and_grad(white @ phi)
-        return -value, white @ -grad
-
-    callback = None
-    if trace is not None:
-        callback = lambda phi: trace.append(lik.value(white @ phi))  # noqa: E731
-
-    res = minimize(negloss_white, np.zeros(basis.dim), jac=True,
-                   method="L-BFGS-B", callback=callback,
-                   options={"maxiter": cfg.max_iter, "gtol": cfg.grad_tol,
-                            "ftol": 1e-13, "maxcor": 20})
-    theta_hat = white @ res.x
-    converged = bool(res.success) or float(
-        np.max(np.abs(res.jac))) <= cfg.grad_tol
-    if not converged:
-        logger.warning("optimizer stopped without convergence: %s",
-                       res.message)
-    model, dens, grid = pipeline_pickands(basis, theta_hat, cfg.center, flip)
-    return FittedModel(theta=theta_hat, basis=basis, center_applied=cfg.center,
+    basis = build_zb_basis(quantile_knots(x_grid[1:-1],
+                                          cfg.basis_dim - _DEGREE))
+    lik = PenalizedLikelihood(basis, x_grid, zf, cfg.lam,
+                              project_center(basis))
+    theta_hat, iterations, converged = _maximize(
+        lik.value_and_grad, lik.omega, cfg.lam,
+        None if trace is None else lambda theta: trace.append(lik.value(theta)))
+    model, dens, grid = pipeline_pickands(basis, theta_hat, True, flip)
+    return FittedModel(theta=theta_hat, basis=basis, center_applied=True,
                        flipped=flip, loglik=lik.loglik(theta_hat),
                        penalty=lik.penalty(theta_hat), lam=cfg.lam,
                        pickands=model, converged=converged,
-                       iterations=int(res.nit), density=dens, w_grid=grid)
+                       iterations=iterations, density=dens, w_grid=grid)
 
 
 @dataclass(frozen=True)
@@ -462,27 +472,27 @@ class UnivariateDensityFit:
         return self.density.basis
 
 
-def fit_univariate_density(sample, bounds, config: FitConfig | None = None
+def fit_univariate_density(sample, bounds, dim: int = 13, lam: float = 1e-4
                            ) -> UnivariateDensityFit:
     """Penalized maximum likelihood spline density on an interval.
 
-    The sample is rescaled to [0, 1]; knots sit at sample quantiles and the
-    objective is ``sum log f(x_i) - lam * theta' Omega theta`` (no affine
-    center).  The gradient is available in closed form, making the
-    optimization fast and reliable.
+    The sample is rescaled to [0, 1]; ``dim`` spline functions have knots at
+    sample quantiles and the objective is ``sum log f(x_i) - lam * theta'
+    Omega theta`` (no affine center).  The gradient is available in closed
+    form, making the optimization fast and reliable.
     """
-    cfg = config or FitConfig()
     a, b = float(bounds[0]), float(bounds[1])
     x = np.asarray(sample, dtype=float)
+    if lam < 0:
+        raise InputError("lam must be >= 0")
     if not (b > a):
         raise InputError("bounds must satisfy a < b")
     if np.any(x <= a) or np.any(x >= b):
         raise InputError("sample values must lie strictly inside the bounds")
     y = (x - a) / (b - a)
 
-    knots = quantile_knots(y, cfg.basis_dim - cfg.degree)
-    basis = build_zb_basis(replace(knots, degree=cfg.degree))
-    omega = curvature_matrix(basis).omega
+    basis = build_zb_basis(quantile_knots(y, dim - _DEGREE))
+    omega = curvature_matrix(basis)
 
     grid = norm_grid(basis.interior_knots)
     wtr = trapezoid_weights(grid)
@@ -490,40 +500,25 @@ def fit_univariate_density(sample, bounds, config: FitConfig | None = None
     BD = basis.evaluate(y)
     n = y.size
 
-    def negloss(theta):
+    def value_and_grad(theta):
         pg = BG @ theta
         live = np.abs(pg) < _EXP_CLIP
         eg = np.exp(np.clip(pg, -_EXP_CLIP, _EXP_CLIP))
         I = float(wtr @ eg)
         ll = float(np.sum(BD @ theta)) - n * np.log(I) - float(
-            cfg.lam * theta @ omega @ theta)
+            lam * theta @ omega @ theta)
         grad = (BD.sum(axis=0) - n / I * ((wtr * eg * live) @ BG)
-                - 2.0 * cfg.lam * omega @ theta)
-        return -ll, -grad
+                - 2.0 * lam * omega @ theta)
+        return ll, grad
 
-    white = _penalty_whitener(omega, cfg.lam)
-
-    def negloss_white(phi):
-        value, grad = negloss(white @ phi)
-        return value, white @ grad
-
-    res = minimize(negloss_white, np.zeros(basis.dim), jac=True,
-                   method="L-BFGS-B",
-                   options={"maxiter": cfg.max_iter, "gtol": cfg.grad_tol,
-                            "ftol": 1e-13})
-    theta_hat = white @ res.x
-    converged = bool(res.success) or float(
-        np.max(np.abs(res.jac))) <= cfg.grad_tol
+    theta_hat, _, converged = _maximize(value_and_grad, omega, lam)
     dens = ClrDensity(basis, theta_hat, center_enabled=False)
-    pv = dens(grid)
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * np.diff(grid)
-                                           * (pv[:-1] + pv[1:]))])
+    cdf = cumulative_trapezoid(grid, dens(grid))
     cdf /= cdf[-1]
     ll = float(np.sum(np.log(np.maximum(dens(y), _LOG_FLOOR))))
-    pen = cfg.lam * float(theta_hat @ omega @ theta_hat)
+    pen = lam * float(theta_hat @ omega @ theta_hat)
     return UnivariateDensityFit(density=dens, bounds=(a, b), loglik=ll,
-                                penalty=pen, lam=cfg.lam,
-                                converged=converged,
+                                penalty=pen, lam=lam, converged=converged,
                                 _grid=grid, _cdf=cdf)
 
 
@@ -568,11 +563,10 @@ def mcmc_sample(log_target, dim: int, n_samples: int, seed=None,
     return chain[burn:]
 
 
-def default_random_basis(dim: int = 13, degree: int = 3) -> ZBasis:
-    """Uniform-knot basis used to generate random models."""
-    n_int = dim - degree
-    knots = tuple(np.linspace(0.0, 1.0, n_int + 2)[1:-1])
-    return build_zb_basis(KnotConfig(interior_knots=knots, degree=degree))
+def default_random_basis(dim: int = 13) -> ZBasis:
+    """Uniform-knot cubic basis used to generate random models."""
+    knots = tuple(np.linspace(0.0, 1.0, dim - _DEGREE + 2)[1:-1])
+    return build_zb_basis(KnotConfig(interior_knots=knots, degree=_DEGREE))
 
 
 # proposals per batch of the prior sampler, and per call before it gives up
@@ -625,7 +619,7 @@ def random_pickands(lam: float, R: float, n: int, seed=None,
     if lam < 0 or R <= 0 or n < 1:
         raise InputError("need lam >= 0, R > 0, n >= 1")
     basis = basis if basis is not None else default_random_basis()
-    draws = _prior_draws(lam, R, curvature_matrix(basis).omega,
+    draws = _prior_draws(lam, R, curvature_matrix(basis),
                          project_center(basis), np.random.default_rng(seed))
     models, raw_models = [], []
     for theta in islice(draws, 2 * n):
@@ -666,22 +660,27 @@ def model_to_dict(fm: FittedModel) -> dict:
     }
 
 
+def _as_bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
 def model_from_dict(d: dict) -> FittedModel:
     """Rebuild a fitted model (and its Pickands function) from its JSON form."""
-    try:
-        basis = build_zb_basis(KnotConfig(interior_knots=tuple(d["knots"]),
-                                          degree=int(d["degree"])))
-        theta = np.asarray(d["theta"], dtype=float)
-        center_applied = bool(d["center_applied"])
-        flipped = bool(d["flipped"])
-        lam = float(d["lambda"])
-        diag = d.get("diagnostics", {})
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed model dictionary: {exc}") from exc
+    basis = build_zb_basis(KnotConfig(
+        interior_knots=read_field(d, "knots", lambda v: tuple(map(float, v))),
+        degree=read_field(d, "degree", int)))
+    theta = read_field(d, "theta", lambda v: np.asarray(v, dtype=float))
+    center_applied = read_field(d, "center_applied", _as_bool)
+    flipped = read_field(d, "flipped", _as_bool)
+    lam = read_field(d, "lambda", float)
+    loglik = read_field(d, "diagnostics.loglik", float, np.nan)
+    penalty = read_field(d, "diagnostics.penalty", float, np.nan)
+    converged = read_field(d, "diagnostics.converged", _as_bool, True)
+    iterations = read_field(d, "diagnostics.iterations", int, 0)
     model, dens, grid = pipeline_pickands(basis, theta, center_applied, flipped)
     return FittedModel(theta=theta, basis=basis, center_applied=center_applied,
-                       flipped=flipped, loglik=float(diag.get("loglik", np.nan)),
-                       penalty=float(diag.get("penalty", np.nan)), lam=lam,
-                       pickands=model, converged=bool(diag.get("converged", True)),
-                       iterations=int(diag.get("iterations", 0)),
-                       density=dens, w_grid=grid)
+                       flipped=flipped, loglik=loglik, penalty=penalty,
+                       lam=lam, pickands=model, converged=converged,
+                       iterations=iterations, density=dens, w_grid=grid)

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from ._hermite import hermite_interpolator
-from ._quad import gauss_legendre
+from ._quad import gauss_legendre, gauss_square
 from ._rootfind import vector_bisect
 from .bayes import integrate_01
 from .errors import InputError, NumericalError
@@ -180,8 +180,7 @@ class _RotatedInverseW:
         def resid(t):
             return t + self._a(t) - 1.0 - x
 
-        return vector_bisect(resid, np.zeros_like(x), np.ones_like(x),
-                             iters=60, check_bracket=False)
+        return vector_bisect(resid, np.zeros_like(x), np.ones_like(x), iters=60)
 
     def __call__(self, x):
         scalar = np.ndim(x) == 0
@@ -318,19 +317,17 @@ def gini_from_density(f) -> float:
     return 1.0 - integrate_01(lambda x: x * np.asarray(f(x)))
 
 
-def gini_from_copula(c, eps: float = 1e-6, npts: int = 64) -> float:
+def gini_from_copula(c) -> float:
     """Same index from the copula itself: ``G = 4 (1 - mean of log C / log uv)``.
 
+    The mean is a 64 x 64 tensor Gauss-Legendre rule on ``[1e-6, 1 - 1e-6]^2``.
     Requires a positively quadrant dependent copula (``C >= uv``).
     """
-    xg, wg = np.polynomial.legendre.leggauss(npts)
-    u = 0.5 * (1.0 - 2.0 * eps) * (xg + 1.0) + eps
-    uu, vv = np.meshgrid(u, u, indexing="ij")
+    uu, vv, w2 = gauss_square(1e-6, 64)
     cv = c.cdf(uu, vv)
     if np.min(cv - uu * vv) < -1e-9:
         raise InputError("copula is not positively quadrant dependent")
     integrand = np.log(cv) / np.log(uu * vv)
-    w2 = np.outer(wg, wg) * (0.5 * (1.0 - 2.0 * eps)) ** 2
     return 4.0 * (1.0 - float(np.sum(w2 * integrand)))
 
 
@@ -446,7 +443,6 @@ class PickandsDiagnostics:
     max_lower_violation: float
     max_convexity_violation: float
     endpoint_values: tuple[float, float]
-    n_probes: int = 1000
 
     def passed(self, tol: float = 1e-6) -> bool:
         return (self.max_upper_violation <= tol
@@ -456,14 +452,14 @@ class PickandsDiagnostics:
                 and abs(self.endpoint_values[1] - 1.0) <= tol)
 
 
-def validate_pickands(a, n_probes: int = 1000) -> PickandsDiagnostics:
-    """Measure violations of the Pickands constraints on a probe grid.
+def validate_pickands(a) -> PickandsDiagnostics:
+    """Measure violations of the Pickands constraints on 1000 equispaced probes.
 
     Convexity is assessed through second differences scaled to curvature
     units; bound violations are reported as positive excess above 1 or
     below ``max(t, 1 - t)``.
     """
-    t = np.linspace(0.0, 1.0, n_probes)
+    t = np.linspace(0.0, 1.0, 1000)
     av = np.asarray(a(t), dtype=float)
     upper = float(np.max(av - 1.0))
     lower = float(np.max(np.maximum(t, 1.0 - t) - av))
@@ -475,5 +471,4 @@ def validate_pickands(a, n_probes: int = 1000) -> PickandsDiagnostics:
         max_lower_violation=max(0.0, lower),
         max_convexity_violation=convex,
         endpoint_values=(float(a(0.0)), float(a(1.0))),
-        n_probes=n_probes,
     )

@@ -20,7 +20,6 @@ from .errors import InputError, NumericalError
 __all__ = [
     "KnotConfig",
     "ZBasis",
-    "CurvatureMatrix",
     "build_zb_basis",
     "eval_basis",
     "curvature_matrix",
@@ -47,7 +46,7 @@ class KnotConfig:
             raise InputError(f"degree must be >= 1, got {self.degree}")
         arr = np.asarray(kn)
         if arr.size:
-            if np.any(arr <= 0.0) or np.any(arr >= 1.0):
+            if not np.all((arr > 0.0) & (arr < 1.0)):
                 raise InputError("interior knots must lie strictly inside (0, 1)")
             if np.any(np.diff(arr) <= 0.0):
                 raise InputError("interior knots must be strictly increasing")
@@ -109,17 +108,6 @@ class ZBasis:
         return (zq * self.quad_weights[:, None]).T @ zq
 
 
-@dataclass(frozen=True)
-class CurvatureMatrix:
-    """Symmetric PSD matrix of second-derivative inner products."""
-
-    omega: np.ndarray
-
-    def quadratic_form(self, theta: np.ndarray) -> float:
-        theta = np.asarray(theta, dtype=float)
-        return float(theta @ self.omega @ theta)
-
-
 def build_zb_basis(cfg: KnotConfig) -> ZBasis:
     """Construct the orthonormal zero-integral basis for a knot configuration.
 
@@ -179,24 +167,23 @@ def eval_basis(b: ZBasis, x, deriv: int = 0) -> np.ndarray:
     return out[0] if scalar else out
 
 
-def curvature_matrix(b: ZBasis) -> CurvatureMatrix:
-    """Matrix of curvature inner products: integral of Z_i'' Z_j''.
+def curvature_matrix(b: ZBasis) -> np.ndarray:
+    """Symmetric PSD matrix of curvature inner products: integral of Z_i'' Z_j''.
 
     The integrand is piecewise polynomial of degree <= 2(d - 2), so the
     fixed Gauss rule integrates it exactly.
     """
     z2 = eval_basis(b, b.quad_nodes, deriv=2)
     omega = (z2 * b.quad_weights[:, None]).T @ z2
-    return CurvatureMatrix(omega=0.5 * (omega + omega.T))
+    return 0.5 * (omega + omega.T)
 
 
-def _log_refined_rule(first_break: float, degree: int,
-                      n_sub: int = 16, ratio: float = 0.5):
-    """Gauss rule on [0, first_break] with geometrically shrinking subintervals.
+def _log_refined_rule(first_break: float, degree: int):
+    """Gauss rule on [0, first_break] on 16 subintervals halving toward 0.
 
     Handles integrable log-type singularities at 0: nodes never touch 0.
     """
-    edges = first_break * ratio ** np.arange(n_sub, -1, -1.0)
+    edges = first_break * 0.5 ** np.arange(16, -1, -1.0)
     edges[0] = 0.0
     return gauss_legendre(edges, 2 * degree + 2)
 

@@ -55,14 +55,14 @@ def default_w_nodes() -> np.ndarray:
     ]))
 
 
-def _segment_edges(x: np.ndarray, nsub: int = 8) -> np.ndarray:
-    """Log-spaced subinterval edges per segment, shape (len(x)-1, nsub+1).
+def _segment_edges(x: np.ndarray) -> np.ndarray:
+    """Log-spaced edges of 8 subintervals per segment, shape (len(x)-1, 9).
 
     Segments starting at 0 fall back to linear spacing.
     """
     a = x[:-1][:, None]
     b = x[1:][:, None]
-    k = np.arange(nsub + 1)[None, :] / nsub
+    k = np.arange(9)[None, :] / 8
     with np.errstate(divide="ignore", invalid="ignore"):
         geo = a * (b / a) ** k
     lin = a + (b - a) * k
@@ -168,15 +168,6 @@ class WilliamsonGrid:
     def deriv2(self, x):
         return self._ip2(x)
 
-    @property
-    def deriv_at_zero(self) -> float:
-        """Right slope at 0; non-finite for densities positive at 0."""
-        return float(self.wp[0])
-
-    @property
-    def deriv_at_one(self) -> float:
-        return float(self.wp[-1])
-
 
 def williamson_from_density(f, x_nodes) -> WilliamsonGrid:
     """Tabulate the Williamson transform of a density by backward recurrence.
@@ -252,14 +243,6 @@ class _AnalyticW:
     def deriv2(self, x):
         with np.errstate(divide="ignore", over="ignore"):
             return self._d2(np.asarray(x, dtype=float))
-
-    @property
-    def deriv_at_zero(self) -> float:
-        return float(self.deriv(0.0))
-
-    @property
-    def deriv_at_one(self) -> float:
-        return float(self.deriv(1.0))
 
     def __repr__(self):
         return f"<{self.name}>"

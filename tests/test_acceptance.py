@@ -330,7 +330,7 @@ def test_criterion_10_khoudraji_boundary_slopes(pipeline_fit_models):
 
 def test_criterion_11_random_generation(basis13, random_models_200):
     start = time.perf_counter()
-    omega = curvature_matrix(basis13).omega
+    omega = curvature_matrix(basis13)
     R = 5.0
 
     def log_target(theta):

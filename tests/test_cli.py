@@ -5,6 +5,9 @@ import os
 import numpy as np
 import pytest
 
+from evcop.copula import EvCopula
+from evcop.families import ParametricPickands
+from evcop.fit import model_to_dict
 from evcop.cli import (
     joint_pipeline,
     main,
@@ -214,6 +217,19 @@ def test_fit_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_fit_flip_heuristic_and_its_override(tmp_path, capsys):
+    # the pseudo-angle histogram of this Tawn sample peaks left of 1/2
+    tawn = EvCopula(ParametricPickands("gumbel", 3.0, khoudraji=(0.4, 0.9)))
+    path = tmp_path / "tawn.csv"
+    write_pairs(path, tawn.simulate(400, seed=0))
+    flipped = []
+    for extra in ([], ["--no-flip-heuristic"]):
+        assert main(["fit", str(path), "-o", str(tmp_path / "m.json"),
+                     *extra]) == 0
+        flipped.append(json.loads(capsys.readouterr().out)["flipped"])
+    assert flipped == [True, False]
+
+
 def test_fit_pseudo_and_survival(tmp_path, gumbel2, capsys):
     raw = gumbel2.simulate(200, seed=8) * 37.0 + 2.0
     path = tmp_path / "raw.csv"
@@ -274,8 +290,8 @@ def test_study_parallel_matches_serial(tmp_path):
             "replications": 1,
             "random_evc": {"lambda": 1e-4, "R": 5.0, "dim": 13, "count": 2},
             "fit": {"dim": 13, "lambda": 1e-4, "grid_k": 40}}
-    _, rows1, _, _ = run_study(spec, workers=1)
-    _, rows2, _, _ = run_study(spec, workers=2)
+    _, rows1, _ = run_study(spec, workers=1)
+    _, rows2, _ = run_study(spec, workers=2)
     assert _strip_runtime_rows(rows1) == _strip_runtime_rows(rows2)
 
 
@@ -284,7 +300,7 @@ def test_study_random_truths_follow_spec_dim():
         spec = {"study": "tvd", "seed": 1, "sample_sizes": [250],
                 "random_evc": {"lambda": 1e-4, "R": 5.0, "dim": dim,
                                "count": 1}}
-        _, rows, _, meta = run_study(spec, workers=1)
+        _, rows, meta = run_study(spec, workers=1)
         return rows[0]["tvd"], rows[0]["gini"], meta["truth_gini"][0]
 
     assert all(a != b for a, b in zip(one_model_study(8),
@@ -347,10 +363,10 @@ def test_bias_variance_envelope_covers_truth():
             "replications": 20,
             "families": [{"family": "gumbel", "theta": 2.0, "lambda": 1e-5}],
             "fit": {"dim": 13, "grid_k": 78}}
-    _, rows, envelope, meta = run_study(spec, workers=1)
+    _, rows, meta = run_study(spec, workers=1)
     assert not meta["errors"]
     inside = [r["q01"] - 1e-12 <= r["truth"] <= r["q99"] + 1e-12
-              for r in envelope]
+              for r in meta["envelope"]]
     assert np.mean(inside) >= 0.90
 
 
@@ -362,6 +378,37 @@ def test_study_rejects_bad_spec(tmp_path, capsys):
     notjson.write_text("{{{")
     assert main(["study", str(notjson)]) == 2
     capsys.readouterr()
+
+
+_TINY_STUDY = {"study": "tvd", "seed": 1, "sample_sizes": [100],
+               "random_evc": {"count": 1}}
+
+
+@pytest.mark.parametrize("kind,doc,extra,threads,named", [
+    ("model", {"lambda": "abc"}, [], None, "'lambda'"),
+    ("model", {"diagnostics": []}, [], None, "'diagnostics'"),
+    ("model", {"flipped": "false"}, [], None, "'flipped'"),
+    ("model", {"knots": [float("nan")] * 10}, [], None, "knots"),
+    ("study", {**_TINY_STUDY, "seed": "x"}, [], None, "'seed'"),
+    ("study", [_TINY_STUDY], [], None, "JSON object"),
+    ("study", _TINY_STUDY, [], "abc", "EVCOP_THREADS"),
+    ("study", _TINY_STUDY, ["--workers", "0"], None, "--workers"),
+], ids=["model-lambda", "model-diagnostics", "model-flipped", "model-knots",
+        "spec-seed", "spec-list", "env-threads", "workers-0"])
+def test_outside_input_exits_2_naming_the_field(
+        tmp_path, monkeypatch, capsys, gumbel2_fit, kind, doc, extra,
+        threads, named):
+    if kind == "model":
+        doc = {**model_to_dict(gumbel2_fit), **doc}
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.delenv("EVCOP_THREADS", raising=False)
+    if threads is not None:
+        monkeypatch.setenv("EVCOP_THREADS", threads)
+    argv = (["evaluate", str(path)] if kind == "model" else
+            ["study", str(path), "-o", str(tmp_path / "runs.csv"), *extra])
+    assert main(argv) == 2
+    assert named in capsys.readouterr().err
 
 
 def test_joint_pipeline_properties(gumbel2):

@@ -180,7 +180,7 @@ def _bisection_solve(cop, u, p):
 
     n = u.size
     v = vector_bisect(resid, np.full(n, 1e-15), np.full(n, 1.0 - 1e-15),
-                      iters=50, check_bracket=False)
+                      iters=50)
     r = resid(v)
     for _ in range(2):
         dens = cop.pdf(u, v)

@@ -156,7 +156,7 @@ def test_penalized_loglik_penalty_scaling(gumbel2_sample):
     theta = 0.4 * rng.standard_normal(basis.dim)
     l0, l1, l2 = (PenalizedLikelihood(basis, x_grid, z, lam).value(theta)
                   for lam in (0.0, 1.0, 2.0))
-    pen = omega.quadratic_form(theta)
+    pen = theta @ omega @ theta
     assert pen > 0.0
     assert abs((l0 - l1) - pen) <= 1e-9 * max(1.0, abs(pen))
     assert l2 < l1 < l0
@@ -259,7 +259,7 @@ def gumbel_objectives():
             z = 1.0 - z
         x_grid = empirical_w_grid(z, 78)
         basis = build_zb_basis(quantile_knots(x_grid[1:-1], 10))
-        out[theta] = (basis, x_grid, z, curvature_matrix(basis).omega,
+        out[theta] = (basis, x_grid, z, curvature_matrix(basis),
                       project_center(basis))
     return out
 
@@ -410,7 +410,7 @@ def test_optimize_heavy_penalty_collapses_to_center(gumbel2_sample):
     # curvature of the perturbation is essentially gone
     from evcop.splinebasis import curvature_matrix as _cm
 
-    assert _cm(fm.basis).quadratic_form(fm.theta) <= 1e-4
+    assert fm.theta @ _cm(fm.basis) @ fm.theta <= 1e-4
 
 
 def test_optimize_gumbel_quality(gumbel2, gumbel2_fit):
@@ -422,22 +422,20 @@ def test_optimize_gumbel_quality(gumbel2, gumbel2_fit):
 def test_flip_mirror_consistency(gumbel2):
     uv = gumbel2.simulate(2000, seed=33)
     z = z_transform(uv)
-    a_flip = optimize(z, FitConfig(lam=1e-5), force_flip=True).pickands
-    a_plain = optimize(z, FitConfig(lam=1e-5), force_flip=False).pickands
+    a_flip = optimize(z, FitConfig(lam=1e-5, flip=True)).pickands
+    a_plain = optimize(z, FitConfig(lam=1e-5, flip=False)).pickands
     t = np.linspace(0, 1, 301)
     assert np.max(np.abs(a_flip(t) - a_plain(t))) <= 0.03
 
     # fitting z with a forced flip equals fitting 1 - z and mirroring back
-    a_of_mirrored = optimize(1.0 - z, FitConfig(lam=1e-5),
-                             force_flip=False).pickands
+    a_of_mirrored = optimize(1.0 - z, FitConfig(lam=1e-5, flip=False)).pickands
     assert np.max(np.abs(a_flip(t) - a_of_mirrored(1.0 - t))) <= 1e-12
 
 
 def test_fit_univariate_density_roundtrip():
     rng = np.random.default_rng(6)
     sample = rng.beta(2.0, 4.0, size=800) * 80.0 + 10.0
-    fit = fit_univariate_density(sample, (5.0, 95.0),
-                                 FitConfig(basis_dim=9, lam=1.0))
+    fit = fit_univariate_density(sample, (5.0, 95.0), 9, 1.0)
     x = np.linspace(20.0, 80.0, 50)
     p = fit.cdf(x)
     assert np.max(np.abs(fit.quantile(p) - x)) <= 1e-6
@@ -451,8 +449,7 @@ def test_fit_univariate_density_uniform_shrinks():
     norms = []
     for n in (200, 20000):
         vals = [np.linalg.norm(fit_univariate_density(
-            rng.random(n), (-0.01, 1.01),
-            FitConfig(basis_dim=7, lam=1e-2)).theta) for _ in range(3)]
+            rng.random(n), (-0.01, 1.01), 7, 1e-2).theta) for _ in range(3)]
         norms.append(float(np.mean(vals)))
     assert norms[1] < norms[0]
     assert norms[1] < 0.2
@@ -463,8 +460,7 @@ def test_fit_univariate_density_ligo_config():
     sample = np.concatenate([rng.lognormal(0.5, 0.4, 60) + 1.0,
                              rng.lognormal(3.0, 0.3, 40)])
     sample = np.clip(sample, 1.05, 99.0)
-    fit = fit_univariate_density(sample, (1.0, 100.0),
-                                 FitConfig(basis_dim=17, lam=10.0))
+    fit = fit_univariate_density(sample, (1.0, 100.0), 17, 10.0)
     assert fit.basis.dim == 17
     assert fit.converged
     assert np.all(fit.pdf(np.linspace(2, 95, 40)) >= 0.0)
@@ -488,7 +484,7 @@ def test_mcmc_requires_finite_start():
 
 
 def test_mcmc_truncated_prior_stays_in_ball(basis13):
-    omega = curvature_matrix(basis13).omega
+    omega = curvature_matrix(basis13)
     R = 2.0
 
     def log_target(theta):
@@ -502,8 +498,8 @@ def test_mcmc_truncated_prior_stays_in_ball(basis13):
 
 def test_mcmc_mode_consistent_with_map(gumbel2_sample, monkeypatch):
     z = z_transform(gumbel2_sample)
-    cfg = FitConfig(lam=1e-4)
-    fm = optimize(z, cfg, force_flip=False)
+    cfg = FitConfig(lam=1e-4, flip=False)
+    fm = optimize(z, cfg)
     x_grid = empirical_w_grid(z, cfg.grid_k)
     builds = _count_pipeline_builds(monkeypatch)
     # same objective the optimizer maximizes: data term plus the curvature
@@ -528,7 +524,7 @@ def test_mcmc_mode_consistent_with_map(gumbel2_sample, monkeypatch):
 def random_prior():
     """Curvature matrix and center of the basis random models use."""
     basis = default_random_basis()
-    return curvature_matrix(basis).omega, project_center(basis)
+    return curvature_matrix(basis), project_center(basis)
 
 
 def _draws(lam, R, prior, seed, n):
@@ -581,7 +577,7 @@ def _metropolis_prior_states(lam, R, n, seed, thin=3000):
     Same target, starting step, chain length and thinning.
     """
     basis = default_random_basis()
-    omega = curvature_matrix(basis).omega
+    omega = curvature_matrix(basis)
     center = project_center(basis)
 
     def log_target(theta):

@@ -119,9 +119,9 @@ def test_eval_rejects_outside_domain():
 def test_curvature_matrix_properties():
     b = build_zb_basis(uniform_config(10))
     om = curvature_matrix(b)
-    assert np.max(np.abs(om.omega - om.omega.T)) <= 1e-12
-    assert np.linalg.eigvalsh(om.omega)[0] >= -1e-8
-    assert om.quadratic_form(np.zeros(b.dim)) == 0.0
+    assert np.max(np.abs(om - om.T)) <= 1e-12
+    assert np.linalg.eigvalsh(om)[0] >= -1e-8
+    assert np.zeros(b.dim) @ om @ np.zeros(b.dim) == 0.0
 
 
 def test_curvature_matches_direct_quadrature():
@@ -132,7 +132,7 @@ def test_curvature_matches_direct_quadrature():
         theta = rng.standard_normal(b.dim)
         pdd = eval_basis(b, b.quad_nodes, deriv=2) @ theta
         direct = float(b.quad_weights @ pdd ** 2)
-        assert abs(om.quadratic_form(theta) - direct) <= 1e-8 * max(1.0, direct)
+        assert abs(theta @ om @ theta - direct) <= 1e-8 * max(1.0, direct)
 
 
 def test_projection_approximates_log_center():
