@@ -14,34 +14,116 @@ Bernstein coefficients
 so every piece is built at once from the node arrays.  A non-finite
 derivative imposes no constraint at its node, and a non-finite first
 derivative drops the second one there too.  Only the pieces touching such a
-node (the sentinels at the ends of the W and A tables) are built apart: at
-the lower degree by :meth:`scipy.interpolate.BPoly.from_derivatives` on their
-one interval, then raised to degree five.
+node (the sentinels at the ends of the W and A tables) are built apart, by
+:func:`_sentinel_piece`: at the lowest degree that meets their constraints,
+then raised to degree five.
+
+:class:`PiecewiseBernstein` evaluates the result with numpy alone: a binary
+search for the piece, then Horner's rule on the piece's Taylor coefficients
+about its left end, formed once per interpolator.
 """
 
 from __future__ import annotations
 
-from math import comb
+from functools import cached_property
+from math import comb, perm
 
 import numpy as np
-from scipy.interpolate import BPoly
 
 
-def _raise_degree(c, degree: int) -> np.ndarray:
-    """Bernstein coefficients ``c`` of one polynomial, re-expressed at ``degree``.
+class PiecewiseBernstein:
+    """Piecewise polynomial with Bernstein coefficients ``c`` on breakpoints ``x``.
 
-    The same arithmetic as the degree raising inside ``from_derivatives``.
+    ``c`` has shape ``(degree + 1, len(x) - 1)``; column ``i`` holds the piece
+    on ``[x[i], x[i + 1]]``.  Points outside ``[x[0], x[-1]]`` are extrapolated
+    from the end pieces and NaN evaluates to NaN.
     """
-    k = c.size - 1
-    out = np.zeros(degree + 1)
-    for a in range(k + 1):
-        f = c[a] * comb(k, a)
-        for j in range(degree - k + 1):
-            out[a + j] += f * comb(degree - k, j) / comb(degree, a + j)
+
+    def __init__(self, c: np.ndarray, x: np.ndarray):
+        self.c = c
+        self.x = x
+
+    @cached_property
+    def _taylor(self) -> np.ndarray:
+        """Taylor coefficients about each piece's left end, highest power first.
+
+        Row ``k - j`` holds the coefficients of ``(t - x[i])**j``: ``comb(k, j)``
+        times the ``j``-th forward difference of the Bernstein coefficients,
+        over ``h**j``.
+        """
+        k = self.c.shape[0] - 1
+        h = np.diff(self.x)
+        rows, d = [], self.c
+        for j in range(k + 1):
+            rows.append(comb(k, j) * d[0] / h ** j)
+            d = np.diff(d, axis=0)
+        return np.stack(rows[::-1])
+
+    def __call__(self, t):
+        """Values at ``t`` (any shape), by Horner's rule on the located piece."""
+        t = np.asarray(t, dtype=float)
+        i = np.searchsorted(self.x[1:-1], t, side="right")
+        dt = t - self.x[i]
+        a = self._taylor.take(i, axis=1)
+        r = a[0]
+        for row in a[1:]:
+            r = r * dt
+            r += row
+        return r
+
+    def derivative(self, nu: int = 1) -> PiecewiseBernstein:
+        """The ``nu``-th derivative, one degree lower per order."""
+        c = self.c
+        for _ in range(nu):
+            c = (c.shape[0] - 1) * np.diff(c, axis=0) / np.diff(self.x)
+        return PiecewiseBernstein(c, self.x)
+
+    def integrate(self, a: float, b: float) -> float:
+        """Integral from ``a`` to ``b``, through the antiderivative.
+
+        A piece's antiderivative raises the degree by one; its coefficients
+        are running sums of the piece's, and each piece starts where the one
+        before it ends.
+        """
+        k = self.c.shape[0]
+        c = np.zeros((k + 1, self.c.shape[1]))
+        c[1:] = np.cumsum(self.c, axis=0) / k * np.diff(self.x)
+        c[:, 1:] += np.cumsum(c[k])[:-1]
+        anti = PiecewiseBernstein(c, self.x)
+        return anti(b) - anti(a)
+
+
+def _sentinel_piece(x, ya, yb) -> np.ndarray:
+    """Degree-five Bernstein coefficients of one lower-degree Hermite piece.
+
+    The polynomial on ``[x[0], x[1]]`` of the lowest degree with values and
+    derivatives ``ya`` at ``x[0]`` and ``yb`` at ``x[1]``, built in the
+    operation order of the reference construction (scipy's
+    ``BPoly.from_derivatives``), so that the coefficients match its own to
+    the last bit.
+    """
+    n = len(ya) + len(yb)
+    h = x[1] - x[0]
+    c = np.empty(n)
+    for q, y in enumerate(ya):
+        c[q] = y / perm(n - 1, q) * h ** q
+        for j in range(q):
+            c[q] -= (-1) ** (j + q) * comb(q, j) * c[j]
+    for q, y in enumerate(yb):
+        c[-q - 1] = y / perm(n - 1, q) * (-1) ** q * h ** q
+        for j in range(q):
+            c[-q - 1] -= (-1) ** (j + 1) * comb(q, j + 1) * c[-q + j]
+    # raise the degree: b_{a,k} = comb(k, a) sum_j comb(5-k, j)
+    # b_{a+j,5} / comb(5, a+j)
+    out = np.zeros(6)
+    for a in range(n):
+        f = c[a] * comb(n - 1, a)
+        for j in range(7 - n):
+            out[a + j] += f * comb(6 - n, j) / comb(5, a + j)
     return out
 
 
-def hermite_interpolator(x, values, d1, d2) -> BPoly:
+def hermite_interpolator(x, values, d1, d2) -> PiecewiseBernstein:
     """C2 piecewise quintic through ``(x, values)`` with derivatives ``d1``, ``d2``.
 
     Non-finite entries of ``d1`` or ``d2`` impose no constraint; the pieces
@@ -54,8 +136,8 @@ def hermite_interpolator(x, values, d1, d2) -> BPoly:
     h = np.diff(x)
     h2 = h ** 2
     c = np.empty((6, h.size))
-    # the operation order of ``from_derivatives``, so that the coefficients
-    # match its own to the last bit
+    # the operation order of the reference construction, so that the
+    # coefficients match its own to the last bit
     with np.errstate(invalid="ignore"):
         c[0] = y[:-1]
         c[1] = d1[:-1] / 5.0 * h + c[0]
@@ -66,7 +148,6 @@ def hermite_interpolator(x, values, d1, d2) -> BPoly:
     # constraints per node: the value, then d1 and d2 while they are finite
     order = 1 + np.isfinite(d1) * (1 + np.isfinite(d2))
     for i in np.flatnonzero(np.minimum(order[:-1], order[1:]) < 3):
-        rows = [[y[j], d1[j], d2[j]][:order[j]] for j in (i, i + 1)]
-        piece = BPoly.from_derivatives(x[i:i + 2], rows).c[:, 0]
-        c[:, i] = _raise_degree(piece, 5)
-    return BPoly(c, x)
+        ya, yb = ([y[j], d1[j], d2[j]][:order[j]] for j in (i, i + 1))
+        c[:, i] = _sentinel_piece(x[i:i + 2], ya, yb)
+    return PiecewiseBernstein(c, x)

@@ -173,6 +173,10 @@ def cmd_fit(args) -> int:
         "upper_tail": upper_tail(fm.pickands),
         "flipped": fm.flipped,
         "converged": fm.converged,
+        "iterations": fm.iterations,
+        "evaluations": fm.evaluations,
+        "grad_max": fm.grad_max,
+        "message": fm.message,
     }
     print(json.dumps(report, indent=2))
     return 0
@@ -224,8 +228,21 @@ def cmd_evaluate(args) -> int:
 # studies
 
 
-def _int_list(values) -> list[int]:
-    return [int(v) for v in values]
+def _at_least(lo: int):
+    """Reader of an integer field whose value must be ``lo`` or more."""
+    def convert(value) -> int:
+        if int(value) < lo:
+            raise ValueError(f"must be >= {lo}, got {value!r}")
+        return int(value)
+    return convert
+
+
+def _sample_sizes(values) -> list[int]:
+    """A non-empty list of fit sample sizes, each at least 30."""
+    sizes = [_at_least(30)(v) for v in values]
+    if not sizes:
+        raise ValueError("must list at least one sample size")
+    return sizes
 
 
 def _family_copula(conf: dict) -> EvCopula:
@@ -311,12 +328,12 @@ def _summarize(rows) -> list[dict]:
 def run_tvd_study(spec: dict, workers: int = 1):
     """Random-copula recovery study scored by total variation distance."""
     seed = read_field(spec, "seed", int, 0)
-    count = read_field(spec, "random_evc.count", int, 20)
+    count = read_field(spec, "random_evc.count", _at_least(1), 20)
     lam = read_field(spec, "random_evc.lambda", float, 1e-4)
     radius = read_field(spec, "random_evc.R", float, 5.0)
     basis = default_random_basis(read_field(spec, "random_evc.dim", int, 13))
-    sizes = read_field(spec, "sample_sizes", _int_list, [1000])
-    reps = read_field(spec, "replications", int, 1)
+    sizes = read_field(spec, "sample_sizes", _sample_sizes, [1000])
+    reps = read_field(spec, "replications", _at_least(1), 1)
     cfg = _fit_config_from_spec(spec, read_field(spec, "fit.lambda", float,
                                                  1e-4))
     models = random_pickands(lam, radius, count, seed=seed, basis=basis)
@@ -339,8 +356,8 @@ def run_bias_variance_study(spec: dict, workers: int = 1):
     if not fams:
         raise InputError("bias-variance study requires a 'families' list")
     seed = read_field(spec, "seed", int, 0)
-    sizes = read_field(spec, "sample_sizes", _int_list, [1000])
-    reps = read_field(spec, "replications", int, 100)
+    sizes = read_field(spec, "sample_sizes", _sample_sizes, [1000])
+    reps = read_field(spec, "replications", _at_least(1), 100)
     lam = read_field(spec, "fit.lambda", float, 1e-4)
     t_grid = np.linspace(0.0, 1.0, 101)
     payloads = []

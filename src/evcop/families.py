@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from ._quad import cumulative_trapezoid
 from .errors import InputError
@@ -99,6 +98,8 @@ class _HuslerReissA:
         return self.theta + np.log(s / (1.0 - s)) / (2.0 * self.theta)
 
     def __call__(self, t):
+        from scipy.special import ndtr
+
         t = np.asarray(t, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             left = np.where(t > 0.0, t * ndtr(self._g(np.maximum(t, 1e-320))), 0.0)
@@ -107,6 +108,8 @@ class _HuslerReissA:
         return left + right
 
     def _psi(self, s):
+        from scipy.special import ndtr
+
         g = self._g(s)
         gp = 1.0 / (2.0 * self.theta * s * (1.0 - s))
         return ndtr(g) + s * _phi(g) * gp

@@ -22,10 +22,9 @@ from __future__ import annotations
 import logging
 from itertools import islice
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import ndtr, ndtri
 
 from ._quad import cumulative_trapezoid, norm_grid, trapezoid_weights
 from .bayes import ClrDensity
@@ -319,7 +318,10 @@ class FittedModel:
 
     ``density`` is the spline density and ``w_grid`` the normalized
     Williamson grid that ``pickands`` was rotated from (before any
-    mirroring).
+    mirroring).  ``converged``, ``iterations``, ``evaluations`` (objective
+    calls), ``grad_max`` (the largest final gradient entry, in the whitened
+    coordinates the convergence rule reads) and ``message`` describe the
+    optimizer run.
     """
 
     theta: np.ndarray
@@ -332,6 +334,9 @@ class FittedModel:
     pickands: PickandsModel
     converged: bool
     iterations: int
+    evaluations: int
+    grad_max: float
+    message: str
     density: ClrDensity = field(repr=False)
     w_grid: WilliamsonGrid = field(repr=False)
 
@@ -367,13 +372,32 @@ def pipeline_pickands(basis: ZBasis, theta, center_enabled: bool,
     return model, dens, grid
 
 
+def minimize(*args, **kwargs):
+    """:func:`scipy.optimize.minimize`, imported at the first fit.
+
+    scipy takes most of the start-up time of every command, and only the
+    optimizer, the prior sampler, the Husler-Reiss family and ``--pseudo``
+    ranks use it.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(*args, **kwargs)
+
+
+class _OptimizerRun(NamedTuple):
+    converged: bool
+    iterations: int
+    evaluations: int
+    grad_max: float
+    message: str
+
+
 def _maximize(value_and_grad, omega: np.ndarray, lam: float, callback=None):
     """L-BFGS-B ascent from zero, in the coordinates whitened by the penalty.
 
     ``value_and_grad(theta)`` returns the objective and its gradient;
     ``callback``, when given, receives every accepted iterate.  Returns the
-    maximizer, the number of iterations and whether the run converged: scipy
-    reports success, or no gradient entry exceeds the tolerance.
+    maximizer and an :class:`_OptimizerRun`.  The run converged when scipy
+    reports success, or when no final gradient entry exceeds the tolerance.
     """
     white = _penalty_whitener(omega, lam)
 
@@ -387,12 +411,13 @@ def _maximize(value_and_grad, omega: np.ndarray, lam: float, callback=None):
                    else lambda phi: callback(white @ phi),
                    options={"maxiter": _MAX_ITER, "gtol": _GRAD_TOL,
                             "ftol": 1e-13, "maxcor": 20})
-    converged = bool(res.success) or float(
-        np.max(np.abs(res.jac))) <= _GRAD_TOL
+    grad_max = float(np.max(np.abs(res.jac)))
+    converged = bool(res.success) or grad_max <= _GRAD_TOL
     if not converged:
         logger.warning("optimizer stopped without convergence: %s",
                        res.message)
-    return white @ res.x, int(res.nit), converged
+    return white @ res.x, _OptimizerRun(converged, int(res.nit), int(res.nfev),
+                                        grad_max, str(res.message))
 
 
 def optimize(z_sample, config: FitConfig | None = None,
@@ -418,15 +443,15 @@ def optimize(z_sample, config: FitConfig | None = None,
                                           cfg.basis_dim - _DEGREE))
     lik = PenalizedLikelihood(basis, x_grid, zf, cfg.lam,
                               project_center(basis))
-    theta_hat, iterations, converged = _maximize(
+    theta_hat, run = _maximize(
         lik.value_and_grad, lik.omega, cfg.lam,
         None if trace is None else lambda theta: trace.append(lik.value(theta)))
     model, dens, grid = pipeline_pickands(basis, theta_hat, True, flip)
     return FittedModel(theta=theta_hat, basis=basis, center_applied=True,
                        flipped=flip, loglik=lik.loglik(theta_hat),
                        penalty=lik.penalty(theta_hat), lam=cfg.lam,
-                       pickands=model, converged=converged,
-                       iterations=iterations, density=dens, w_grid=grid)
+                       pickands=model, **run._asdict(), density=dens,
+                       w_grid=grid)
 
 
 @dataclass(frozen=True)
@@ -511,14 +536,14 @@ def fit_univariate_density(sample, bounds, dim: int = 13, lam: float = 1e-4
                 - 2.0 * lam * omega @ theta)
         return ll, grad
 
-    theta_hat, _, converged = _maximize(value_and_grad, omega, lam)
+    theta_hat, run = _maximize(value_and_grad, omega, lam)
     dens = ClrDensity(basis, theta_hat, center_enabled=False)
     cdf = cumulative_trapezoid(grid, dens(grid))
     cdf /= cdf[-1]
     ll = float(np.sum(np.log(np.maximum(dens(y), _LOG_FLOOR))))
     pen = lam * float(theta_hat @ omega @ theta_hat)
     return UnivariateDensityFit(density=dens, bounds=(a, b), loglik=ll,
-                                penalty=pen, lam=lam, converged=converged,
+                                penalty=pen, lam=lam, converged=run.converged,
                                 _grid=grid, _cdf=cdf)
 
 
@@ -585,6 +610,8 @@ def _prior_draws(lam: float, R: float, omega: np.ndarray, center: np.ndarray,
     ball; on the ball ``|theta| <= R``, inside their support, they are
     proportional to the prior, so keeping those that fall in it is exact.
     """
+    from scipy.special import ndtr, ndtri
+
     evals, U = np.linalg.eigh(omega)  # ascending: null directions first
     n_flat = int(np.sum(evals <= 1e-9 * evals[-1])) if lam > 0 else evals.size
     mu = -(U.T @ center)[n_flat:]
@@ -654,6 +681,9 @@ def model_to_dict(fm: FittedModel) -> dict:
             "loglik": float(fm.loglik),
             "penalty": float(fm.penalty),
             "iterations": int(fm.iterations),
+            "evaluations": int(fm.evaluations),
+            "grad_max": float(fm.grad_max),
+            "message": fm.message,
             "converged": bool(fm.converged),
             "w0_estimate": float(fm.w0_estimate),
         },
@@ -679,8 +709,13 @@ def model_from_dict(d: dict) -> FittedModel:
     penalty = read_field(d, "diagnostics.penalty", float, np.nan)
     converged = read_field(d, "diagnostics.converged", _as_bool, True)
     iterations = read_field(d, "diagnostics.iterations", int, 0)
+    evaluations = read_field(d, "diagnostics.evaluations", int, 0)
+    grad_max = read_field(d, "diagnostics.grad_max", float, np.nan)
+    message = read_field(d, "diagnostics.message", str, "")
     model, dens, grid = pipeline_pickands(basis, theta, center_applied, flipped)
     return FittedModel(theta=theta, basis=basis, center_applied=center_applied,
                        flipped=flipped, loglik=loglik, penalty=penalty,
                        lam=lam, pickands=model, converged=converged,
-                       iterations=iterations, density=dens, w_grid=grid)
+                       iterations=iterations, evaluations=evaluations,
+                       grad_max=grad_max, message=message, density=dens,
+                       w_grid=grid)

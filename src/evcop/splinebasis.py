@@ -4,7 +4,9 @@ The construction starts from the clamped B-spline basis of degree ``d`` with
 ``n`` interior knots (dimension ``n + d + 1``), restricts to the subspace of
 splines with zero integral (dimension ``n + d``) and orthonormalizes that
 subspace in L2.  The resulting functions parameterize log-densities through
-the inverse centered-log-ratio map, see :mod:`evcop.bayes`.
+the inverse centered-log-ratio map, see :mod:`evcop.bayes`.  B-splines and
+their derivatives are evaluated by the Cox-de Boor recursion, vectorized over
+the points (:func:`_bspline_design`).
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import BSpline
 
 from ._quad import gauss_legendre
 from .errors import InputError, NumericalError
@@ -62,10 +63,42 @@ class KnotConfig:
 
 
 def _bspline_design(full_knots: np.ndarray, degree: int, x: np.ndarray, deriv: int) -> np.ndarray:
-    """Design matrix of all clamped B-splines at ``x``: shape (len(x), nbasis)."""
-    nb = len(full_knots) - degree - 1
+    """Design matrix of all clamped B-splines at ``x``: shape (len(x), nbasis).
+
+    Cox-de Boor recursion on every point at once, in the operation order of
+    FITPACK's ``fpbspl``: ``degree - deriv`` value steps, then ``deriv``
+    derivative steps.  Row ``r`` holds the ``degree + 1`` B-splines that are
+    nonzero on the knot interval ``[t_l, t_l+1)`` of ``x[r]`` (the last
+    interval for ``x = 1``); NaN gives a row of NaN.
+    """
+    k = degree
+    nb = len(full_knots) - k - 1
     x = np.asarray(x, dtype=float).ravel()
-    return BSpline(full_knots, np.eye(nb), degree)(x, nu=deriv)
+    ell = np.searchsorted(full_knots[k + 1:nb], x, side="right") + k
+    # the knots t[l + m] for m = 1 - k, ..., k, and their distances from x
+    t = {m: full_knots.take(ell + m) for m in range(1 - k, k + 1)}
+    dist = {m: t[m] - x if m > 0 else x - t[m] for m in t}
+    h = np.zeros((k + 1, x.size))
+    h[0] = float(deriv <= k)  # a derivative above the degree vanishes
+    for j in range(1, k + 1):
+        hh = h[:j].copy()
+        h[0] = 0.0
+        for n in range(1, j + 1):
+            if j <= k - deriv:
+                w = hh[n - 1] / (t[n] - t[n - j])
+                h[n - 1] += w * dist[n]
+                np.multiply(w, dist[n - j], out=h[n])
+            else:
+                w = j * hh[n - 1] / (t[n] - t[n - j])
+                h[n - 1] -= w
+                h[n] = w
+    out = np.zeros((x.size, nb))
+    flat = out.reshape(-1)
+    first = np.arange(0, out.size, nb) + ell - k
+    for a in range(k + 1):
+        flat[first + a] = h[a]
+    out[np.isnan(x)] = np.nan
+    return out
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,9 @@
 import json
 import logging
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -382,6 +385,8 @@ def test_study_rejects_bad_spec(tmp_path, capsys):
 
 _TINY_STUDY = {"study": "tvd", "seed": 1, "sample_sizes": [100],
                "random_evc": {"count": 1}}
+_TINY_BV = {"study": "bias-variance", "seed": 1, "sample_sizes": [100],
+            "families": [{"family": "gumbel", "theta": 2.0}]}
 
 
 @pytest.mark.parametrize("kind,doc,extra,threads,named", [
@@ -393,8 +398,20 @@ _TINY_STUDY = {"study": "tvd", "seed": 1, "sample_sizes": [100],
     ("study", [_TINY_STUDY], [], None, "JSON object"),
     ("study", _TINY_STUDY, [], "abc", "EVCOP_THREADS"),
     ("study", _TINY_STUDY, ["--workers", "0"], None, "--workers"),
+    ("study", {**_TINY_STUDY, "replications": 0}, [], None, "'replications'"),
+    ("study", {**_TINY_STUDY, "replications": -3}, [], None, "'replications'"),
+    ("study", {**_TINY_STUDY, "sample_sizes": []}, [], None, "'sample_sizes'"),
+    ("study", {**_TINY_STUDY, "sample_sizes": [100, 29]}, [], None,
+     "'sample_sizes'"),
+    ("study", {**_TINY_STUDY, "random_evc": {"count": 0}}, [], None,
+     "'random_evc.count'"),
+    ("study", {**_TINY_BV, "replications": 0}, [], None, "'replications'"),
+    ("study", {**_TINY_BV, "sample_sizes": []}, [], None, "'sample_sizes'"),
 ], ids=["model-lambda", "model-diagnostics", "model-flipped", "model-knots",
-        "spec-seed", "spec-list", "env-threads", "workers-0"])
+        "spec-seed", "spec-list", "env-threads", "workers-0",
+        "spec-replications-0", "spec-replications-negative",
+        "spec-sizes-empty", "spec-size-below-30", "spec-count-0",
+        "bias-variance-replications-0", "bias-variance-sizes-empty"])
 def test_outside_input_exits_2_naming_the_field(
         tmp_path, monkeypatch, capsys, gumbel2_fit, kind, doc, extra,
         threads, named):
@@ -409,6 +426,43 @@ def test_outside_input_exits_2_naming_the_field(
             ["study", str(path), "-o", str(tmp_path / "runs.csv"), *extra])
     assert main(argv) == 2
     assert named in capsys.readouterr().err
+
+
+_SCIPY_PROBE = """
+import sys
+
+def scipy_modules():
+    found = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+    return sorted(found)[:5]
+
+model, csv, out = sys.argv[1:]
+import evcop
+assert not scipy_modules(), ("import evcop", scipy_modules())
+import evcop.cli
+evcop.cli.build_parser().format_help()
+assert not scipy_modules(), ("import evcop.cli", scipy_modules())
+for argv in (["evaluate", model], ["simulate", model, "-n", "1000", "-o", out]):
+    assert evcop.cli.main(argv) == 0
+    assert not scipy_modules(), (argv[0], scipy_modules())
+assert evcop.cli.main(["fit", csv, "-o", out]) == 0
+assert "scipy.optimize" in sys.modules
+assert "scipy.interpolate" not in sys.modules, "fit"
+"""
+
+
+def test_commands_import_scipy_only_to_fit(tmp_path, gumbel2_fit, gumbel_csv):
+    # start-up, help, evaluate and simulate run on numpy alone; a fit loads
+    # scipy's optimizer and nothing of scipy.interpolate
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(model_to_dict(gumbel2_fit)))
+    src = str(Path(__import__("evcop").__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, str(model), gumbel_csv,
+         str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_joint_pipeline_properties(gumbel2):

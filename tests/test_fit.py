@@ -628,6 +628,18 @@ def test_model_serialization_roundtrip(gumbel2_fit):
     assert upper_tail(clone.pickands) == upper_tail(gumbel2_fit.pickands)
     assert gini_from_pickands(clone.pickands) == gini_from_pickands(
         gumbel2_fit.pickands)
+    for name in ("converged", "iterations", "evaluations", "grad_max",
+                 "message"):
+        assert getattr(clone, name) == getattr(gumbel2_fit, name), name
+    assert gumbel2_fit.evaluations >= gumbel2_fit.iterations >= 1
+    assert gumbel2_fit.message
+    # model files written before the optimizer record still load
+    old = {**doc, "diagnostics": {k: v for k, v in doc["diagnostics"].items()
+                                  if k not in ("evaluations", "grad_max",
+                                               "message")}}
+    legacy = model_from_dict(old)
+    assert (legacy.evaluations, legacy.message) == (0, "")
+    assert np.isnan(legacy.grad_max)
     with pytest.raises(InputError):
         model_from_dict({"degree": 3})
 

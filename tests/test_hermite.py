@@ -77,6 +77,27 @@ def test_pickands_curvature_matches_reference(grids):
         assert np.all(np.abs(d_new - d_ref) <= 1e-6 * np.maximum(np.abs(d_ref), 1.0))
 
 
+def test_edge_inputs_match_reference(grids):
+    # shapes, NaN, the nodes and both ends exactly, and extrapolation of the
+    # end pieces a hundredth of their width outside [0, 1]
+    for _, args in grids:
+        x = args[0]
+        probes = [np.empty(0), np.float64(0.3), 0.3, np.nan, x,
+                  np.array([0.0, 1.0, np.nan]),
+                  np.array([-1e-2 * x[1], 1.0 + 1e-2 * (1.0 - x[-2])]),
+                  np.linspace(0.0, 1.0, 12).reshape(3, 4)]
+        new, ref = hermite_interpolator(*args), reference_interpolator(*args)
+        for order, tol in ((0, 1e-14), (1, 1e-9), (2, 1e-6)):
+            f = new.derivative(order) if order else new
+            g = ref.derivative(order) if order else ref
+            for p in probes:
+                value, expected = f(p), g(p)
+                assert np.shape(value) == np.shape(expected)
+                np.testing.assert_allclose(value, expected, rtol=tol, atol=tol)
+        # node values are reproduced exactly, except at the right end
+        assert np.array_equal(new(x[:-1]), args[1][:-1])
+
+
 def test_interior_nodes_reproduce_inputs_and_are_c2(grids):
     for _, (x, y, d1, d2) in grids:
         ip = hermite_interpolator(x, y, d1, d2)
@@ -120,13 +141,13 @@ def test_any_sentinel_pattern_matches_reference():
 
 def test_only_sentinel_pieces_are_built_one_by_one(grids, monkeypatch):
     calls = []
-    build = BPoly.from_derivatives
+    build = evcop._hermite._sentinel_piece
 
-    def counted(xi, yi, *args, **kwargs):
-        calls.append(len(xi))
-        return build(xi, yi, *args, **kwargs)
+    def counted(x, ya, yb):
+        calls.append(len(x))
+        return build(x, ya, yb)
 
-    monkeypatch.setattr(evcop._hermite.BPoly, "from_derivatives", counted)
+    monkeypatch.setattr(evcop._hermite, "_sentinel_piece", counted)
     for _, args in grids:
         calls.clear()
         hermite_interpolator(*args)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.interpolate import splev
+from scipy.interpolate import BSpline, splev
 
 from evcop.errors import InputError
 from evcop.splinebasis import (
@@ -106,6 +106,23 @@ def test_design_matrix_matches_splev_loop(degree):
             ref = _splev_design(full, degree, x, deriv)
             err = np.abs(_bspline_design(full, degree, x, deriv) - ref)
             assert np.all(err <= 1e-14 * np.max(np.abs(ref), axis=0))
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_design_matrix_edge_inputs_match_bspline(degree):
+    # the values and derivatives of scipy's BSpline to the last bit: at the
+    # ends, exactly at interior knots, next to them, and for NaN and no points
+    cfg = uniform_config(6, degree)
+    full = cfg.full_knots
+    nb = len(full) - degree - 1
+    knots = np.asarray(cfg.interior_knots)
+    for x in (np.empty(0), np.array([0.0, 1.0]), knots,
+              np.concatenate([np.nextafter(knots, 0.0), np.nextafter(knots, 1.0)]),
+              np.array([np.nextafter(1.0, 0.0), 5e-324, np.nan])):
+        for deriv in (0, 1, 2):
+            expected = BSpline(full, np.eye(nb), degree)(x, nu=deriv)
+            assert np.array_equal(_bspline_design(full, degree, x, deriv),
+                                  expected, equal_nan=True), (x, deriv)
 
 
 def test_eval_rejects_outside_domain():
