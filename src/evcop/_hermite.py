@@ -136,8 +136,8 @@ def hermite_interpolator(x, values, d1, d2) -> PiecewiseBernstein:
     h = np.diff(x)
     h2 = h ** 2
     c = np.empty((6, h.size))
-    # the operation order of the reference construction, so that the
-    # coefficients match its own to the last bit
+    # the operation order of ``from_derivatives``, so that the coefficients
+    # match its own to the last bit
     with np.errstate(invalid="ignore"):
         c[0] = y[:-1]
         c[1] = d1[:-1] / 5.0 * h + c[0]
