@@ -51,8 +51,6 @@ __all__ = [
     "write_pairs",
     "pseudo_observations",
     "run_study",
-    "run_tvd_study",
-    "run_bias_variance_study",
     "joint_pipeline",
 ]
 
@@ -197,10 +195,7 @@ def cmd_evaluate(args) -> int:
         raise InputError("evaluate expects a copula model, not a margin model")
     fm, cop = _rebuild_copula(doc)
     pick = cop.pickands  # symmetrized when the document says so
-    # fm.pickands is the rotation of fm.w_grid, mirrored when the fit
-    # flipped; mirroring swaps the atoms and leaves A(1/2) unchanged
     sm = spectral_from_w(fm.pickands)
-    h0, h1 = (sm.h1, sm.h0) if fm.flipped else (sm.h0, sm.h1)
     diag = validate_pickands(pick)
     report = {
         "gini": {
@@ -212,7 +207,7 @@ def cmd_evaluate(args) -> int:
         "upper_tail": upper_tail(pick),
         "fixed_point": fixed_point(fm.pickands),
         "boundary_slopes": [float(pick.deriv(0.0)), float(pick.deriv(1.0))],
-        "spectral": {"H0": h0, "H1": h1},
+        "spectral": {"H0": sm.h0, "H1": sm.h1},
         "constraints_ok": diag.passed(1e-6),
         "survival": bool(doc.get("survival", False)),
     }
@@ -256,11 +251,6 @@ def _family_copula(conf: dict) -> EvCopula:
                                        khoudraji=kh))
 
 
-def _fit_config_from_spec(spec: dict, lam: float) -> FitConfig:
-    return FitConfig(basis_dim=read_field(spec, "fit.dim", int, 13), lam=lam,
-                     grid_k=read_field(spec, "fit.grid_k", int, 78))
-
-
 def _study_run(payload):
     """One study run: simulate from the truth, fit, score."""
     truth, cfg, size, seed_key, copula_id, replicate, t_grid = payload
@@ -298,18 +288,6 @@ def _worker_count(requested=None) -> int:
     return n
 
 
-def _run_all(payloads, workers: int):
-    """Results of the study runs, their rows, and their summary and errors."""
-    if workers <= 1 or len(payloads) <= 1:
-        results = [_study_run(p) for p in payloads]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_study_run, payloads))
-    rows = [r for r, _, _ in results]
-    return results, rows, {"summary": _summarize(rows),
-                           "errors": [e for _, _, e in results if e]}
-
-
 def _summarize(rows) -> list[dict]:
     out = []
     sizes = sorted({r["sample_size"] for r in rows})
@@ -325,52 +303,60 @@ def _summarize(rows) -> list[dict]:
     return out
 
 
-def run_tvd_study(spec: dict, workers: int = 1):
-    """Random-copula recovery study scored by total variation distance."""
-    seed = read_field(spec, "seed", int, 0)
-    count = read_field(spec, "random_evc.count", _at_least(1), 20)
-    lam = read_field(spec, "random_evc.lambda", float, 1e-4)
-    radius = read_field(spec, "random_evc.R", float, 5.0)
-    basis = default_random_basis(read_field(spec, "random_evc.dim", int, 13))
-    sizes = read_field(spec, "sample_sizes", _sample_sizes, [1000])
-    reps = read_field(spec, "replications", _at_least(1), 1)
-    cfg = _fit_config_from_spec(spec, read_field(spec, "fit.lambda", float,
-                                                 1e-4))
-    models = random_pickands(lam, radius, count, seed=seed, basis=basis)
-    payloads = []
-    for cid, model in enumerate(models):
-        truth = EvCopula(model)
-        for si, size in enumerate(sizes):
-            for rep in range(reps):
-                payloads.append((truth, cfg, size, (seed, cid, si, rep),
-                                 cid, rep, None))
-    _, rows, meta = _run_all(payloads, workers)
-    meta["truth_gini"] = {cid: gini_from_pickands(m)
-                          for cid, m in enumerate(models)}
-    return rows, meta
+def run_study(spec: dict, workers: int = 1):
+    """Run the study a spec describes: ``(kind, rows, meta)``.
 
-
-def run_bias_variance_study(spec: dict, workers: int = 1):
-    """Repeated-fit study on parametric families with pointwise envelopes."""
+    A tvd study fits random spline truths and scores recovery by total
+    variation distance; a bias-variance study fits parametric families
+    repeatedly and records pointwise envelopes of the fitted Pickands
+    functions.  ``meta`` holds the ``summary`` and the ``errors`` for both
+    kinds; tvd studies add the ``truth_gini`` of each random model and
+    bias-variance studies the ``envelope``.
+    """
+    kind = spec.get("study")
+    if kind not in ("tvd", "bias-variance"):
+        raise InputError(f"unknown study kind {kind!r}; "
+                         "expected 'tvd' or 'bias-variance'")
+    tvd = kind == "tvd"
+    # every field is read before a model is drawn or fitted
     fams = spec.get("families")
-    if not fams:
+    if not (tvd or fams):
         raise InputError("bias-variance study requires a 'families' list")
     seed = read_field(spec, "seed", int, 0)
     sizes = read_field(spec, "sample_sizes", _sample_sizes, [1000])
-    reps = read_field(spec, "replications", _at_least(1), 100)
+    reps = read_field(spec, "replications", _at_least(1), 1 if tvd else 100)
     lam = read_field(spec, "fit.lambda", float, 1e-4)
-    t_grid = np.linspace(0.0, 1.0, 101)
-    payloads = []
-    truths = []
-    for cid, fam in enumerate(fams):
-        truth = _family_copula(fam)
-        truths.append(truth)
-        cfg = _fit_config_from_spec(spec, read_field(fam, "lambda", float, lam))
-        for si, size in enumerate(sizes):
-            for rep in range(reps):
-                payloads.append((truth, cfg, size, (seed, cid, si, rep),
-                                 cid, rep, t_grid))
-    results, rows, meta = _run_all(payloads, workers)
+    dim = read_field(spec, "fit.dim", int, 13)
+    grid_k = read_field(spec, "fit.grid_k", int, 78)
+    if tvd:
+        count = read_field(spec, "random_evc.count", _at_least(1), 20)
+        prior_lam = read_field(spec, "random_evc.lambda", float, 1e-4)
+        radius = read_field(spec, "random_evc.R", float, 5.0)
+        basis = default_random_basis(read_field(spec, "random_evc.dim", int, 13))
+        cfgs = [FitConfig(basis_dim=dim, lam=lam, grid_k=grid_k)] * count
+        truths = [EvCopula(m) for m in random_pickands(prior_lam, radius, count,
+                                                       seed=seed, basis=basis)]
+        t_grid = None
+    else:
+        truths = [_family_copula(fam) for fam in fams]
+        cfgs = [FitConfig(basis_dim=dim, lam=read_field(fam, "lambda", float, lam),
+                          grid_k=grid_k) for fam in fams]
+        t_grid = np.linspace(0.0, 1.0, 101)
+    payloads = [(truth, cfg, size, (seed, cid, si, rep), cid, rep, t_grid)
+                for cid, (truth, cfg) in enumerate(zip(truths, cfgs))
+                for si, size in enumerate(sizes) for rep in range(reps)]
+    if workers <= 1 or len(payloads) <= 1:
+        results = [_study_run(p) for p in payloads]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_study_run, payloads))
+    rows = [r for r, _, _ in results]
+    meta = {"summary": _summarize(rows),
+            "errors": [e for _, _, e in results if e]}
+    if tvd:
+        meta["truth_gini"] = {cid: gini_from_pickands(t.pickands)
+                              for cid, t in enumerate(truths)}
+        return kind, rows, meta
     envelope = meta["envelope"] = []
     for cid, truth in enumerate(truths):
         curves = np.asarray([c for (r, c, _) in results
@@ -386,23 +372,7 @@ def run_bias_variance_study(spec: dict, workers: int = 1):
                              "truth": float(truth_vals[j]),
                              "mean": float(mean[j]), "q01": float(q01[j]),
                              "q99": float(q99[j])})
-    return rows, meta
-
-
-def run_study(spec: dict, workers: int = 1):
-    """Run the study a spec describes: ``(kind, rows, meta)``.
-
-    ``meta`` holds the ``summary`` and the ``errors`` for both kinds; tvd
-    studies add the ``truth_gini`` of each random model and bias-variance
-    studies the ``envelope``.
-    """
-    kind = spec.get("study")
-    if kind == "tvd":
-        return ("tvd",) + run_tvd_study(spec, workers)
-    if kind == "bias-variance":
-        return ("bias-variance",) + run_bias_variance_study(spec, workers)
-    raise InputError(f"unknown study kind {kind!r}; "
-                     "expected 'tvd' or 'bias-variance'")
+    return kind, rows, meta
 
 
 def _write_rows(path, rows, columns):

@@ -69,7 +69,14 @@ class EvCopula:
         out[inner] = np.exp(s * np.asarray(self.pickands(lu / s), dtype=float))
         return out
 
-    def _partials_base(self, u, v):
+    def _base(self, u, v):
+        """``dC/du``, ``dC/dv`` and the density, from one read of A, A', A''.
+
+        In the coordinates ``s = log(uv)``, ``t = log u / s`` of Ghoudi,
+        Khoudraji & Rivest (1998): ``dC/du = v e^{s(A-1)} (A + (1-t)A')``,
+        ``dC/dv = u e^{s(A-1)} (A - tA')`` and
+        ``c = e^{s(A-1)} [(A + (1-t)A')(A - tA') - t(1-t)A''/s]``.
+        """
         # C/u = v exp(s (A - 1)): exact (no exp/log round trip) at A == 1,
         # which keeps conditional inversion exact for the independence copula
         u, v = np.broadcast_arrays(np.asarray(u, dtype=float),
@@ -80,75 +87,41 @@ class EvCopula:
         t = lu / s
         a = np.asarray(self.pickands(t), dtype=float)
         ap = np.asarray(self.pickands.deriv(t), dtype=float)
+        app = np.asarray(self.pickands.deriv2(t), dtype=float)
         scale = np.exp(s * (a - 1.0))
         pu = v * scale * (a + (1.0 - t) * ap)
         pv = u * scale * (a - t * ap)
-        return pu, pv
-
-    def _cond_and_pdf_base(self, u, v):
-        """``dC/du`` and the density, from one evaluation of A, A' and A''."""
-        u, v = np.broadcast_arrays(np.asarray(u, dtype=float),
-                                   np.asarray(v, dtype=float))
-        lu = np.log(u)
-        lv = np.log(v)
-        s = lu + lv
-        t = lu / s
-        a = np.asarray(self.pickands(t), dtype=float)
-        ap = np.asarray(self.pickands.deriv(t), dtype=float)
-        app = np.asarray(self.pickands.deriv2(t), dtype=float)
-        scale = np.exp(s * (a - 1.0))
-        cond = v * scale * (a + (1.0 - t) * ap)
         core = (a + (1.0 - t) * ap) * (a - t * ap) - t * (1.0 - t) * app / s
-        return cond, scale * core
+        return pu, pv, scale * core
+
+    def _reflect(self, *xs):
+        """The arguments as float arrays, mapped ``x -> 1 - x`` if survival."""
+        xs = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in xs))
+        return [1.0 - x for x in xs] if self.survival else xs
 
     # -- public surface ------------------------------------------------------
 
     def cdf(self, u, v):
         """Copula value, honoring the boundary conventions."""
-        scalar = np.ndim(u) == 0 and np.ndim(v) == 0
-        if self.survival:
-            ua, va = np.broadcast_arrays(np.asarray(u, dtype=float),
-                                         np.asarray(v, dtype=float))
-            out = ua + va - 1.0 + self._cdf_base(1.0 - ua, 1.0 - va)
-            out = np.maximum(out, 0.0)
-        else:
-            out = self._cdf_base(u, v)
-        return float(out.flat[0]) if scalar else out
+        out = self._cdf_base(*self._reflect(u, v))
+        if self.survival:  # u + v - 1 + C(1 - u, 1 - v)
+            out = np.maximum(np.asarray(u, dtype=float)
+                             + np.asarray(v, dtype=float) - 1.0 + out, 0.0)
+        return _scalar_if_scalars(u, v, out)
 
     def partial_u(self, u, v):
         """Conditional CDF of V given U = u (interior arguments)."""
-        scalar = np.ndim(u) == 0 and np.ndim(v) == 0
-        if self.survival:
-            pu, _ = self._partials_base(1.0 - np.asarray(u, dtype=float),
-                                        1.0 - np.asarray(v, dtype=float))
-            out = 1.0 - pu
-        else:
-            out = self._partials_base(u, v)[0]
-        out = np.asarray(out)
-        return float(out.flat[0]) if scalar else out
+        pu = self._base(*self._reflect(u, v))[0]
+        return _scalar_if_scalars(u, v, 1.0 - pu if self.survival else pu)
 
     def partial_v(self, u, v):
         """Conditional CDF of U given V = v (interior arguments)."""
-        scalar = np.ndim(u) == 0 and np.ndim(v) == 0
-        if self.survival:
-            _, pv = self._partials_base(1.0 - np.asarray(u, dtype=float),
-                                        1.0 - np.asarray(v, dtype=float))
-            out = 1.0 - pv
-        else:
-            out = self._partials_base(u, v)[1]
-        out = np.asarray(out)
-        return float(out.flat[0]) if scalar else out
+        pv = self._base(*self._reflect(u, v))[1]
+        return _scalar_if_scalars(u, v, 1.0 - pv if self.survival else pv)
 
     def pdf(self, u, v):
         """Copula density (interior arguments)."""
-        scalar = np.ndim(u) == 0 and np.ndim(v) == 0
-        if self.survival:
-            _, out = self._cond_and_pdf_base(1.0 - np.asarray(u, dtype=float),
-                                             1.0 - np.asarray(v, dtype=float))
-        else:
-            _, out = self._cond_and_pdf_base(u, v)
-        out = np.asarray(out)
-        return float(out.flat[0]) if scalar else out
+        return _scalar_if_scalars(u, v, self._base(*self._reflect(u, v))[2])
 
     def simulate(self, n: int, seed=None) -> np.ndarray:
         """Draw ``n`` pairs by conditional-distribution inversion.
@@ -170,11 +143,8 @@ class EvCopula:
             while np.any(bad):
                 arr[bad] = rng.random(int(np.sum(bad)))
                 bad = arr <= 0.0
-        if self.survival:
-            w, r = self._invert_base(1.0 - u, 1.0 - p)
-            v = 1.0 - w
-        else:
-            v, r = self._invert_base(u, p)
+        w, r = self._invert_base(*self._reflect(u, p))
+        (v,) = self._reflect(w)  # the reflection is its own inverse
         if not np.all(np.isfinite(v)):
             raise NumericalError("conditional inversion produced non-finite values")
         # a residual surviving the solve means the conditional CDF never
@@ -231,7 +201,7 @@ class EvCopula:
         act = np.arange(u.size)
         for _ in range(_NEWTON_STEPS):
             va = v[act]
-            cond, dens = self._cond_and_pdf_base(u[act], va)
+            cond, _, dens = self._base(u[act], va)
             ra = cond - p[act]
             r[act] = ra
             la = np.where(ra < 0.0, va, v_lo[act])
@@ -253,11 +223,17 @@ class EvCopula:
         ua, pa = u[act], p[act]
 
         def resid(x):
-            return self._partials_base(ua, x)[0] - pa
+            return self._base(ua, x)[0] - pa
 
         v[act] = vector_bisect(resid, v_lo[act], v_hi[act], iters=50)
         r[act] = resid(v[act])
         return v, r
+
+
+def _scalar_if_scalars(u, v, out):
+    """``out`` as a float when ``u`` and ``v`` are both scalars."""
+    out = np.asarray(out)
+    return float(out.flat[0]) if np.ndim(u) == 0 and np.ndim(v) == 0 else out
 
 
 def tvd_copulas(c1, c2, full: bool = False):

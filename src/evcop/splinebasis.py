@@ -211,26 +211,17 @@ def curvature_matrix(b: ZBasis) -> np.ndarray:
     return 0.5 * (omega + omega.T)
 
 
-def _log_refined_rule(first_break: float, degree: int):
-    """Gauss rule on [0, first_break] on 16 subintervals halving toward 0.
-
-    Handles integrable log-type singularities at 0: nodes never touch 0.
-    """
-    edges = first_break * 0.5 ** np.arange(16, -1, -1.0)
-    edges[0] = 0.0
-    return gauss_legendre(edges, 2 * degree + 2)
-
-
 def center_quadrature(b: ZBasis) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature rule accurate for spline products and log-type integrands.
 
-    Same Gauss rule as the basis uses, with the first knot interval split
-    geometrically toward 0; still exact for piecewise polynomials.
+    Same Gauss rule as the basis uses, with the first knot interval split on
+    16 panels halving toward 0, so that nodes never touch the singularity at
+    0; still exact for piecewise polynomials.
     """
     breaks = b.knot_config.breakpoints
-    n0, w0 = _log_refined_rule(breaks[1], b.degree)
-    n1, w1 = gauss_legendre(breaks[1:], 2 * b.degree + 2)
-    return np.concatenate([n0, n1]), np.concatenate([w0, w1])
+    edges = np.concatenate([[0.0], breaks[1] * 0.5 ** np.arange(15, -1, -1.0),
+                            breaks[2:]])
+    return gauss_legendre(edges, 2 * b.degree + 2)
 
 
 def project_center(b: ZBasis) -> np.ndarray:

@@ -164,6 +164,8 @@ def test_evaluate_rotates_once(tmp_path, gumbel2, monkeypatch, capsys):
         report = json.loads(capsys.readouterr().out)
         assert len(calls) == 1
         assert report["spectral"] == {"H0": sm.h0, "H1": sm.h1}
+        # A'(0) = -1 and A'(1) = 1 on every spline grid, flipped or not
+        assert report["spectral"] == {"H0": 0.0, "H1": 0.0}
         # a flipped model is mirrored, which moves A(1/2) by round-off only
         assert abs(report["fixed_point"] - fp) <= 1e-15
     assert flips == {False, True}
@@ -407,11 +409,17 @@ _TINY_BV = {"study": "bias-variance", "seed": 1, "sample_sizes": [100],
      "'random_evc.count'"),
     ("study", {**_TINY_BV, "replications": 0}, [], None, "'replications'"),
     ("study", {**_TINY_BV, "sample_sizes": []}, [], None, "'sample_sizes'"),
+    ("study", {**_TINY_STUDY, "fit": {"grid_k": "x"}}, [], None,
+     "'fit.grid_k'"),
+    ("study", {**_TINY_BV, "families": [{"family": "gumbel", "theta": 2.0,
+                                         "lambda": "x"}]}, [], None,
+     "'lambda'"),
 ], ids=["model-lambda", "model-diagnostics", "model-flipped", "model-knots",
         "spec-seed", "spec-list", "env-threads", "workers-0",
         "spec-replications-0", "spec-replications-negative",
         "spec-sizes-empty", "spec-size-below-30", "spec-count-0",
-        "bias-variance-replications-0", "bias-variance-sizes-empty"])
+        "bias-variance-replications-0", "bias-variance-sizes-empty",
+        "spec-fit-grid-k", "bias-variance-family-lambda"])
 def test_outside_input_exits_2_naming_the_field(
         tmp_path, monkeypatch, capsys, gumbel2_fit, kind, doc, extra,
         threads, named):

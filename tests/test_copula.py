@@ -291,6 +291,10 @@ def test_survival_partials_and_simulation(gumbel2):
     h = 1e-6
     fdu = (surv.cdf(u + h, v) - surv.cdf(u - h, v)) / (2 * h)
     assert np.max(np.abs(surv.partial_u(u, v) - fdu)) <= 1e-6
+    fdv = (surv.cdf(u, v + h) - surv.cdf(u, v - h)) / (2 * h)
+    assert np.max(np.abs(surv.partial_v(u, v) - fdv)) <= 1e-6
+    fdc = (surv.partial_u(u, v + h) - surv.partial_u(u, v - h)) / (2 * h)
+    assert np.max(np.abs(surv.pdf(u, v) - fdc)) <= 1e-6
     sample = surv.simulate(2000, seed=3)
     resid = surv.partial_u(sample[:, 0], sample[:, 1])
     assert np.all((resid > 0) & (resid < 1))
