@@ -9,7 +9,11 @@ nonparametric pilot estimate) lets the whole chain
 
 be evaluated as plain array arithmetic, so the penalized log-likelihood and
 its exact reverse-mode (adjoint) gradient, one backward sweep through every
-step, are cheap enough for quasi-Newton optimization.  The objective and the
+step, are cheap enough for quasi-Newton optimization.  The pseudo-angles are
+sorted once, when the objective is set up; the z-density is linear between
+the grid's knots, so each evaluation locates the data with one search per
+knot, and the gradient of the data term reduces to two sums per knot
+segment (``S0`` and ``S1``, see :func:`_loss_and_grad`).  The objective and the
 tabulation of fitted models (:func:`pipeline_pickands`) are one construction:
 both run the Williamson kernel, divide the transform by its W(0+) mass and
 map each grid node through the affine link.  The objective does so on the
@@ -192,7 +196,9 @@ class _HhatPipeline:
     The basis is evaluated once at the quadrature nodes of the Williamson
     kernel on the grid; per-iteration work is array arithmetic on the grid,
     and the exact gradient is one reverse (adjoint) sweep through the same
-    stages that ends in a single product with the design matrix.
+    stages that ends in a single product with the design matrix.  The
+    pipeline holds no data: :func:`_loss_and_grad` passes it the cotangents
+    of the knots, formed from per-segment sums over the sorted pseudo-angles.
     """
 
     def __init__(self, basis: ZBasis, x_grid: np.ndarray):
@@ -208,8 +214,7 @@ class _HhatPipeline:
         ``h_full[1:-1]`` and of ``I_h`` to the gradient in ``theta``.
         """
         p = self.B @ np.asarray(theta, dtype=float)
-        live = np.abs(p) < _EXP_CLIP
-        e = np.exp(np.clip(p, -_EXP_CLIP, _EXP_CLIP))
+        e = np.exp(p.clip(-_EXP_CLIP, _EXP_CLIP))
         # dividing by the W(0+) mass, as normalize_w does for tabulated
         # models, also normalizes the density: the kernel is linear
         w, wp, wpp, _, c = self.kernel(e.reshape(self.kernel.nodes.shape))
@@ -217,14 +222,17 @@ class _HhatPipeline:
         t, a, ap, app = link(self.kernel.x_in, w, wp, wpp)
         h = h_formula(t, a, ap, app)
 
-        t_full = np.concatenate([[0.0], t, [1.0]])
-        h_full = np.concatenate([[0.0], h, [0.0]])
-        wt = trapezoid_weights(t_full)
-        I_h = float(wt @ h_full)
+        t_full = np.empty(self.m + 2)
+        t_full[0], t_full[1:-1], t_full[-1] = 0.0, t, 1.0
+        h_full = np.zeros(self.m + 2)
+        h_full[1:-1] = h
+        # trapezoid weights of the interior knots; h is 0 at both ends
+        wt = 0.5 * (t_full[2:] - t_full[:-2])
+        I_h = float(wt @ h)
 
         def pullback(gt, gh, gI):
             # I_h = wt(t) @ h: its weights move with the interior t nodes
-            gh = gh + gI * wt[1:-1]
+            gh = gh + gI * wt
             # h_formula in (t, r = A'/A, A'', A)
             r = ap / a
             q = 1.0 - 2.0 * t
@@ -241,42 +249,68 @@ class _HhatPipeline:
             gwp = 2.0 * gr / a * u * u + 3.0 * gwpp * wpp * u
             gc = -(gw @ w + gwp @ wp + gwpp @ wpp)
             gfv = self.kernel.transpose(gw, gwp, gwpp, gc)
-            return (gfv.ravel() * e * live) @ self.B / c
+            # clipped exponentials are constant in theta
+            gfv = gfv.ravel() * e
+            gfv[np.abs(p) >= _EXP_CLIP] = 0.0
+            return gfv @ self.B / c
 
         return t_full, h_full, I_h, pullback
 
 
 def _loss_and_grad(pipe: _HhatPipeline, z: np.ndarray, theta: np.ndarray,
                    want_grad: bool):
+    """Data term ``sum log h_hat(z_i)`` at ``theta`` and, if wanted, its gradient.
+
+    ``z`` must be sorted ascending (:class:`PenalizedLikelihood` sorts it
+    once).  The z-density is linear on each knot segment ``[t_j, t_{j+1})``,
+    ``h = h_j + beta_j (z - t_j)``, so the segments are located by one
+    search per knot, not per observation.  An observation at ``t_j`` belongs
+    to segment ``j``; the end segments take anything beyond ``[0, 1]``.
+    The gradient needs only ``S0_j``, the sum of ``1 / h``, and ``S1_j``,
+    the sum of ``(z - t_j) / h``, over the live observations of each
+    segment (``h_hat`` above the log floor): the knot cotangents follow from
+    them in arithmetic on the grid.  The objective has kinks where an
+    observation meets a moving knot; the gradient is exact between them.
+    """
     t_full, h_full, I_h, pullback = pipe.forward(theta)
     I_h = max(I_h, 1e-300)
-    idx = np.clip(np.searchsorted(t_full, z, side="right") - 1, 0, pipe.m)
-    tl = t_full[idx]
-    tr = t_full[idx + 1]
-    hl = h_full[idx]
-    hr = h_full[idx + 1]
-    delta = tr - tl
-    s = (z - tl) / delta
-    raw = hl * (1.0 - s) + hr * s
+    bounds = np.empty(t_full.size, dtype=np.intp)
+    bounds[0], bounds[-1] = 0, z.size
+    bounds[1:-1] = z.searchsorted(t_full[1:-1], side="left")
+    counts = bounds[1:] - bounds[:-1]
+    delta = t_full[1:] - t_full[:-1]
+    beta = (h_full[1:] - h_full[:-1]) / delta
+    # the per-observation passes run in place: at large n each fresh array
+    # costs more in page faults than its arithmetic
+    dz = t_full[:-1].repeat(counts)
+    np.subtract(z, dz, out=dz)
+    raw = beta.repeat(counts)
+    raw *= dz
+    raw += h_full[:-1].repeat(counts)
     hhat = raw / I_h
     live = hhat > _LOG_FLOOR
-    ll = float(np.sum(np.log(np.maximum(hhat, _LOG_FLOOR))))
+    np.maximum(hhat, _LOG_FLOOR, out=hhat)
+    ll = float(np.log(hhat, out=hhat).sum())
     if not want_grad:
         return ll, None
 
-    inv_raw = np.where(live, 1.0 / np.maximum(raw, 1e-300), 0.0)
-    n_live = int(np.sum(live))
-    coef_hl = (1.0 - s) * inv_raw
-    coef_hr = s * inv_raw
-    slope = hr - hl
-    coef_tl = slope * (z - tr) / delta ** 2 * inv_raw
-    coef_tr = -slope * (z - tl) / delta ** 2 * inv_raw
-    nnode = pipe.m + 2
-    gh = (np.bincount(idx, weights=coef_hl, minlength=nnode)
-          + np.bincount(idx + 1, weights=coef_hr, minlength=nnode))
-    gt = (np.bincount(idx, weights=coef_tl, minlength=nnode)
-          + np.bincount(idx + 1, weights=coef_tr, minlength=nnode))
-    return ll, pullback(gt[1:-1], gh[1:-1], -n_live / I_h)
+    inv_raw = np.maximum(raw, 1e-300, out=raw)
+    np.divide(live, inv_raw, out=inv_raw)
+    dz *= inv_raw
+    # reduceat sums each start up to the next one, so only non-empty
+    # segments are passed; the empty ones keep zero sums
+    full = counts > 0
+    starts = bounds[:-1][full]
+    S0 = np.zeros(counts.size)
+    S1 = np.zeros(counts.size)
+    S0[full] = np.add.reduceat(inv_raw, starts)
+    S1[full] = np.add.reduceat(dz, starts)
+    # segment j sends S0_j - q_j to h_j, q_j to h_{j+1}, beta_j (q_j - S0_j)
+    # to t_j and -beta_j q_j to t_{j+1}; the end knots are pinned
+    q = S1 / delta
+    gh = (S0 - q)[1:] + q[:-1]
+    gt = (beta * (q - S0))[1:] - (beta * q)[:-1]
+    return ll, pullback(gt, gh, -np.count_nonzero(live) / I_h)
 
 
 class PenalizedLikelihood:
@@ -285,13 +319,15 @@ class PenalizedLikelihood:
     ``value(theta) = sum log h_hat(z_i) - lam * theta' Omega theta``, the data
     term (densities floored at 1e-12) taken at ``theta + center``: a dominating
     penalty collapses a fit onto the center model.  The basis is evaluated on
-    the grid once, here.
+    the grid once, here, and the pseudo-angles are sorted once into ``z`` (a
+    copy: the caller's array is left as it is); the sum is order-free, and
+    sorted data let the data term work per knot segment.
     """
 
     def __init__(self, basis: ZBasis, x_grid, z, lam: float, center=0.0):
         self.pipe = _HhatPipeline(basis, x_grid)
         self.omega = curvature_matrix(basis)
-        self.z = np.asarray(z, dtype=float)
+        self.z = np.sort(np.asarray(z, dtype=float))
         self.lam = float(lam)
         self.center = np.zeros(basis.dim) + center
 

@@ -49,32 +49,22 @@ __all__ = [
 _EDGE = 5e-4
 
 
-def _slope_to_pickands(wp):
-    """First-derivative link: A' = (1 + W') / (1 - W'); -inf maps to -1."""
-    wp = np.asarray(wp, dtype=float)
-    with np.errstate(invalid="ignore"):
-        out = np.where(np.isneginf(wp), -1.0, (1.0 + wp) / (1.0 - wp))
-    return out
-
-
-def _curvature_to_pickands(wpp, wp):
-    """Second-derivative link: A'' = 4 W'' / (1 - W')^3; non-finite stays inf."""
-    wpp = np.asarray(wpp, dtype=float)
-    wp = np.asarray(wp, dtype=float)
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        out = 4.0 * wpp / (1.0 - wp) ** 3
-    return np.where(np.isfinite(out), out, np.inf)
-
-
 def link(x, w, wp, wpp):
-    """Affine link at points ``x`` of a 2-monotone transform.
+    """Affine link at points ``x`` of a 2-monotone transform, all arrays.
 
     Maps ``W``, ``W'`` and ``W''`` at ``x`` to the node ``t`` and the values
-    ``A``, ``A'`` and ``A''`` of the Pickands function there.
+    ``A``, ``A' = (1 + W') / (1 - W')`` and ``A'' = 4 W'' / (1 - W')^3`` of
+    the Pickands function there.  An unbounded slope ``W' = -inf`` gives
+    ``A' = -1``; a non-finite ``A''`` is returned as ``+inf``.
     """
-    t = 0.5 * (1.0 + x - w)
-    a = 0.5 * (1.0 + x + w)
-    return t, a, _slope_to_pickands(wp), _curvature_to_pickands(wpp, wp)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        d = 1.0 - wp
+        ap = (1.0 + wp) / d
+        app = 4.0 * wpp / d ** 3
+    ap[wp == -np.inf] = -1.0
+    app[~np.isfinite(app)] = np.inf
+    xp = 1.0 + x
+    return 0.5 * (xp - w), 0.5 * (xp + w), ap, app
 
 
 def h_formula(t, a, ap, app):

@@ -96,8 +96,12 @@ class WilliamsonKernel:
         self.x = x
         self.x_in = x[1:-1]
         self.nodes = _segment_edges(x)
-        self._weights = trapezoid_weights(self.nodes)
-        self._slope_weights = self._weights[1:] / self.nodes[1:]
+        # per segment, the weights of P (row 0) and of -S (row 1, zero for
+        # segment 0): each product sum then is one reduction, and the suffix
+        # sum of the -S is W' itself
+        weights = trapezoid_weights(self.nodes)
+        self._weights = np.stack([weights, np.zeros_like(weights)])
+        self._weights[1, 1:] = -weights[1:] / self.nodes[1:]
 
     def __call__(self, fv):
         """``(w, wp, wpp, tail, c)`` at the interior grid nodes.
@@ -107,23 +111,24 @@ class WilliamsonKernel:
         at 0+.
         """
         fv = np.asarray(fv, dtype=float)
-        P = np.einsum("jk,jk->j", self._weights, fv)
-        S = np.einsum("jk,jk->j", self._slope_weights, fv[1:])
-        wp = -np.cumsum(S[::-1])[::-1]
-        tail = np.cumsum(P[:0:-1])[::-1]
+        PS = np.einsum("ijk,jk->ij", self._weights, fv)
+        tail, wp = PS[:, :0:-1].cumsum(axis=1)[:, ::-1]
         wpp = fv[1:, 0] / self.x_in
-        return self.x_in * wp + tail, wp, wpp, tail, tail[0] + P[0]
+        return self.x_in * wp + tail, wp, wpp, tail, tail[0] + PS[0, 0]
 
     def transpose(self, gw, gwp, gwpp, gc):
         """Cotangent of the density values from those of ``(w, wp, wpp, c)``.
 
         The reverse of each suffix sum in :meth:`__call__` is a prefix sum.
         """
-        gS = -np.cumsum(gwp + self.x_in * gw)
+        G = np.zeros((2, gw.size + 1))
+        G[0, 1:] = gw
+        np.multiply(self.x_in, gw, out=G[1, 1:])
+        G[1, 1:] += gwp
+        G.cumsum(axis=1, out=G)
         # c is the sum of all P, so gc reaches every one of them
-        gP = np.concatenate([[0.0], np.cumsum(gw)]) + gc
-        gfv = self._weights * gP[:, None]
-        gfv[1:] += self._slope_weights * gS[:, None]
+        G[0] += gc
+        gfv = np.einsum("ijk,ij->jk", self._weights, G)
         gfv[1:, 0] += gwpp / self.x_in
         return gfv
 

@@ -247,21 +247,21 @@ def _forward_mode_loss_and_grad(pipe, omega, z, lam, theta):
     return grad_z - np.sum(live_z) * J_Ih / I_h - 2.0 * lam * (omega @ theta)
 
 
+def _gumbel_objective(theta, n):
+    """Objective pieces of an n-pair Gumbel sample, set up as `optimize` does."""
+    uv = EvCopula(ParametricPickands("gumbel", theta)).simulate(n, seed=3)
+    z = z_transform(uv)
+    if ordering_heuristic(z):
+        z = 1.0 - z
+    x_grid = empirical_w_grid(z, 78)
+    basis = build_zb_basis(quantile_knots(x_grid[1:-1], 10))
+    return (basis, x_grid, z, curvature_matrix(basis), project_center(basis))
+
+
 @pytest.fixture(scope="module")
 def gumbel_objectives():
-    """Objective pieces of n=1000 Gumbel samples, set up as `optimize` does."""
-    out = {}
-    for theta in (1.5, 4.0, 20.0):
-        uv = EvCopula(ParametricPickands("gumbel", theta)).simulate(1000,
-                                                                    seed=3)
-        z = z_transform(uv)
-        if ordering_heuristic(z):
-            z = 1.0 - z
-        x_grid = empirical_w_grid(z, 78)
-        basis = build_zb_basis(quantile_knots(x_grid[1:-1], 10))
-        out[theta] = (basis, x_grid, z, curvature_matrix(basis),
-                      project_center(basis))
-    return out
+    """Objective pieces of n=1000 Gumbel samples, keyed by the parameter."""
+    return {theta: _gumbel_objective(theta, 1000) for theta in (1.5, 4.0, 20.0)}
 
 
 def _offset(rng, dim, norm):
@@ -269,9 +269,15 @@ def _offset(rng, dim, norm):
     return norm * v / np.linalg.norm(v)
 
 
-@pytest.mark.parametrize("dep", [1.5, 4.0, 20.0])
-def test_adjoint_gradient_matches_forward_mode(gumbel_objectives, dep):
-    basis, x_grid, z, omega, center = gumbel_objectives[dep]
+@pytest.mark.parametrize("dep,n", [
+    pytest.param(1.5, 1000, id="1.5"),
+    pytest.param(4.0, 1000, id="4.0"),
+    pytest.param(20.0, 1000, id="20.0"),
+    pytest.param(4.0, 100_000, id="4.0-n100000"),
+])
+def test_adjoint_gradient_matches_forward_mode(gumbel_objectives, dep, n):
+    basis, x_grid, z, omega, center = (
+        gumbel_objectives[dep] if n == 1000 else _gumbel_objective(dep, n))
     lik = PenalizedLikelihood(basis, x_grid, z, 1e-4)
     rng = np.random.default_rng(int(dep))
     for norm in (0.0, 1.0, 3.0, 10.0):
@@ -341,6 +347,49 @@ def test_floored_observations_contribute_nothing(gumbel_objectives):
     assert np.array_equal(grad_f, grad)
 
 
+def _per_observation_hhat(pipe, z, theta):
+    """Reference z-density at each observation, located by its own search."""
+    t_full, h_full, I_h, _ = pipe.forward(theta)
+    idx = np.clip(np.searchsorted(t_full, z, side="right") - 1, 0, pipe.m)
+    tl, tr = t_full[idx], t_full[idx + 1]
+    s = (z - tl) / (tr - tl)
+    raw = h_full[idx] * (1.0 - s) + h_full[idx + 1] * s
+    return raw / max(I_h, 1e-300)
+
+
+def test_data_term_on_sorted_pseudo_angles(gumbel_objectives):
+    # the objective sorts z once and sums per knot segment: knot ties,
+    # duplicates, empty segments and floored observations must give what a
+    # search per observation gives, whatever the order of the input
+    basis, x_grid, z, omega, center = gumbel_objectives[4.0]
+    theta = center + _offset(np.random.default_rng(11), basis.dim, 1.0)
+    t_full = _HhatPipeline(basis, x_grid).forward(theta)[0]
+    # segments 20-29 emptied, knots 5-14 hit exactly, 50 observations
+    # repeated, and three at the pinned ends, where h_hat is floored
+    kept = z[(z < t_full[20]) | (z >= t_full[30])]
+    z_case = np.concatenate([kept, t_full[5:15], kept[:50], [0.0, 1e-300, 1.0]])
+    lik = PenalizedLikelihood(basis, x_grid, z_case, 1e-4)
+    counts = np.diff(np.searchsorted(lik.z, t_full[1:-1]))
+    assert np.sum(counts == 0) >= 9
+    hhat = _per_observation_hhat(lik.pipe, z_case, theta)
+    assert np.sum(hhat <= _LOG_FLOOR) >= 3
+
+    value, grad = lik.value_and_grad(theta)
+    ref_value = (float(np.sum(np.log(np.maximum(hhat, _LOG_FLOOR))))
+                 - lik.penalty(theta))
+    ref_grad = _forward_mode_loss_and_grad(lik.pipe, omega, z_case, 1e-4, theta)
+    assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+    assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
+
+    shuffled = np.random.default_rng(12).permutation(z_case)
+    before = shuffled.copy()
+    value_s, grad_s = PenalizedLikelihood(basis, x_grid, shuffled,
+                                          1e-4).value_and_grad(theta)
+    assert np.array_equal(shuffled, before)
+    assert abs(value_s - value) <= 1e-12 * abs(value)
+    assert np.max(np.abs(grad_s - grad)) <= 1e-12 * np.max(np.abs(grad))
+
+
 def _count_pipeline_builds(monkeypatch):
     builds = []
     init = _HhatPipeline.__init__
@@ -359,10 +408,11 @@ def test_value_and_grad_is_the_loss_and_grad_composition(gumbel_objectives):
     basis, x_grid, z, omega, center = gumbel_objectives[4.0]
     lik = PenalizedLikelihood(basis, x_grid, z, 1e-4, center)
     pipe = _HhatPipeline(basis, x_grid)
+    z_sorted = np.sort(z)
     rng = np.random.default_rng(10)
     for norm in (0.0, 1.0, 3.0):
         theta = _offset(rng, basis.dim, norm)
-        ll, g = _loss_and_grad(pipe, z, theta + center, True)
+        ll, g = _loss_and_grad(pipe, z_sorted, theta + center, True)
         value, grad = lik.value_and_grad(theta)
         assert value == ll - 1e-4 * float(theta @ omega @ theta)
         assert np.array_equal(grad, g - 2.0 * 1e-4 * (omega @ theta))
