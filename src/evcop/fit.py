@@ -294,8 +294,7 @@ def _loss_and_grad(pipe: _HhatPipeline, z: np.ndarray, theta: np.ndarray,
     if not want_grad:
         return ll, None
 
-    inv_raw = np.maximum(raw, 1e-300, out=raw)
-    np.divide(live, inv_raw, out=inv_raw)
+    inv_raw = np.divide(live, np.maximum(raw, 1e-300, out=raw), out=raw)
     dz *= inv_raw
     # reduceat sums each start up to the next one, so only non-empty
     # segments are passed; the empty ones keep zero sums
