@@ -47,8 +47,3 @@ def cumulative_trapezoid(x, y) -> np.ndarray:
     """Running trapezoid integral of ``y`` over the nodes ``x``, 0 at ``x[0]``."""
     return np.concatenate([[0.0], np.cumsum(0.5 * np.diff(x) * (y[:-1] + y[1:]))])
 
-
-def norm_grid(knots) -> np.ndarray:
-    """Trapezoid grid normalizing spline densities: 512 uniform nodes plus knots."""
-    return np.unique(np.concatenate([np.linspace(0.0, 1.0, 512),
-                                     np.asarray(knots, dtype=float)]))

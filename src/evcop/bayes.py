@@ -9,11 +9,14 @@ is where the spline parameterization lives.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
-from ._quad import gauss_legendre, norm_grid, trapezoid_weights
+from ._quad import gauss_legendre
 from .errors import InputError, NumericalError
 from .splinebasis import ZBasis, project_center
+from .williamson import default_w_nodes
 
 __all__ = ["ClrDensity", "clr", "clr_inverse", "perturb", "power", "tvd",
            "default_grid"]
@@ -25,39 +28,40 @@ def default_grid(n: int = 2049) -> np.ndarray:
     return np.linspace(0.0, 1.0, n)
 
 
-def _graded_gauss_rule():
-    """Quadrature on (0, 1] robust to integrable endpoint singularities at 0.
+@cache
+def mass_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Panel edges, nodes and weights of the one rule for masses on [0, 1].
 
-    Geometric panels absorb log-type behavior near 0; the uniform panels keep
-    the rule accurate for piecewise-smooth integrands away from it.  Eight
-    Gauss-Legendre points per panel.
+    8-point Gauss-Legendre on each panel of the tabulation grid, whose panels
+    are geometric at both ends; built at first use, shared and read-only.
     """
-    edges = np.concatenate([[0.0], np.geomspace(1e-14, 0.05, 64),
-                            np.linspace(0.05, 1.0, 121)[1:]])
-    return gauss_legendre(edges, 8)
-
-
-_SING_NODES, _SING_WEIGHTS = _graded_gauss_rule()
+    edges = default_w_nodes()
+    rule = (edges, *gauss_legendre(edges, 8))
+    for a in rule:
+        a.setflags(write=False)
+    return rule
 
 
 def integrate_01(fn) -> float:
-    """Integral over [0, 1] tolerant of log-type singularities at 0."""
-    vals = np.asarray(fn(_SING_NODES), dtype=float)
+    """Integral over [0, 1] by the mass rule, tolerant of log singularities at 0."""
+    _, nodes, weights = mass_rule()
+    vals = np.asarray(fn(nodes), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise NumericalError("non-finite integrand on (0, 1)")
-    return float(_SING_WEIGHTS @ vals)
+    return float(weights @ vals)
 
 
 def clr(f):
     """Centered log-ratio of a positive density: log f minus its mean.
 
-    The mean of ``log f`` is computed with a singularity-tolerant rule so
-    densities with power-law endpoint behavior keep an accurate center.
+    The mean of ``log f`` is taken by :func:`mass_rule`, so densities with
+    power-law endpoint behavior keep an accurate center.
     """
-    sample = np.asarray(f(_SING_NODES), dtype=float)
+    _, nodes, weights = mass_rule()
+    sample = np.asarray(f(nodes), dtype=float)
     if np.any(sample <= 0.0):
         raise InputError("clr requires a strictly positive density")
-    mean_log = float(_SING_WEIGHTS @ np.log(sample))
+    mean_log = float(weights @ np.log(sample))
 
     def p(x):
         return np.log(f(x)) - mean_log
@@ -126,8 +130,8 @@ class ClrDensity:
     ``theta`` are coordinates in the orthonormal basis; with
     ``center_enabled`` the projection of -(1 + log x)/2 is added as an affine
     center, biasing the family toward the square-root density instead of the
-    uniform one.  Immutable after construction; the normalization integral is
-    cached on a trapezoid grid of 512 equispaced nodes plus the spline knots.
+    uniform one.  Immutable after construction; the normalization integral
+    ``norm`` and the moments are taken by :func:`mass_rule`.
     """
 
     def __init__(self, basis: ZBasis, theta, center_enabled: bool = False):
@@ -136,15 +140,12 @@ class ClrDensity:
         if self.theta.shape != (basis.dim,):
             raise InputError(
                 f"theta must have shape ({basis.dim},), got {self.theta.shape}")
-        self._center = project_center(basis) if center_enabled else np.zeros(basis.dim)
-        self.coeffs = self.theta + self._center
-        self.eval_grid = norm_grid(basis.interior_knots)
-        self._weights = trapezoid_weights(self.eval_grid)
-        pv = self.log_spline(self.eval_grid)
+        self.coeffs = self.theta + (project_center(basis) if center_enabled else 0.0)
+        _, nodes, weights = mass_rule()
+        pv = self.log_spline(nodes)
         if np.any(np.abs(pv) > _CLR_OVERFLOW):
             raise NumericalError("spline exceeds exp range; coefficients diverged")
-        self.norm = float(self._weights @ np.exp(pv))
-        self._pdf_grid = np.exp(pv) / self.norm
+        self.norm = float(weights @ np.exp(pv))
 
     def log_spline(self, x) -> np.ndarray:
         """The zero-integral spline (center included) at ``x``."""
@@ -156,5 +157,5 @@ class ClrDensity:
     __call__ = pdf
 
     def mean(self) -> float:
-        """First moment on the cached grid."""
-        return float(self._weights @ (self.eval_grid * self._pdf_grid))
+        """First moment."""
+        return integrate_01(lambda x: x * self.pdf(x))

@@ -175,6 +175,7 @@ def cmd_fit(args) -> int:
         "evaluations": fm.evaluations,
         "grad_max": fm.grad_max,
         "message": fm.message,
+        "w0_estimate": fm.w0_estimate,
     }
     print(json.dumps(report, indent=2))
     return 0

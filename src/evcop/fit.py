@@ -30,8 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._quad import cumulative_trapezoid, norm_grid, trapezoid_weights
-from .bayes import ClrDensity
+from .bayes import ClrDensity, mass_rule
 from .errors import InputError, NumericalError, read_field
 from .families import cfg_estimator
 from .pickands import (
@@ -377,7 +376,7 @@ class FittedModel:
 
     @property
     def w0_estimate(self) -> float:
-        """Raw W(0+) mass of the spline density, before normalization."""
+        """W(0+) self-check: kernel mass over the density's own, about 1."""
         return self.w_grid.w0_estimate
 
     @property
@@ -393,14 +392,10 @@ def pipeline_pickands(basis: ZBasis, theta, center_enabled: bool,
 
     Shared by the optimizer and by model deserialization so that a saved
     model reproduces its in-memory counterpart exactly.  The returned grid
-    is normalized and carries the raw W(0+) estimate.
+    is normalized and carries the W(0+) self-check ratio.
     """
     dens = ClrDensity(basis, theta, center_enabled=center_enabled)
-    grid = williamson_from_density(dens, default_w_nodes())
-    if abs(grid.w0_estimate - 1.0) > 1e-3:
-        logger.info("normalizing Williamson grid: W(0+) estimate %.5f",
-                    grid.w0_estimate)
-    grid = normalize_w(grid)
+    grid = normalize_w(williamson_from_density(dens, default_w_nodes()))
     model = rotate(grid)
     if flipped:
         model = mirror(model)
@@ -493,9 +488,9 @@ def optimize(z_sample, config: FitConfig | None = None,
 class UnivariateDensityFit:
     """Spline density on an interval, with CDF and quantile functions.
 
-    The CDF is the cumulative trapezoid of the density on the evaluation
-    grid, inverted by linear interpolation, so ``quantile(cdf(x)) = x`` on
-    grid-interior points.
+    The CDF is tabulated at the panel edges of the mass rule
+    (:func:`evcop.bayes.mass_rule`) and inverted by linear interpolation, so
+    ``quantile(cdf(x)) = x`` on grid-interior points.
     """
 
     density: ClrDensity
@@ -554,9 +549,12 @@ def fit_univariate_density(sample, bounds, dim: int = 13, lam: float = 1e-4
     basis = build_zb_basis(quantile_knots(y, dim - _DEGREE))
     omega = curvature_matrix(basis)
 
-    grid = norm_grid(basis.interior_knots)
-    wtr = trapezoid_weights(grid)
-    BG = basis.evaluate(grid)
+    # the penalty as |R theta|^2: with clustered knots Omega has entries near
+    # 1e12, and round-off in theta' Omega theta stalls the line search
+    evals, evecs = np.linalg.eigh(omega)
+    R = np.sqrt(np.clip(evals, 0.0, None))[:, None] * evecs.T
+    edges, nodes, weights = mass_rule()
+    BG = basis.evaluate(nodes)
     BD = basis.evaluate(y)
     n = y.size
 
@@ -564,22 +562,23 @@ def fit_univariate_density(sample, bounds, dim: int = 13, lam: float = 1e-4
         pg = BG @ theta
         live = np.abs(pg) < _EXP_CLIP
         eg = np.exp(np.clip(pg, -_EXP_CLIP, _EXP_CLIP))
-        I = float(wtr @ eg)
-        ll = float(np.sum(BD @ theta)) - n * np.log(I) - float(
-            lam * theta @ omega @ theta)
-        grad = (BD.sum(axis=0) - n / I * ((wtr * eg * live) @ BG)
-                - 2.0 * lam * omega @ theta)
+        I = float(weights @ eg)
+        r = R @ theta
+        ll = float(np.sum(BD @ theta)) - n * np.log(I) - lam * float(r @ r)
+        grad = (BD.sum(axis=0) - n / I * ((weights * eg * live) @ BG)
+                - 2.0 * lam * (r @ R))
         return ll, grad
 
     theta_hat, run = _maximize(value_and_grad, omega, lam)
     dens = ClrDensity(basis, theta_hat, center_enabled=False)
-    cdf = cumulative_trapezoid(grid, dens(grid))
+    panels = (weights * dens(nodes)).reshape(edges.size - 1, -1).sum(axis=1)
+    cdf = np.concatenate([[0.0], np.cumsum(panels)])
     cdf /= cdf[-1]
     ll = float(np.sum(np.log(np.maximum(dens(y), _LOG_FLOOR))))
-    pen = lam * float(theta_hat @ omega @ theta_hat)
+    pen = lam * float(np.sum((R @ theta_hat) ** 2))
     return UnivariateDensityFit(density=dens, bounds=(a, b), loglik=ll,
                                 penalty=pen, lam=lam, converged=run.converged,
-                                _grid=grid, _cdf=cdf)
+                                _grid=edges, _cdf=cdf)
 
 
 def mcmc_sample(log_target, dim: int, n_samples: int, seed=None,

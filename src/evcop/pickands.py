@@ -302,8 +302,6 @@ def gini_from_pickands(a) -> float:
 
 def gini_from_density(f) -> float:
     """Same index from the underlying density: ``G = 1 - E[X]``."""
-    if hasattr(f, "mean"):
-        return 1.0 - float(f.mean())
     return 1.0 - integrate_01(lambda x: x * np.asarray(f(x)))
 
 

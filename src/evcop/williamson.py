@@ -140,8 +140,8 @@ class WilliamsonGrid:
     The interpolator is made of quintic Hermite pieces in Bernstein form.
     ``wp[0]`` and ``wpp[0]`` may be non-finite sentinels (unbounded slope at
     0); such entries impose no interpolation constraint.  ``w0_estimate`` is
-    the raw W(0+) mass, kept through normalization as a diagnostic.  The
-    interpolator is built on first evaluation.
+    the W(0+) self-check of :func:`normalize_w`.  The interpolator is built
+    on first evaluation.
     """
 
     x: np.ndarray
@@ -210,20 +210,26 @@ def williamson_from_density(f, x_nodes) -> WilliamsonGrid:
                           w0_estimate=float(c), tail_mass=tail)
 
 
+# Largest accepted distance of a W(0+) mass from 1: over ten times the kernel's
+# worst error on fitted, study and random spline densities (3.6e-3)
+_MASS_TOL = 0.05
+
+
 def normalize_w(g: WilliamsonGrid) -> WilliamsonGrid:
     """Rescale a tabulated transform so its reconstructed value at 0+ is 1.
 
-    Dividing by the W(0+) estimate restores ``W(x) <= 1 - x`` (hence a
-    Pickands function below 1) when coarse quadrature let the reconstruction
-    drift; the left endpoint is pinned back to exactly 1.  A normalized grid
-    is returned as it is; it keeps the raw estimate as ``w0_estimate``.
+    For a unit-mass density the W(0+) estimate is the kernel's mass over the
+    density's own, a self-check: :class:`NumericalError` when it is more than
+    ``_MASS_TOL`` (0.05) from 1.  Dividing by it restores ``W(x) <= 1 - x``
+    and pins the left endpoint to 1.  A normalized grid is returned as it is.
     """
     if g.normalized:
         return g
     c = g.w0_estimate
-    if not (0.5 < c < 2.0):
+    if not abs(c - 1.0) <= _MASS_TOL:
         raise NumericalError(
-            f"W(0+) estimate {c:.4f} outside (0.5, 2): estimation failed")
+            f"W(0+) mass {c:.6g} of a unit-mass density is more than "
+            f"{_MASS_TOL:g} from 1: the Williamson quadrature failed")
     w = g.w / c
     w[0] = 1.0
     return WilliamsonGrid(x=g.x.copy(), w=w, wp=g.wp / c, wpp=g.wpp / c,

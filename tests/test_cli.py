@@ -101,6 +101,14 @@ def test_fit_simulate_evaluate_cycle(tmp_path, gumbel_csv, capsys):
     assert os.path.exists(table)
 
 
+def test_fit_report_carries_the_w0_estimate(tmp_path, gumbel_csv, capsys):
+    model = tmp_path / "model.json"
+    assert main(["fit", gumbel_csv, "-o", str(model)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    doc = json.loads(model.read_text(encoding="utf-8"))
+    assert report["w0_estimate"] == doc["diagnostics"]["w0_estimate"]
+
+
 def test_evaluate_matches_before_and_after_save(tmp_path, gumbel_csv, capsys):
     model = str(tmp_path / "model.json")
     main(["fit", gumbel_csv, "-o", model])

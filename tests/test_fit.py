@@ -8,7 +8,8 @@ from scipy.stats import chi2, ks_2samp, kstest
 import evcop.fit
 import evcop.pickands
 import evcop.williamson
-from evcop.bayes import ClrDensity
+from evcop._quad import gauss_legendre
+from evcop.bayes import ClrDensity, integrate_01
 from evcop.copula import EvCopula, tvd_copulas
 from evcop.errors import InputError, NumericalError
 from evcop.families import ParametricPickands
@@ -34,6 +35,7 @@ from evcop.fit import (
 )
 from evcop.pickands import (
     blomqvist_beta,
+    gini_from_density,
     gini_from_pickands,
     h_density,
     h_formula,
@@ -48,7 +50,12 @@ from evcop.splinebasis import (
     project_center,
     quantile_knots,
 )
-from evcop.williamson import default_w_nodes, normalize_w, williamson_from_density
+from evcop.williamson import (
+    WilliamsonKernel,
+    default_w_nodes,
+    normalize_w,
+    williamson_from_density,
+)
 
 
 def test_z_transform_values():
@@ -716,6 +723,32 @@ def test_pipeline_validity_across_random_coefficients(basis13):
     assert refused <= 5
 
 
+def test_random_directions_pass_the_mass_self_check():
+    # 60 directions per norm up to the largest norm fits reach; before the
+    # density had one accurate mass rule, 83 of these 300 draws were refused
+    # by a W(0+) range check that read the error of the density's mass
+    basis = default_random_basis()
+    edges = np.unique(np.concatenate([default_w_nodes(),
+                                      basis.knot_config.breakpoints]))
+    fine = edges[:-1, None] + np.diff(edges)[:, None] * np.arange(4) / 4
+    nodes, weights = gauss_legendre(np.append(fine.ravel(), 1.0), 12)
+    design = basis.evaluate(nodes)
+    rng = np.random.default_rng(1)
+    for norm in (5.0, 10.0, 30.0, 60.0, 105.0):
+        for _ in range(60):
+            theta = rng.standard_normal(13)
+            theta *= norm / np.linalg.norm(theta)
+            try:
+                model, dens, _ = pipeline_pickands(basis, theta, True, False)
+            except NumericalError as exc:
+                assert "exp range" in str(exc)
+                continue
+            reference = weights @ np.exp(design @ dens.coeffs)
+            assert abs(dens.norm / reference - 1.0) <= 1e-5
+            assert abs(gini_from_density(dens)
+                       - gini_from_pickands(model)) <= 1e-3
+
+
 def test_objective_and_tabulation_share_the_chain(basis13):
     # the W implied by the objective's z-density nodes is the normalized
     # tabulated transform of the same spline density
@@ -762,6 +795,13 @@ def test_raw_w0_estimate_reported_and_reloaded():
     fm = optimize(z_transform(uv))
     doc = json.loads(json.dumps(model_to_dict(fm)))
     est = doc["diagnostics"]["w0_estimate"]
-    assert abs(est - 1.0) > 0.01
+    # the Williamson kernel's mass of exp(spline) over the mass rule's
+    kernel = WilliamsonKernel(default_w_nodes())
+    spline = fm.density.log_spline
+    kernel_mass = kernel(np.exp(spline(kernel.nodes.ravel())).reshape(
+        kernel.nodes.shape))[4]
+    assert abs(est - kernel_mass / integrate_01(lambda x: np.exp(spline(x)))
+               ) <= 1e-14
+    assert est != 1.0
     assert est == fm.w0_estimate
     assert model_from_dict(doc).w0_estimate == est

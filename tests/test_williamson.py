@@ -5,6 +5,7 @@ from evcop.bayes import tvd
 from evcop.errors import InputError, NumericalError
 from evcop.pickands import fixed_point, rotate
 from evcop.williamson import (
+    _MASS_TOL,
     WilliamsonKernel,
     default_w_nodes,
     normalize_w,
@@ -91,12 +92,12 @@ def test_normalize_w_roundtrip(basis13):
     # an already-normalized grid is a fixed point
     again = normalize_w(g)
     assert np.max(np.abs(again.w - g.w)) <= 1e-12
-    # scaling the grid by 1.05 is undone exactly
+    # scaling the grid by 1.02, within the mass tolerance, is undone exactly
     from dataclasses import replace
 
-    scaled = replace(g, w=np.concatenate([[1.0], 1.05 * g.w[1:]]),
-                     wp=1.05 * g.wp, wpp=1.05 * g.wpp,
-                     w0_estimate=1.05, tail_mass=1.05 * g.tail_mass,
+    scaled = replace(g, w=np.concatenate([[1.0], 1.02 * g.w[1:]]),
+                     wp=1.02 * g.wp, wpp=1.02 * g.wpp,
+                     w0_estimate=1.02, tail_mass=1.02 * g.tail_mass,
                      normalized=False)
     restored = normalize_w(scaled)
     assert np.max(np.abs(restored.w[1:] - g.w[1:])) <= 1e-10
@@ -111,6 +112,18 @@ def test_normalize_w_rejects_distant_estimates(basis13):
     bad = replace(g, w0_estimate=3.0)
     with pytest.raises(NumericalError):
         normalize_w(bad)
+
+
+def test_normalize_w_mass_tolerance_edges(basis13):
+    dens = random_spline_density(basis13, np.random.default_rng(2))
+    g = williamson_from_density(dens, default_w_nodes())
+    from dataclasses import replace
+
+    for c in (1.0 - 2.0 * _MASS_TOL, 1.0 + 2.0 * _MASS_TOL):
+        with pytest.raises(NumericalError):
+            normalize_w(replace(g, w0_estimate=c))
+    for c in (1.0 - 0.5 * _MASS_TOL, 1.0 + 0.5 * _MASS_TOL):
+        assert normalize_w(replace(g, w0_estimate=c)).w0_estimate == c
 
 
 def test_normalized_grid_gives_admissible_pickands(basis13):
