@@ -59,33 +59,45 @@ logger = logging.getLogger("evcop")
 # share of a column's values repeating an earlier value above which
 # pseudo_observations warns
 _TIE_SHARE = 0.01
+# field separators of input CSV files besides blanks
+_BLANK_SEPARATORS = str.maketrans(",;\t", "   ")
 
 
 # ---------------------------------------------------------------------------
 # file formats
 
 
+def _leading_pair(text: str) -> bool:
+    """Whether the first two blank-separated fields of a line are numbers."""
+    fields = text.split()
+    try:
+        float(fields[0]), float(fields[1])
+    except (ValueError, IndexError):
+        return False
+    return True
+
+
 def read_pairs(path) -> np.ndarray:
-    """Two numeric columns from a CSV file; a single header line is allowed."""
-    rows = []
+    """Two numeric columns from a CSV file; a single header line is allowed.
+
+    Fields are separated by ``,``, ``;``, tabs or blanks.  Blank lines and
+    fields after the second are ignored, and line 1 is a header when its
+    first two fields are not numbers.  The rows are parsed by one
+    :func:`numpy.loadtxt` call once every separator is a blank.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh):
-            text = line.strip()
-            if not text:
-                continue
-            parts = [p for p in text.replace(";", ",").replace("\t", ",").split(",")
-                     if p.strip()] if ("," in text or ";" in text or "\t" in text) \
-                else text.split()
-            try:
-                vals = (float(parts[0]), float(parts[1]))
-            except (ValueError, IndexError):
-                if lineno == 0:
-                    continue  # header
-                raise InputError(f"{path}: malformed numeric row at line {lineno + 1}")
-            rows.append(vals)
-    if not rows:
+        lines = fh.read().translate(_BLANK_SEPARATORS).split("\n")
+    rows = lines if _leading_pair(lines[0]) else lines[1:]
+    if not any(map(str.strip, rows)):
         raise InputError(f"{path}: no numeric rows found")
-    return np.asarray(rows, dtype=float)
+    try:
+        return np.loadtxt(rows, usecols=(0, 1), comments=None, ndmin=2)
+    except ValueError as exc:
+        first = len(lines) - len(rows) + 1
+        bad = next((i for i, text in enumerate(rows, first)
+                    if text.strip() and not _leading_pair(text)), None)
+        where = f"at line {bad}" if bad else f"({exc})"
+        raise InputError(f"{path}: malformed numeric row {where}") from None
 
 
 def write_pairs(path, data: np.ndarray, header: str = "u,v") -> None:

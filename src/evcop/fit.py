@@ -8,8 +8,10 @@ nonparametric pilot estimate) lets the whole chain
     coefficients -> density -> Williamson transform -> Pickands -> z-density
 
 be evaluated as plain array arithmetic, so the penalized log-likelihood and
-its exact reverse-mode (adjoint) gradient, one backward sweep through every
-step, are cheap enough for quasi-Newton optimization.  The pseudo-angles are
+its exact reverse-mode (adjoint) gradient are cheap enough for quasi-Newton
+optimization: the adjoint sweep reuses the forward sweep's intermediates in
+the closed-form partials of the z-density in ``(W, W', W'')``, and per-call
+work arrays live in buffers kept between calls.  The pseudo-angles are
 sorted once, when the objective is set up; the z-density is linear between
 the grid's knots, so each evaluation locates the data with one search per
 knot, and the gradient of the data term reduces to two sums per knot
@@ -35,8 +37,6 @@ from .errors import InputError, NumericalError, read_field
 from .families import cfg_estimator
 from .pickands import (
     PickandsModel,
-    h_formula,
-    link,
     mirror,
     rotate,
 )
@@ -193,64 +193,89 @@ class _HhatPipeline:
     """Precomputed design matrix for the coefficient-to-z-density chain.
 
     The basis is evaluated once at the quadrature nodes of the Williamson
-    kernel on the grid; per-iteration work is array arithmetic on the grid,
-    and the exact gradient is one reverse (adjoint) sweep through the same
-    stages that ends in a single product with the design matrix.  The
-    pipeline holds no data: :func:`_loss_and_grad` passes it the cotangents
-    of the knots, formed from per-segment sums over the sorted pseudo-angles.
+    kernel on the grid; per-iteration work is array arithmetic on the grid.
+    The forward pass takes the normalized ``(W, W', W'')`` at the interior
+    nodes, where ``W'`` is finite, straight to the knots ``(t, h)``, rounding
+    as :func:`evcop.pickands.link` and :func:`evcop.pickands.h_formula` do
+    (which also serve the endpoint limits of :func:`evcop.pickands.rotate`).
+    The exact gradient is one reverse (adjoint) sweep: closed-form partials
+    of ``h`` in ``(W, W', W'')`` built from the forward pass's arrays, the
+    kernel's transpose and one product with the design matrix.
+
+    The pipeline holds no data: :func:`_loss_and_grad` passes it the
+    cotangents of the knots.  It keeps that function's per-knot buffers
+    (segment bounds and sums), rewritten on every call; what :meth:`forward`
+    returns is fresh on every call.
     """
 
     def __init__(self, basis: ZBasis, x_grid: np.ndarray):
         self.kernel = WilliamsonKernel(x_grid)
         self.m = self.kernel.x_in.size
         self.B = basis.evaluate(self.kernel.nodes.ravel())
+        self._half_xp = 0.5 * (1.0 + self.kernel.x_in)
+        self.bounds = np.zeros(self.m + 2, dtype=np.intp)
+        self.sums = np.empty((2, self.m + 1))
 
     def forward(self, theta: np.ndarray):
         """Interpolation knots ``(t, h)`` of the z-density and their mass.
 
-        Returns ``(t_full, h_full, I_h, pullback)``.  ``pullback(gt, gh, gI)``
-        maps cotangents of the interior knots ``t_full[1:-1]``,
-        ``h_full[1:-1]`` and of ``I_h`` to the gradient in ``theta``.
+        Returns ``(t_full, h_full, I_h, pullback)``, fresh on every call;
+        ``I_h`` is the trapezoid mass of the knots.  ``pullback(gt, gh)``
+        maps cotangents of the interior knots ``t_full[1:-1]`` and
+        ``h_full[1:-1]`` to the gradient in ``theta``.
         """
         p = self.B @ np.asarray(theta, dtype=float)
-        e = np.exp(p.clip(-_EXP_CLIP, _EXP_CLIP))
+        # exponentials clipped at +-_EXP_CLIP are constant in theta; a call
+        # that clips none skips the clip and the zeroing of their gradient
+        clip = np.abs(p).max() >= _EXP_CLIP
+        e = np.exp(p.clip(-_EXP_CLIP, _EXP_CLIP) if clip else p)
         # dividing by the W(0+) mass, as normalize_w does for tabulated
         # models, also normalizes the density: the kernel is linear
         w, wp, wpp, _, c = self.kernel(e.reshape(self.kernel.nodes.shape))
-        w, wp, wpp = w / c, wp / c, wpp / c
-        t, a, ap, app = link(self.kernel.x_in, w, wp, wpp)
-        h = h_formula(t, a, ap, app)
-
-        t_full = np.empty(self.m + 2)
-        t_full[0], t_full[1:-1], t_full[-1] = 0.0, t, 1.0
-        h_full = np.zeros(self.m + 2)
-        h_full[1:-1] = h
+        Wp = wp / c
+        # the affine link and the z-density in the operation order of link
+        # and h_formula, so that the knots round as the saved model's do;
+        # scaling by powers of 2 is exact, so W/2 = w/(2c) and 4 W'' / d^3
+        # = (wpp / (c/4)) / d^3 to the last bit
+        dn = 1.0 - Wp                             # 1/d, d = 1/(1 - W')
+        ap = (1.0 + Wp) / dn                      # A'
+        dn3 = dn ** 3
+        app = wpp / (0.25 * c) / dn3              # A''
+        half_w = w / (2.0 * c)
+        knots = np.empty((2, self.m + 2))
+        t_full, h_full = knots
+        t = np.subtract(self._half_xp, half_w, out=t_full[1:-1])
+        a = self._half_xp + half_w                # A
+        r = ap / a
+        q = 1.0 - 2.0 * t                         # W - x
+        tt = t * (1.0 - t)
+        s = app / a
+        u = s - r * r
+        h = np.add(1.0 + q * r, tt * u, out=h_full[1:-1])
+        knots[:, 0] = 0.0
+        t_full[-1], h_full[-1] = 1.0, 0.0
         # trapezoid weights of the interior knots; h is 0 at both ends
-        wt = 0.5 * (t_full[2:] - t_full[:-2])
-        I_h = float(wt @ h)
+        I_h = float(0.5 * (t_full[2:] - t_full[:-2]) @ h)
 
-        def pullback(gt, gh, gI):
-            # I_h = wt(t) @ h: its weights move with the interior t nodes
-            gh = gh + gI * wt
-            # h_formula in (t, r = A'/A, A'', A)
-            r = ap / a
-            q = 1.0 - 2.0 * t
-            tt = t * (1.0 - t)
-            gt = gt + gI * 0.5 * (h_full[:-2] - h_full[2:]) \
-                + gh * (q * (app / a - r * r) - 2.0 * r)
+        def pullback(gt, gh):
+            # h = 1 + q r + t(1 - t)(s - r^2) in q = W - x, r = A'/A and
+            # s = A''/A, with t = (1 - q)/2, A = (1 + x + W)/2,
+            # A' = 2d - 1 and A'' = 4 W'' d^3
+            gq = gh * (r - 0.5 * q * u)
             gr = gh * (q - 2.0 * tt * r)
-            gapp = gh * tt / a
-            # link, then the division by c, which is linear: the sweep runs on
-            # c times the cotangents of the unnormalized (w, wp, wpp)
-            u = 1.0 / (1.0 - wp)
-            gw = 0.5 * (-(gapp * app + gr * r) / a - gt)
-            gwpp = 4.0 * gapp * u ** 3
-            gwp = 2.0 * gr / a * u * u + 3.0 * gwpp * wpp * u
-            gc = -(gw @ w + gwp @ wp + gwpp @ wpp)
-            gfv = self.kernel.transpose(gw, gwp, gwpp, gc)
+            gs = gh * tt
+            gs_s = gs * s
+            gW = gq - 0.5 * ((gr * r + gs_s) / a + gt)
+            gWp = (2.0 * gr / (a * dn) + 3.0 * gs_s) / dn
+            gWpp = 4.0 * gs / (a * dn3)
+            # the division by c, which is linear: the sweep runs on c times
+            # the cotangents of the unnormalized (w, wp, wpp)
+            gc = -(gW @ w + gWp @ wp + gWpp @ wpp) / c
+            gfv = self.kernel.transpose(gW, gWp, gWpp, gc)
             # clipped exponentials are constant in theta
             gfv = gfv.ravel() * e
-            gfv[np.abs(p) >= _EXP_CLIP] = 0.0
+            if clip:
+                gfv[np.abs(p) >= _EXP_CLIP] = 0.0
             return gfv @ self.B / c
 
         return t_full, h_full, I_h, pullback
@@ -267,14 +292,16 @@ def _loss_and_grad(pipe: _HhatPipeline, z: np.ndarray, theta: np.ndarray,
     to segment ``j``; the end segments take anything beyond ``[0, 1]``.
     The gradient needs only ``S0_j``, the sum of ``1 / h``, and ``S1_j``,
     the sum of ``(z - t_j) / h``, over the live observations of each
-    segment (``h_hat`` above the log floor): the knot cotangents follow from
-    them in arithmetic on the grid.  The objective has kinks where an
+    segment (``h_hat`` above the log floor), kept in the pipeline's buffer:
+    the knot cotangents follow from them in arithmetic on the grid, and the
+    pipeline's adjoint sweep (closed-form partials of ``h`` in ``(W, W',
+    W'')``) carries them to ``theta``.  The objective has kinks where an
     observation meets a moving knot; the gradient is exact between them.
     """
     t_full, h_full, I_h, pullback = pipe.forward(theta)
     I_h = max(I_h, 1e-300)
-    bounds = np.empty(t_full.size, dtype=np.intp)
-    bounds[0], bounds[-1] = 0, z.size
+    bounds = pipe.bounds  # bounds[0] stays 0
+    bounds[-1] = z.size
     bounds[1:-1] = z.searchsorted(t_full[1:-1], side="left")
     counts = bounds[1:] - bounds[:-1]
     delta = t_full[1:] - t_full[:-1]
@@ -299,16 +326,23 @@ def _loss_and_grad(pipe: _HhatPipeline, z: np.ndarray, theta: np.ndarray,
     # segments are passed; the empty ones keep zero sums
     full = counts > 0
     starts = bounds[:-1][full]
-    S0 = np.zeros(counts.size)
-    S1 = np.zeros(counts.size)
-    S0[full] = np.add.reduceat(inv_raw, starts)
-    S1[full] = np.add.reduceat(dz, starts)
-    # segment j sends S0_j - q_j to h_j, q_j to h_{j+1}, beta_j (q_j - S0_j)
-    # to t_j and -beta_j q_j to t_{j+1}; the end knots are pinned
-    q = S1 / delta
-    gh = (S0 - q)[1:] + q[:-1]
-    gt = (beta * (q - S0))[1:] - (beta * q)[:-1]
-    return ll, pullback(gt, gh, -np.count_nonzero(live) / I_h)
+    sums = pipe.sums
+    sums.fill(0.0)
+    sums[0, full] = np.add.reduceat(inv_raw, starts)
+    sums[1, full] = np.add.reduceat(dz, starts)
+    # segment j sends a_j to h_j, b_j to h_{j+1}, -beta_j a_j to t_j and
+    # -beta_j b_j to t_{j+1}; the end knots are pinned.  The data give
+    # a_j = S0_j - q_j and b_j = q_j = S1_j / delta_j; the trapezoid mass
+    # I_h = sum_j delta_j (h_j + h_{j+1}) / 2, whose cotangent is minus the
+    # live count over I_h, adds that times delta_j / 2 to both.  In place,
+    # the rows (S0, S1) become (a, b).
+    sums[1] /= delta
+    sums[0] -= sums[1]
+    sums += (-0.5 * np.count_nonzero(live) / I_h) * delta
+    gh = sums[0, 1:] + sums[1, :-1]
+    sums *= beta
+    gt = -(sums[0, 1:] + sums[1, :-1])
+    return ll, pullback(gt, gh)
 
 
 class PenalizedLikelihood:

@@ -12,6 +12,7 @@ the points (:func:`_bspline_design`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -140,6 +141,18 @@ class ZBasis:
         zq = self.evaluate(self.quad_nodes)
         return (zq * self.quad_weights[:, None]).T @ zq
 
+    @cached_property
+    def _center(self) -> np.ndarray:
+        """The coefficients :func:`project_center` returns."""
+        nodes, weights = center_quadrature(self)
+        g = -0.5 * (1.0 + np.log(nodes))
+        if not np.all(np.isfinite(g)):
+            raise NumericalError(
+                "quadrature node collided with the log singularity at 0")
+        center = (weights * g) @ eval_basis(self, nodes)
+        center.flags.writeable = False
+        return center
+
 
 def build_zb_basis(cfg: KnotConfig) -> ZBasis:
     """Construct the orthonormal zero-integral basis for a knot configuration.
@@ -230,14 +243,10 @@ def project_center(b: ZBasis) -> np.ndarray:
     The projected function is the clr transform of the density of U^2
     (U uniform); using it as an affine center removes the asymmetry bias of
     the plain spline model.  The log singularity at 0 is handled by a
-    geometrically refined quadrature on the first knot interval.
+    geometrically refined quadrature on the first knot interval.  Computed
+    at the first call for a basis and kept on it, read-only.
     """
-    nodes, weights = center_quadrature(b)
-    g = -0.5 * (1.0 + np.log(nodes))
-    if not np.all(np.isfinite(g)):
-        raise NumericalError("quadrature node collided with the log singularity at 0")
-    zq = eval_basis(b, nodes)
-    return (weights * g) @ zq
+    return b._center
 
 
 def quantile_knots(sample, n_interior: int) -> KnotConfig:

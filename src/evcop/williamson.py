@@ -121,13 +121,13 @@ class WilliamsonKernel:
 
         The reverse of each suffix sum in :meth:`__call__` is a prefix sum.
         """
-        G = np.zeros((2, gw.size + 1))
+        G = np.empty((2, gw.size + 1))
+        # c is the sum of all P, so gc reaches every one of them
+        G[0, 0], G[1, 0] = gc, 0.0
         G[0, 1:] = gw
         np.multiply(self.x_in, gw, out=G[1, 1:])
         G[1, 1:] += gwp
         G.cumsum(axis=1, out=G)
-        # c is the sum of all P, so gc reaches every one of them
-        G[0] += gc
         gfv = np.einsum("ijk,ij->jk", self._weights, G)
         gfv[1:, 0] += gwpp / self.x_in
         return gfv

@@ -38,20 +38,70 @@ def test_csv_roundtrip_precision(tmp_path):
     assert np.max(np.abs(back - data)) <= 1e-15 * np.max(data)
 
 
+def _line_by_line_pairs(path) -> np.ndarray:
+    """Reference: the CSV reader as a loop over lines, one row at a time."""
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh):
+            text = line.strip()
+            if not text:
+                continue
+            parts = [p for p in text.replace(";", ",").replace("\t", ",").split(",")
+                     if p.strip()] if ("," in text or ";" in text or "\t" in text) \
+                else text.split()
+            try:
+                vals = (float(parts[0]), float(parts[1]))
+            except (ValueError, IndexError):
+                if lineno == 0:
+                    continue
+                raise InputError(f"malformed numeric row at line {lineno + 1}")
+            rows.append(vals)
+    if not rows:
+        raise InputError("no numeric rows found")
+    return np.asarray(rows, dtype=float)
+
+
 def test_read_pairs_header_and_formats(tmp_path):
     path = tmp_path / "mixed.csv"
     path.write_text("col_a,col_b\n0.25,0.5\n0.125;0.75\n0.3\t0.4\n")
     data = read_pairs(path)
     assert data.shape == (3, 2)
     assert data[0, 0] == 0.25
-    bad = tmp_path / "bad.csv"
-    bad.write_text("u,v\n0.1,0.2\nnot,numbers\n")
-    with pytest.raises(InputError):
-        read_pairs(bad)
-    empty = tmp_path / "empty.csv"
-    empty.write_text("just,a,header\n")
-    with pytest.raises(InputError):
-        read_pairs(empty)
+    rng = np.random.default_rng(4)
+    x = [f"{v:.17g}" for v in rng.random(8) * 10.0 ** rng.integers(-12, 12, 8)]
+    accepted = {
+        "crlf": f"u,v\r\n{x[0]},{x[1]}\r\n{x[2]},{x[3]}\r\n",
+        "tabs": f"{x[0]}\t{x[1]}\n{x[2]}\t {x[3]}\n",
+        "semicolons": f"u;v\n{x[0]};{x[1]}\n{x[2]} ; {x[3]}\n",
+        "blanks": f"{x[0]} {x[1]}\n   {x[2]}    {x[3]}  \n",
+        "third_column": f"u,v,w\n{x[0]},{x[1]},label\n{x[2]},{x[3]},7\n",
+        "blank_lines": f"\n{x[0]},{x[1]}\n\n  \n{x[2]},{x[3]}\n\n",
+        "header": f"pair u,pair v\n{x[0]},{x[1]}\n",
+        "one_field_header": f"{x[0]}\n{x[1]},{x[2]}\n",
+        "empty_fields": f"{x[0]},,{x[1]}\n{x[2]}, ,{x[3]},\n",
+        "non_finite": "nan,inf\n-inf,1e-320\n",
+    }
+    for name, text in accepted.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(text.encode("utf-8"))
+        data = read_pairs(path)
+        assert data.shape[1] == 2, name
+        assert np.array_equal(data, _line_by_line_pairs(path), equal_nan=True), name
+    for name, text in {
+            "bad_field": f"u,v\n{x[0]},{x[1]}\n\n{x[2]},{x[3]}\nnot,numbers\n1,2\n",
+            "one_field": f"u,v\n{x[0]},{x[1]}\n{x[2]},{x[3]}\n{x[4]},{x[5]}\n{x[6]}\n",
+            "header_not_first": f"\n\n\n\nu,v\n{x[0]},{x[1]}\n"}.items():
+        bad = tmp_path / f"{name}.csv"
+        bad.write_text(text)
+        with pytest.raises(InputError, match="at line 5$"):
+            _line_by_line_pairs(bad)
+        with pytest.raises(InputError, match="at line 5$"):
+            read_pairs(bad)
+    for text in ("just,a,header\n", "", "\n \n\t\n", "u,v\n\n"):
+        empty = tmp_path / "empty.csv"
+        empty.write_text(text)
+        with pytest.raises(InputError, match="no numeric rows"):
+            read_pairs(empty)
 
 
 def test_pseudo_observations_in_unit_interval():

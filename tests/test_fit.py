@@ -18,6 +18,7 @@ from evcop.fit import (
     _LOG_FLOOR,
     _HhatPipeline,
     _loss_and_grad,
+    _maximize,
     _prior_draws,
     FitConfig,
     PenalizedLikelihood,
@@ -395,6 +396,81 @@ def test_data_term_on_sorted_pseudo_angles(gumbel_objectives):
     assert np.array_equal(shuffled, before)
     assert abs(value_s - value) <= 1e-12 * abs(value)
     assert np.max(np.abs(grad_s - grad)) <= 1e-12 * np.max(np.abs(grad))
+
+
+def _fit_inputs():
+    """Objectives of five n=1000 samples, set up as `optimize` does.
+
+    Independence, Gumbel 1.5, 3 and 8, and Khoudraji's asymmetric
+    max-construction on Gumbel 3 (shape 0.6, 0.9), which takes the flip.
+    """
+    rng = np.random.default_rng(13)
+    g3 = EvCopula(ParametricPickands("gumbel", 3.0)).simulate(1000, seed=14)
+    r = rng.random((1000, 2))
+    samples = [rng.random((1000, 2))] + [
+        EvCopula(ParametricPickands("gumbel", dep)).simulate(1000, seed=15)
+        for dep in (1.5, 3.0, 8.0)] + [np.column_stack([
+            np.maximum(g3[:, 0] ** (1 / 0.9), r[:, 0] ** (1 / 0.1)),
+            np.maximum(g3[:, 1] ** (1 / 0.6), r[:, 1] ** (1 / 0.4))])]
+    for uv in samples:
+        z = z_transform(uv)
+        if ordering_heuristic(z):
+            z = 1.0 - z
+        x_grid = empirical_w_grid(z, 78)
+        basis = build_zb_basis(quantile_knots(x_grid[1:-1], 10))
+        yield PenalizedLikelihood(basis, x_grid, z, 1e-4, project_center(basis))
+
+
+def test_fused_sweep_matches_link_and_h_formula():
+    # at every iterate of a fit, the knots of the fused forward pass are
+    # those of the affine link and h_formula on the same kernel output
+    for lik in _fit_inputs():
+        pipe = lik.pipe
+        iterates = []
+        _maximize(lik.value_and_grad, lik.omega, lik.lam, iterates.append)
+        assert len(iterates) >= 5
+        for theta in iterates:
+            coeffs = theta + lik.center
+            t_full, h_full, _, _ = pipe.forward(coeffs)
+            e = np.exp(np.clip(pipe.B @ coeffs, -_EXP_CLIP, _EXP_CLIP))
+            w, wp, wpp, _, c = pipe.kernel(e.reshape(pipe.kernel.nodes.shape))
+            t, a, ap, app = link(pipe.kernel.x_in, w / c, wp / c, wpp / c)
+            h = h_formula(t, a, ap, app)
+            assert np.max(np.abs(t_full[1:-1] - t) / t) <= 1e-12
+            big = h >= 1e-6
+            assert np.max(np.abs(h_full[1:-1] - h)[big] / h[big]) <= 1e-12
+            assert (t_full[0], t_full[-1], h_full[0], h_full[-1]) == (0, 1, 0, 0)
+
+
+def test_objective_calls_share_no_state(gumbel_objectives):
+    # the pipeline reuses buffers across calls: what one call returns must
+    # survive later calls, and a call must not read what an earlier left
+    basis, x_grid, z, omega, center = gumbel_objectives[4.0]
+    lik = PenalizedLikelihood(basis, x_grid, z, 1e-4, center)
+    rng = np.random.default_rng(16)
+    theta1, theta2 = _offset(rng, basis.dim, 1.0), _offset(rng, basis.dim, 3.0)
+    value1, grad1 = lik.value_and_grad(theta1)
+    lik.value_and_grad(theta2)
+    value, grad = lik.value_and_grad(theta1)
+    assert value == value1 and np.array_equal(grad, grad1)
+
+    pipe = lik.pipe
+    t_full, h_full, I_h, pullback = pipe.forward(theta1 + center)
+    kept = (t_full.copy(), h_full.copy())
+    cotangents = (np.cos(np.arange(pipe.m)), np.sin(np.arange(pipe.m)))
+    g = pullback(*cotangents)
+    later = pipe.forward(theta2 + center)
+    later[3](*cotangents)
+    assert np.array_equal(t_full, kept[0]) and np.array_equal(h_full, kept[1])
+    assert np.array_equal(pullback(*cotangents), g)
+
+    # samples of other sizes on one pipeline, as on a fresh one each
+    z_sorted = np.sort(z)
+    for sample in (z_sorted, z_sorted[::3], z_sorted[:-1], z_sorted):
+        ll, g = _loss_and_grad(pipe, sample, theta1 + center, True)
+        ref_ll, ref_g = _loss_and_grad(_HhatPipeline(basis, x_grid), sample,
+                                       theta1 + center, True)
+        assert ll == ref_ll and np.array_equal(g, ref_g)
 
 
 def _count_pipeline_builds(monkeypatch):
