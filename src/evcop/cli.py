@@ -113,18 +113,22 @@ def pseudo_observations(raw: np.ndarray) -> np.ndarray:
     column in which more than 1% of the values repeat an earlier value of
     that column.
     """
-    from scipy.stats import rankdata
-
     raw = np.asarray(raw, dtype=float)
     n = raw.shape[0]
     out = np.empty_like(raw)
     for j in range(raw.shape[1]):
-        tied = 1.0 - np.unique(raw[:, j]).size / n
+        values, group, counts = np.unique(raw[:, j], return_inverse=True,
+                                          return_counts=True)
+        tied = 1.0 - counts.size / n
         if tied > _TIE_SHARE:
             logger.warning("pseudo_observations: %.1f%% of column %d repeats "
                            "earlier values; ties break the continuous-margin "
                            "assumption", 100.0 * tied, j + 1)
-        out[:, j] = rankdata(raw[:, j], method="average") / (n + 1.0)
+        # a group of tied values holds ranks end - count + 1 .. end; a NaN
+        # (sorted last) makes the whole column NaN, as scipy's rankdata does
+        ends = np.cumsum(counts)
+        ranks = 0.5 * (ends + (ends - counts) + 1)[group]
+        out[:, j] = (np.nan if np.isnan(values[-1]) else ranks) / (n + 1.0)
     return out
 
 

@@ -26,6 +26,7 @@ where the saved model reads ``A`` at the link images without inverting W.
 from __future__ import annotations
 
 import logging
+import math
 from itertools import islice
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -79,10 +80,19 @@ _LOG_FLOOR = 1e-12
 _EXP_CLIP = 300.0
 # spline degree of every fitted basis (the degree quantile_knots returns)
 _DEGREE = 3
-# L-BFGS-B iteration cap, and the largest gradient entry that counts as
-# converged when scipy stops for another reason
+# L-BFGS-B's iteration cap and projected-gradient stop; the gradient bound
+# also counts a run as converged when the optimizer stops for another reason
 _MAX_ITER = 500
 _GRAD_TOL = 1e-4
+# L-BFGS-B's other settings, without bounds: pairs kept, evaluations per line
+# search, the relative-reduction stop, the largest step, and Moré-Thuente's
+# sufficient-decrease, curvature and interval-width constants
+_MAXCOR = 20
+_MAXLS = 20
+_REL_TOL = 1e-13
+_STPMAX = 1e10
+_LS_FTOL, _LS_GTOL, _LS_XTOL = 1e-3, 0.9, 0.1
+_EPS = float(np.finfo(float).eps)
 
 
 def _penalty_whitener(omega: np.ndarray, lam: float) -> np.ndarray:
@@ -436,15 +446,238 @@ def pipeline_pickands(basis: ZBasis, theta, center_enabled: bool,
     return model, dens, grid
 
 
-def minimize(*args, **kwargs):
-    """:func:`scipy.optimize.minimize`, imported at the first fit.
+class _Minimum(NamedTuple):
+    x: np.ndarray
+    jac: np.ndarray
+    nit: int
+    nfev: int
+    success: bool
+    message: str
 
-    scipy takes most of the start-up time of every command, and only the
-    optimizer, the prior sampler, the Husler-Reiss family and ``--pseudo``
-    ranks use it.
+
+def _cubic(fa, da, a, fp, dp, stp):
+    """``theta`` and ``|gamma|`` of the cubic through two steps, as dcstep forms them."""
+    theta = 3.0 * (fa - fp) / (stp - a) + da + dp
+    s = max(abs(theta), abs(da), abs(dp))
+    ts = theta / s
+    return theta, s * math.sqrt(max(0.0, ts * ts - (da / s) * (dp / s)))
+
+
+def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
+    """Moré & Thuente's safeguarded trial step (MINPACK-2 ``dcstep``).
+
+    ``(stx, fx, dx)`` is the best step so far with its value and slope,
+    ``(sty, fy, dy)`` the other end of the bracket and ``(stp, fp, dp)`` the
+    step just evaluated.  Returns the updated ends, the next step and
+    whether a minimizer is bracketed.  Plain floats throughout.
     """
-    from scipy.optimize import minimize as scipy_minimize
-    return scipy_minimize(*args, **kwargs)
+    opposite = dp < 0.0 < dx or dx < 0.0 < dp
+    if fp > fx:
+        # a higher value: the minimizer is bracketed
+        theta, gamma = _cubic(fx, dx, stx, fp, dp, stp)
+        gamma = -gamma if stp < stx else gamma
+        p = (gamma - dx) + theta
+        q = ((gamma - dx) + gamma) + dp
+        stpc = stx + p / q * (stp - stx)
+        stpq = stx + dx / ((fx - fp) / (stp - stx) + dx) / 2.0 * (stp - stx)
+        if abs(stpc - stx) < abs(stpq - stx):
+            stpf = stpc
+        else:
+            stpf = stpc + (stpq - stpc) / 2.0
+        brackt = True
+    elif opposite:
+        # a lower value and slopes of opposite sign: bracketed
+        theta, gamma = _cubic(fx, dx, stx, fp, dp, stp)
+        gamma = -gamma if stp > stx else gamma
+        p = (gamma - dp) + theta
+        q = ((gamma - dp) + gamma) + dx
+        stpc = stp + p / q * (stx - stp)
+        stpq = stp + dp / (dp - dx) * (stx - stp)
+        stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
+        brackt = True
+    elif abs(dp) < abs(dx):
+        # a lower value, slopes of one sign, and the slope shrinks
+        theta, gamma = _cubic(fx, dx, stx, fp, dp, stp)
+        gamma = -gamma if stp > stx else gamma
+        p = (gamma - dp) + theta
+        q = (gamma + (dx - dp)) + gamma
+        r = p / q
+        if r < 0.0 and gamma != 0.0:
+            stpc = stp + r * (stx - stp)
+        else:
+            stpc = stpmax if stp > stx else stpmin
+        stpq = stp + dp / (dp - dx) * (stx - stp)
+        if brackt:
+            stpf = stpc if abs(stpc - stp) < abs(stpq - stp) else stpq
+            if stp > stx:
+                stpf = min(stp + 0.66 * (sty - stp), stpf)
+            else:
+                stpf = max(stp + 0.66 * (sty - stp), stpf)
+        else:
+            stpf = stpc if abs(stpc - stp) > abs(stpq - stp) else stpq
+            stpf = max(stpmin, min(stpmax, stpf))
+    elif brackt:
+        # the slope does not shrink: cubic step toward sty
+        theta, gamma = _cubic(fy, dy, sty, fp, dp, stp)
+        gamma = -gamma if stp > sty else gamma
+        p = (gamma - dp) + theta
+        q = ((gamma - dp) + gamma) + dy
+        stpf = stp + p / q * (sty - stp)
+    else:
+        stpf = stpmax if stp > stx else stpmin
+    if fp > fx:
+        sty, fy, dy = stp, fp, dp
+    else:
+        if opposite:
+            sty, fy, dy = stx, fx, dx
+        stx, fx, dx = stp, fp, dp
+    return stx, fx, dx, sty, fy, dy, stpf, brackt
+
+
+def _line_search(fun, x, z, d, finit, g0, ginit, stp):
+    """Moré & Thuente's search (MINPACK-2 ``dcsrch``) along ``d`` from ``x``.
+
+    ``z = x + d`` is the full step, ``finit``, ``g0`` and ``ginit`` the
+    value, gradient and slope at ``x``, and ``stp`` the first trial step.
+    Returns ``(stp, x, f, g, slope)`` at the accepted step, or None after
+    ``_MAXLS`` trials without one, and the count of evaluations.  As in
+    L-BFGS-B, a search that warns accepts the step it last evaluated.  A
+    trial that lands on ``x`` or on the last trial point reuses its value.
+    A non-finite value or slope is never passed on: the step is halved
+    toward the best one so far, which becomes the largest step allowed.
+    """
+    gtest = _LS_FTOL * ginit
+    width, width1 = _STPMAX, 2.0 * _STPMAX
+    stx = sty = 0.0
+    fx = fy = finit
+    gx = gy = ginit
+    stmin, stmax, stpmax = 0.0, stp + 4.0 * stp, _STPMAX
+    brackt, stage1 = False, True
+    xl, fl, gl = x, finit, g0
+    nfev = 0
+    for trial in range(_MAXLS):
+        xt = z if stp == 1.0 else x + stp * d
+        if trial and (xt == x).all():
+            f, g = finit, g0
+        elif trial and (xt == xl).all():
+            f, g = fl, gl
+        else:
+            xl, (fl, gl) = xt, fun(xt)
+            f, g, nfev = fl, gl, nfev + 1
+        f, gd = float(f), float(g @ d)
+        if not (math.isfinite(f) and math.isfinite(gd)):
+            stp = stpmax = stx + 0.5 * (stp - stx)
+            continue
+        ftest = finit + stp * gtest
+        if stage1 and f <= ftest and gd >= 0.0:
+            stage1 = False
+        if (brackt and (stp <= stmin or stp >= stmax
+                        or stmax - stmin <= _LS_XTOL * stmax)
+                or stp == stpmax and f <= ftest and gd <= gtest
+                or stp == 0.0 and (f > ftest or gd >= gtest)
+                or f <= ftest and abs(gd) <= _LS_GTOL * -ginit):
+            return (stp, xt, f, g, gd), nfev
+        try:
+            if stage1 and ftest < f <= fx:
+                # the value fell, not enough: step on f - stp * gtest
+                stx, fx, gx, sty, fy, gy, stp, brackt = _dcstep(
+                    stx, fx - stx * gtest, gx - gtest, sty, fy - sty * gtest,
+                    gy - gtest, stp, f - stp * gtest, gd - gtest, brackt,
+                    stmin, stmax)
+                fx, fy = fx + stx * gtest, fy + sty * gtest
+                gx, gy = gx + gtest, gy + gtest
+            else:
+                stx, fx, gx, sty, fy, gy, stp, brackt = _dcstep(
+                    stx, fx, gx, sty, fy, gy, stp, f, gd, brackt, stmin, stmax)
+        except ZeroDivisionError:
+            break
+        if brackt:
+            if abs(sty - stx) >= 0.66 * width1:
+                stp = stx + 0.5 * (sty - stx)
+            width1, width = width, abs(sty - stx)
+            stmin, stmax = min(stx, sty), max(stx, sty)
+        else:
+            stmin = stp + 1.1 * (stp - stx)
+            stmax = stp + 4.0 * (stp - stx)
+        stp = min(max(stp, 0.0), stpmax)
+        if brackt and (stp <= stmin or stp >= stmax
+                       or stmax - stmin <= _LS_XTOL * stmax):
+            stp = stx
+    return None, nfev
+
+
+def minimize(fun, x0, callback=None) -> _Minimum:
+    """Unbounded L-BFGS-B minimization of ``fun``, which returns value and gradient.
+
+    A numpy port of what L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995, v3.0 as
+    scipy ships it) does without bounds, with its constants, stop rules and
+    message strings.  The direction is ``-H g``, with ``H`` the compact
+    inverse form of Byrd, Nocedal & Schnabel (1994) over the last
+    ``_MAXCOR`` pairs and ``H0 = I / theta``, where ``theta = y'y / s'y`` as
+    in L-BFGS-B.  It is applied through ``T = R^-1 S`` (``R`` the upper
+    triangle of ``S'Y``), which is kept up to date in O(mn) per pair.  With
+    no pairs the direction is ``-g``; the first step is ``1/|g|``, later
+    first steps 1.  A pair is skipped when ``s'y <= eps (-g'd stp)``.  A
+    failed line search restarts once from steepest descent, then stops
+    "ABNORMAL".  ``callback``, when given, receives every accepted iterate.
+    """
+    x = np.array(x0, dtype=float)
+    f, g = fun(x)
+    f, f_old = float(f), math.nan  # no reduction to test before a step
+    nit, nfev, k, slot, m = 0, 1, 0, 0, _MAXCOR
+    # the last m pairs by rows, in slots filled in turn: T = R^-1 S, Y and
+    # D = diag(S'Y).  A free slot has a zero row of T, which keeps it out of
+    # every product.
+    T, Y, D = np.zeros((m, x.size)), np.zeros((m, x.size)), np.zeros(m)
+    message = "ABNORMAL: "
+    while math.isfinite(f):
+        if nit >= _MAX_ITER:
+            message = "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"
+            break
+        if float(abs(g).max()) <= _GRAD_TOL:
+            message = "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL"
+            break
+        if f_old - f <= _REL_TOL * max(abs(f_old), abs(f), 1.0):
+            message = "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH"
+            break
+        if k == 0:
+            z = x - g
+        else:
+            # H g = (I - G)(I - G)' g / theta + T'D T g with G = T'Y: the
+            # compact form of Byrd, Nocedal & Schnabel with H0 = I / theta
+            tg = T @ g
+            v = g - tg @ Y
+            z = x - (v / theta + (D * tg - (Y @ v) / theta) @ T)
+        d = z - x
+        gd = float(g @ d)
+        stp = min(1.0 / math.sqrt(float(d @ d)), _STPMAX) if nit == 0 else 1.0
+        found, evals = (_line_search(fun, x, z, d, f, g, gd, stp) if gd < 0.0
+                        else (None, 0))
+        nfev += evals
+        if found is None:
+            if k == 0:
+                break
+            k = 0
+            T[:] = 0.0
+            continue
+        stp, x, f_new, g_new, gd_new = found
+        nit += 1
+        if callback is not None:
+            callback(x)
+        f_old, f, y, g = f, f_new, g_new - g, g_new
+        s_y = (gd_new - gd) * stp
+        if s_y <= _EPS * (-gd * stp):
+            continue
+        # R^-1 gains the column (-R^-1 S'y / s'y, 1 / s'y), so T its row
+        # s / s'y and T -= (T y) (s / s'y)'; dropping the oldest pair keeps
+        # the trailing block of R^-1, so its row of T goes
+        u = d * (stp / s_y)
+        T[slot] = 0.0
+        T -= np.multiply.outer(T @ y, u)
+        T[slot], Y[slot], D[slot] = u, y, s_y
+        theta = float(y @ y) / s_y
+        slot, k = (slot + 1) % m, min(k + 1, m)
+    return _Minimum(x, g, nit, nfev, message.startswith("CONV"), message)
 
 
 class _OptimizerRun(NamedTuple):
@@ -456,12 +689,13 @@ class _OptimizerRun(NamedTuple):
 
 
 def _maximize(value_and_grad, omega: np.ndarray, lam: float, callback=None):
-    """L-BFGS-B ascent from zero, in the coordinates whitened by the penalty.
+    """Ascent from zero by :func:`minimize`, in coordinates whitened by the penalty.
 
     ``value_and_grad(theta)`` returns the objective and its gradient;
     ``callback``, when given, receives every accepted iterate.  Returns the
-    maximizer and an :class:`_OptimizerRun`.  The run converged when scipy
-    reports success, or when no final gradient entry exceeds the tolerance.
+    maximizer and an :class:`_OptimizerRun`.  The run converged when the
+    optimizer reports success (either of L-BFGS-B's convergence stops), or
+    when no final gradient entry exceeds the tolerance.
     """
     white = _penalty_whitener(omega, lam)
 
@@ -469,12 +703,9 @@ def _maximize(value_and_grad, omega: np.ndarray, lam: float, callback=None):
         value, grad = value_and_grad(white @ phi)
         return -value, white @ -grad
 
-    res = minimize(negloss_white, np.zeros(omega.shape[0]), jac=True,
-                   method="L-BFGS-B",
-                   callback=None if callback is None
-                   else lambda phi: callback(white @ phi),
-                   options={"maxiter": _MAX_ITER, "gtol": _GRAD_TOL,
-                            "ftol": 1e-13, "maxcor": 20})
+    res = minimize(negloss_white, np.zeros(omega.shape[0]),
+                   None if callback is None
+                   else lambda phi: callback(white @ phi))
     grad_max = float(np.max(np.abs(res.jac)))
     converged = bool(res.success) or grad_max <= _GRAD_TOL
     if not converged:

@@ -604,6 +604,86 @@ def test_fit_univariate_density_bounds_checked():
         fit_univariate_density(np.array([0.5, 1.5]), (0.0, 1.0))
 
 
+def _scipy_lbfgsb(fun, x0, callback=None):
+    """The oracle: scipy's L-BFGS-B with the settings the port copies."""
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(fun, x0, jac=True, method="L-BFGS-B",
+                          callback=callback,
+                          options={"maxiter": 500, "gtol": 1e-4,
+                                   "ftol": 1e-13, "maxcor": 20})
+
+
+def _rosen(x):
+    from scipy.optimize import rosen, rosen_der
+    return rosen(x), rosen_der(x)
+
+
+@pytest.mark.parametrize("n", [2, 5])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_minimize_takes_scipys_path_on_rosenbrock(n, seed):
+    x0 = np.random.default_rng(seed).uniform(-2.0, 2.0, n)
+    ours, ref = evcop.fit.minimize(_rosen, x0), _scipy_lbfgsb(_rosen, x0)
+    assert (ours.nit, ours.nfev, ours.message) == (ref.nit, ref.nfev,
+                                                   ref.message)
+    assert ours.success and np.max(np.abs(ours.x - ref.x)) <= 1e-10
+
+
+def test_minimize_reaches_scipys_value_in_13_dimensions():
+    for seed in range(3):
+        x0 = np.random.default_rng(seed).uniform(-2.0, 2.0, 13)
+        ours, ref = evcop.fit.minimize(_rosen, x0), _scipy_lbfgsb(_rosen, x0)
+        assert ours.success
+        assert abs(_rosen(ours.x)[0] - ref.fun) <= 1e-9
+
+
+def test_univariate_fit_matches_the_scipy_optimizer(monkeypatch):
+    rng = np.random.default_rng(6)
+    sample = rng.beta(2.0, 4.0, size=800) * 80.0 + 10.0
+    rng = np.random.default_rng(8)
+    bimodal = np.clip(np.concatenate([rng.lognormal(0.5, 0.4, 60) + 1.0,
+                                      rng.lognormal(3.0, 0.3, 40)]), 1.05, 99.0)
+    cases = [(sample, (5.0, 95.0), 9, 1.0), (bimodal, (1.0, 100.0), 17, 10.0)]
+    ours = [fit_univariate_density(*case).theta for case in cases]
+    monkeypatch.setattr(evcop.fit, "minimize", _scipy_lbfgsb)
+    for theta, case in zip(ours, cases):
+        assert np.max(np.abs(theta - fit_univariate_density(*case).theta)) <= 1e-8
+
+
+@pytest.mark.parametrize("good_calls", [0, 6])
+def test_an_ascent_gradient_ends_abnormal(good_calls):
+    # from the first call (no pairs yet) or after a few good steps (a restart
+    # from steepest descent first), a gradient of the wrong sign makes every
+    # line search fail
+    calls = []
+
+    def value_and_grad(theta):
+        calls.append(None)
+        value, grad = _rosen(theta)
+        return -value, grad * (-1 if len(calls) <= good_calls else 1)
+
+    theta, run = _maximize(value_and_grad, np.eye(2), 0.0)
+    assert not run.converged
+    assert run.message.startswith("ABNORMAL")
+    assert run.evaluations == len(calls)
+    assert (run.iterations > 0) == (good_calls > 0)
+
+
+def test_a_nan_trial_value_is_never_accepted():
+    # a line-search trial leaves the region where the objective is defined;
+    # the search steps back and the fit converges
+    values, accepted = [], []
+
+    def fun(x):
+        value, grad = _rosen(x)
+        values.append(value if np.max(np.abs(x)) < 1.5 else np.nan)
+        return values[-1], grad
+
+    res = evcop.fit.minimize(fun, np.array([-1.2, 1.0]), accepted.append)
+    assert np.isnan(values).sum() >= 1
+    assert all(np.max(np.abs(x)) < 1.5 for x in accepted)
+    assert res.success and np.max(np.abs(res.x - 1.0)) <= 1e-3
+
+
 def test_mcmc_gaussian_moments():
     chain = mcmc_sample(lambda x: -0.5 * float(x @ x), 2, 20000, seed=5)
     assert np.max(np.abs(chain.mean(axis=0))) <= 0.1
