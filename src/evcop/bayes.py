@@ -18,14 +18,9 @@ from .errors import InputError, NumericalError
 from .splinebasis import ZBasis, project_center
 from .williamson import default_w_nodes
 
-__all__ = ["ClrDensity", "clr", "clr_inverse", "perturb", "power", "tvd",
-           "default_grid"]
+__all__ = ["ClrDensity", "clr", "clr_inverse", "perturb", "power", "tvd"]
 
 _CLR_OVERFLOW = 700.0  # exp overflows past this
-
-
-def default_grid(n: int = 2049) -> np.ndarray:
-    return np.linspace(0.0, 1.0, n)
 
 
 @cache
@@ -69,59 +64,45 @@ def clr(f):
     return p
 
 
-def clr_inverse(p, grid: np.ndarray | None = None):
-    """Back-transform of a bounded function to a density: exp(p) normalized.
+def _normalized(fn, what: str):
+    """``fn`` divided by its mass on [0, 1] under :func:`mass_rule`.
 
-    Normalization uses the trapezoidal rule on ``grid`` (default 2049
-    equispaced nodes), keeping the integral a plain weighted sum.
+    An overflow in ``fn`` raises :class:`NumericalError` in
+    :func:`integrate_01`; so does a mass that is not finite and positive.
     """
-    grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
-    pv = np.asarray(p(grid), dtype=float)
-    if np.any(np.abs(pv) > _CLR_OVERFLOW):
-        raise NumericalError(
-            "clr argument exceeds exp range (|p| > 700); optimization diverged")
-    norm = float(np.trapezoid(np.exp(pv), grid))
-    if not np.isfinite(norm) or norm <= 0.0:
-        raise NumericalError("normalization integral is not finite and positive")
-
-    def f(x):
-        return np.exp(p(x)) / norm
-
-    return f
-
-
-def perturb(f, g, grid: np.ndarray | None = None):
-    """Density addition: pointwise product, renormalized."""
-    grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
-    norm = float(np.trapezoid(f(grid) * g(grid), grid))
-    if not np.isfinite(norm) or norm <= 0.0:
-        raise NumericalError("perturbation integral is not finite and positive")
+    with np.errstate(over="ignore"):
+        mass = integrate_01(fn)
+    if not (np.isfinite(mass) and mass > 0.0):
+        raise NumericalError(f"{what}: mass {mass:g} is not finite and positive")
 
     def h(x):
-        return f(x) * g(x) / norm
+        return fn(x) / mass
 
     return h
 
 
-def power(alpha: float, f, grid: np.ndarray | None = None):
-    """Density scalar multiplication: powering, renormalized."""
-    grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
-    norm = float(np.trapezoid(f(grid) ** alpha, grid))
-    if not np.isfinite(norm) or norm <= 0.0:
-        raise NumericalError("powering integral is not finite and positive")
+def clr_inverse(p):
+    """Back-transform of a function to a density: exp(p), normalized.
 
-    def h(x):
-        return f(x) ** alpha / norm
-
-    return h
+    The mass is taken by :func:`mass_rule`, whose nodes avoid 0 and 1, so
+    ``p`` may diverge logarithmically at the ends.
+    """
+    return _normalized(lambda x: np.exp(p(x)), "inverse clr")
 
 
-def tvd(f, g, grid: np.ndarray | None = None) -> float:
-    """Total variation distance between two densities: half the L1 distance."""
-    grid = default_grid() if grid is None else np.asarray(grid, dtype=float)
-    if grid.size < 1024:
-        raise InputError("tvd grid must have at least 1024 nodes")
-    return float(0.5 * np.trapezoid(np.abs(f(grid) - g(grid)), grid))
+def perturb(f, g):
+    """Density addition: pointwise product, renormalized by :func:`mass_rule`."""
+    return _normalized(lambda x: f(x) * g(x), "perturbation")
+
+
+def power(alpha: float, f):
+    """Density scalar multiplication: powering, renormalized by :func:`mass_rule`."""
+    return _normalized(lambda x: f(x) ** alpha, "powering")
+
+
+def tvd(f, g) -> float:
+    """Total variation distance: half the L1 distance, by :func:`mass_rule`."""
+    return 0.5 * integrate_01(lambda x: np.abs(f(x) - g(x)))
 
 
 class ClrDensity:

@@ -83,21 +83,28 @@ def read_pairs(path) -> np.ndarray:
     Fields are separated by ``,``, ``;``, tabs or blanks.  Blank lines and
     fields after the second are ignored, and line 1 is a header when its
     first two fields are not numbers.  The rows are parsed by one
-    :func:`numpy.loadtxt` call once every separator is a blank.
+    :func:`numpy.loadtxt` call once every separator is a blank.  A NaN or
+    infinite value in the two columns is rejected, naming its line.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().translate(_BLANK_SEPARATORS).split("\n")
     rows = lines if _leading_pair(lines[0]) else lines[1:]
     if not any(map(str.strip, rows)):
         raise InputError(f"{path}: no numeric rows found")
+    first = len(lines) - len(rows) + 1
     try:
-        return np.loadtxt(rows, usecols=(0, 1), comments=None, ndmin=2)
+        data = np.loadtxt(rows, usecols=(0, 1), comments=None, ndmin=2)
     except ValueError as exc:
-        first = len(lines) - len(rows) + 1
         bad = next((i for i, text in enumerate(rows, first)
                     if text.strip() and not _leading_pair(text)), None)
         where = f"at line {bad}" if bad else f"({exc})"
         raise InputError(f"{path}: malformed numeric row {where}") from None
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        numbered = [i for i, text in enumerate(rows, first) if text.strip()]
+        bad = numbered[int(np.argmin(finite))]
+        raise InputError(f"{path}: non-finite value at line {bad}")
+    return data
 
 
 def write_pairs(path, data: np.ndarray, header: str = "u,v") -> None:
@@ -439,9 +446,10 @@ def joint_pipeline(data: np.ndarray, margin_dim: int = 17,
     """Shared-margin joint model for ordered pairs (col1 >= col2).
 
     The sample is duplicated with swapped columns so both margins coincide,
-    a single spline density is fitted to the pooled values, ranks feed a
-    survival extreme-value copula fit, the Pickands function is symmetrized,
-    the survival transform is reversed, and ordered joint samples are drawn.
+    a single spline density is fitted to the pooled values, the
+    :func:`pseudo_observations` ranks feed a survival extreme-value copula
+    fit, the Pickands function is symmetrized, the survival transform is
+    reversed, and ordered joint samples are drawn.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2 or data.shape[1] != 2:
@@ -459,18 +467,11 @@ def joint_pipeline(data: np.ndarray, margin_dim: int = 17,
         bounds = (lo - pad, hi + pad)
     margin = fit_univariate_density(pooled, bounds, margin_dim, margin_lam)
 
-    srt = np.sort(pooled)
-    n2 = pooled.size
-
-    def ecdf(v):
-        return np.searchsorted(srt, v, side="right") / (n2 + 1.0)
-
-    u = ecdf(doubled[:, 0])
-    v = ecdf(doubled[:, 1])
-    surv = np.column_stack([1.0 - u, 1.0 - v])
+    # each column of the doubled sample is a permutation of the pooled values
+    surv = 1.0 - pseudo_observations(doubled)
     fitted = optimize(z_transform(surv),
                       FitConfig(basis_dim=copula_dim, lam=copula_lam,
-                                grid_k=min(78, max(8, n2 - 2))))
+                                grid_k=min(78, max(8, pooled.size - 2))))
     sym = symmetrize(fitted.pickands)
     final = EvCopula(sym, survival=True)
 

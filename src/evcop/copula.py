@@ -236,24 +236,20 @@ def _scalar_if_scalars(u, v, out):
     return float(out.flat[0]) if np.ndim(u) == 0 and np.ndim(v) == 0 else out
 
 
-def tvd_copulas(c1, c2, full: bool = False):
+def tvd_copulas(c1, c2) -> float:
     """Total variation distance between two copula densities.
 
     96 x 96 tensor Gauss-Legendre quadrature of ``|c1 - c2| / 2`` on the
     square ``[eps, 1-eps]^2``, ``eps = 1e-4``.  The excluded boundary strip
     carries copula mass at most ``4 eps`` under each model, so the truncation
-    understates the true distance by at most ``4 eps``; with ``full=True``
-    that bound is returned alongside the value.
+    understates the true distance by at most ``4 eps``.
     """
     uu, vv, w2 = gauss_square(_TVD_EPS, 96)
     d1 = np.asarray(c1.pdf(uu, vv), dtype=float)
     d2 = np.asarray(c2.pdf(uu, vv), dtype=float)
     if not (np.all(np.isfinite(d1)) and np.all(np.isfinite(d2))):
         raise NumericalError("non-finite copula density inside the unit square")
-    value = float(0.5 * np.sum(w2 * np.abs(d1 - d2)))
-    if full:
-        return value, 4.0 * _TVD_EPS
-    return value
+    return float(0.5 * np.sum(w2 * np.abs(d1 - d2)))
 
 
 class SupnormBound(NamedTuple):

@@ -932,8 +932,7 @@ def _prior_draws(lam: float, R: float, omega: np.ndarray, center: np.ndarray,
 
 
 def random_pickands(lam: float, R: float, n: int, seed=None,
-                    basis: ZBasis | None = None,
-                    return_pre_mirror: bool = False):
+                    basis: ZBasis | None = None):
     """Random Pickands functions from the truncated curvature prior.
 
     Exact draws of ``p(theta) ~ exp(-lam * (theta + theta0)' Omega (theta +
@@ -947,22 +946,19 @@ def random_pickands(lam: float, R: float, n: int, seed=None,
     basis = basis if basis is not None else default_random_basis()
     draws = _prior_draws(lam, R, curvature_matrix(basis),
                          project_center(basis), np.random.default_rng(seed))
-    models, raw_models = [], []
+    models = []
     for theta in islice(draws, 2 * n):
         try:
             model, _, _ = pipeline_pickands(basis, theta, True, False)
         except (NumericalError, InputError) as exc:
             logger.warning("random model rejected, resampling: %s", exc)
             continue
-        raw_models.append(model)
         models.append(mirror(model) if len(models) % 2 == 1 else model)
         if len(models) == n:
             break
     if len(models) < n:
         raise NumericalError(
             f"could only generate {len(models)} of {n} random models")
-    if return_pre_mirror:
-        return models, raw_models
     return models
 
 

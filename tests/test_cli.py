@@ -10,7 +10,7 @@ import pytest
 
 from evcop.copula import EvCopula
 from evcop.families import ParametricPickands
-from evcop.fit import model_to_dict
+from evcop.fit import FitConfig, model_to_dict, optimize, z_transform
 from evcop.cli import (
     joint_pipeline,
     main,
@@ -55,6 +55,8 @@ def _line_by_line_pairs(path) -> np.ndarray:
                 if lineno == 0:
                     continue
                 raise InputError(f"malformed numeric row at line {lineno + 1}")
+            if not np.all(np.isfinite(vals)):
+                raise InputError(f"non-finite value at line {lineno + 1}")
             rows.append(vals)
     if not rows:
         raise InputError("no numeric rows found")
@@ -79,7 +81,6 @@ def test_read_pairs_header_and_formats(tmp_path):
         "header": f"pair u,pair v\n{x[0]},{x[1]}\n",
         "one_field_header": f"{x[0]}\n{x[1]},{x[2]}\n",
         "empty_fields": f"{x[0]},,{x[1]}\n{x[2]}, ,{x[3]},\n",
-        "non_finite": "nan,inf\n-inf,1e-320\n",
     }
     for name, text in accepted.items():
         path = tmp_path / f"{name}.csv"
@@ -87,21 +88,37 @@ def test_read_pairs_header_and_formats(tmp_path):
         data = read_pairs(path)
         assert data.shape[1] == 2, name
         assert np.array_equal(data, _line_by_line_pairs(path), equal_nan=True), name
-    for name, text in {
-            "bad_field": f"u,v\n{x[0]},{x[1]}\n\n{x[2]},{x[3]}\nnot,numbers\n1,2\n",
-            "one_field": f"u,v\n{x[0]},{x[1]}\n{x[2]},{x[3]}\n{x[4]},{x[5]}\n{x[6]}\n",
-            "header_not_first": f"\n\n\n\nu,v\n{x[0]},{x[1]}\n"}.items():
+    for name, (text, line) in {
+            "bad_field": (f"u,v\n{x[0]},{x[1]}\n\n{x[2]},{x[3]}\nnot,numbers\n1,2\n", 5),
+            "one_field": (f"u,v\n{x[0]},{x[1]}\n{x[2]},{x[3]}\n{x[4]},{x[5]}\n{x[6]}\n", 5),
+            "header_not_first": (f"\n\n\n\nu,v\n{x[0]},{x[1]}\n", 5),
+            "non_finite": ("nan,inf\n-inf,1e-320\n", 1)}.items():
         bad = tmp_path / f"{name}.csv"
         bad.write_text(text)
-        with pytest.raises(InputError, match="at line 5$"):
+        with pytest.raises(InputError, match=f"at line {line}$"):
             _line_by_line_pairs(bad)
-        with pytest.raises(InputError, match="at line 5$"):
+        with pytest.raises(InputError, match=f"at line {line}$"):
             read_pairs(bad)
     for text in ("just,a,header\n", "", "\n \n\t\n", "u,v\n\n"):
         empty = tmp_path / "empty.csv"
         empty.write_text(text)
         with pytest.raises(InputError, match="no numeric rows"):
             read_pairs(empty)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_input_exits_2_naming_its_line(tmp_path, capsys, value):
+    rows = [f"{a:.17g},{b:.17g}"
+            for a, b in np.random.default_rng(3).random((200, 2))]
+    rows[56] = f"{value},{rows[56].split(',')[1]}"  # line 58 after the header
+    path = tmp_path / "pairs.csv"
+    path.write_text("u,v\n" + "\n".join(rows) + "\n")
+    out = str(tmp_path / "out")
+    for argv in (["fit", str(path), "-o", out],
+                 ["fit", str(path), "-o", out, "--pseudo"],
+                 ["joint", str(path), "-o", out]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.rstrip().endswith("at line 58"), argv
 
 
 def test_pseudo_observations_in_unit_interval():
@@ -511,30 +528,40 @@ def scipy_modules():
     found = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
     return sorted(found)[:5]
 
-model, csv, out = sys.argv[1:]
+model, csv, masses, spec, out = sys.argv[1:]
 import evcop
 assert not scipy_modules(), ("import evcop", scipy_modules())
 import evcop.cli
 evcop.cli.build_parser().format_help()
 assert not scipy_modules(), ("import evcop.cli", scipy_modules())
 for argv in (["evaluate", model], ["simulate", model, "-n", "1000", "-o", out],
-             ["fit", csv, "-o", out], ["fit", csv, "-o", out, "--pseudo"]):
+             ["fit", csv, "-o", out], ["fit", csv, "-o", out, "--pseudo"],
+             ["joint", masses, "-o", out + "-joint", "--margin-dim", "9",
+              "--samples", "60"],
+             ["study", spec, "-o", out, "--workers", "1"]):
     assert evcop.cli.main(argv) == 0
     assert not scipy_modules(), (argv, scipy_modules())
 """
 
 
-def test_commands_import_no_scipy(tmp_path, gumbel2_fit, gumbel_csv):
-    # start-up, help, evaluate, simulate and fit (plain and on ranks) run on
-    # numpy alone
+def test_commands_import_no_scipy(tmp_path, gumbel2, gumbel2_fit, gumbel_csv):
+    # start-up, help, evaluate, simulate, fit (plain and on ranks), joint and
+    # a Gumbel-plus-Galambos bias-variance study run on numpy alone
     model = tmp_path / "model.json"
     model.write_text(json.dumps(model_to_dict(gumbel2_fit)))
+    m = np.exp(1.0 + gumbel2.simulate(50, seed=12))
+    masses = tmp_path / "masses.csv"
+    write_pairs(masses, np.column_stack([m.max(axis=1), m.min(axis=1)]))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**_TINY_BV, "replications": 2, "families": [
+        {"family": "gumbel", "theta": 2.0},
+        {"family": "galambos", "theta": 1.0}]}))
     src = str(Path(__import__("evcop").__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-c", _SCIPY_PROBE, str(model), gumbel_csv,
-         str(tmp_path / "out")],
+         str(masses), str(spec), str(tmp_path / "out")],
         capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
 
@@ -553,6 +580,20 @@ def test_joint_pipeline_properties(gumbel2):
     t = np.linspace(0, 1, 101)
     sym = final.pickands
     assert np.max(np.abs(sym(t) - sym(1.0 - t))) <= 1e-10
+
+
+def test_joint_pipeline_ranks_tied_masses_by_average(gumbel2):
+    from scipy.stats import rankdata
+
+    m = np.round(np.exp(1.0 + gumbel2.simulate(60, seed=10)), 1)
+    data = np.column_stack([np.max(m, axis=1), np.min(m, axis=1)])
+    _, fitted, _, _, doubled = joint_pipeline(data, margin_dim=9,
+                                              n_samples=10, seed=3)
+    assert np.unique(doubled[:, 0]).size < doubled.shape[0] // 2
+    ranks = rankdata(doubled, axis=0) / (doubled.shape[0] + 1.0)
+    expected = optimize(z_transform(1.0 - ranks),
+                        FitConfig(basis_dim=13, lam=1e-5, grid_k=78))
+    assert np.array_equal(fitted.theta, expected.theta)
 
 
 def test_joint_rejects_unordered():

@@ -307,9 +307,6 @@ def test_tvd_copulas_properties(gumbel2):
     d2 = tvd_copulas(gumbel2, ci)
     assert 0.0 < d1 < 1.0
     assert abs(d1 - d2) <= 1e-9
-    val, bound = tvd_copulas(ci, gumbel2, full=True)
-    assert val == d1
-    assert bound == 4e-4
 
 
 def test_supnorm_bound(gumbel2):

@@ -819,8 +819,12 @@ def test_exact_prior_matches_metropolis_reference(random_models_200):
     assert ks_2samp(exact, reference).pvalue > 0.01
 
 
-def test_random_pickands_validity_and_mirroring():
-    models, raw = random_pickands(1e-4, 5.0, 6, seed=8, return_pre_mirror=True)
+def test_random_pickands_validity_and_mirroring(random_prior):
+    models = random_pickands(1e-4, 5.0, 6, seed=8)
+    # the unmirrored models, rebuilt from the same seed's prior draws
+    basis = default_random_basis()
+    raw = [pipeline_pickands(basis, theta, True, False)[0]
+           for theta in _draws(1e-4, 5.0, random_prior, 8, 6)]
     t = np.linspace(0, 1, 201)
     for i, m in enumerate(models):
         assert validate_pickands(m).passed(1e-6)
