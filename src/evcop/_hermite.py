@@ -18,9 +18,11 @@ node (the sentinels at the ends of the W and A tables) are built apart, by
 :func:`_sentinel_piece`: at the lowest degree that meets their constraints,
 then raised to degree five.
 
-:class:`PiecewiseBernstein` evaluates the result with numpy alone: a binary
-search for the piece, then Horner's rule on the piece's Taylor coefficients
-about its left end, formed once per interpolator.
+:class:`PiecewiseBernstein` evaluates the result, or its first or second
+derivative, with numpy alone: a binary search for the piece, then Horner's
+rule on the piece's Taylor coefficients about its left end.  The three
+Taylor tables are formed together, once per interpolator, and the integral
+over all pieces is read off the Bernstein coefficients.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ class PiecewiseBernstein:
 
     ``c`` has shape ``(degree + 1, len(x) - 1)``; column ``i`` holds the piece
     on ``[x[i], x[i + 1]]``.  Points outside ``[x[0], x[-1]]`` are extrapolated
-    from the end pieces and NaN evaluates to NaN.
+    from the end pieces and NaN evaluates to NaN.  One object answers every
+    read of a table: values, first and second derivatives, and the integral.
     """
 
     def __init__(self, c: np.ndarray, x: np.ndarray):
@@ -44,12 +47,14 @@ class PiecewiseBernstein:
         self.x = x
 
     @cached_property
-    def _taylor(self) -> np.ndarray:
+    def _taylor(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Taylor coefficients about each piece's left end, highest power first.
 
-        Row ``k - j`` holds the coefficients of ``(t - x[i])**j``: ``comb(k, j)``
-        times the ``j``-th forward difference of the Bernstein coefficients,
-        over ``h**j``.
+        Entry ``nu`` is the table of the ``nu``-th derivative.  Row ``k - j``
+        of the value table holds the coefficients of ``(t - x[i])**j``:
+        ``comb(k, j)`` times the ``j``-th forward difference of the Bernstein
+        coefficients, over ``h**j``.  Each derivative's table is the one
+        before it with its last row dropped and each row scaled by its power.
         """
         k = self.c.shape[0] - 1
         h = np.diff(self.x)
@@ -57,40 +62,27 @@ class PiecewiseBernstein:
         for j in range(k + 1):
             rows.append(comb(k, j) * d[0] / h ** j)
             d = np.diff(d, axis=0)
-        return np.stack(rows[::-1])
+        value = np.stack(rows[::-1])
+        first = value[:-1] * np.arange(k, 0, -1.0)[:, None]
+        second = first[:-1] * np.arange(k - 1, 0, -1.0)[:, None]
+        return value, first, second
 
-    def __call__(self, t):
-        """Values at ``t`` (any shape), by Horner's rule on the located piece."""
+    def __call__(self, t, nu: int = 0):
+        """The ``nu``-th derivative (``nu <= 2``) at ``t``, of any shape."""
         t = np.asarray(t, dtype=float)
         i = np.searchsorted(self.x[1:-1], t, side="right")
         dt = t - self.x[i]
-        a = self._taylor.take(i, axis=1)
+        a = self._taylor[nu].take(i, axis=1)
         r = a[0]
         for row in a[1:]:
             r = r * dt
             r += row
         return r
 
-    def derivative(self, nu: int = 1) -> PiecewiseBernstein:
-        """The ``nu``-th derivative, one degree lower per order."""
-        c = self.c
-        for _ in range(nu):
-            c = (c.shape[0] - 1) * np.diff(c, axis=0) / np.diff(self.x)
-        return PiecewiseBernstein(c, self.x)
-
-    def integrate(self, a: float, b: float) -> float:
-        """Integral from ``a`` to ``b``, through the antiderivative.
-
-        A piece's antiderivative raises the degree by one; its coefficients
-        are running sums of the piece's, and each piece starts where the one
-        before it ends.
-        """
-        k = self.c.shape[0]
-        c = np.zeros((k + 1, self.c.shape[1]))
-        c[1:] = np.cumsum(self.c, axis=0) / k * np.diff(self.x)
-        c[:, 1:] += np.cumsum(c[k])[:-1]
-        anti = PiecewiseBernstein(c, self.x)
-        return anti(b) - anti(a)
+    def integrate(self) -> float:
+        """Integral over ``[x[0], x[-1]]``: each piece's width times the mean
+        of its Bernstein coefficients, which is exact."""
+        return float(np.diff(self.x) @ self.c.mean(axis=0))
 
 
 def _sentinel_piece(x, ya, yb) -> np.ndarray:

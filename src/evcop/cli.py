@@ -108,7 +108,8 @@ def read_pairs(path) -> np.ndarray:
 
 
 def write_pairs(path, data: np.ndarray, header: str = "u,v") -> None:
-    """Two-column CSV with full float precision (17 significant digits)."""
+    """CSV of the rows of ``data`` under one header line, at full float
+    precision (17 significant digits)."""
     np.savetxt(path, np.asarray(data, dtype=float), delimiter=",",
                fmt="%.17g", header=header, comments="")
 
@@ -164,7 +165,7 @@ def _rebuild_copula(doc: dict) -> tuple[FittedModel, EvCopula]:
 
 
 def _fit_config_from_args(args) -> FitConfig:
-    return FitConfig(basis_dim=args.dim, lam=args.lam, grid_k=args.grid_k,
+    return FitConfig(basis_dim=args.dim, lam=args.lam,
                      flip=False if args.no_flip_heuristic else None)
 
 
@@ -351,20 +352,19 @@ def run_study(spec: dict, workers: int = 1):
     reps = read_field(spec, "replications", _at_least(1), 1 if tvd else 100)
     lam = read_field(spec, "fit.lambda", float, 1e-4)
     dim = read_field(spec, "fit.dim", int, 13)
-    grid_k = read_field(spec, "fit.grid_k", int, 78)
     if tvd:
         count = read_field(spec, "random_evc.count", _at_least(1), 20)
         prior_lam = read_field(spec, "random_evc.lambda", float, 1e-4)
         radius = read_field(spec, "random_evc.R", float, 5.0)
         basis = default_random_basis(read_field(spec, "random_evc.dim", int, 13))
-        cfgs = [FitConfig(basis_dim=dim, lam=lam, grid_k=grid_k)] * count
+        cfgs = [FitConfig(basis_dim=dim, lam=lam)] * count
         truths = [EvCopula(m) for m in random_pickands(prior_lam, radius, count,
                                                        seed=seed, basis=basis)]
         t_grid = None
     else:
         truths = [_family_copula(fam) for fam in fams]
-        cfgs = [FitConfig(basis_dim=dim, lam=read_field(fam, "lambda", float, lam),
-                          grid_k=grid_k) for fam in fams]
+        cfgs = [FitConfig(basis_dim=dim, lam=read_field(fam, "lambda", float, lam))
+                for fam in fams]
         t_grid = np.linspace(0.0, 1.0, 101)
     payloads = [(truth, cfg, size, (seed, cid, si, rep), cid, rep, t_grid)
                 for cid, (truth, cfg) in enumerate(zip(truths, cfgs))
@@ -400,10 +400,7 @@ def run_study(spec: dict, workers: int = 1):
 
 
 def _write_rows(path, rows, columns):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(columns) + "\n")
-        for r in rows:
-            fh.write(",".join(_fmt(r[c]) for c in columns) + "\n")
+    write_pairs(path, [[r[c] for c in columns] for r in rows], ",".join(columns))
 
 
 def _fmt(v):
@@ -470,8 +467,7 @@ def joint_pipeline(data: np.ndarray, margin_dim: int = 17,
     # each column of the doubled sample is a permutation of the pooled values
     surv = 1.0 - pseudo_observations(doubled)
     fitted = optimize(z_transform(surv),
-                      FitConfig(basis_dim=copula_dim, lam=copula_lam,
-                                grid_k=min(78, max(8, pooled.size - 2))))
+                      FitConfig(basis_dim=copula_dim, lam=copula_lam))
     sym = symmetrize(fitted.pickands)
     final = EvCopula(sym, survival=True)
 
@@ -546,7 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fit through the survival transform")
     p.add_argument("--dim", type=int, default=13)
     p.add_argument("--lambda", dest="lam", type=float, default=1e-4)
-    p.add_argument("--grid-k", dest="grid_k", type=int, default=78)
     p.add_argument("--no-flip-heuristic", action="store_true")
     p.set_defaults(func=cmd_fit)
 

@@ -80,6 +80,8 @@ _LOG_FLOOR = 1e-12
 _EXP_CLIP = 300.0
 # spline degree of every fitted basis (the degree quantile_knots returns)
 _DEGREE = 3
+# interior nodes of the fitting grid (grid size _GRID_K + 2)
+_GRID_K = 78
 # L-BFGS-B's iteration cap and projected-gradient stop; the gradient bound
 # also counts a run as converged when the optimizer stops for another reason
 _MAX_ITER = 500
@@ -111,22 +113,18 @@ def _penalty_whitener(omega: np.ndarray, lam: float) -> np.ndarray:
 class FitConfig:
     """Settings of a copula fit.
 
-    ``lam`` is the curvature penalty weight; ``grid_k`` the number of interior
-    interpolation nodes (grid size ``grid_k + 2``).  ``flip`` fixes whether
-    the variable ordering is swapped; ``None`` lets
-    :func:`ordering_heuristic` decide.
+    ``lam`` is the curvature penalty weight.  ``flip`` fixes whether the
+    variable ordering is swapped; ``None`` lets :func:`ordering_heuristic`
+    decide.
     """
 
     basis_dim: int = 13
     lam: float = 1e-4
-    grid_k: int = 78
     flip: bool | None = None
 
     def __post_init__(self):
         if self.lam < 0:
             raise InputError("lam must be >= 0")
-        if self.grid_k < 8:
-            raise InputError("grid_k must be >= 8")
         if self.basis_dim <= _DEGREE:
             raise InputError(
                 f"basis_dim must exceed the spline degree {_DEGREE}")
@@ -170,13 +168,13 @@ def ordering_heuristic(z_sample) -> bool:
     return bool(np.max(modal) < 0.5)
 
 
-def empirical_w_grid(z_sample, k: int, pilot=None) -> np.ndarray:
+def empirical_w_grid(z_sample, k: int) -> np.ndarray:
     """Interpolation grid in the transform domain from a pilot estimate.
 
     Uniform sample quantiles ``q_i`` are pushed through
     ``x_i = q_i + A_pilot(q_i) - 1`` with the nonparametric pilot from
-    :func:`evcop.families.cfg_estimator` (or an explicit ``pilot`` callable),
-    so that grid images under the fitted model roughly follow the sample.
+    :func:`evcop.families.cfg_estimator`, so that grid images under the
+    fitted model roughly follow the sample.
     """
     z = np.asarray(z_sample, dtype=float)
     if k < 2:
@@ -184,9 +182,7 @@ def empirical_w_grid(z_sample, k: int, pilot=None) -> np.ndarray:
     if z.size == 0:
         raise InputError("empty sample")
     q = np.quantile(z, np.arange(1, k + 1) / (k + 1))
-    a_tilde = cfg_estimator(z, q, from_z=True) if pilot is None \
-        else np.asarray(pilot(q), dtype=float)
-    x = q + a_tilde - 1.0
+    x = q + cfg_estimator(z, q, from_z=True) - 1.0
     x = np.clip(x, 1e-9, 1.0 - 1e-9)
     keep = [x[0]]
     for xi in x[1:]:
@@ -715,15 +711,13 @@ def _maximize(value_and_grad, omega: np.ndarray, lam: float, callback=None):
                                         grad_max, str(res.message))
 
 
-def optimize(z_sample, config: FitConfig | None = None,
-             trace: list | None = None) -> FittedModel:
+def optimize(z_sample, config: FitConfig | None = None) -> FittedModel:
     """Fit the spline copula model to a pseudo-angle sample.
 
     Quasi-Newton ascent of the penalized log-likelihood from the affine
     center (coefficients at zero), followed by conversion of the optimum to a
     tabulated Pickands function.  Non-convergence returns the best iterate
-    with ``converged=False``.  When ``trace`` is a list it collects the
-    objective value at every accepted iterate.
+    with ``converged=False``.
     """
     cfg = config or FitConfig()
     z = np.asarray(z_sample, dtype=float)
@@ -733,14 +727,12 @@ def optimize(z_sample, config: FitConfig | None = None,
     flip = ordering_heuristic(z) if cfg.flip is None else bool(cfg.flip)
     zf = 1.0 - z if flip else z
 
-    x_grid = empirical_w_grid(zf, cfg.grid_k)
+    x_grid = empirical_w_grid(zf, _GRID_K)
     basis = build_zb_basis(quantile_knots(x_grid[1:-1],
                                           cfg.basis_dim - _DEGREE))
     lik = PenalizedLikelihood(basis, x_grid, zf, cfg.lam,
                               project_center(basis))
-    theta_hat, run = _maximize(
-        lik.value_and_grad, lik.omega, cfg.lam,
-        None if trace is None else lambda theta: trace.append(lik.value(theta)))
+    theta_hat, run = _maximize(lik.value_and_grad, lik.omega, cfg.lam)
     model, dens, grid = pipeline_pickands(basis, theta_hat, True, flip)
     return FittedModel(theta=theta_hat, basis=basis, center_applied=True,
                        flipped=flip, loglik=lik.loglik(theta_hat),

@@ -12,7 +12,6 @@ association measures and structural transformations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -78,9 +77,10 @@ class PickandsModel:
     """Tabulated Pickands function with a C2 piecewise interpolator.
 
     The interpolator is made of quintic Hermite pieces in Bernstein form and
-    is built when the model is constructed.  ``app[0]`` (and occasionally
-    ``app[-1]``) may be non-finite sentinels; they impose no interpolation
-    constraint.
+    is built when the model is constructed.  It is the table's only one: A,
+    A', A'' and the integral of A are all read from it.  ``app[0]`` (and
+    occasionally ``app[-1]``) may be non-finite sentinels; they impose no
+    interpolation constraint.
     """
 
     t: np.ndarray
@@ -92,25 +92,17 @@ class PickandsModel:
         object.__setattr__(self, "_ip", hermite_interpolator(
             self.t, self.a, self.ap, self.app))
 
-    @cached_property
-    def _ip1(self):
-        return self._ip.derivative()
-
-    @cached_property
-    def _ip2(self):
-        return self._ip.derivative(2)
-
     def __call__(self, t):
         return self._ip(t)
 
     def deriv(self, t):
-        return self._ip1(t)
+        return self._ip(t, 1)
 
     def deriv2(self, t):
-        return self._ip2(t)
+        return self._ip(t, 2)
 
     def integrate(self) -> float:
-        return float(self._ip.integrate(0.0, 1.0))
+        return self._ip.integrate()
 
 
 def rotate(w) -> PickandsModel:

@@ -141,7 +141,7 @@ class WilliamsonGrid:
     ``wp[0]`` and ``wpp[0]`` may be non-finite sentinels (unbounded slope at
     0); such entries impose no interpolation constraint.  ``w0_estimate`` is
     the W(0+) self-check of :func:`normalize_w`.  The interpolator is built
-    on first evaluation.
+    on first evaluation, and W, W' and W'' are all read from it.
     """
 
     x: np.ndarray
@@ -156,22 +156,14 @@ class WilliamsonGrid:
     def _ip(self):
         return hermite_interpolator(self.x, self.w, self.wp, self.wpp)
 
-    @cached_property
-    def _ip1(self):
-        return self._ip.derivative()
-
-    @cached_property
-    def _ip2(self):
-        return self._ip.derivative(2)
-
     def __call__(self, x):
         return self._ip(x)
 
     def deriv(self, x):
-        return self._ip1(x)
+        return self._ip(x, 1)
 
     def deriv2(self, x):
-        return self._ip2(x)
+        return self._ip(x, 2)
 
 
 def williamson_from_density(f, x_nodes) -> WilliamsonGrid:

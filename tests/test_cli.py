@@ -460,6 +460,18 @@ def test_bias_variance_envelope_covers_truth():
     assert np.mean(inside) >= 0.90
 
 
+def test_spec_fit_grid_k_is_accepted_and_not_read(tmp_path, capsys):
+    # the fitting grid has a fixed size; old specs that set it still run
+    outs = []
+    for fit in ({}, {"fit": {"grid_k": 40}}):
+        spec = tmp_path / f"spec{len(outs)}.json"
+        spec.write_text(json.dumps({**_TINY_STUDY, **fit}))
+        outs.append(str(tmp_path / f"r{len(outs)}.csv"))
+        assert main(["study", str(spec), "-o", outs[-1]]) == 0
+    capsys.readouterr()
+    assert _strip_runtime(outs[0]) == _strip_runtime(outs[1])
+
+
 def test_study_rejects_bad_spec(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"study": "nope"}))
@@ -494,8 +506,6 @@ _TINY_BV = {"study": "bias-variance", "seed": 1, "sample_sizes": [100],
      "'random_evc.count'"),
     ("study", {**_TINY_BV, "replications": 0}, [], None, "'replications'"),
     ("study", {**_TINY_BV, "sample_sizes": []}, [], None, "'sample_sizes'"),
-    ("study", {**_TINY_STUDY, "fit": {"grid_k": "x"}}, [], None,
-     "'fit.grid_k'"),
     ("study", {**_TINY_BV, "families": [{"family": "gumbel", "theta": 2.0,
                                          "lambda": "x"}]}, [], None,
      "'lambda'"),
@@ -504,7 +514,7 @@ _TINY_BV = {"study": "bias-variance", "seed": 1, "sample_sizes": [100],
         "spec-replications-0", "spec-replications-negative",
         "spec-sizes-empty", "spec-size-below-30", "spec-count-0",
         "bias-variance-replications-0", "bias-variance-sizes-empty",
-        "spec-fit-grid-k", "bias-variance-family-lambda"])
+        "bias-variance-family-lambda"])
 def test_outside_input_exits_2_naming_the_field(
         tmp_path, monkeypatch, capsys, gumbel2_fit, kind, doc, extra,
         threads, named):
@@ -534,7 +544,8 @@ assert not scipy_modules(), ("import evcop", scipy_modules())
 import evcop.cli
 evcop.cli.build_parser().format_help()
 assert not scipy_modules(), ("import evcop.cli", scipy_modules())
-for argv in (["evaluate", model], ["simulate", model, "-n", "1000", "-o", out],
+for argv in (["evaluate", model, "--table", out + "-table.csv"],
+             ["simulate", model, "-n", "1000", "-o", out],
              ["fit", csv, "-o", out], ["fit", csv, "-o", out, "--pseudo"],
              ["joint", masses, "-o", out + "-joint", "--margin-dim", "9",
               "--samples", "60"],
@@ -545,8 +556,9 @@ for argv in (["evaluate", model], ["simulate", model, "-n", "1000", "-o", out],
 
 
 def test_commands_import_no_scipy(tmp_path, gumbel2, gumbel2_fit, gumbel_csv):
-    # start-up, help, evaluate, simulate, fit (plain and on ranks), joint and
-    # a Gumbel-plus-Galambos bias-variance study run on numpy alone
+    # start-up, help, evaluate (with its A, A', A'' table), simulate, fit
+    # (plain and on ranks), joint and a Gumbel-plus-Galambos bias-variance
+    # study run on numpy alone
     model = tmp_path / "model.json"
     model.write_text(json.dumps(model_to_dict(gumbel2_fit)))
     m = np.exp(1.0 + gumbel2.simulate(50, seed=12))
@@ -592,7 +604,7 @@ def test_joint_pipeline_ranks_tied_masses_by_average(gumbel2):
     assert np.unique(doubled[:, 0]).size < doubled.shape[0] // 2
     ranks = rankdata(doubled, axis=0) / (doubled.shape[0] + 1.0)
     expected = optimize(z_transform(1.0 - ranks),
-                        FitConfig(basis_dim=13, lam=1e-5, grid_k=78))
+                        FitConfig(basis_dim=13, lam=1e-5))
     assert np.array_equal(fitted.theta, expected.theta)
 
 

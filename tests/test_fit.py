@@ -92,16 +92,18 @@ def test_ordering_heuristic():
         ordering_heuristic(np.empty(0))
 
 
-def test_empirical_w_grid_with_exact_pilots():
+def test_empirical_w_grid_with_exact_pilots(monkeypatch):
     rng = np.random.default_rng(2)
     z = rng.random(800)
-    flat = lambda q: np.ones_like(q)
-    grid = empirical_w_grid(z, 20, pilot=flat)
     q = np.quantile(z, np.arange(1, 21) / 21)
+    monkeypatch.setattr(evcop.fit, "cfg_estimator",
+                        lambda zz, qq, from_z: np.ones_like(qq))
+    grid = empirical_w_grid(z, 20)
     assert np.max(np.abs(grid[1:-1] - q)) <= 1e-12
 
-    quad = lambda qq: qq * qq - qq + 1.0
-    grid2 = empirical_w_grid(z, 20, pilot=quad)
+    monkeypatch.setattr(evcop.fit, "cfg_estimator",
+                        lambda zz, qq, from_z: qq * qq - qq + 1.0)
+    grid2 = empirical_w_grid(z, 20)
     assert np.max(np.abs(grid2[1:-1] - q * q)) <= 1e-12
 
 
@@ -523,8 +525,17 @@ def test_optimize_center_self_consistency(basis13, center_model):
 
 
 def test_optimize_monotone_objective(gumbel2_sample):
+    # the objective optimize maximizes, set up as it does, at every accepted
+    # iterate
+    z = z_transform(gumbel2_sample)
+    if ordering_heuristic(z):
+        z = 1.0 - z
+    x_grid = empirical_w_grid(z, evcop.fit._GRID_K)
+    basis = build_zb_basis(quantile_knots(x_grid[1:-1], 10))
+    lik = PenalizedLikelihood(basis, x_grid, z, 1e-5, project_center(basis))
     trace = []
-    optimize(z_transform(gumbel2_sample), FitConfig(lam=1e-5), trace=trace)
+    _maximize(lik.value_and_grad, lik.omega, lik.lam,
+              lambda theta: trace.append(lik.value(theta)))
     assert len(trace) > 3
     diffs = np.diff(np.asarray(trace))
     assert np.min(diffs) >= -1e-7
@@ -713,7 +724,7 @@ def test_mcmc_mode_consistent_with_map(gumbel2_sample, monkeypatch):
     z = z_transform(gumbel2_sample)
     cfg = FitConfig(lam=1e-4, flip=False)
     fm = optimize(z, cfg)
-    x_grid = empirical_w_grid(z, cfg.grid_k)
+    x_grid = empirical_w_grid(z, evcop.fit._GRID_K)
     builds = _count_pipeline_builds(monkeypatch)
     # same objective the optimizer maximizes: data term plus the curvature
     # penalty on the perturbation away from the center
