@@ -20,9 +20,10 @@ then raised to degree five.
 
 :class:`PiecewiseBernstein` evaluates the result, or its first or second
 derivative, with numpy alone: a binary search for the piece, then Horner's
-rule on the piece's Taylor coefficients about its left end.  The three
-Taylor tables are formed together, once per interpolator, and the integral
-over all pieces is read off the Bernstein coefficients.
+rule on the piece's Taylor coefficients about its left end; ``jet`` reads
+all three after one search.  The three Taylor tables are formed together,
+once per interpolator, and the integral over all pieces is read off the
+Bernstein coefficients.
 """
 
 from __future__ import annotations
@@ -67,17 +68,30 @@ class PiecewiseBernstein:
         second = first[:-1] * np.arange(k - 1, 0, -1.0)[:, None]
         return value, first, second
 
-    def __call__(self, t, nu: int = 0):
-        """The ``nu``-th derivative (``nu <= 2``) at ``t``, of any shape."""
+    def _locate(self, t):
+        """Piece index of each ``t`` and its offset from the piece's left end."""
         t = np.asarray(t, dtype=float)
         i = np.searchsorted(self.x[1:-1], t, side="right")
-        dt = t - self.x[i]
-        a = self._taylor[nu].take(i, axis=1)
+        return i, t - self.x[i]
+
+    @staticmethod
+    def _horner(table, i, dt):
+        a = table.take(i, axis=1)
         r = a[0]
         for row in a[1:]:
             r = r * dt
             r += row
         return r
+
+    def __call__(self, t, nu: int = 0):
+        """The ``nu``-th derivative (``nu <= 2``) at ``t``, of any shape."""
+        return self._horner(self._taylor[nu], *self._locate(t))
+
+    def jet(self, t):
+        """Value, first and second derivative at ``t`` from one piece search,
+        each equal to its own ``__call__`` bit for bit."""
+        i, dt = self._locate(t)
+        return tuple(self._horner(table, i, dt) for table in self._taylor)
 
     def integrate(self) -> float:
         """Integral over ``[x[0], x[-1]]``: each piece's width times the mean

@@ -1,8 +1,26 @@
-"""Quadrature rules shared by the spline, density and transform modules."""
+"""Quadrature rules shared by the spline, density and transform modules.
+
+The Legendre rule of each order and each tensor square rule is built once,
+at first use, and shared read-only by every caller.
+"""
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@cache
+def _legendre(npts: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], ``npts`` of them."""
+    return _read_only(*np.polynomial.legendre.leggauss(npts))
 
 
 def gauss_legendre(edges, npts: int) -> tuple[np.ndarray, np.ndarray]:
@@ -12,7 +30,7 @@ def gauss_legendre(edges, npts: int) -> tuple[np.ndarray, np.ndarray]:
     panel, left to right.
     """
     edges = np.asarray(edges, dtype=float)
-    xg, wg = np.polynomial.legendre.leggauss(npts)
+    xg, wg = _legendre(npts)
     a = edges[:-1][:, None]
     b = edges[1:][:, None]
     nodes = 0.5 * (b - a) * (xg[None, :] + 1.0) + a
@@ -20,17 +38,18 @@ def gauss_legendre(edges, npts: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes.ravel(), weights.ravel()
 
 
+@cache
 def gauss_square(eps: float, npts: int):
     """Tensor Gauss-Legendre rule on ``[eps, 1 - eps]^2``, ``npts`` per side.
 
     Returns the node coordinates ``(u, v)`` as ``(npts, npts)`` grids and the
-    matching weights.
+    matching weights, built once per ``(eps, npts)`` and read-only.
     """
     # the right edge is eps plus the exact width 1 - 2 eps: (1 - eps) - eps
     # rounds away from 1 - 2 eps at some eps (1e-6), which moves every node
     x, w = gauss_legendre([eps, eps + (1.0 - 2.0 * eps)], npts)
     u, v = np.meshgrid(x, x, indexing="ij")
-    return u, v, np.outer(w, w)
+    return _read_only(u, v, np.outer(w, w))
 
 
 def trapezoid_weights(x) -> np.ndarray:

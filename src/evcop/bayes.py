@@ -13,7 +13,7 @@ from functools import cache
 
 import numpy as np
 
-from ._quad import gauss_legendre
+from ._quad import _read_only, gauss_legendre
 from .errors import InputError, NumericalError
 from .splinebasis import ZBasis, project_center
 from .williamson import default_w_nodes
@@ -31,10 +31,7 @@ def mass_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     are geometric at both ends; built at first use, shared and read-only.
     """
     edges = default_w_nodes()
-    rule = (edges, *gauss_legendre(edges, 8))
-    for a in rule:
-        a.setflags(write=False)
-    return rule
+    return _read_only(edges, *gauss_legendre(edges, 8))
 
 
 def integrate_01(fn) -> float:

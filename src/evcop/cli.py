@@ -300,9 +300,16 @@ def _study_run(payload):
 
 
 def _worker_count(requested=None) -> int:
+    """``--workers``, by default the CPUs this process may run on, capped by
+    ``EVCOP_THREADS``."""
     if requested is not None and requested < 1:
         raise InputError(f"--workers must be >= 1, got {requested}")
-    n = requested or os.cpu_count() or 1
+    n = requested
+    if n is None:
+        try:
+            n = len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity mask on this platform
+            n = os.cpu_count() or 1
     cap = os.environ.get("EVCOP_THREADS")
     if cap:
         try:

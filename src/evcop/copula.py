@@ -72,6 +72,10 @@ class EvCopula:
     def _base(self, u, v):
         """``dC/du``, ``dC/dv`` and the density, from one read of A, A', A''.
 
+        That read is one located evaluation, ``pickands.jet(t)``, when the
+        Pickands object has it (tabulated models); other objects are read
+        through ``__call__``, ``deriv`` and ``deriv2``.
+
         In the coordinates ``s = log(uv)``, ``t = log u / s`` of Ghoudi,
         Khoudraji & Rivest (1998): ``dC/du = v e^{s(A-1)} (A + (1-t)A')``,
         ``dC/dv = u e^{s(A-1)} (A - tA')`` and
@@ -85,9 +89,13 @@ class EvCopula:
         lv = np.log(v)
         s = lu + lv
         t = lu / s
-        a = np.asarray(self.pickands(t), dtype=float)
-        ap = np.asarray(self.pickands.deriv(t), dtype=float)
-        app = np.asarray(self.pickands.deriv2(t), dtype=float)
+        jet = getattr(self.pickands, "jet", None)
+        if jet is not None:
+            a, ap, app = jet(t)
+        else:
+            a = np.asarray(self.pickands(t), dtype=float)
+            ap = np.asarray(self.pickands.deriv(t), dtype=float)
+            app = np.asarray(self.pickands.deriv2(t), dtype=float)
         scale = np.exp(s * (a - 1.0))
         pu = v * scale * (a + (1.0 - t) * ap)
         pv = u * scale * (a - t * ap)
@@ -242,7 +250,8 @@ def tvd_copulas(c1, c2) -> float:
     96 x 96 tensor Gauss-Legendre quadrature of ``|c1 - c2| / 2`` on the
     square ``[eps, 1-eps]^2``, ``eps = 1e-4``.  The excluded boundary strip
     carries copula mass at most ``4 eps`` under each model, so the truncation
-    understates the true distance by at most ``4 eps``.
+    understates the true distance by at most ``4 eps``.  The rule is built
+    once, at the first call, and shared read-only by every later one.
     """
     uu, vv, w2 = gauss_square(_TVD_EPS, 96)
     d1 = np.asarray(c1.pdf(uu, vv), dtype=float)

@@ -52,7 +52,7 @@ from .splinebasis import (
 from .williamson import (
     WilliamsonGrid,
     WilliamsonKernel,
-    default_w_nodes,
+    default_kernel,
     normalize_w,
     williamson_from_density,
 )
@@ -435,7 +435,7 @@ def pipeline_pickands(basis: ZBasis, theta, center_enabled: bool,
     is normalized and carries the W(0+) self-check ratio.
     """
     dens = ClrDensity(basis, theta, center_enabled=center_enabled)
-    grid = normalize_w(williamson_from_density(dens, default_w_nodes()))
+    grid = normalize_w(williamson_from_density(dens, default_kernel()))
     model = rotate(grid)
     if flipped:
         model = mirror(model)

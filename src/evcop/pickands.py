@@ -101,6 +101,10 @@ class PickandsModel:
     def deriv2(self, t):
         return self._ip(t, 2)
 
+    def jet(self, t):
+        """``(A(t), A'(t), A''(t))`` from one piece search."""
+        return self._ip.jet(t)
+
     def integrate(self) -> float:
         return self._ip.integrate()
 

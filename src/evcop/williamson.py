@@ -18,7 +18,7 @@ fitting and saved models share one construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -34,9 +34,11 @@ __all__ = [
     "w_power_complement",
     "w_uniform_power",
     "default_w_nodes",
+    "default_kernel",
 ]
 
 
+@cache
 def default_w_nodes() -> np.ndarray:
     """Canonical tabulation grid: geometric toward both ends, uniform between.
 
@@ -44,15 +46,24 @@ def default_w_nodes() -> np.ndarray:
     :func:`evcop.pickands.rotate`), so the grid is laid out for them: near 0
     the image ``t = (1 + x - W(x)) / 2`` grows like ``x |W'(x)|`` and W' is
     unbounded for densities positive at 0, hence the run from 1e-10; near 1
-    the image approaches 1 like ``(1 - x) / 2``.  530 nodes.
+    the image approaches 1 like ``(1 - x) / 2``.  530 nodes, built at first
+    use, shared and read-only.
     """
-    return np.unique(np.concatenate([
+    x = np.unique(np.concatenate([
         [0.0],
         np.geomspace(1e-10, 0.01, 70),
         np.linspace(0.01, 0.98, 430),
         1.0 - np.geomspace(1e-6, 0.02, 30),
         [1.0],
     ]))
+    x.setflags(write=False)
+    return x
+
+
+@cache
+def default_kernel() -> WilliamsonKernel:
+    """The :class:`WilliamsonKernel` of :func:`default_w_nodes`, built once."""
+    return WilliamsonKernel(default_w_nodes())
 
 
 def _segment_edges(x: np.ndarray) -> np.ndarray:
@@ -169,11 +180,13 @@ class WilliamsonGrid:
 def williamson_from_density(f, x_nodes) -> WilliamsonGrid:
     """Tabulate the Williamson transform of a density by backward recurrence.
 
-    See :class:`WilliamsonKernel` for the quadrature and the recurrence.  A
-    density unbounded at 0 gets the mass of [0, x_1] from a geometric
-    refinement toward 0 instead.
+    ``x_nodes`` is the grid, or a :class:`WilliamsonKernel` already built
+    on it.  See :class:`WilliamsonKernel` for the quadrature and the
+    recurrence.  A density unbounded at 0 gets the mass of [0, x_1] from a
+    geometric refinement toward 0 instead.
     """
-    kernel = WilliamsonKernel(x_nodes)
+    kernel = x_nodes if isinstance(x_nodes, WilliamsonKernel) \
+        else WilliamsonKernel(x_nodes)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         fv = np.asarray(f(kernel.nodes.ravel()), dtype=float).reshape(
             kernel.nodes.shape)

@@ -446,6 +446,26 @@ def test_worker_count_env(monkeypatch):
     assert _worker_count(3) == 3
 
 
+def test_worker_count_follows_cpu_affinity(monkeypatch):
+    from evcop.cli import _worker_count
+
+    # one allowed CPU of eight (taskset -c 0) starts one worker, not eight
+    monkeypatch.delenv("EVCOP_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert _worker_count() == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5},
+                        raising=False)
+    assert _worker_count() == 3
+    assert _worker_count(6) == 6
+    monkeypatch.setenv("EVCOP_THREADS", "2")
+    assert _worker_count() == 2
+    # without an affinity mask, the CPU count
+    monkeypatch.delenv("EVCOP_THREADS")
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert _worker_count() == 8
+
+
 def test_bias_variance_envelope_covers_truth():
     # pointwise 1%/99% envelopes from repeated fits should cover the true
     # Pickands function almost everywhere on the grid

@@ -300,6 +300,27 @@ def test_survival_partials_and_simulation(gumbel2):
     assert np.all((resid > 0) & (resid < 1))
 
 
+def test_located_read_matches_three_reads(monkeypatch):
+    # tabulated models are read by one piece search; without it (three
+    # calls, as for other Pickands objects) the partials, the density and
+    # the draws are the same bit for bit
+    g = np.linspace(0.01, 0.99, 41)
+    uu, vv = np.meshgrid(g, g, indexing="ij")
+    copulas = [EvCopula(a, survival)
+               for a in random_pickands(1e-4, 5.0, 2, seed=3)
+               for survival in (False, True)]
+
+    def outputs():
+        return [[c.partial_u(uu, vv), c.partial_v(uu, vv), c.pdf(uu, vv),
+                 c.simulate(500, seed=4)] for c in copulas]
+
+    located = outputs()
+    monkeypatch.delattr(PickandsModel, "jet")
+    for got, want in zip(located, outputs()):
+        for x, y in zip(got, want):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
 def test_tvd_copulas_properties(gumbel2):
     ci = EvCopula(FlatPickands())
     assert tvd_copulas(gumbel2, gumbel2) == 0.0

@@ -9,7 +9,7 @@ from scipy.interpolate import BPoly
 
 import evcop._hermite
 from evcop._hermite import hermite_interpolator
-from evcop.fit import pipeline_pickands
+from evcop.fit import pipeline_pickands, random_pickands
 from evcop.pickands import PickandsModel
 
 EPS = np.finfo(float).eps
@@ -177,3 +177,22 @@ def test_only_sentinel_pieces_are_built_one_by_one(grids, monkeypatch):
         finite = np.isfinite(args[2]) & np.isfinite(args[3])
         assert calls == [2] * int(np.sum(~finite[:-1] | ~finite[1:]))
         assert len(calls) <= 2
+
+
+def _same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def test_jet_is_the_three_reads_bit_for_bit():
+    # random_pickands mirrors every second model: unflipped and flipped
+    # tables, read inside and outside [0, 1], at NaN and on every shape
+    probes = [np.linspace(-0.1, 1.1, 1201), np.array([np.nan, 0.0, 0.5, 1.0]),
+              np.float64(0.3), 0.7, np.nan, np.empty(0),
+              np.linspace(0.0, 1.0, 12).reshape(3, 4)]
+    for a in random_pickands(1e-4, 5, 4, seed=3):
+        for t in probes:
+            jet = a.jet(t)
+            assert len(jet) == 3
+            for got, want in zip(jet, (a(t), a.deriv(t), a.deriv2(t))):
+                assert _same_bits(got, want)
