@@ -239,7 +239,7 @@ def cmd_evaluate(args) -> int:
     print(json.dumps(report, indent=2))
     if args.table:
         t = np.linspace(0.0, 1.0, 201)
-        table = np.column_stack([t, pick(t), pick.deriv(t), pick.deriv2(t)])
+        table = np.column_stack([t, *pick.jet(t)])
         write_pairs(args.table, table, "t,A,A1,A2")
     return 0
 
@@ -358,12 +358,14 @@ def run_study(spec: dict, workers: int = 1):
     sizes = read_field(spec, "sample_sizes", _sample_sizes, [1000])
     reps = read_field(spec, "replications", _at_least(1), 1 if tvd else 100)
     lam = read_field(spec, "fit.lambda", float, 1e-4)
-    dim = read_field(spec, "fit.dim", int, 13)
+    # a cubic spline basis has more than 3 functions
+    dim = read_field(spec, "fit.dim", _at_least(4), 13)
     if tvd:
         count = read_field(spec, "random_evc.count", _at_least(1), 20)
         prior_lam = read_field(spec, "random_evc.lambda", float, 1e-4)
         radius = read_field(spec, "random_evc.R", float, 5.0)
-        basis = default_random_basis(read_field(spec, "random_evc.dim", int, 13))
+        basis = default_random_basis(
+            read_field(spec, "random_evc.dim", _at_least(4), 13))
         cfgs = [FitConfig(basis_dim=dim, lam=lam)] * count
         truths = [EvCopula(m) for m in random_pickands(prior_lam, radius, count,
                                                        seed=seed, basis=basis)]
@@ -410,12 +412,6 @@ def _write_rows(path, rows, columns):
     write_pairs(path, [[r[c] for c in columns] for r in rows], ",".join(columns))
 
 
-def _fmt(v):
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
-
-
 def cmd_study(args) -> int:
     spec = _load_json(args.spec)
     _, rows, meta = run_study(spec, _worker_count(args.workers))
@@ -430,9 +426,7 @@ def cmd_study(args) -> int:
     summary = meta["summary"]
     if summary:
         hdr = ["sample_size", "mean", "q10", "q25", "q50", "q75", "q90", "runs"]
-        print(",".join(hdr))
-        for s in summary:
-            print(",".join(_fmt(s[c]) for c in hdr))
+        _write_rows(sys.stdout, summary, hdr)
         if args.summary:
             _write_rows(args.summary, summary, hdr)
     for err in meta["errors"]:

@@ -37,8 +37,9 @@ _TVD_EPS = 1e-4
 class EvCopula:
     """Bivariate extreme-value copula driven by a Pickands function.
 
-    ``pickands`` is any object with ``__call__``, ``deriv`` and ``deriv2``
-    (tabulated models, parametric families, transformation wrappers).  With
+    ``pickands`` is any object with ``__call__`` (the value A) and ``jet``
+    (A, A' and A'' together): tabulated models, parametric families,
+    transformation wrappers, or a user's own object.  With
     ``survival=True`` every quantity is evaluated through the survival
     formula; applying the transform twice returns to the original copula.
     """
@@ -70,11 +71,8 @@ class EvCopula:
         return out
 
     def _base(self, u, v):
-        """``dC/du``, ``dC/dv`` and the density, from one read of A, A', A''.
-
-        That read is one located evaluation, ``pickands.jet(t)``, when the
-        Pickands object has it (tabulated models); other objects are read
-        through ``__call__``, ``deriv`` and ``deriv2``.
+        """``dC/du``, ``dC/dv`` and the density, from one read of A, A', A''
+        (``pickands.jet``).
 
         In the coordinates ``s = log(uv)``, ``t = log u / s`` of Ghoudi,
         Khoudraji & Rivest (1998): ``dC/du = v e^{s(A-1)} (A + (1-t)A')``,
@@ -89,13 +87,7 @@ class EvCopula:
         lv = np.log(v)
         s = lu + lv
         t = lu / s
-        jet = getattr(self.pickands, "jet", None)
-        if jet is not None:
-            a, ap, app = jet(t)
-        else:
-            a = np.asarray(self.pickands(t), dtype=float)
-            ap = np.asarray(self.pickands.deriv(t), dtype=float)
-            app = np.asarray(self.pickands.deriv2(t), dtype=float)
+        a, ap, app = self.pickands.jet(t)
         scale = np.exp(s * (a - 1.0))
         pu = v * scale * (a + (1.0 - t) * ap)
         pv = u * scale * (a - t * ap)
@@ -178,8 +170,8 @@ class EvCopula:
         a = self.pickands
         nodes = a.t if isinstance(a, PickandsModel) else _T_GRID
         tt = np.unique(np.concatenate([nodes, _T_RUN, 1.0 - _T_RUN]))[1:-1]
-        av = np.asarray(a(tt), dtype=float)
-        dv = av + (1.0 - tt) * np.asarray(a.deriv(tt), dtype=float)
+        av, apv, _ = (np.asarray(v, dtype=float) for v in a.jet(tt))
+        dv = av + (1.0 - tt) * apv
         # rows 0 and -1 are t = 0 and t = 1, where the conditional CDF is 0
         # and 1 and v is 0 and 1
         g = np.concatenate([[np.inf], av / tt - 1.0, [0.0]])

@@ -17,6 +17,7 @@ import numpy as np
 from ._quad import cumulative_trapezoid
 from .errors import InputError
 from .pickands import khoudraji
+from .williamson import JetReads
 
 __all__ = [
     "ParametricPickands",
@@ -33,7 +34,11 @@ def _phi(x):
     return np.exp(-0.5 * x * x) / _SQRT_2PI
 
 
-class _GumbelA:
+def _clip(t):
+    return np.clip(np.asarray(t, dtype=float), _T_EDGE, 1.0 - _T_EDGE)
+
+
+class _GumbelA(JetReads):
     """A(t) = (t^theta + (1-t)^theta)^(1/theta), theta >= 1."""
 
     def __init__(self, theta: float):
@@ -44,22 +49,17 @@ class _GumbelA:
         th = self.theta
         return (t ** th + (1.0 - t) ** th) ** (1.0 / th)
 
-    def deriv(self, t):
-        t = np.clip(np.asarray(t, dtype=float), _T_EDGE, 1.0 - _T_EDGE)
+    def jet(self, t):
+        c = _clip(t)
         th = self.theta
-        s = t ** th + (1.0 - t) ** th
-        return s ** (1.0 / th - 1.0) * (t ** (th - 1.0) - (1.0 - t) ** (th - 1.0))
-
-    def deriv2(self, t):
-        t = np.clip(np.asarray(t, dtype=float), _T_EDGE, 1.0 - _T_EDGE)
-        th = self.theta
-        s = t ** th + (1.0 - t) ** th
-        diff = t ** (th - 1.0) - (1.0 - t) ** (th - 1.0)
-        curv = t ** (th - 2.0) + (1.0 - t) ** (th - 2.0)
-        return (th - 1.0) * s ** (1.0 / th - 2.0) * (s * curv - diff * diff)
+        s = c ** th + (1.0 - c) ** th
+        diff = c ** (th - 1.0) - (1.0 - c) ** (th - 1.0)
+        curv = c ** (th - 2.0) + (1.0 - c) ** (th - 2.0)
+        return (self(t), s ** (1.0 / th - 1.0) * diff,
+                (th - 1.0) * s ** (1.0 / th - 2.0) * (s * curv - diff * diff))
 
 
-class _GalambosA:
+class _GalambosA(JetReads):
     """A(t) = 1 - (t^-theta + (1-t)^-theta)^(-1/theta), theta > 0."""
 
     def __init__(self, theta: float):
@@ -72,23 +72,18 @@ class _GalambosA:
             s = t ** -th + (1.0 - t) ** -th
             return 1.0 - s ** (-1.0 / th)
 
-    def deriv(self, t):
-        t = np.clip(np.asarray(t, dtype=float), _T_EDGE, 1.0 - _T_EDGE)
+    def jet(self, t):
+        c = _clip(t)
         th = self.theta
-        s = t ** -th + (1.0 - t) ** -th
-        return s ** (-1.0 / th - 1.0) * ((1.0 - t) ** (-th - 1.0) - t ** (-th - 1.0))
-
-    def deriv2(self, t):
-        t = np.clip(np.asarray(t, dtype=float), _T_EDGE, 1.0 - _T_EDGE)
-        th = self.theta
-        s = t ** -th + (1.0 - t) ** -th
-        diff = (1.0 - t) ** (-th - 1.0) - t ** (-th - 1.0)
-        curv = t ** (-th - 2.0) + (1.0 - t) ** (-th - 2.0)
-        return (th + 1.0) * (s ** (-1.0 / th - 1.0) * curv
-                             - s ** (-1.0 / th - 2.0) * diff * diff)
+        s = c ** -th + (1.0 - c) ** -th
+        diff = (1.0 - c) ** (-th - 1.0) - c ** (-th - 1.0)
+        curv = c ** (-th - 2.0) + (1.0 - c) ** (-th - 2.0)
+        p = s ** (-1.0 / th - 1.0)
+        return (self(t), p * diff,
+                (th + 1.0) * (p * curv - s ** (-1.0 / th - 2.0) * diff * diff))
 
 
-class _HuslerReissA:
+class _HuslerReissA(JetReads):
     """A(t) = phi(t) + phi(1-t) with phi(s) = s * Phi(theta + log(s/(1-s)) / (2 theta))."""
 
     def __init__(self, theta: float):
@@ -108,27 +103,21 @@ class _HuslerReissA:
         return left + right
 
     def _psi(self, s):
+        """``phi'(s)`` and ``phi''(s)``."""
         from scipy.special import ndtr
 
-        g = self._g(s)
-        gp = 1.0 / (2.0 * self.theta * s * (1.0 - s))
-        return ndtr(g) + s * _phi(g) * gp
-
-    def _psi_prime(self, s):
         th = self.theta
         g = self._g(s)
         gp = 1.0 / (2.0 * th * s * (1.0 - s))
         gpp = -(1.0 - 2.0 * s) / (2.0 * th * s ** 2 * (1.0 - s) ** 2)
         pg = _phi(g)
-        return 2.0 * pg * gp - s * g * pg * gp * gp + s * pg * gpp
+        return (ndtr(g) + s * pg * gp,
+                2.0 * pg * gp - s * g * pg * gp * gp + s * pg * gpp)
 
-    def deriv(self, t):
-        t = np.clip(np.asarray(t, dtype=float), _T_EDGE, 1.0 - _T_EDGE)
-        return self._psi(t) - self._psi(1.0 - t)
-
-    def deriv2(self, t):
-        t = np.clip(np.asarray(t, dtype=float), _T_EDGE, 1.0 - _T_EDGE)
-        return self._psi_prime(t) + self._psi_prime(1.0 - t)
+    def jet(self, t):
+        c = _clip(t)
+        left, right = self._psi(c), self._psi(1.0 - c)
+        return self(t), left[0] - right[0], left[1] + right[1]
 
 
 _FAMILIES = {
@@ -148,7 +137,7 @@ _ALIASES = {
 
 
 @dataclass(frozen=True)
-class ParametricPickands:
+class ParametricPickands(JetReads):
     """One-parameter family member, optionally with asymmetry parameters.
 
     ``khoudraji=(alpha, beta)`` wraps the symmetric family through the
@@ -177,11 +166,8 @@ class ParametricPickands:
     def __call__(self, t):
         return self._impl(t)
 
-    def deriv(self, t):
-        return self._impl.deriv(t)
-
-    def deriv2(self, t):
-        return self._impl.deriv2(t)
+    def jet(self, t):
+        return self._impl.jet(t)
 
 
 def pickands_estimator(sample, t):

@@ -881,6 +881,9 @@ def mcmc_sample(log_target, dim: int, n_samples: int, seed=None,
 
 def default_random_basis(dim: int = 13) -> ZBasis:
     """Uniform-knot cubic basis used to generate random models."""
+    if dim <= _DEGREE:
+        raise InputError(f"basis dim must exceed the spline degree {_DEGREE}, "
+                         f"got {dim}")
     knots = tuple(np.linspace(0.0, 1.0, dim - _DEGREE + 2)[1:-1])
     return build_zb_basis(KnotConfig(interior_knots=knots, degree=_DEGREE))
 

@@ -20,7 +20,7 @@ from ._quad import gauss_legendre, gauss_square
 from ._rootfind import vector_bisect
 from .bayes import integrate_01
 from .errors import InputError, NumericalError
-from .williamson import WilliamsonGrid, default_w_nodes
+from .williamson import JetReads, WilliamsonGrid, default_w_nodes
 
 __all__ = [
     "PickandsModel",
@@ -113,7 +113,9 @@ def rotate(w) -> PickandsModel:
     """Pickands function of a 2-monotone transform, by the affine link.
 
     Each node ``x`` of a tabulated :class:`WilliamsonGrid` (or of
-    :func:`default_w_nodes`, where an analytic ``W`` is evaluated) maps to
+    :func:`default_w_nodes`, where any other ``W`` is read: its value through
+    ``__call__``, checked to be a unit transform, then W' and W'' through
+    ``jet``) maps to
     the node ``t = (1 + x - W(x)) / 2`` with ``A = (1 + x + W(x)) / 2`` and
     ``A'``, ``A''`` in closed form, so the values are exact at the nodes.
     Interior nodes with ``t`` within 5e-4 of an end are dropped.  Endpoint
@@ -129,11 +131,11 @@ def rotate(w) -> PickandsModel:
             raise InputError(
                 f"not a unit 2-monotone transform: W(0)={wv[0]:.4f}, "
                 f"W(1)={wv[-1]:.4f}")
-        wp = np.array(w.deriv(x), dtype=float)
+        _, wp, wpp = w.jet(x)
+        wp = np.array(wp, dtype=float)
         # one-sided endpoint slopes, where the transform reports them
         wp[0] = getattr(w, "deriv_at_zero", wp[0])
         wp[-1] = getattr(w, "deriv_at_one", wp[-1])
-        wpp = w.deriv2(x)
     t, a, ap, app = link(x, wv, wp, wpp)
     keep = (t >= _EDGE) & (t <= 1.0 - _EDGE)
     keep[0] = keep[-1] = True
@@ -145,11 +147,13 @@ def rotate(w) -> PickandsModel:
     return PickandsModel(t=t, a=a, ap=ap, app=app)
 
 
-class _RotatedInverseW:
+class _RotatedInverseW(JetReads):
     """2-monotone transform recovered from a Pickands function.
 
     Evaluation inverts ``x(t) = t + A(t) - 1`` by bracketed bisection and
-    reads values and derivatives through the inverse affine link.
+    reads values and derivatives through the inverse affine link
+    ``W = A - t``, ``W' = (A' - 1) / (A' + 1)``, ``W'' = 2 A'' / (1 + A')^3``;
+    :meth:`jet` reads all three from one bisection.
     """
 
     def __init__(self, a):
@@ -174,33 +178,25 @@ class _RotatedInverseW:
         out = self._a(t) - t
         return float(out[0]) if scalar else out
 
-    def deriv(self, x):
+    def jet(self, x):
         scalar = np.ndim(x) == 0
         t = self._t_of_x(np.atleast_1d(x))
-        apv = np.asarray(self._a.deriv(t), dtype=float)
-        with np.errstate(divide="ignore"):
-            out = (apv - 1.0) / (apv + 1.0)
-        return float(out[0]) if scalar else out
-
-    def deriv2(self, x):
-        scalar = np.ndim(x) == 0
-        t = self._t_of_x(np.atleast_1d(x))
-        apv = np.asarray(self._a.deriv(t), dtype=float)
-        appv = np.asarray(self._a.deriv2(t), dtype=float)
+        av, apv, appv = (np.asarray(v, dtype=float) for v in self._a.jet(t))
         with np.errstate(divide="ignore", over="ignore"):
-            out = 2.0 * appv / (1.0 + apv) ** 3
-        return float(out[0]) if scalar else out
+            out = (av - t, (apv - 1.0) / (apv + 1.0),
+                   2.0 * appv / (1.0 + apv) ** 3)
+        return tuple(float(v[0]) for v in out) if scalar else out
 
     @property
     def deriv_at_zero(self) -> float:
-        ap0 = float(self._a.deriv(0.0))
+        ap0 = float(self._a.jet(0.0)[1])
         if ap0 <= -1.0 + 1e-12:
             return -np.inf
         return (ap0 - 1.0) / (ap0 + 1.0)
 
     @property
     def deriv_at_one(self) -> float:
-        ap1 = float(self._a.deriv(1.0))
+        ap1 = float(self._a.jet(1.0)[1])
         return (ap1 - 1.0) / (ap1 + 1.0)
 
 
@@ -216,9 +212,14 @@ def h_density(a):
     values use the one-sided limits ``1 + A'(0)/A(0)`` and ``1 - A'(1)/A(1)``,
     which vanish for transforms built from strictly positive densities
     (limits below round-off resolution are snapped to exact zero).
+
+    ``a`` is any object with ``__call__`` and ``jet``; every read of A, A'
+    and A'' here is one ``jet`` call.
     """
-    h0 = max(0.0, 1.0 + float(a.deriv(0.0)) / float(a(0.0)))
-    h1 = max(0.0, 1.0 - float(a.deriv(1.0)) / float(a(1.0)))
+    a0, ap0, _ = a.jet(0.0)
+    a1, ap1, _ = a.jet(1.0)
+    h0 = max(0.0, 1.0 + float(ap0) / float(a0))
+    h1 = max(0.0, 1.0 - float(ap1) / float(a1))
     h0 = 0.0 if h0 < 1e-9 else h0
     h1 = 0.0 if h1 < 1e-9 else h1
 
@@ -229,10 +230,8 @@ def h_density(a):
         out = np.empty_like(z)
         inner = (z > 0.0) & (z < 1.0)
         zi = z[inner]
-        av = np.asarray(a(zi), dtype=float)
-        apv = np.asarray(a.deriv(zi), dtype=float)
-        appv = np.asarray(a.deriv2(zi), dtype=float)
-        out[inner] = h_formula(zi, av, apv, appv)
+        out[inner] = h_formula(zi, *(np.asarray(v, dtype=float)
+                                     for v in a.jet(zi)))
         out[z <= 0.0] = h0
         out[z >= 1.0] = h1
         return float(out[0]) if scalar else out
@@ -325,7 +324,7 @@ def upper_tail(a) -> float:
     return float(2.0 * (1.0 - float(a(0.5))))
 
 
-class _KhoudrajiPickands:
+class _KhoudrajiPickands(JetReads):
     """Asymmetric extension of a Pickands function with parameters in (0, 1]."""
 
     def __init__(self, base, alpha: float, beta: float):
@@ -336,26 +335,22 @@ class _KhoudrajiPickands:
         self.beta = float(beta)
 
     def _parts(self, t):
+        """The line ``(1 - t)(1 - alpha) + t(1 - beta)``, ``d`` and ``tau``."""
+        a, b = self.alpha, self.beta
         t = np.asarray(t, dtype=float)
-        d = (1.0 - t) * self.alpha + t * self.beta
-        tau = t * self.beta / d
-        return t, d, tau
+        d = (1.0 - t) * a + t * b
+        return (1.0 - t) * (1.0 - a) + t * (1.0 - b), d, t * b / d
 
     def __call__(self, t):
-        t, d, tau = self._parts(t)
-        return ((1.0 - t) * (1.0 - self.alpha) + t * (1.0 - self.beta)
-                + d * np.asarray(self.base(tau)))
+        line, d, tau = self._parts(t)
+        return line + d * np.asarray(self.base(tau))
 
-    def deriv(self, t):
+    def jet(self, t):
         a, b = self.alpha, self.beta
-        t, d, tau = self._parts(t)
-        return ((a - b) + (b - a) * np.asarray(self.base(tau))
-                + a * b * np.asarray(self.base.deriv(tau)) / d)
-
-    def deriv2(self, t):
-        a, b = self.alpha, self.beta
-        t, d, tau = self._parts(t)
-        return (a * b) ** 2 * np.asarray(self.base.deriv2(tau)) / d ** 3
+        line, d, tau = self._parts(t)
+        f, f1, f2 = (np.asarray(v) for v in self.base.jet(tau))
+        return (line + d * f, (a - b) + (b - a) * f + a * b * f1 / d,
+                (a * b) ** 2 * f2 / d ** 3)
 
 
 def khoudraji(a, alpha: float, beta: float):
@@ -363,7 +358,7 @@ def khoudraji(a, alpha: float, beta: float):
     return _KhoudrajiPickands(a, alpha, beta)
 
 
-class _MirroredPickands:
+class _MirroredPickands(JetReads):
     """Pickands function with arguments reflected around 1/2."""
 
     def __init__(self, base):
@@ -372,11 +367,9 @@ class _MirroredPickands:
     def __call__(self, t):
         return self.base(1.0 - np.asarray(t, dtype=float))
 
-    def deriv(self, t):
-        return -np.asarray(self.base.deriv(1.0 - np.asarray(t, dtype=float)))
-
-    def deriv2(self, t):
-        return self.base.deriv2(1.0 - np.asarray(t, dtype=float))
+    def jet(self, t):
+        f, f1, f2 = self.base.jet(1.0 - np.asarray(t, dtype=float))
+        return f, -np.asarray(f1), f2
 
 
 def mirror(a):
@@ -393,7 +386,7 @@ def mirror(a):
     return _MirroredPickands(a)
 
 
-class _SymmetrizedPickands:
+class _SymmetrizedPickands(JetReads):
     """Even part of a Pickands function: ``(A(t) + A(1 - t)) / 2``."""
 
     def __init__(self, base):
@@ -403,15 +396,10 @@ class _SymmetrizedPickands:
         t = np.asarray(t, dtype=float)
         return 0.5 * (np.asarray(self.base(t)) + np.asarray(self.base(1.0 - t)))
 
-    def deriv(self, t):
+    def jet(self, t):
         t = np.asarray(t, dtype=float)
-        return 0.5 * (np.asarray(self.base.deriv(t))
-                      - np.asarray(self.base.deriv(1.0 - t)))
-
-    def deriv2(self, t):
-        t = np.asarray(t, dtype=float)
-        return 0.5 * (np.asarray(self.base.deriv2(t))
-                      + np.asarray(self.base.deriv2(1.0 - t)))
+        (f, f1, f2), (g, g1, g2) = self.base.jet(t), self.base.jet(1.0 - t)
+        return 0.5 * (f + g), 0.5 * (f1 - g1), 0.5 * (f2 + g2)
 
 
 def symmetrize(a):

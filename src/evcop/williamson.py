@@ -35,6 +35,7 @@ __all__ = [
     "w_uniform_power",
     "default_w_nodes",
     "default_kernel",
+    "JetReads",
 ]
 
 
@@ -242,7 +243,22 @@ def normalize_w(g: WilliamsonGrid) -> WilliamsonGrid:
                           normalized=True)
 
 
-class _AnalyticW:
+class JetReads:
+    """``deriv`` and ``deriv2`` of a function, read from its ``jet``.
+
+    ``jet(x)`` returns the value and the first two derivatives at ``x``; it
+    is the one derivative read of every Pickands function and 2-monotone
+    transform in the package, and these two methods are views of it.
+    """
+
+    def deriv(self, x):
+        return self.jet(x)[1]
+
+    def deriv2(self, x):
+        return self.jet(x)[2]
+
+
+class _AnalyticW(JetReads):
     """Closed-form 2-monotone function with derivatives."""
 
     def __init__(self, fn, d1, d2, name: str):
@@ -252,13 +268,10 @@ class _AnalyticW:
     def __call__(self, x):
         return self._fn(np.asarray(x, dtype=float))
 
-    def deriv(self, x):
+    def jet(self, x):
+        x = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore", over="ignore"):
-            return self._d1(np.asarray(x, dtype=float))
-
-    def deriv2(self, x):
-        with np.errstate(divide="ignore", over="ignore"):
-            return self._d2(np.asarray(x, dtype=float))
+            return self._fn(x), self._d1(x), self._d2(x)
 
     def __repr__(self):
         return f"<{self.name}>"

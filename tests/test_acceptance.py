@@ -53,11 +53,9 @@ class _Quadratic:
         t = np.asarray(t, dtype=float)
         return t * t - t + 1.0
 
-    def deriv(self, t):
-        return 2.0 * np.asarray(t, dtype=float) - 1.0
-
-    def deriv2(self, t):
-        return np.full_like(np.asarray(t, dtype=float), 2.0)
+    def jet(self, t):
+        t = np.asarray(t, dtype=float)
+        return t * t - t + 1.0, 2.0 * t - 1.0, np.full_like(t, 2.0)
 
 
 def test_criterion_01_closed_form_round_trip():
@@ -243,11 +241,9 @@ def test_criterion_08_simulation_correctness():
         def __call__(self, t):
             return np.ones_like(np.asarray(t, dtype=float))
 
-        def deriv(self, t):
-            return np.zeros_like(np.asarray(t, dtype=float))
-
-        def deriv2(self, t):
-            return np.zeros_like(np.asarray(t, dtype=float))
+        def jet(self, t):
+            t = np.asarray(t, dtype=float)
+            return np.ones_like(t), np.zeros_like(t), np.zeros_like(t)
 
     ci = EvCopula(Flat())
     sim = ci.simulate(5000, seed=88)

@@ -409,7 +409,8 @@ def test_study_bias_variance_envelope(tmp_path, capsys):
     summ = str(tmp_path / "sum.csv")
     assert main(["study", str(spec_path), "-o", out, "--envelope", env,
                  "--summary", summ]) == 0
-    capsys.readouterr()
+    # the printed summary is the summary file, written by the same writer
+    assert open(summ).read() in capsys.readouterr().out
     header = open(out).readline().strip()
     assert header == "copula_id,sample_size,replicate,tvd,gini,beta,runtime_s"
     envelope = np.genfromtxt(env, delimiter=",", names=True)
@@ -524,6 +525,11 @@ _TINY_BV = {"study": "bias-variance", "seed": 1, "sample_sizes": [100],
      "'sample_sizes'"),
     ("study", {**_TINY_STUDY, "random_evc": {"count": 0}}, [], None,
      "'random_evc.count'"),
+    ("study", {**_TINY_STUDY, "random_evc": {"count": 1, "dim": 0}}, [], None,
+     "'random_evc.dim'"),
+    ("study", {**_TINY_STUDY, "random_evc": {"count": 1, "dim": 2}}, [], None,
+     "'random_evc.dim'"),
+    ("study", {**_TINY_STUDY, "fit": {"dim": 3}}, [], None, "'fit.dim'"),
     ("study", {**_TINY_BV, "replications": 0}, [], None, "'replications'"),
     ("study", {**_TINY_BV, "sample_sizes": []}, [], None, "'sample_sizes'"),
     ("study", {**_TINY_BV, "families": [{"family": "gumbel", "theta": 2.0,
@@ -533,6 +539,7 @@ _TINY_BV = {"study": "bias-variance", "seed": 1, "sample_sizes": [100],
         "spec-seed", "spec-list", "env-threads", "workers-0",
         "spec-replications-0", "spec-replications-negative",
         "spec-sizes-empty", "spec-size-below-30", "spec-count-0",
+        "spec-random-dim-0", "spec-random-dim-2", "spec-fit-dim-3",
         "bias-variance-replications-0", "bias-variance-sizes-empty",
         "bias-variance-family-lambda"])
 def test_outside_input_exits_2_naming_the_field(
@@ -569,6 +576,7 @@ for argv in (["evaluate", model, "--table", out + "-table.csv"],
              ["fit", csv, "-o", out], ["fit", csv, "-o", out, "--pseudo"],
              ["joint", masses, "-o", out + "-joint", "--margin-dim", "9",
               "--samples", "60"],
+             ["evaluate", out + "-joint/copula.json", "--table", out + "-jt.csv"],
              ["study", spec, "-o", out, "--workers", "1"]):
     assert evcop.cli.main(argv) == 0
     assert not scipy_modules(), (argv, scipy_modules())
@@ -577,8 +585,9 @@ for argv in (["evaluate", model, "--table", out + "-table.csv"],
 
 def test_commands_import_no_scipy(tmp_path, gumbel2, gumbel2_fit, gumbel_csv):
     # start-up, help, evaluate (with its A, A', A'' table), simulate, fit
-    # (plain and on ranks), joint and a Gumbel-plus-Galambos bias-variance
-    # study run on numpy alone
+    # (plain and on ranks), joint, evaluate of the joint's symmetrized model
+    # and a Gumbel, Galambos and Khoudraji-Gumbel bias-variance study run on
+    # numpy alone
     model = tmp_path / "model.json"
     model.write_text(json.dumps(model_to_dict(gumbel2_fit)))
     m = np.exp(1.0 + gumbel2.simulate(50, seed=12))
@@ -587,7 +596,8 @@ def test_commands_import_no_scipy(tmp_path, gumbel2, gumbel2_fit, gumbel_csv):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({**_TINY_BV, "replications": 2, "families": [
         {"family": "gumbel", "theta": 2.0},
-        {"family": "galambos", "theta": 1.0}]}))
+        {"family": "galambos", "theta": 1.0},
+        {"family": "gumbel", "theta": 2.0, "alpha": 0.5}]}))
     src = str(Path(__import__("evcop").__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}

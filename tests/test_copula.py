@@ -6,30 +6,30 @@ from evcop.copula import EvCopula, supnorm_bound_check, tvd_copulas
 from evcop.errors import InputError
 from evcop.families import ParametricPickands
 from evcop.fit import random_pickands
-from evcop.pickands import PickandsModel
+from evcop.pickands import (
+    PickandsModel,
+    h_density,
+    khoudraji,
+    mirror,
+    rotate,
+    rotate_inverse,
+    symmetrize,
+)
 
 
 class FlatPickands:
     def __call__(self, t):
         return np.ones_like(np.asarray(t, dtype=float))
 
-    def deriv(self, t):
-        return np.zeros_like(np.asarray(t, dtype=float))
-
-    def deriv2(self, t):
-        return np.zeros_like(np.asarray(t, dtype=float))
+    def jet(self, t):
+        t = np.asarray(t, dtype=float)
+        return np.ones_like(t), np.zeros_like(t), np.zeros_like(t)
 
 
 class PerfectDep:
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         return np.maximum(t, 1.0 - t)
-
-    def deriv(self, t):
-        return np.sign(np.asarray(t, dtype=float) - 0.5)
-
-    def deriv2(self, t):
-        return np.zeros_like(np.asarray(t, dtype=float))
 
 
 def test_cdf_independence_and_perfect_dependence():
@@ -159,11 +159,9 @@ def test_simulate_rejects_invalid_dependence():
         def __call__(self, t):
             return np.full_like(np.asarray(t, dtype=float), 0.4)
 
-        def deriv(self, t):
-            return np.zeros_like(np.asarray(t, dtype=float))
-
-        def deriv2(self, t):
-            return np.zeros_like(np.asarray(t, dtype=float))
+        def jet(self, t):
+            t = np.asarray(t, dtype=float)
+            return np.full_like(t, 0.4), np.zeros_like(t), np.zeros_like(t)
 
     with pytest.raises(NumericalError):
         EvCopula(Below()).simulate(200, seed=0)
@@ -240,7 +238,7 @@ def test_simulate_converges_near_the_edges():
 
 def test_simulate_evaluation_budget(monkeypatch):
     points = [0]
-    for name in ("__call__", "deriv", "deriv2"):
+    for name in ("__call__", "deriv", "deriv2", "jet"):
         method = getattr(PickandsModel, name)
 
         def counted(self, t, method=method):
@@ -300,25 +298,92 @@ def test_survival_partials_and_simulation(gumbel2):
     assert np.all((resid > 0) & (resid < 1))
 
 
-def test_located_read_matches_three_reads(monkeypatch):
-    # tabulated models are read by one piece search; without it (three
-    # calls, as for other Pickands objects) the partials, the density and
-    # the draws are the same bit for bit
+class _ThreeReads:
+    """A Pickands object whose ``jet`` is three separate reads of ``base``."""
+
+    def __init__(self, base):
+        self.base = base
+
+    def __call__(self, t):
+        return self.base(t)
+
+    def jet(self, t):
+        return self.base(t), self.base.deriv(t), self.base.deriv2(t)
+
+
+def test_located_read_matches_three_reads():
+    # a tabulated model's jet is one piece search; the partials and the
+    # density it gives equal those of three separate reads bit for bit
     g = np.linspace(0.01, 0.99, 41)
     uu, vv = np.meshgrid(g, g, indexing="ij")
-    copulas = [EvCopula(a, survival)
-               for a in random_pickands(1e-4, 5.0, 2, seed=3)
-               for survival in (False, True)]
+    for a in random_pickands(1e-4, 5.0, 2, seed=3):
+        for survival in (False, True):
+            located = EvCopula(a, survival)
+            three = EvCopula(_ThreeReads(a), survival)
+            for name in ("partial_u", "partial_v", "pdf"):
+                x = getattr(located, name)(uu, vv)
+                y = getattr(three, name)(uu, vv)
+                assert x.shape == y.shape and x.tobytes() == y.tobytes()
 
-    def outputs():
-        return [[c.partial_u(uu, vv), c.partial_v(uu, vv), c.pdf(uu, vv),
-                 c.simulate(500, seed=4)] for c in copulas]
 
-    located = outputs()
-    monkeypatch.delattr(PickandsModel, "jet")
-    for got, want in zip(located, outputs()):
-        for x, y in zip(got, want):
-            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+class _HalfQuadratic:
+    """A(t) = 1 - t(1 - t)/2, with only ``__call__`` and ``jet``."""
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        return 1.0 - 0.5 * t * (1.0 - t)
+
+    def jet(self, t):
+        t = np.asarray(t, dtype=float)
+        return self(t), t - 0.5, np.ones_like(t)
+
+
+def _fd_jet(f, t, h=1e-5):
+    """Central differences of ``f``: its first and second derivative."""
+    fp, f0, fm = (np.asarray(f(t + d), dtype=float) for d in (h, 0.0, -h))
+    return (fp - fm) / (2 * h), (fp - 2 * f0 + fm) / h ** 2
+
+
+def test_custom_object_with_call_and_jet_runs_everywhere():
+    a = _HalfQuadratic()
+    cop = EvCopula(a)
+    rng = np.random.default_rng(11)
+    u, v = rng.uniform(0.05, 0.95, size=(2, 60))
+    h = 1e-6
+    fdu = (cop.cdf(u + h, v) - cop.cdf(u - h, v)) / (2 * h)
+    assert np.max(np.abs(cop.partial_u(u, v) - fdu)) <= 1e-6
+    fdv = (cop.cdf(u, v + h) - cop.cdf(u, v - h)) / (2 * h)
+    assert np.max(np.abs(cop.partial_v(u, v) - fdv)) <= 1e-6
+    fdc = (cop.partial_u(u, v + h) - cop.partial_u(u, v - h)) / (2 * h)
+    assert np.max(np.abs(cop.pdf(u, v) - fdc)) <= 1e-5
+    # the draw solves dC/du(U, v) = P for the uniforms (U, P) of its seed
+    sample = cop.simulate(2000, seed=5)
+    ref = np.random.default_rng(5)
+    u_ref, p_ref = ref.random(2000), ref.random(2000)
+    assert np.array_equal(sample[:, 0], u_ref)
+    assert np.max(np.abs(cop.partial_u(sample[:, 0], sample[:, 1]) - p_ref)) <= 1e-6
+
+    # h is the derivative of the pseudo-angle CDF H(z) = z + z(1 - z) A'/A,
+    # with the one-sided limits 1 + A'(0)/A(0) = 1/2 = 1 - A'(1)/A(1)
+    z = np.linspace(0.01, 0.99, 99)
+    hz = h_density(a)
+    big_h = lambda x: x + x * (1.0 - x) * (x - 0.5) / a(x)  # noqa: E731
+    assert np.max(np.abs(hz(z) - _fd_jet(big_h, z)[0])) <= 1e-8
+    assert hz(0.0) == 0.5 and hz(1.0) == 0.5
+
+    t = np.linspace(0.02, 0.98, 49)
+    for wrapped in (khoudraji(a, 0.6, 0.9), mirror(a),
+                    symmetrize(khoudraji(a, 0.6, 0.9))):
+        f, f1, f2 = wrapped.jet(t)
+        assert np.array_equal(f, wrapped(t))
+        d1, d2 = _fd_jet(wrapped, t)
+        assert np.max(np.abs(f1 - d1)) <= 1e-8
+        assert np.max(np.abs(f2 - d2)) <= 1e-4
+    back = rotate(rotate_inverse(a))
+    f, f1, f2 = back.jet(t)
+    assert np.max(np.abs(f - a(t))) <= 1e-8
+    assert np.max(np.abs(f1 - (t - 0.5))) <= 1e-6
+    assert np.max(np.abs(f2 - 1.0)) <= 1e-3
 
 
 def test_tvd_copulas_properties(gumbel2):

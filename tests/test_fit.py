@@ -744,6 +744,13 @@ def test_mcmc_mode_consistent_with_map(gumbel2_sample, monkeypatch):
     assert len(builds) == 1
 
 
+def test_random_basis_needs_more_functions_than_the_degree():
+    for dim in (0, 2, 3):
+        with pytest.raises(InputError, match="spline degree 3"):
+            default_random_basis(dim)
+    assert default_random_basis(4).dim == 4
+
+
 @pytest.fixture(scope="module")
 def random_prior():
     """Curvature matrix and center of the basis random models use."""

@@ -40,11 +40,9 @@ class PolyPickands:
         t = np.asarray(t, dtype=float)
         return t * t - t + 1.0
 
-    def deriv(self, t):
-        return 2.0 * np.asarray(t, dtype=float) - 1.0
-
-    def deriv2(self, t):
-        return np.full_like(np.asarray(t, dtype=float), 2.0)
+    def jet(self, t):
+        t = np.asarray(t, dtype=float)
+        return t * t - t + 1.0, 2.0 * t - 1.0, np.full_like(t, 2.0)
 
     def integrate(self):
         return 5.0 / 6.0
@@ -89,11 +87,9 @@ def test_rotate_inverse_independence():
         def __call__(self, t):
             return np.ones_like(np.asarray(t, dtype=float))
 
-        def deriv(self, t):
-            return np.zeros_like(np.asarray(t, dtype=float))
-
-        def deriv2(self, t):
-            return np.zeros_like(np.asarray(t, dtype=float))
+        def jet(self, t):
+            t = np.asarray(t, dtype=float)
+            return np.ones_like(t), np.zeros_like(t), np.zeros_like(t)
 
     w = rotate_inverse(One())
     x = np.linspace(0, 1, 101)
@@ -107,17 +103,31 @@ def test_rotate_round_trip_gumbel():
     assert np.max(np.abs(back(t) - base(t))) <= 1e-6
 
 
+def test_rotated_inverse_jet_bisects_once(monkeypatch):
+    # rotate reads W through __call__ and W', W'' through one jet: one
+    # bisection each
+    import evcop.pickands as pk
+
+    calls = [0]
+    bisect = pk.vector_bisect
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return bisect(*args, **kwargs)
+
+    monkeypatch.setattr(pk, "vector_bisect", counted)
+    tawn = ParametricPickands("gumbel", 3.0, khoudraji=(0.6, 0.9))
+    back = rotate(rotate_inverse(tawn))
+    assert calls[0] == 2
+    t = np.linspace(0, 1, 1000)
+    assert np.max(np.abs(back(t) - tawn(t))) <= 1e-6
+
+
 def test_rotate_inverse_rejects_support_touch():
     class PerfectDep:
         def __call__(self, t):
             t = np.asarray(t, dtype=float)
             return np.maximum(t, 1.0 - t)
-
-        def deriv(self, t):
-            return np.sign(np.asarray(t, dtype=float) - 0.5)
-
-        def deriv2(self, t):
-            return np.zeros_like(np.asarray(t, dtype=float))
 
     with pytest.raises(InputError):
         rotate_inverse(PerfectDep())
@@ -128,11 +138,9 @@ def test_h_density_flat_and_normalized():
         def __call__(self, t):
             return np.ones_like(np.asarray(t, dtype=float))
 
-        def deriv(self, t):
-            return np.zeros_like(np.asarray(t, dtype=float))
-
-        def deriv2(self, t):
-            return np.zeros_like(np.asarray(t, dtype=float))
+        def jet(self, t):
+            t = np.asarray(t, dtype=float)
+            return np.ones_like(t), np.zeros_like(t), np.zeros_like(t)
 
     h = h_density(One())
     z = np.array([0.0, 0.2, 0.5, 0.8, 1.0])
