@@ -1,4 +1,11 @@
-"""Piecewise quintic Hermite interpolation in Bernstein form.
+"""Piecewise polynomials in Bernstein form: the quintic Hermite tables and
+the spline pieces.
+
+:class:`PiecewiseBernstein` holds a polynomial of any degree per piece.  It
+serves the quintic Hermite interpolators of the W and A tables, built here,
+and the spline log-densities of :class:`evcop.bayes.ClrDensity` (cubic
+by default, of any degree), whose pieces come from
+:meth:`evcop.splinebasis.ZBasis.spline`.
 
 On a piece ``[x0, x1]`` of width ``h`` the quintic with values ``y``, first
 derivatives ``y'`` and second derivatives ``y''`` given at both ends has the

@@ -15,7 +15,7 @@ import numpy as np
 
 from ._quad import _read_only, gauss_legendre
 from .errors import InputError, NumericalError
-from .splinebasis import ZBasis, project_center
+from .splinebasis import ZBasis, project_center, unit_points
 from .williamson import default_w_nodes
 
 __all__ = ["ClrDensity", "clr", "clr_inverse", "perturb", "power", "tvd"]
@@ -109,7 +109,9 @@ class ClrDensity:
     ``center_enabled`` the projection of -(1 + log x)/2 is added as an affine
     center, biasing the family toward the square-root density instead of the
     uniform one.  Immutable after construction; the normalization integral
-    ``norm`` and the moments are taken by :func:`mass_rule`.
+    ``norm`` and the moments are taken by :func:`mass_rule`.  The spline is
+    kept as one polynomial per knot interval (:meth:`ZBasis.spline`), so a
+    read is one piece search and Horner's rule, with no design matrix.
     """
 
     def __init__(self, basis: ZBasis, theta, center_enabled: bool = False):
@@ -119,6 +121,7 @@ class ClrDensity:
             raise InputError(
                 f"theta must have shape ({basis.dim},), got {self.theta.shape}")
         self.coeffs = self.theta + (project_center(basis) if center_enabled else 0.0)
+        self._spline = basis.spline(self.coeffs)
         _, nodes, weights = mass_rule()
         pv = self.log_spline(nodes)
         if np.any(np.abs(pv) > _CLR_OVERFLOW):
@@ -127,7 +130,7 @@ class ClrDensity:
 
     def log_spline(self, x) -> np.ndarray:
         """The zero-integral spline (center included) at ``x``."""
-        return self.basis.evaluate(x) @ self.coeffs
+        return self._spline(unit_points(x))
 
     def pdf(self, x) -> np.ndarray:
         return np.exp(self.log_spline(x)) / self.norm

@@ -73,14 +73,20 @@ class _GalambosA(JetReads):
             return 1.0 - s ** (-1.0 / th)
 
     def jet(self, t):
+        """With ``r = (t / (1 - t))^theta`` and ``q = 1 + 1/theta``:
+
+            A'  = (1 + 1/r)^-q - (1 + r)^-q
+            A'' = (theta + 1) r (1 + r)^(-q-1) / (t (1 - t)^2)
+
+        read through ``log r``, so that nothing overflows at the clipped ends
+        for large theta, and A'' takes no difference of large terms."""
         c = _clip(t)
         th = self.theta
-        s = c ** -th + (1.0 - c) ** -th
-        diff = (1.0 - c) ** (-th - 1.0) - c ** (-th - 1.0)
-        curv = c ** (-th - 2.0) + (1.0 - c) ** (-th - 2.0)
-        p = s ** (-1.0 / th - 1.0)
-        return (self(t), p * diff,
-                (th + 1.0) * (p * curv - s ** (-1.0 / th - 2.0) * diff * diff))
+        q = 1.0 + 1.0 / th
+        u = th * (np.log(c) - np.log1p(-c))  # log r
+        lo = np.logaddexp(0.0, u)            # log(1 + r)
+        return (self(t), np.exp(-q * np.logaddexp(0.0, -u)) - np.exp(-q * lo),
+                (th + 1.0) * np.exp(u - (q + 1.0) * lo) / (c * (1.0 - c) ** 2))
 
 
 class _HuslerReissA(JetReads):

@@ -6,7 +6,9 @@ splines with zero integral (dimension ``n + d``) and orthonormalizes that
 subspace in L2.  The resulting functions parameterize log-densities through
 the inverse centered-log-ratio map, see :mod:`evcop.bayes`.  B-splines and
 their derivatives are evaluated by the Cox-de Boor recursion, vectorized over
-the points (:func:`_bspline_design`).
+the points (:func:`_bspline_design`).  A single spline is read piece by
+piece instead: :meth:`ZBasis.spline` gives it as one Bernstein polynomial per
+knot interval, from a table built once per basis.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._hermite import PiecewiseBernstein
 from ._quad import gauss_legendre
 from .errors import InputError, NumericalError
 
@@ -142,6 +145,42 @@ class ZBasis:
         return (zq * self.quad_weights[:, None]).T @ zq
 
     @cached_property
+    def _pieces(self) -> np.ndarray:
+        """Bernstein coefficients of every basis function on every knot interval.
+
+        Shape ``(degree + 1, intervals, dim)``.  On ``[t_l, t_l+1]`` the
+        ``j``-th coefficient of a spline is its blossom at ``t_l`` taken
+        ``degree - j`` times and ``t_l+1`` taken ``j`` times (de Boor 1978),
+        formed by de Boor's algorithm from convex combinations of the active
+        coefficients, for every interval and ``j`` at once.  Built at the
+        first call for a basis and kept on it, read-only.
+        """
+        d = self.degree
+        t = self.knot_config.full_knots
+        ell = np.arange(d, t.size - d - 1)  # t[ell] is each interval's left end
+        j = np.arange(d + 1)[:, None]
+        # c[m, j, l]: the coefficients of B_{l-d+m} in the basis, for every j
+        c = np.repeat(self.transform.T[ell - d + j][:, None], d + 1, axis=1)
+        for r in range(1, d + 1):
+            u = t[ell + (r > d - j)]  # the r-th blossom argument, per (j, l)
+            for m in range(d, r - 1, -1):
+                i = ell - d + m
+                a = ((u - t[i]) / (t[i + d + 1 - r] - t[i]))[..., None]
+                c[m] = (1.0 - a) * c[m - 1] + a * c[m]
+        table = c[d]
+        table.flags.writeable = False
+        return table
+
+    def spline(self, coeffs) -> PiecewiseBernstein:
+        """The spline ``sum_i coeffs[i] Z_i``, one polynomial per knot interval.
+
+        Reads give what ``evaluate(x) @ coeffs`` gives, up to round-off, but
+        extrapolate outside [0, 1]; check points with :func:`unit_points`.
+        """
+        return PiecewiseBernstein(self._pieces @ np.asarray(coeffs, dtype=float),
+                                  self.knot_config.breakpoints)
+
+    @cached_property
     def _center(self) -> np.ndarray:
         """The coefficients :func:`project_center` returns."""
         nodes, weights = center_quadrature(self)
@@ -200,14 +239,23 @@ def build_zb_basis(cfg: KnotConfig) -> ZBasis:
                   quad_nodes=nodes, quad_weights=weights)
 
 
+def unit_points(x) -> np.ndarray:
+    """``x`` as a float array; :class:`InputError` if a point is outside [0, 1].
+
+    NaN passes, and evaluates to NaN.
+    """
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0.0) or np.any(x > 1.0):
+        raise InputError("evaluation points must lie in [0, 1]")
+    return x
+
+
 def eval_basis(b: ZBasis, x, deriv: int = 0) -> np.ndarray:
     """Evaluate all ZB-spline basis functions (or derivatives) at ``x``."""
     if deriv not in (0, 1, 2):
         raise InputError(f"deriv must be 0, 1 or 2, got {deriv}")
     scalar = np.isscalar(x) or np.ndim(x) == 0
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(xa < 0.0) or np.any(xa > 1.0):
-        raise InputError("evaluation points must lie in [0, 1]")
+    xa = np.atleast_1d(unit_points(x))
     Braw = _bspline_design(b.knot_config.full_knots, b.degree, xa, deriv)
     out = Braw @ b.transform.T
     return out[0] if scalar else out

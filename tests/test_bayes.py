@@ -1,9 +1,22 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
-from evcop.bayes import clr, clr_inverse, integrate_01, perturb, power, tvd
+from evcop.bayes import (
+    ClrDensity,
+    clr,
+    clr_inverse,
+    integrate_01,
+    mass_rule,
+    perturb,
+    power,
+    tvd,
+)
 from evcop.errors import InputError, NumericalError
 from evcop.fit import default_random_basis
+from evcop.splinebasis import KnotConfig, build_zb_basis, quantile_knots
+from evcop.williamson import default_kernel
 
 from conftest import random_spline_density
 
@@ -164,3 +177,59 @@ def test_clr_density_positive_and_cached(basis13):
     dens = random_spline_density(basis13, np.random.default_rng(7))
     assert np.all(dens(np.linspace(0.0, 1.0, 513)) > 0.0)
     assert dens.norm > 0.0
+
+
+def _clustered_basis():
+    """Quantile knots of angles bunched at 1/2, as in a fit to Gumbel
+    theta = 8 data."""
+    z = np.clip(0.5 + 0.02 * np.random.default_rng(8).standard_t(3, 1000),
+                1e-6, 1.0 - 1e-6)
+    return build_zb_basis(quantile_knots(z, 10))
+
+
+def _uniform_basis(degree):
+    return build_zb_basis(KnotConfig(tuple(np.linspace(0.0, 1.0, 9)[1:-1]),
+                                     degree))
+
+
+@pytest.mark.parametrize("make_basis", [
+    default_random_basis, _clustered_basis,
+    *(partial(_uniform_basis, d) for d in (1, 2, 3, 5))])
+def test_spline_reads_match_the_design(make_basis):
+    # the spline is read piece by piece; the design times the coefficients
+    # is the reference.  exp turns an absolute error in p into a relative
+    # one in the norm, and the design itself errs by about eps * max|p|,
+    # so the norm's bound is 1e-13 up to |p| = 10 and grows with |p| beyond
+    basis = make_basis()
+    _, nodes, weights = mass_rule()
+    x = np.concatenate([nodes, default_kernel().nodes.ravel(),
+                        basis.knot_config.breakpoints, [0.0, 1.0]])
+    design = basis.evaluate(x)
+    rng = np.random.default_rng(9)
+    for norm in (0.0, 5.0, 60.0, 105.0):
+        for _ in range(8):
+            theta = rng.standard_normal(basis.dim)
+            theta *= norm / np.linalg.norm(theta)
+            p = design @ theta
+            pmax = max(1.0, np.max(np.abs(p)))
+            if pmax > 700.0:
+                with pytest.raises(NumericalError):
+                    ClrDensity(basis, theta)
+                continue
+            dens = ClrDensity(basis, theta)
+            assert np.max(np.abs(dens.log_spline(x) - p)) <= 1e-12 * pmax
+            ref = float(weights @ np.exp(basis.evaluate(nodes) @ theta))
+            assert abs(dens.norm - ref) <= 1e-14 * max(10.0, pmax) * ref
+
+
+def test_spline_reads_keep_the_domain_rules(basis13):
+    dens = ClrDensity(basis13, np.linspace(-1.0, 1.0, 13), center_enabled=True)
+    got = dens.log_spline(np.array([0.25, np.nan, 1.0]))
+    assert np.isnan(got[1]) and not np.isnan(got[[0, 2]]).any()
+    assert np.isnan(dens.pdf(np.nan))
+    assert dens.log_spline(0.25) == got[0]
+    for bad in (1.5, -1e-300, np.array([0.5, 1.0 + 1e-15])):
+        with pytest.raises(InputError, match=r"must lie in \[0, 1\]"):
+            dens.log_spline(bad)
+        with pytest.raises(InputError, match=r"must lie in \[0, 1\]"):
+            dens(bad)

@@ -1,6 +1,7 @@
 """Constants built once at first use: the quadrature rules, the tabulation
-grid and its Williamson kernel.  Each is shared read-only, gives the values
-of a fresh build, and is not built at import time."""
+grid and its Williamson kernel, and each basis's table of spline pieces.
+Each is shared read-only, gives the values of a fresh build, and is not
+built at import time."""
 
 import json
 import subprocess
@@ -14,7 +15,8 @@ import evcop._quad as quad
 import evcop.copula
 from evcop.bayes import mass_rule
 from evcop.copula import EvCopula, tvd_copulas
-from evcop.fit import random_pickands
+from evcop.fit import default_random_basis, random_pickands
+from evcop.splinebasis import ZBasis, eval_basis
 from evcop.williamson import default_kernel, default_w_nodes
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -50,7 +52,8 @@ def test_start_up_builds_no_cached_constant():
 
 def test_cached_arrays_are_read_only():
     arrays = [*quad._legendre(8), *quad.gauss_square(1e-4, 96),
-              *mass_rule(), default_w_nodes(), default_kernel().x]
+              *mass_rule(), default_w_nodes(), default_kernel().x,
+              default_random_basis()._pieces]
     for a in arrays:
         with pytest.raises(ValueError):
             a[0] = 0.5
@@ -83,3 +86,20 @@ def test_tvd_builds_the_legendre_rule_once(copulas, monkeypatch):
     tvd_copulas(*copulas)
     tvd_copulas(*copulas)
     assert calls == [96]
+
+
+def test_random_models_read_their_splines_from_one_table(monkeypatch):
+    # the basis builds its table of spline pieces once, for every draw; no
+    # density reads the basis through a dense design
+    basis = default_random_basis()
+    prop = ZBasis.__dict__["_pieces"]
+    builds, designs = [], []
+    build = prop.func
+    monkeypatch.setattr(prop, "func",
+                        lambda b: builds.append(b) or build(b))
+    monkeypatch.setattr(ZBasis, "evaluate",
+                        lambda b, *a, **k: designs.append(b) or eval_basis(b, *a, **k))
+    models = random_pickands(1e-4, 5, 4, seed=12, basis=basis)
+    assert len(models) == 4
+    assert len(builds) == 1 and builds[0] is basis
+    assert designs == []

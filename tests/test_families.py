@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from evcop.families import (
     greatest_convex_minorant,
     pickands_estimator,
 )
-from evcop.pickands import validate_pickands
+from evcop.pickands import h_density, validate_pickands
 
 GUMBEL_GRID = [1.1, 1.5, 2.0, 3.0, 4.0]
 GALAMBOS_GRID = [0.5, 0.75, 1.0, 1.5, 3.0]
@@ -148,3 +150,47 @@ def test_cfg_finite_and_validates_input():
         cfg_estimator(uv, np.array([1.5]))
     with pytest.raises(InputError):
         cfg_estimator(np.empty(0), np.array([0.5]), from_z=True)
+
+
+GALAMBOS_T = np.array([0.0, 1e-8, 1e-6, 0.5, 1.0 - 1e-6, 1.0])
+
+
+def _galambos_powers(theta, t):
+    """A' in the powers of ``s = t^-theta + (1 - t)^-theta``, and A'' from
+    ``s (t^-theta-2 + (1-t)^-theta-2) - (A' terms)^2 = (t (1 - t))^(-theta-2)``,
+    the difference that the powers form of A'' takes between two terms of
+    size 1/t; both overflow at the ends for large theta."""
+    c = np.clip(t, 1e-8, 1.0 - 1e-8)
+    with np.errstate(all="ignore"):
+        s = c ** -theta + (1.0 - c) ** -theta
+        d1 = s ** (-1.0 / theta - 1.0) * ((1.0 - c) ** (-theta - 1.0)
+                                          - c ** (-theta - 1.0))
+        d2 = (theta + 1.0) * s ** (-1.0 / theta - 2.0) \
+            * (c * (1.0 - c)) ** (-theta - 2.0)
+    return d1, d2
+
+
+@pytest.mark.parametrize("theta", [38.0, 39.0, 60.0, 0.5, 1.0, 5.0])
+def test_galambos_jet_finite_for_large_theta(theta):
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        a, a1, a2 = ParametricPickands("galambos", theta).jet(GALAMBOS_T)
+    assert np.all(np.isfinite(a)) and np.all(np.isfinite(a1)) \
+        and np.all(np.isfinite(a2))
+    assert np.all(a2 >= 0.0)
+    if theta >= 38.0:
+        assert abs(a1[0] + 1.0) <= 1e-12 and abs(a1[-1] - 1.0) <= 1e-12
+    ref1, ref2 = _galambos_powers(theta, GALAMBOS_T)
+    for got, ref in ((a1, ref1), (a2, ref2)):
+        ok = np.isfinite(ref) & (np.abs(ref) >= np.finfo(float).tiny)
+        assert np.all(np.abs(got[ok] - ref[ok]) <= 1e-12 * np.abs(ref[ok])), ok
+    assert ok[3]  # t = 1/2 is compared at every theta
+
+
+@pytest.mark.parametrize("khoudraji", [None, (0.5, 0.8)])
+def test_galambos_h_density_raises_no_warning_at_theta_40(khoudraji):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        h = h_density(ParametricPickands("galambos", 40.0, khoudraji))
+        z = np.concatenate([[0.0, 1e-9], np.linspace(0.01, 0.99, 99),
+                            [1.0 - 1e-9, 1.0]])
+        assert np.all(np.isfinite(h(z)))
