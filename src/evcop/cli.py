@@ -14,7 +14,6 @@ import logging
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -381,6 +380,10 @@ def run_study(spec: dict, workers: int = 1):
     if workers <= 1 or len(payloads) <= 1:
         results = [_study_run(p) for p in payloads]
     else:
+        # imported here: multiprocessing and its sockets cost every other
+        # command about 15 ms of start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_study_run, payloads))
     rows = [r for r, _, _ in results]

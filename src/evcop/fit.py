@@ -10,12 +10,17 @@ nonparametric pilot estimate) lets the whole chain
 be evaluated as plain array arithmetic, so the penalized log-likelihood and
 its exact reverse-mode (adjoint) gradient are cheap enough for quasi-Newton
 optimization: the adjoint sweep reuses the forward sweep's intermediates in
-the closed-form partials of the z-density in ``(W, W', W'')``, and per-call
-work arrays live in buffers kept between calls.  The pseudo-angles are
-sorted once, when the objective is set up; the z-density is linear between
-the grid's knots, so each evaluation locates the data with one search per
-knot, and the gradient of the data term reduces to two sums per knot
-segment (``S0`` and ``S1``, see :func:`_loss_and_grad`).  The objective and the
+the closed-form partials of the z-density in ``(W, W', W'')``.  The
+pseudo-angles are sorted once, when the objective is set up; the z-density
+is linear between the grid's knots, so each evaluation locates the data
+with one search per knot, and the gradient of the data term reduces to two
+sums per knot segment (``S0`` and ``S1``, see :func:`_loss_and_grad`).  An
+evaluation costs about a hundred numpy calls on arrays of the grid's size
+whatever the sample size, so it is written to make few of them; every
+value and gradient keeps the operation order of the plain formulas, to the
+last bit, because the optimizer's path hinges on last bits.  The only
+array kept between evaluations is the pipeline's buffer of segment bounds;
+everything an evaluation returns is fresh.  The objective and the
 tabulation of fitted models (:func:`pipeline_pickands`) are one construction:
 both run the Williamson kernel, divide the transform by its W(0+) mass and
 map each grid node through the affine link.  The objective does so on the
@@ -209,9 +214,10 @@ class _HhatPipeline:
     kernel's transpose and one product with the design matrix.
 
     The pipeline holds no data: :func:`_loss_and_grad` passes it the
-    cotangents of the knots.  It keeps that function's per-knot buffers
-    (segment bounds and sums), rewritten on every call; what :meth:`forward`
-    returns is fresh on every call.
+    cotangents of the knots.  Its one buffer kept between calls is
+    ``bounds``, the segment bounds of the data, rewritten on every call of
+    :func:`_loss_and_grad`; everything :meth:`sweep` and :meth:`forward`
+    return, and everything a pullback reads, is fresh on every call.
     """
 
     def __init__(self, basis: ZBasis, x_grid: np.ndarray):
@@ -220,7 +226,6 @@ class _HhatPipeline:
         self.B = basis.evaluate(self.kernel.nodes.ravel())
         self._half_xp = 0.5 * (1.0 + self.kernel.x_in)
         self.bounds = np.zeros(self.m + 2, dtype=np.intp)
-        self.sums = np.empty((2, self.m + 1))
 
     def forward(self, theta: np.ndarray):
         """Interpolation knots ``(t, h)`` of the z-density and their mass.
@@ -230,14 +235,25 @@ class _HhatPipeline:
         maps cotangents of the interior knots ``t_full[1:-1]`` and
         ``h_full[1:-1]`` to the gradient in ``theta``.
         """
-        p = self.B @ np.asarray(theta, dtype=float)
+        knots, I_h, pullback = self.sweep(np.asarray(theta, dtype=float))
+        return knots[0], knots[1], I_h, pullback
+
+    def sweep(self, theta: np.ndarray):
+        """:meth:`forward` with the knots as rows 0 and 1 of one (3, m + 2) block.
+
+        ``theta`` must be a float array.  Row 2 of the block is zero, free
+        for the caller: :func:`_loss_and_grad` writes the segment slopes
+        there.
+        """
+        p = self.B @ theta
         # exponentials clipped at +-_EXP_CLIP are constant in theta; a call
         # that clips none skips the clip and the zeroing of their gradient
         clip = np.abs(p).max() >= _EXP_CLIP
         e = np.exp(p.clip(-_EXP_CLIP, _EXP_CLIP) if clip else p)
+        kernel = self.kernel
         # dividing by the W(0+) mass, as normalize_w does for tabulated
         # models, also normalizes the density: the kernel is linear
-        w, wp, wpp, _, c = self.kernel(e.reshape(self.kernel.nodes.shape))
+        w, wp, wpp, _, c = kernel(e.reshape(kernel.nodes.shape))
         Wp = wp / c
         # the affine link and the z-density in the operation order of link
         # and h_formula, so that the knots round as the saved model's do;
@@ -248,8 +264,9 @@ class _HhatPipeline:
         dn3 = dn ** 3
         app = wpp / (0.25 * c) / dn3              # A''
         half_w = w / (2.0 * c)
-        knots = np.empty((2, self.m + 2))
-        t_full, h_full = knots
+        knots = np.zeros((3, self.m + 2))
+        t_full, h_full, _ = knots
+        t_full[-1] = 1.0
         t = np.subtract(self._half_xp, half_w, out=t_full[1:-1])
         a = self._half_xp + half_w                # A
         r = ap / a
@@ -258,10 +275,8 @@ class _HhatPipeline:
         s = app / a
         u = s - r * r
         h = np.add(1.0 + q * r, tt * u, out=h_full[1:-1])
-        knots[:, 0] = 0.0
-        t_full[-1], h_full[-1] = 1.0, 0.0
         # trapezoid weights of the interior knots; h is 0 at both ends
-        I_h = float(0.5 * (t_full[2:] - t_full[:-2]) @ h)
+        I_h = float((0.5 * (t_full[2:] - t_full[:-2])).dot(h))
 
         def pullback(gt, gh):
             # h = 1 + q r + t(1 - t)(s - r^2) in q = W - x, r = A'/A and
@@ -275,16 +290,18 @@ class _HhatPipeline:
             gWp = (2.0 * gr / (a * dn) + 3.0 * gs_s) / dn
             gWpp = 4.0 * gs / (a * dn3)
             # the division by c, which is linear: the sweep runs on c times
-            # the cotangents of the unnormalized (w, wp, wpp)
+            # the cotangents of the unnormalized (w, wp, wpp).  wp is the
+            # kernel's reversed view: gWp @ wp sums in that order, and a
+            # contiguous copy would sum in another and change last bits
             gc = -(gW @ w + gWp @ wp + gWpp @ wpp) / c
-            gfv = self.kernel.transpose(gW, gWp, gWpp, gc)
+            gfv = kernel.transpose(gW, gWp, gWpp, gc)
             # clipped exponentials are constant in theta
             gfv = gfv.ravel() * e
             if clip:
                 gfv[np.abs(p) >= _EXP_CLIP] = 0.0
             return gfv @ self.B / c
 
-        return t_full, h_full, I_h, pullback
+        return knots, I_h, pullback
 
 
 def _loss_and_grad(pipe: _HhatPipeline, z: np.ndarray, theta: np.ndarray,
@@ -292,50 +309,69 @@ def _loss_and_grad(pipe: _HhatPipeline, z: np.ndarray, theta: np.ndarray,
     """Data term ``sum log h_hat(z_i)`` at ``theta`` and, if wanted, its gradient.
 
     ``z`` must be sorted ascending (:class:`PenalizedLikelihood` sorts it
-    once).  The z-density is linear on each knot segment ``[t_j, t_{j+1})``,
-    ``h = h_j + beta_j (z - t_j)``, so the segments are located by one
-    search per knot, not per observation.  An observation at ``t_j`` belongs
-    to segment ``j``; the end segments take anything beyond ``[0, 1]``.
-    The gradient needs only ``S0_j``, the sum of ``1 / h``, and ``S1_j``,
-    the sum of ``(z - t_j) / h``, over the live observations of each
-    segment (``h_hat`` above the log floor), kept in the pipeline's buffer:
-    the knot cotangents follow from them in arithmetic on the grid, and the
+    once) and ``theta`` a float array.  The z-density is linear on each
+    knot segment ``[t_j, t_{j+1})``, ``h = h_j + beta_j (z - t_j)``, so the
+    segments are located by one search per knot, not per observation.  An
+    observation at ``t_j`` belongs to segment ``j``; the end segments take
+    anything beyond ``[0, 1]``.  The gradient needs only ``S0_j``, the sum
+    of ``1 / h``, and ``S1_j``, the sum of ``(z - t_j) / h``, over the live
+    observations of each segment (``h_hat`` above the log floor): the knot
+    cotangents follow from them in arithmetic on the grid, and the
     pipeline's adjoint sweep (closed-form partials of ``h`` in ``(W, W',
     W'')``) carries them to ``theta``.  The objective has kinks where an
     observation meets a moving knot; the gradient is exact between them.
+
+    Each call writes the segment bounds into the pipeline's ``bounds``
+    buffer; every other array is fresh, so calls share nothing else.  The
+    floor and the zero sums of empty segments cost array passes only on
+    the calls that need them.
     """
-    t_full, h_full, I_h, pullback = pipe.forward(theta)
+    knots, I_h, pullback = pipe.sweep(theta)
     I_h = max(I_h, 1e-300)
+    t_full, h_full, beta = knots
     bounds = pipe.bounds  # bounds[0] stays 0
     bounds[-1] = z.size
     bounds[1:-1] = z.searchsorted(t_full[1:-1], side="left")
     counts = bounds[1:] - bounds[:-1]
     delta = t_full[1:] - t_full[:-1]
-    beta = (h_full[1:] - h_full[:-1]) / delta
-    # the per-observation passes run in place: at large n each fresh array
+    np.divide(h_full[1:] - h_full[:-1], delta, out=beta[:-1])
+    # one expansion of (t_j, h_j, beta_j) to the observations; the passes
+    # over them then run in place in its rows: at large n each fresh array
     # costs more in page faults than its arithmetic
-    dz = t_full[:-1].repeat(counts)
+    per_obs = knots[:, :-1].repeat(counts, axis=1)
+    dz, hhat, raw = per_obs
     np.subtract(z, dz, out=dz)
-    raw = beta.repeat(counts)
     raw *= dz
-    raw += h_full[:-1].repeat(counts)
-    hhat = raw / I_h
-    live = hhat > _LOG_FLOOR
-    np.maximum(hhat, _LOG_FLOOR, out=hhat)
-    ll = float(np.log(hhat, out=hhat).sum())
+    raw += hhat
+    # division by I_h > 0 keeps the order, so the least raw value tells
+    # whether any h_hat is floored or any raw value below 1e-300
+    low = np.minimum.reduce(raw) if z.size else np.inf
+    floored = not (low >= 1e-300 and low / I_h > _LOG_FLOOR)
+    np.divide(raw, I_h, out=hhat)
+    if floored:
+        live = hhat > _LOG_FLOOR
+        np.maximum(hhat, _LOG_FLOOR, out=hhat)
+    ll = float(np.add.reduce(np.log(hhat, out=hhat)))
     if not want_grad:
         return ll, None
 
-    inv_raw = np.divide(live, np.maximum(raw, 1e-300, out=raw), out=raw)
+    if floored:
+        inv_raw = np.divide(live, np.maximum(raw, 1e-300, out=raw), out=raw)
+        n_live = np.count_nonzero(live)
+    else:
+        inv_raw = np.divide(1.0, raw, out=raw)
+        n_live = z.size
     dz *= inv_raw
-    # reduceat sums each start up to the next one, so only non-empty
-    # segments are passed; the empty ones keep zero sums
-    full = counts > 0
-    starts = bounds[:-1][full]
-    sums = pipe.sums
-    sums.fill(0.0)
-    sums[0, full] = np.add.reduceat(inv_raw, starts)
-    sums[1, full] = np.add.reduceat(dz, starts)
+    # rows (S0, S1) from one reduction over the rows (1/h, (z - t)/h).
+    # reduceat sums each start up to the next one, so when a segment is
+    # empty only the others are passed, and the empty ones keep zero sums
+    if np.count_nonzero(counts) == counts.size:
+        sums = np.add.reduceat(per_obs[::-2], bounds[:-1], axis=1)
+    else:
+        full = counts > 0
+        sums = np.zeros((2, pipe.m + 1))
+        sums[:, full] = np.add.reduceat(per_obs[::-2], bounds[:-1][full],
+                                        axis=1)
     # segment j sends a_j to h_j, b_j to h_{j+1}, -beta_j a_j to t_j and
     # -beta_j b_j to t_{j+1}; the end knots are pinned.  The data give
     # a_j = S0_j - q_j and b_j = q_j = S1_j / delta_j; the trapezoid mass
@@ -344,9 +380,9 @@ def _loss_and_grad(pipe: _HhatPipeline, z: np.ndarray, theta: np.ndarray,
     # the rows (S0, S1) become (a, b).
     sums[1] /= delta
     sums[0] -= sums[1]
-    sums += (-0.5 * np.count_nonzero(live) / I_h) * delta
+    sums += (-0.5 * n_live / I_h) * delta
     gh = sums[0, 1:] + sums[1, :-1]
-    sums *= beta
+    sums *= beta[:-1]
     gt = -(sums[0, 1:] + sums[1, :-1])
     return ll, pullback(gt, gh)
 
@@ -384,6 +420,27 @@ class PenalizedLikelihood:
         ll, grad = _loss_and_grad(self.pipe, self.z, theta + self.center, True)
         return (ll - self.penalty(theta),
                 grad - 2.0 * self.lam * (self.omega @ theta))
+
+    def descent(self, white: np.ndarray):
+        """The function :func:`minimize` descends, ``phi -> (-value, -grad)``.
+
+        ``theta = white @ phi`` and the gradient is carried back through
+        ``white``.  Whitening, data term, penalty and gradient run in one
+        frame, in the operation order of :meth:`value_and_grad` and of the
+        generic whitening in :func:`_maximize`, so values agree to the
+        last bit.
+        """
+        pipe, z, center = self.pipe, self.z, self.center
+        omega, lam = self.omega, self.lam
+
+        # ndarray.dot makes the BLAS calls @ makes, with less overhead
+        def negloss_white(phi):
+            theta = white.dot(phi)
+            ll, grad = _loss_and_grad(pipe, z, theta + center, True)
+            return (-(ll - lam * float(theta.dot(omega).dot(theta))),
+                    white.dot(-(grad - 2.0 * lam * omega.dot(theta))))
+
+        return negloss_white
 
 
 @dataclass(frozen=True)
@@ -684,20 +741,24 @@ class _OptimizerRun(NamedTuple):
     message: str
 
 
-def _maximize(value_and_grad, omega: np.ndarray, lam: float, callback=None):
+def _maximize(objective, omega: np.ndarray, lam: float, callback=None):
     """Ascent from zero by :func:`minimize`, in coordinates whitened by the penalty.
 
-    ``value_and_grad(theta)`` returns the objective and its gradient;
+    ``objective`` is a :class:`PenalizedLikelihood`, whose
+    :meth:`~PenalizedLikelihood.descent` is minimized, or any
+    ``value_and_grad(theta)`` returning the objective and its gradient;
     ``callback``, when given, receives every accepted iterate.  Returns the
     maximizer and an :class:`_OptimizerRun`.  The run converged when the
     optimizer reports success (either of L-BFGS-B's convergence stops), or
     when no final gradient entry exceeds the tolerance.
     """
     white = _penalty_whitener(omega, lam)
-
-    def negloss_white(phi):
-        value, grad = value_and_grad(white @ phi)
-        return -value, white @ -grad
+    if isinstance(objective, PenalizedLikelihood):
+        negloss_white = objective.descent(white)
+    else:
+        def negloss_white(phi):
+            value, grad = objective(white @ phi)
+            return -value, white @ -grad
 
     res = minimize(negloss_white, np.zeros(omega.shape[0]),
                    None if callback is None
@@ -732,7 +793,7 @@ def optimize(z_sample, config: FitConfig | None = None) -> FittedModel:
                                           cfg.basis_dim - _DEGREE))
     lik = PenalizedLikelihood(basis, x_grid, zf, cfg.lam,
                               project_center(basis))
-    theta_hat, run = _maximize(lik.value_and_grad, lik.omega, cfg.lam)
+    theta_hat, run = _maximize(lik, lik.omega, cfg.lam)
     model, dens, grid = pipeline_pickands(basis, theta_hat, True, flip)
     return FittedModel(theta=theta_hat, basis=basis, center_applied=True,
                        flipped=flip, loglik=lik.loglik(theta_hat),

@@ -211,7 +211,9 @@ def h_density(a):
     ``h(z) = 1 + (1 - 2z) A'/A + z(1 - z) [A''/A - (A'/A)^2]``; endpoint
     values use the one-sided limits ``1 + A'(0)/A(0)`` and ``1 - A'(1)/A(1)``,
     which vanish for transforms built from strictly positive densities
-    (limits below round-off resolution are snapped to exact zero).
+    (limits below round-off resolution are snapped to exact zero).  Inside
+    (0, 1) the formula's round-off can dip below 0 where h vanishes (strong
+    dependence); such values are clamped to 0, so h is a density.
 
     ``a`` is any object with ``__call__`` and ``jet``; every read of A, A'
     and A'' here is one ``jet`` call.
@@ -230,8 +232,8 @@ def h_density(a):
         out = np.empty_like(z)
         inner = (z > 0.0) & (z < 1.0)
         zi = z[inner]
-        out[inner] = h_formula(zi, *(np.asarray(v, dtype=float)
-                                     for v in a.jet(zi)))
+        out[inner] = np.maximum(h_formula(zi, *(np.asarray(v, dtype=float)
+                                                for v in a.jet(zi))), 0.0)
         out[z <= 0.0] = h0
         out[z >= 1.0] = h1
         return float(out[0]) if scalar else out

@@ -120,13 +120,16 @@ class WilliamsonKernel:
 
         ``fv`` holds density values at :attr:`nodes`.  ``tail`` is the mass
         right of each node and ``c`` the mass of [0, 1], the transform's value
-        at 0+.
+        at 0+, as a float.  ``tail`` and ``wp`` are reversed views of one
+        array of suffix sums; a dot product with ``wp`` sums in that order.
         """
         fv = np.asarray(fv, dtype=float)
         PS = np.einsum("ijk,jk->ij", self._weights, fv)
-        tail, wp = PS[:, :0:-1].cumsum(axis=1)[:, ::-1]
+        # suffix sums: reversed prefix sums of the reversed rows
+        R = np.add.accumulate(PS[:, :0:-1], axis=1)[:, ::-1]
+        tail, wp = R[0], R[1]
         wpp = fv[1:, 0] / self.x_in
-        return self.x_in * wp + tail, wp, wpp, tail, tail[0] + PS[0, 0]
+        return self.x_in * wp + tail, wp, wpp, tail, float(tail[0] + PS[0, 0])
 
     def transpose(self, gw, gwp, gwpp, gc):
         """Cotangent of the density values from those of ``(w, wp, wpp, c)``.
@@ -139,7 +142,7 @@ class WilliamsonKernel:
         G[0, 1:] = gw
         np.multiply(self.x_in, gw, out=G[1, 1:])
         G[1, 1:] += gwp
-        G.cumsum(axis=1, out=G)
+        np.add.accumulate(G, axis=1, out=G)
         gfv = np.einsum("ijk,ij->jk", self._weights, G)
         gfv[1:, 0] += gwpp / self.x_in
         return gfv

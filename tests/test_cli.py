@@ -608,6 +608,31 @@ def test_commands_import_no_scipy(tmp_path, gumbel2, gumbel2_fit, gumbel_csv):
     assert proc.returncode == 0, proc.stderr
 
 
+_POOL_PROBE = """
+import sys
+import evcop.cli
+evcop.cli.build_parser().format_help()
+assert evcop.cli.main(["fit", sys.argv[1], "-o", sys.argv[2]]) == 0
+print(sorted(m for m in sys.modules if m == "multiprocessing"
+             or m.startswith("multiprocessing.")
+             or m == "concurrent.futures.process"))
+"""
+
+
+def test_start_up_and_fit_import_no_process_pool(tmp_path, gumbel_csv):
+    # only a study on more than one worker needs the process pool, and
+    # multiprocessing with its sockets is ~15 ms of every command's start-up
+    src = str(Path(__import__("evcop").__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _POOL_PROBE, gumbel_csv,
+         str(tmp_path / "model.json")],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
 def test_joint_pipeline_properties(gumbel2):
     m = np.exp(1.0 + 1.2 * gumbel2.simulate(50, seed=10))
     data = np.column_stack([np.max(m, axis=1), np.min(m, axis=1)])

@@ -194,3 +194,17 @@ def test_galambos_h_density_raises_no_warning_at_theta_40(khoudraji):
         z = np.concatenate([[0.0, 1e-9], np.linspace(0.01, 0.99, 99),
                             [1.0 - 1e-9, 1.0]])
         assert np.all(np.isfinite(h(z)))
+
+
+@pytest.mark.parametrize("family,theta,khoudraji", [
+    ("galambos", 40.0, None),
+    ("galambos", 40.0, (1.0, 0.9)),
+    ("gumbel", 20.0, None),
+    # strong dependence is small theta in this parameterization
+    ("husler-reiss", 0.05, None),
+])
+def test_h_density_is_never_negative(family, theta, khoudraji):
+    # near the ends h vanishes, and h_formula's round-off gave values such
+    # as -1.7e-16 on this grid before h_density clamped them
+    h = h_density(ParametricPickands(family, theta, khoudraji))
+    assert np.min(h(np.linspace(0.0, 1.0, 101))) >= 0.0

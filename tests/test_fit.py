@@ -400,17 +400,18 @@ def test_data_term_on_sorted_pseudo_angles(gumbel_objectives):
     assert np.max(np.abs(grad_s - grad)) <= 1e-12 * np.max(np.abs(grad))
 
 
-def _fit_inputs():
-    """Objectives of five n=1000 samples, set up as `optimize` does.
+def _fit_inputs(n=1000):
+    """Objectives of five n-pair samples, set up as `optimize` does.
 
     Independence, Gumbel 1.5, 3 and 8, and Khoudraji's asymmetric
     max-construction on Gumbel 3 (shape 0.6, 0.9), which takes the flip.
+    Yields ``(basis, x_grid, likelihood)``.
     """
     rng = np.random.default_rng(13)
-    g3 = EvCopula(ParametricPickands("gumbel", 3.0)).simulate(1000, seed=14)
-    r = rng.random((1000, 2))
-    samples = [rng.random((1000, 2))] + [
-        EvCopula(ParametricPickands("gumbel", dep)).simulate(1000, seed=15)
+    g3 = EvCopula(ParametricPickands("gumbel", 3.0)).simulate(n, seed=14)
+    r = rng.random((n, 2))
+    samples = [rng.random((n, 2))] + [
+        EvCopula(ParametricPickands("gumbel", dep)).simulate(n, seed=15)
         for dep in (1.5, 3.0, 8.0)] + [np.column_stack([
             np.maximum(g3[:, 0] ** (1 / 0.9), r[:, 0] ** (1 / 0.1)),
             np.maximum(g3[:, 1] ** (1 / 0.6), r[:, 1] ** (1 / 0.4))])]
@@ -420,13 +421,14 @@ def _fit_inputs():
             z = 1.0 - z
         x_grid = empirical_w_grid(z, 78)
         basis = build_zb_basis(quantile_knots(x_grid[1:-1], 10))
-        yield PenalizedLikelihood(basis, x_grid, z, 1e-4, project_center(basis))
+        yield basis, x_grid, PenalizedLikelihood(basis, x_grid, z, 1e-4,
+                                                 project_center(basis))
 
 
 def test_fused_sweep_matches_link_and_h_formula():
     # at every iterate of a fit, the knots of the fused forward pass are
     # those of the affine link and h_formula on the same kernel output
-    for lik in _fit_inputs():
+    for _, _, lik in _fit_inputs():
         pipe = lik.pipe
         iterates = []
         _maximize(lik.value_and_grad, lik.omega, lik.lam, iterates.append)
@@ -502,6 +504,76 @@ def test_value_and_grad_is_the_loss_and_grad_composition(gumbel_objectives):
         assert value == ll - 1e-4 * float(theta @ omega @ theta)
         assert np.array_equal(grad, g - 2.0 * 1e-4 * (omega @ theta))
         assert lik.value(theta) == value
+
+
+def _assert_call_matches_references(pipe, basis, x_grid, z, theta, omega):
+    """One objective call on a used pipeline against a fresh one and forward mode."""
+    ll, g = _loss_and_grad(pipe, z, theta, True)
+    ref_ll, ref_g = _loss_and_grad(_HhatPipeline(basis, x_grid), z, theta, True)
+    assert ll == ref_ll and np.array_equal(g, ref_g)
+    hhat = _per_observation_hhat(pipe, z, theta)
+    direct = float(np.sum(np.log(np.maximum(hhat, _LOG_FLOOR))))
+    assert abs(ll - direct) <= 1e-12 * abs(direct)
+    ref = _forward_mode_loss_and_grad(pipe, omega, z, 0.0, theta)
+    assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref))
+    return hhat
+
+
+def test_empty_knot_segments_match_the_references():
+    # with empty segments the per-segment sums are scattered into zeros;
+    # with none they come straight from one reduction.  Small samples
+    # leave many of the 79 segments empty: the five n = 250 fit inputs at
+    # every fourth iterate of their fits, and n = 40
+    cases = []
+    for basis, x_grid, lik in _fit_inputs(250):
+        iterates = [np.zeros(basis.dim)]
+        _maximize(lik.value_and_grad, lik.omega, lik.lam, iterates.append)
+        cases.append((basis, x_grid, lik, iterates[::4]))
+    uv = EvCopula(ParametricPickands("gumbel", 2.0)).simulate(40, seed=17)
+    z = z_transform(uv)
+    x_grid = empirical_w_grid(z, 78)
+    basis = build_zb_basis(quantile_knots(x_grid[1:-1], 10))
+    lik = PenalizedLikelihood(basis, x_grid, z, 1e-4, project_center(basis))
+    rng = np.random.default_rng(18)
+    cases.append((basis, x_grid, lik, [_offset(rng, basis.dim, norm)
+                                       for norm in (0.0, 1.0, 3.0)]))
+    empties = []
+    for basis, x_grid, lik, thetas in cases:
+        for theta in thetas:
+            coeffs = theta + lik.center
+            t_full = lik.pipe.forward(coeffs)[0]
+            bounds = np.concatenate([[0], lik.z.searchsorted(t_full[1:-1]),
+                                     [lik.z.size]])
+            empties.append(int(np.sum(np.diff(bounds) == 0)))
+            _assert_call_matches_references(lik.pipe, basis, x_grid, lik.z,
+                                            coeffs, lik.omega)
+    assert len(empties) >= 50 and max(empties) >= 30
+    assert sum(e > 0 for e in empties) >= 0.9 * len(empties)
+
+
+def test_floored_and_unfloored_calls_share_no_state(gumbel_objectives):
+    # a floored call runs the floor step and an unfloored one skips it; on
+    # one pipeline, in either order, each must give what a fresh one gives
+    basis, x_grid, z, omega, center = gumbel_objectives[1.5]
+    theta = center + _offset(np.random.default_rng(19), basis.dim, 1.0)
+    plain = np.sort(z)
+    floored = np.sort(np.concatenate([z, [0.0, 1e-300, 1.0]]))
+    for order in ((floored, plain), (plain, floored)):
+        pipe = _HhatPipeline(basis, x_grid)
+        for sample in order:
+            hhat = _assert_call_matches_references(pipe, basis, x_grid,
+                                                   sample, theta, omega)
+            assert (np.min(hhat) <= _LOG_FLOOR) == (sample is floored)
+
+
+def test_descent_is_the_whitened_value_and_grad():
+    # optimize minimizes the likelihood's one-frame descent; it must run as
+    # the generic whitening of value_and_grad does, to the last bit
+    for _, _, lik in _fit_inputs():
+        runs = [_maximize(objective, lik.omega, lik.lam)
+                for objective in (lik, lik.value_and_grad)]
+        (theta1, run1), (theta2, run2) = runs
+        assert np.array_equal(theta1, theta2) and run1 == run2
 
 
 def test_optimize_builds_one_pipeline(gumbel2_sample, monkeypatch):
