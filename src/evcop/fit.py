@@ -26,6 +26,10 @@ both run the Williamson kernel, divide the transform by its W(0+) mass and
 map each grid node through the affine link.  The objective does so on the
 fitting grid, the tabulation on :func:`evcop.williamson.default_w_nodes`,
 where the saved model reads ``A`` at the link images without inverting W.
+The optimizer (:func:`minimize`) is L-BFGS-B without bounds that keeps
+every curvature pair since its last restart, and whose line searches
+evaluate no point twice.  The pilot grid and the flip heuristic read the
+sample through one sorted copy each.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ from .splinebasis import (
     curvature_matrix,
     project_center,
     quantile_knots,
+    sorted_quantiles,
 )
 from .williamson import (
     WilliamsonGrid,
@@ -91,15 +96,16 @@ _GRID_K = 78
 # also counts a run as converged when the optimizer stops for another reason
 _MAX_ITER = 500
 _GRAD_TOL = 1e-4
-# L-BFGS-B's other settings, without bounds: pairs kept, evaluations per line
-# search, the relative-reduction stop, the largest step, and Moré-Thuente's
+# L-BFGS-B's other settings, without bounds: evaluations per line search,
+# the relative-reduction stop, the largest step, and Moré-Thuente's
 # sufficient-decrease, curvature and interval-width constants
-_MAXCOR = 20
 _MAXLS = 20
 _REL_TOL = 1e-13
 _STPMAX = 1e10
 _LS_FTOL, _LS_GTOL, _LS_XTOL = 1e-3, 0.9, 0.1
 _EPS = float(np.finfo(float).eps)
+# edges of the flip heuristic's 32 histogram bins on [0, 1]
+_BIN_EDGES = np.arange(33) / 32.0
 
 
 def _penalty_whitener(omega: np.ndarray, lam: float) -> np.ndarray:
@@ -162,15 +168,21 @@ def ordering_heuristic(z_sample) -> bool:
     The mode of the pseudo-angle histogram (32 equal bins) sitting left of
     1/2 indicates the steep part of the transform would land near 0; flipping
     ``z -> 1 - z`` (and mirroring the fitted Pickands function afterwards)
-    avoids it.  Ties break toward not flipping.
+    avoids it.  Ties break toward not flipping.  The bins are counted as
+    ``np.histogram(z, 32, (0, 1))`` counts them, by one search on a sorted
+    copy: bin ``j`` holds ``j/32 <= z < (j + 1)/32``, the last one also
+    ``z = 1``, and values outside [0, 1] are left out.
     """
     z = np.asarray(z_sample, dtype=float)
     if z.size == 0:
         raise InputError("empty sample")
-    counts, edges = np.histogram(z, bins=32, range=(0.0, 1.0))
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    modal = centers[counts == counts.max()]
-    return bool(np.max(modal) < 0.5)
+    zs = np.sort(z, axis=None)
+    below = zs.searchsorted(_BIN_EDGES, side="left")
+    below[-1] = zs.searchsorted(1.0, side="right")
+    counts = below[1:] - below[:-1]
+    # the rightmost modal bin lies left of 1/2 when the left half's largest
+    # count beats the right half's
+    return bool(counts[:16].max() > counts[16:].max())
 
 
 def empirical_w_grid(z_sample, k: int) -> np.ndarray:
@@ -186,8 +198,10 @@ def empirical_w_grid(z_sample, k: int) -> np.ndarray:
         raise InputError("k must be >= 2")
     if z.size == 0:
         raise InputError("empty sample")
-    q = np.quantile(z, np.arange(1, k + 1) / (k + 1))
-    x = q + cfg_estimator(z, q, from_z=True) - 1.0
+    # the pilot reads the sample only through its sorted values
+    zs = np.sort(z, axis=None)
+    q = sorted_quantiles(zs, np.arange(1, k + 1) / (k + 1))
+    x = q + cfg_estimator(zs, q, from_z=True) - 1.0
     x = np.clip(x, 1e-9, 1.0 - 1e-9)
     keep = [x[0]]
     for xi in x[1:]:
@@ -594,10 +608,12 @@ def _line_search(fun, x, z, d, finit, g0, ginit, stp):
     value, gradient and slope at ``x``, and ``stp`` the first trial step.
     Returns ``(stp, x, f, g, slope)`` at the accepted step, or None after
     ``_MAXLS`` trials without one, and the count of evaluations.  As in
-    L-BFGS-B, a search that warns accepts the step it last evaluated.  A
-    trial that lands on ``x`` or on the last trial point reuses its value.
-    A non-finite value or slope is never passed on: the step is halved
-    toward the best one so far, which becomes the largest step allowed.
+    L-BFGS-B, a search that warns accepts the step it last evaluated.  Every
+    point of the search is kept with its value and gradient, keyed by its
+    bytes and seeded with ``x``, so a trial that lands on ``x`` or on any
+    earlier trial point reuses them and is not counted.  A non-finite value
+    or slope is never passed on: the step is halved toward the best one so
+    far, which becomes the largest step allowed.
     """
     gtest = _LS_FTOL * ginit
     width, width1 = _STPMAX, 2.0 * _STPMAX
@@ -606,17 +622,13 @@ def _line_search(fun, x, z, d, finit, g0, ginit, stp):
     gx = gy = ginit
     stmin, stmax, stpmax = 0.0, stp + 4.0 * stp, _STPMAX
     brackt, stage1 = False, True
-    xl, fl, gl = x, finit, g0
-    nfev = 0
-    for trial in range(_MAXLS):
+    seen = {x.tobytes(): (finit, g0)}
+    for _ in range(_MAXLS):
         xt = z if stp == 1.0 else x + stp * d
-        if trial and (xt == x).all():
-            f, g = finit, g0
-        elif trial and (xt == xl).all():
-            f, g = fl, gl
-        else:
-            xl, (fl, gl) = xt, fun(xt)
-            f, g, nfev = fl, gl, nfev + 1
+        key = xt.tobytes()
+        if key not in seen:
+            seen[key] = fun(xt)
+        f, g = seen[key]
         f, gd = float(f), float(g @ d)
         if not (math.isfinite(f) and math.isfinite(gd)):
             stp = stpmax = stx + 0.5 * (stp - stx)
@@ -629,7 +641,7 @@ def _line_search(fun, x, z, d, finit, g0, ginit, stp):
                 or stp == stpmax and f <= ftest and gd <= gtest
                 or stp == 0.0 and (f > ftest or gd >= gtest)
                 or f <= ftest and abs(gd) <= _LS_GTOL * -ginit):
-            return (stp, xt, f, g, gd), nfev
+            return (stp, xt, f, g, gd), len(seen) - 1
         try:
             if stage1 and ftest < f <= fx:
                 # the value fell, not enough: step on f - stp * gtest
@@ -656,7 +668,7 @@ def _line_search(fun, x, z, d, finit, g0, ginit, stp):
         if brackt and (stp <= stmin or stp >= stmax
                        or stmax - stmin <= _LS_XTOL * stmax):
             stp = stx
-    return None, nfev
+    return None, len(seen) - 1
 
 
 def minimize(fun, x0, callback=None) -> _Minimum:
@@ -665,23 +677,28 @@ def minimize(fun, x0, callback=None) -> _Minimum:
     A numpy port of what L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995, v3.0 as
     scipy ships it) does without bounds, with its constants, stop rules and
     message strings.  The direction is ``-H g``, with ``H`` the compact
-    inverse form of Byrd, Nocedal & Schnabel (1994) over the last
-    ``_MAXCOR`` pairs and ``H0 = I / theta``, where ``theta = y'y / s'y`` as
-    in L-BFGS-B.  It is applied through ``T = R^-1 S`` (``R`` the upper
-    triangle of ``S'Y``), which is kept up to date in O(mn) per pair.  With
+    inverse form of Byrd, Nocedal & Schnabel (1994) over every pair since
+    the last restart and ``H0 = I / theta``, where ``theta = y'y / s'y`` as
+    in L-BFGS-B.  L-BFGS-B bounds its memory for large problems; at a few
+    dozen coordinates and at most ``_MAX_ITER`` pairs the whole history is
+    cheap and takes fewer steps, so this is L-BFGS-B with ``maxcor`` at
+    ``_MAX_ITER``.  ``H`` is applied through ``T = R^-1 S`` (``R`` the upper
+    triangle of ``S'Y``), which is kept up to date in O(kn) per pair.  With
     no pairs the direction is ``-g``; the first step is ``1/|g|``, later
     first steps 1.  A pair is skipped when ``s'y <= eps (-g'd stp)``.  A
     failed line search restarts once from steepest descent, then stops
     "ABNORMAL".  ``callback``, when given, receives every accepted iterate.
+    ``nfev`` counts the calls of ``fun``; no line search makes two at one
+    point or one at its start (see :func:`_line_search`).
     """
     x = np.array(x0, dtype=float)
     f, g = fun(x)
     f, f_old = float(f), math.nan  # no reduction to test before a step
-    nit, nfev, k, slot, m = 0, 1, 0, 0, _MAXCOR
-    # the last m pairs by rows, in slots filled in turn: T = R^-1 S, Y and
-    # D = diag(S'Y).  A free slot has a zero row of T, which keeps it out of
-    # every product.
-    T, Y, D = np.zeros((m, x.size)), np.zeros((m, x.size)), np.zeros(m)
+    nit, nfev, k = 0, 1, 0
+    # the k pairs since the last restart by rows, oldest first: T = R^-1 S,
+    # Y and D = diag(S'Y).  At most one pair comes per iteration.
+    T, Y = np.zeros((_MAX_ITER, x.size)), np.zeros((_MAX_ITER, x.size))
+    D = np.zeros(_MAX_ITER)
     message = "ABNORMAL: "
     while math.isfinite(f):
         if nit >= _MAX_ITER:
@@ -698,9 +715,10 @@ def minimize(fun, x0, callback=None) -> _Minimum:
         else:
             # H g = (I - G)(I - G)' g / theta + T'D T g with G = T'Y: the
             # compact form of Byrd, Nocedal & Schnabel with H0 = I / theta
-            tg = T @ g
-            v = g - tg @ Y
-            z = x - (v / theta + (D * tg - (Y @ v) / theta) @ T)
+            Tk, Yk = T[:k], Y[:k]
+            tg = Tk @ g
+            v = g - tg @ Yk
+            z = x - (v / theta + (D[:k] * tg - (Yk @ v) / theta) @ Tk)
         d = z - x
         gd = float(g @ d)
         stp = min(1.0 / math.sqrt(float(d @ d)), _STPMAX) if nit == 0 else 1.0
@@ -711,7 +729,6 @@ def minimize(fun, x0, callback=None) -> _Minimum:
             if k == 0:
                 break
             k = 0
-            T[:] = 0.0
             continue
         stp, x, f_new, g_new, gd_new = found
         nit += 1
@@ -722,14 +739,13 @@ def minimize(fun, x0, callback=None) -> _Minimum:
         if s_y <= _EPS * (-gd * stp):
             continue
         # R^-1 gains the column (-R^-1 S'y / s'y, 1 / s'y), so T its row
-        # s / s'y and T -= (T y) (s / s'y)'; dropping the oldest pair keeps
-        # the trailing block of R^-1, so its row of T goes
+        # s / s'y and T -= (T y) (s / s'y)'
         u = d * (stp / s_y)
-        T[slot] = 0.0
-        T -= np.multiply.outer(T @ y, u)
-        T[slot], Y[slot], D[slot] = u, y, s_y
+        Tk = T[:k]
+        Tk -= np.multiply.outer(Tk @ y, u)
+        T[k], Y[k], D[k] = u, y, s_y
         theta = float(y @ y) / s_y
-        slot, k = (slot + 1) % m, min(k + 1, m)
+        k += 1
     return _Minimum(x, g, nit, nfev, message.startswith("CONV"), message)
 
 

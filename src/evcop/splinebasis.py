@@ -30,6 +30,7 @@ __all__ = [
     "curvature_matrix",
     "project_center",
     "quantile_knots",
+    "sorted_quantiles",
 ]
 
 
@@ -297,6 +298,28 @@ def project_center(b: ZBasis) -> np.ndarray:
     return b._center
 
 
+def sorted_quantiles(s: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """``np.quantile(s, probs)`` of a sorted 1-d sample, to the last bit.
+
+    numpy's default 'linear' rule read off the sorted sample, without the
+    partition and the wrappers: ``v = (n - 1) p`` falls between ``s[i]`` and
+    ``s[i + 1]`` with ``i = floor(v)``, and the weight ``v - i`` is applied
+    from the nearer end, as numpy's ``_lerp`` does.  A NaN, sorted last,
+    makes every quantile NaN.
+    """
+    if np.isnan(s[-1]):
+        return np.full(probs.shape, np.nan)
+    v = (s.size - 1) * probs
+    i = np.floor(v)
+    gamma = v - i
+    i = i.astype(np.intp)
+    a, b = s[i], s[np.minimum(i + 1, s.size - 1)]
+    diff = b - a
+    q = a + diff * gamma
+    np.subtract(b, diff * (1.0 - gamma), out=q, where=gamma >= 0.5)
+    return q
+
+
 def quantile_knots(sample, n_interior: int) -> KnotConfig:
     """Interior knots at equally spaced quantiles of a sample in (0, 1).
 
@@ -313,8 +336,7 @@ def quantile_knots(sample, n_interior: int) -> KnotConfig:
     if np.any(s <= 0.0) or np.any(s >= 1.0):
         raise InputError("sample values must lie strictly inside (0, 1)")
     probs = np.arange(1, n_interior + 1) / (n_interior + 1)
-    q = np.quantile(s, probs)
-    q = np.unique(q)
+    q = np.unique(sorted_quantiles(np.sort(s), probs))
     q = q[(q > 0.0) & (q < 1.0)]
     if len(q) < n_interior:
         raise InputError(

@@ -26,6 +26,13 @@ from ._hermite import hermite_interpolator
 from ._quad import trapezoid_weights
 from .errors import InputError, NumericalError
 
+# numpy's C einsum: np.einsum without optimize calls it after an array-function
+# dispatch and a Python wrapper that cost as much as the kernel's own sums
+try:
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:
+    _einsum = np.einsum
+
 __all__ = [
     "WilliamsonKernel",
     "WilliamsonGrid",
@@ -124,7 +131,7 @@ class WilliamsonKernel:
         array of suffix sums; a dot product with ``wp`` sums in that order.
         """
         fv = np.asarray(fv, dtype=float)
-        PS = np.einsum("ijk,jk->ij", self._weights, fv)
+        PS = _einsum("ijk,jk->ij", self._weights, fv)
         # suffix sums: reversed prefix sums of the reversed rows
         R = np.add.accumulate(PS[:, :0:-1], axis=1)[:, ::-1]
         tail, wp = R[0], R[1]
@@ -143,7 +150,7 @@ class WilliamsonKernel:
         np.multiply(self.x_in, gw, out=G[1, 1:])
         G[1, 1:] += gwp
         np.add.accumulate(G, axis=1, out=G)
-        gfv = np.einsum("ijk,ij->jk", self._weights, G)
+        gfv = _einsum("ijk,ij->jk", self._weights, G)
         gfv[1:, 0] += gwpp / self.x_in
         return gfv
 

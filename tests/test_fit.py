@@ -17,6 +17,7 @@ from evcop.fit import (
     _EXP_CLIP,
     _LOG_FLOOR,
     _HhatPipeline,
+    _line_search,
     _loss_and_grad,
     _maximize,
     _prior_draws,
@@ -26,6 +27,7 @@ from evcop.fit import (
     empirical_w_grid,
     fit_univariate_density,
     mcmc_sample,
+    minimize,
     model_from_dict,
     model_to_dict,
     optimize,
@@ -90,6 +92,34 @@ def test_ordering_heuristic():
     assert ordering_heuristic(low) is True
     with pytest.raises(InputError):
         ordering_heuristic(np.empty(0))
+
+
+def _histogram_flip(z):
+    """The flip rule read off numpy's histogram: the rightmost modal bin centre."""
+    counts, edges = np.histogram(z, bins=32, range=(0.0, 1.0))
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    return bool(np.max(centers[counts == counts.max()]) < 0.5)
+
+
+def test_ordering_heuristic_counts_bins_as_the_histogram_does():
+    rng = np.random.default_rng(3)
+    edges = np.arange(33) / 32
+    flips = 0
+    for trial in range(1000):
+        n = int(rng.integers(1, 200))
+        z = rng.random(n)
+        # values on the bin edges k/32 (0 and 1 among them), a few outside
+        # [0, 1], and small samples, whose modal bins often tie
+        on_edge = rng.random(n) < rng.random()
+        z[on_edge] = rng.choice(edges, int(on_edge.sum()))
+        if trial % 7 == 0:
+            z[: n // 5] = rng.choice([-0.5, -1e-300, 1.0 + 1e-15, 2.0], n // 5)
+        decision = ordering_heuristic(z)
+        assert decision is _histogram_flip(z), z
+        flips += decision
+    assert 0 < flips < 1000
+    for z in ([0.0], [1.0], [0.5], [0.5 - 2 ** -53], [0.0, 1.0], [-1.0, 2.0]):
+        assert ordering_heuristic(np.array(z)) is _histogram_flip(z)
 
 
 def test_empirical_w_grid_with_exact_pilots(monkeypatch):
@@ -688,12 +718,17 @@ def test_fit_univariate_density_bounds_checked():
 
 
 def _scipy_lbfgsb(fun, x0, callback=None):
-    """The oracle: scipy's L-BFGS-B with the settings the port copies."""
+    """The oracle: scipy's L-BFGS-B with the settings the port copies.
+
+    The port keeps every pair since its last restart, and it makes at most
+    one pair per iteration, so its memory is L-BFGS-B's at ``maxcor`` equal
+    to the iteration cap.
+    """
     from scipy.optimize import minimize as scipy_minimize
     return scipy_minimize(fun, x0, jac=True, method="L-BFGS-B",
                           callback=callback,
                           options={"maxiter": 500, "gtol": 1e-4,
-                                   "ftol": 1e-13, "maxcor": 20})
+                                   "ftol": 1e-13, "maxcor": 500})
 
 
 def _rosen(x):
@@ -709,13 +744,16 @@ def test_minimize_takes_scipys_path_on_rosenbrock(n, seed):
     assert (ours.nit, ours.nfev, ours.message) == (ref.nit, ref.nfev,
                                                    ref.message)
     assert ours.success and np.max(np.abs(ours.x - ref.x)) <= 1e-10
+    # past 20 iterations the directions use pairs that a memory of 20
+    # would have dropped
+    assert ours.nit > 20
 
 
 def test_minimize_reaches_scipys_value_in_13_dimensions():
     for seed in range(3):
         x0 = np.random.default_rng(seed).uniform(-2.0, 2.0, 13)
         ours, ref = evcop.fit.minimize(_rosen, x0), _scipy_lbfgsb(_rosen, x0)
-        assert ours.success
+        assert ours.success and ours.nit > 20
         assert abs(_rosen(ours.x)[0] - ref.fun) <= 1e-9
 
 
@@ -765,6 +803,128 @@ def test_a_nan_trial_value_is_never_accepted():
     assert np.isnan(values).sum() >= 1
     assert all(np.max(np.abs(x)) < 1.5 for x in accepted)
     assert res.success and np.max(np.abs(res.x - 1.0)) <= 1e-3
+
+
+def _search_reusing_the_last_trial(fun, x, z, d, finit, g0, ginit, stp):
+    """The Moré-Thuente search that reuses only ``x`` and its last trial.
+
+    The reference for the trial memo of ``evcop.fit._line_search``: the
+    same steps, but a trial that lands on an earlier trial point other than
+    the last one calls ``fun`` again.
+    """
+    from evcop.fit import (_dcstep, _LS_FTOL, _LS_GTOL, _LS_XTOL, _MAXLS,
+                           _STPMAX)
+    gtest = _LS_FTOL * ginit
+    width, width1 = _STPMAX, 2.0 * _STPMAX
+    stx = sty = 0.0
+    fx = fy = finit
+    gx = gy = ginit
+    stmin, stmax, stpmax = 0.0, stp + 4.0 * stp, _STPMAX
+    brackt, stage1 = False, True
+    xl, fl, gl = x, finit, g0
+    nfev = 0
+    for trial in range(_MAXLS):
+        xt = z if stp == 1.0 else x + stp * d
+        if trial and (xt == x).all():
+            f, g = finit, g0
+        elif trial and (xt == xl).all():
+            f, g = fl, gl
+        else:
+            xl, (fl, gl) = xt, fun(xt)
+            f, g, nfev = fl, gl, nfev + 1
+        f, gd = float(f), float(g @ d)
+        if not (np.isfinite(f) and np.isfinite(gd)):
+            stp = stpmax = stx + 0.5 * (stp - stx)
+            continue
+        ftest = finit + stp * gtest
+        if stage1 and f <= ftest and gd >= 0.0:
+            stage1 = False
+        if (brackt and (stp <= stmin or stp >= stmax
+                        or stmax - stmin <= _LS_XTOL * stmax)
+                or stp == stpmax and f <= ftest and gd <= gtest
+                or stp == 0.0 and (f > ftest or gd >= gtest)
+                or f <= ftest and abs(gd) <= _LS_GTOL * -ginit):
+            return (stp, xt, f, g, gd), nfev
+        try:
+            if stage1 and ftest < f <= fx:
+                stx, fx, gx, sty, fy, gy, stp, brackt = _dcstep(
+                    stx, fx - stx * gtest, gx - gtest, sty, fy - sty * gtest,
+                    gy - gtest, stp, f - stp * gtest, gd - gtest, brackt,
+                    stmin, stmax)
+                fx, fy = fx + stx * gtest, fy + sty * gtest
+                gx, gy = gx + gtest, gy + gtest
+            else:
+                stx, fx, gx, sty, fy, gy, stp, brackt = _dcstep(
+                    stx, fx, gx, sty, fy, gy, stp, f, gd, brackt, stmin, stmax)
+        except ZeroDivisionError:
+            break
+        if brackt:
+            if abs(sty - stx) >= 0.66 * width1:
+                stp = stx + 0.5 * (sty - stx)
+            width1, width = width, abs(sty - stx)
+            stmin, stmax = min(stx, sty), max(stx, sty)
+        else:
+            stmin = stp + 1.1 * (stp - stx)
+            stmax = stp + 4.0 * (stp - stx)
+        stp = min(max(stp, 0.0), stpmax)
+        if brackt and (stp <= stmin or stp >= stmax
+                       or stmax - stmin <= _LS_XTOL * stmax):
+            stp = stx
+    return None, nfev
+
+
+def _recorded_fit(z, search, monkeypatch):
+    """``optimize(z)`` with ``search``: the points evaluated, iterates and run."""
+    points, iterates, runs = [], [], []
+
+    def recording(fun, x0, callback=None):
+        def fun_logged(x):
+            points.append(x.tobytes())
+            return fun(x)
+
+        runs.append(minimize(fun_logged, x0,
+                             lambda x: iterates.append(x.tobytes())))
+        return runs[-1]
+
+    monkeypatch.setattr(evcop.fit, "_line_search", search)
+    monkeypatch.setattr(evcop.fit, "minimize", recording)
+    optimize(z)
+    return points, iterates, runs[0]
+
+
+@pytest.fixture(scope="module")
+def fit1k_structures():
+    """The five dependence structures of the fit benchmark's inputs."""
+    gumbel = [EvCopula(ParametricPickands("gumbel", th))
+              for th in (1.5, 3.0, 8.0)]
+    tawn = EvCopula(evcop.pickands.khoudraji(ParametricPickands("gumbel", 3.0),
+                                             0.6, 0.9))
+    samples = []
+    for seed in (1, 2):
+        for n in (250, 1000):
+            uniform = np.random.default_rng(seed).random((n, 2))
+            samples += [z_transform(uniform)] + [
+                z_transform(c.simulate(n, seed=seed)) for c in gumbel + [tawn]]
+    return samples
+
+
+def test_line_search_evaluates_no_point_twice(fit1k_structures, monkeypatch):
+    # the memo of every trial changes which calls are made, never a value:
+    # both searches take the same path, and the memo saves exactly the
+    # reference's repeated points
+    repeats = 0
+    for z in fit1k_structures:
+        ref_points, ref_iterates, ref = _recorded_fit(
+            z, _search_reusing_the_last_trial, monkeypatch)
+        points, iterates, run = _recorded_fit(z, _line_search, monkeypatch)
+        assert iterates == ref_iterates
+        assert (run.nit, run.message) == (ref.nit, ref.message)
+        assert run.x.tobytes() == ref.x.tobytes()
+        assert len(set(points)) == len(points) == run.nfev
+        ref_repeats = len(ref_points) - len(set(ref_points))
+        assert run.nfev == ref.nfev - ref_repeats
+        repeats += ref_repeats
+    assert repeats > 0
 
 
 def test_mcmc_gaussian_moments():
@@ -1055,3 +1215,4 @@ def test_raw_w0_estimate_reported_and_reloaded():
     assert est != 1.0
     assert est == fm.w0_estimate
     assert model_from_dict(doc).w0_estimate == est
+

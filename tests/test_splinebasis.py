@@ -12,6 +12,7 @@ from evcop.splinebasis import (
     eval_basis,
     project_center,
     quantile_knots,
+    sorted_quantiles,
 )
 
 
@@ -215,3 +216,48 @@ def test_quantile_knots_empty_and_ties():
     assert quantile_knots(np.linspace(0.1, 0.9, 50), 0).interior_knots == ()
     with pytest.raises(InputError):
         quantile_knots(np.full(100, 0.5), 4)
+
+
+# the fit's two quantile reads: the pilot grid's 78 interior probabilities
+# and the knots' of a basis of 13 functions (and of 9 and 17); and a grid
+# with 1/2 and 1/4, where the interpolation weight can be exactly 1/2
+_PROBS = [np.arange(1, 79) / 79] + [np.arange(1, m + 1) / (m + 1)
+                                    for m in (10, 6, 14)] + [
+    np.linspace(0.0, 1.0, 41)]
+
+
+@pytest.mark.parametrize("n", [30, 31, 79, 100, 999, 1000, 12345, 100_000])
+def test_sorted_quantiles_is_numpys_linear_rule(n):
+    rng = np.random.default_rng(n)
+    smooth = rng.random(n)
+    # ties: few distinct values, and runs of a repeated value
+    tied = np.round(rng.random(n), 2)
+    runs = np.repeat(rng.random(n // 10 + 1), 10)[:n]
+    # neighbours far apart, whose difference rounds
+    spread = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-8, 8, n)
+    for sample in (smooth, tied, runs, spread, -smooth, 1e-9 * smooth):
+        s = np.sort(sample)
+        for probs in _PROBS:
+            assert (sorted_quantiles(s, probs).tobytes()
+                    == np.quantile(sample, probs).tobytes())
+
+
+def test_sorted_quantiles_on_random_samples_and_probabilities():
+    rng = np.random.default_rng(20)
+    for _ in range(300):
+        n = int(np.exp(rng.uniform(np.log(30), np.log(20_000))))
+        sample = rng.random(n)
+        if rng.random() < 0.3:
+            sample = 10.0 ** (16 * sample - 8)
+        if rng.random() < 0.5:
+            sample = np.round(sample, int(rng.integers(1, 4)))
+        probs = np.sort(rng.random(int(rng.integers(1, 100))))
+        probs[rng.random(probs.size) < 0.05] = 0.5
+        assert (sorted_quantiles(np.sort(sample), probs).tobytes()
+                == np.quantile(sample, probs).tobytes())
+    probs = np.array([0.0, 0.25, 1.0])
+    s = np.sort(rng.random(40))
+    assert sorted_quantiles(s, probs).tobytes() == np.quantile(s, probs).tobytes()
+    s[-1] = np.nan
+    assert np.isnan(sorted_quantiles(s, probs)).all()
+    assert np.isnan(np.quantile(s, probs)).all()

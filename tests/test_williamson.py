@@ -1,12 +1,19 @@
+import importlib.util
+import sys
+
 import numpy as np
 import pytest
 
+import evcop.williamson
+
 from evcop.bayes import tvd
 from evcop.errors import InputError, NumericalError
+from evcop.fit import empirical_w_grid, z_transform
 from evcop.pickands import fixed_point, rotate
 from evcop.williamson import (
     _MASS_TOL,
     WilliamsonKernel,
+    default_kernel,
     default_w_nodes,
     normalize_w,
     w_power_complement,
@@ -192,3 +199,38 @@ def test_transform_distance_bounded_by_tvd(basis13):
         assert np.max(np.abs(wf(probes) - wg(probes))) <= 2.0 * d + 1e-9
         gap = np.max(np.abs(wf.deriv(probes_d) - wg.deriv(probes_d)))
         assert gap <= (2.0 / x0) * d + 1e-9
+
+
+def _kernel_reads(kernel, seed):
+    """Forward and transpose of ``kernel`` on random values, as bytes."""
+    rng = np.random.default_rng(seed)
+    m = kernel.x_in.size
+    out = kernel(np.exp(rng.standard_normal(kernel.nodes.shape)))
+    back = kernel.transpose(*rng.standard_normal((3, m)), 0.7)
+    return [np.asarray(v).tobytes() for v in out] + [back.tobytes()]
+
+
+def _fallback_williamson(monkeypatch):
+    """A fresh copy of the module, loaded where numpy has no ``c_einsum``."""
+    import numpy._core.multiarray as multiarray
+    monkeypatch.delattr(multiarray, "c_einsum")
+    spec = importlib.util.spec_from_file_location(
+        "evcop._williamson_fallback", evcop.williamson.__file__)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_kernel_sums_are_np_einsums(gumbel2_sample, monkeypatch):
+    # the kernel calls numpy's C einsum; the public np.einsum runs the same
+    # sums, and a numpy without the private entry point gets np.einsum
+    pilot = empirical_w_grid(z_transform(gumbel2_sample), 78)
+    kernels = [default_kernel(), WilliamsonKernel(pilot)]
+    fast = [_kernel_reads(k, seed) for seed, k in enumerate(kernels)]
+    fallback = _fallback_williamson(monkeypatch)
+    assert fallback._einsum is np.einsum
+    assert [_kernel_reads(fallback.WilliamsonKernel(k.x), seed)
+            for seed, k in enumerate(kernels)] == fast
+    monkeypatch.setattr(evcop.williamson, "_einsum", np.einsum)
+    assert [_kernel_reads(k, seed) for seed, k in enumerate(kernels)] == fast
