@@ -28,8 +28,12 @@ fitting grid, the tabulation on :func:`evcop.williamson.default_w_nodes`,
 where the saved model reads ``A`` at the link images without inverting W.
 The optimizer (:func:`minimize`) is L-BFGS-B without bounds that keeps
 every curvature pair since its last restart, and whose line searches
-evaluate no point twice.  The pilot grid and the flip heuristic read the
-sample through one sorted copy each.
+evaluate no point twice.  It follows L-BFGS-B except for one trial step:
+inside a bracket that straddles a kink of the objective the search tries
+where the bracket's end tangents meet (:func:`_kink_step`), not Moré and
+Thuente's cubic.  The data term at the optimizer's last point is read back,
+not evaluated again.  The pilot grid and the flip heuristic read the sample
+through one sorted copy each.
 """
 
 from __future__ import annotations
@@ -103,6 +107,10 @@ _MAXLS = 20
 _REL_TOL = 1e-13
 _STPMAX = 1e10
 _LS_FTOL, _LS_GTOL, _LS_XTOL = 1e-3, 0.9, 0.1
+# a bracket straddles a kink when its end tangents meet within 1/2 - _KINK
+# of an end (in units of its width); the trial there stays _KINK_MARGIN
+# inside the bracket
+_KINK, _KINK_MARGIN = 0.35, 0.01
 _EPS = float(np.finfo(float).eps)
 # edges of the flip heuristic's 32 histogram bins on [0, 1]
 _BIN_EDGES = np.arange(33) / 32.0
@@ -418,9 +426,14 @@ class PenalizedLikelihood:
         self.z = np.sort(np.asarray(z, dtype=float))
         self.lam = float(lam)
         self.center = np.zeros(basis.dim) + center
+        # the data term at each theta the last descent evaluated, by its bytes
+        self._data_terms = {}
 
     def loglik(self, theta) -> float:
-        """The data term alone."""
+        """The data term alone; read back where the last descent evaluated it."""
+        ll = self._data_terms.get(np.asarray(theta, dtype=float).tobytes())
+        if ll is not None:
+            return ll
         return _loss_and_grad(self.pipe, self.z, theta + self.center, False)[0]
 
     def penalty(self, theta) -> float:
@@ -442,15 +455,18 @@ class PenalizedLikelihood:
         ``white``.  Whitening, data term, penalty and gradient run in one
         frame, in the operation order of :meth:`value_and_grad` and of the
         generic whitening in :func:`_maximize`, so values agree to the
-        last bit.
+        last bit.  Each call keeps its data term for :meth:`loglik`, so the
+        data term at the optimizer's last point is not evaluated again.
         """
         pipe, z, center = self.pipe, self.z, self.center
         omega, lam = self.omega, self.lam
+        self._data_terms = data_terms = {}
 
         # ndarray.dot makes the BLAS calls @ makes, with less overhead
         def negloss_white(phi):
             theta = white.dot(phi)
             ll, grad = _loss_and_grad(pipe, z, theta + center, True)
+            data_terms[theta.tobytes()] = ll
             return (-(ll - lam * float(theta.dot(omega).dot(theta))),
                     white.dot(-(grad - 2.0 * lam * omega.dot(theta))))
 
@@ -601,6 +617,26 @@ def _dcstep(stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax):
     return stx, fx, dx, sty, fy, dy, stpf, brackt
 
 
+def _kink_step(stx, fx, gx, sty, fy, gy):
+    """Where the end tangents of a bracket meet, if it straddles a kink; else None.
+
+    The ends ``(st, f, g)`` must have slopes of opposite sign.  The tangents
+    meet at the fraction ``(m - gy) / (gx - gy)`` of the way from ``stx`` to
+    ``sty``, ``m`` the mean slope ``(fy - fx) / (sty - stx)``; it lies within
+    ``1/2 - _KINK`` of an end when ``|m - (gx + gy)/2| > _KINK |gy - gx|``.
+    A smooth function seen through a small bracket has ``m`` near the mean
+    of the end slopes (on a quadratic it is that mean), so Moré-Thuente's
+    cubic and secant steps model it; a V does not.
+    """
+    if not (gx < 0.0 < gy or gy < 0.0 < gx):
+        return None
+    frac = ((fy - fx) / (sty - stx) - gy) / (gx - gy)
+    if abs(frac - 0.5) <= _KINK:
+        return None
+    frac = min(max(frac, _KINK_MARGIN), 1.0 - _KINK_MARGIN)
+    return stx + frac * (sty - stx)
+
+
 def _line_search(fun, x, z, d, finit, g0, ginit, stp):
     """Moré & Thuente's search (MINPACK-2 ``dcsrch``) along ``d`` from ``x``.
 
@@ -608,7 +644,12 @@ def _line_search(fun, x, z, d, finit, g0, ginit, stp):
     value, gradient and slope at ``x``, and ``stp`` the first trial step.
     Returns ``(stp, x, f, g, slope)`` at the accepted step, or None after
     ``_MAXLS`` trials without one, and the count of evaluations.  As in
-    L-BFGS-B, a search that warns accepts the step it last evaluated.  Every
+    L-BFGS-B, a search that warns accepts the step it last evaluated.  One
+    step differs from ``dcsrch``: when the ends of a bracket have slopes of
+    opposite sign and their tangents meet near one end, as they do across a
+    kink, the next trial is that meeting point (:func:`_kink_step`), taken
+    before the bisection safeguard; a smooth function, whose tangents meet
+    near the middle of a small bracket, keeps ``dcstep``'s trial.  Every
     point of the search is kept with its value and gradient, keyed by its
     bytes and seeded with ``x``, so a trial that lands on ``x`` or on any
     earlier trial point reuses them and is not counted.  A non-finite value
@@ -654,9 +695,12 @@ def _line_search(fun, x, z, d, finit, g0, ginit, stp):
             else:
                 stx, fx, gx, sty, fy, gy, stp, brackt = _dcstep(
                     stx, fx, gx, sty, fy, gy, stp, f, gd, brackt, stmin, stmax)
+            kink = _kink_step(stx, fx, gx, sty, fy, gy) if brackt else None
         except ZeroDivisionError:
             break
         if brackt:
+            if kink is not None:
+                stp = kink
             if abs(sty - stx) >= 0.66 * width1:
                 stp = stx + 0.5 * (sty - stx)
             width1, width = width, abs(sty - stx)
@@ -676,20 +720,23 @@ def minimize(fun, x0, callback=None) -> _Minimum:
 
     A numpy port of what L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995, v3.0 as
     scipy ships it) does without bounds, with its constants, stop rules and
-    message strings.  The direction is ``-H g``, with ``H`` the compact
-    inverse form of Byrd, Nocedal & Schnabel (1994) over every pair since
-    the last restart and ``H0 = I / theta``, where ``theta = y'y / s'y`` as
-    in L-BFGS-B.  L-BFGS-B bounds its memory for large problems; at a few
-    dozen coordinates and at most ``_MAX_ITER`` pairs the whole history is
-    cheap and takes fewer steps, so this is L-BFGS-B with ``maxcor`` at
-    ``_MAX_ITER``.  ``H`` is applied through ``T = R^-1 S`` (``R`` the upper
-    triangle of ``S'Y``), which is kept up to date in O(kn) per pair.  With
-    no pairs the direction is ``-g``; the first step is ``1/|g|``, later
-    first steps 1.  A pair is skipped when ``s'y <= eps (-g'd stp)``.  A
-    failed line search restarts once from steepest descent, then stops
-    "ABNORMAL".  ``callback``, when given, receives every accepted iterate.
-    ``nfev`` counts the calls of ``fun``; no line search makes two at one
-    point or one at its start (see :func:`_line_search`).
+    message strings.  It follows L-BFGS-B except for the trial step inside a
+    line-search bracket that straddles a kink (see :func:`_line_search`),
+    which smooth functions do not meet.  The direction is ``-H g``, with
+    ``H`` the compact inverse form of Byrd, Nocedal & Schnabel (1994) over
+    every pair since the last restart and ``H0 = I / theta``, where
+    ``theta = y'y / s'y`` as in L-BFGS-B.  L-BFGS-B bounds its memory for
+    large problems; at a few dozen coordinates and at most ``_MAX_ITER``
+    pairs the whole history is cheap and takes fewer steps, so this is
+    L-BFGS-B with ``maxcor`` at ``_MAX_ITER``.  ``H`` is applied through
+    ``T = R^-1 S`` (``R`` the upper triangle of ``S'Y``), which is kept up
+    to date in O(kn) per pair.  With no pairs the direction is ``-g``; the
+    first step is ``1/|g|``, later first steps 1.  A pair is skipped when
+    ``s'y <= eps (-g'd stp)``.  A failed line search restarts once from
+    steepest descent, then stops "ABNORMAL".  ``callback``, when given,
+    receives every accepted iterate.  ``nfev`` counts the calls of ``fun``;
+    no line search makes two at one point or one at its start (see
+    :func:`_line_search`).
     """
     x = np.array(x0, dtype=float)
     f, g = fun(x)

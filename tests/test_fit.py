@@ -17,6 +17,7 @@ from evcop.fit import (
     _EXP_CLIP,
     _LOG_FLOOR,
     _HhatPipeline,
+    _kink_step,
     _line_search,
     _loss_and_grad,
     _maximize,
@@ -789,6 +790,66 @@ def test_an_ascent_gradient_ends_abnormal(good_calls):
     assert (run.iterations > 0) == (good_calls > 0)
 
 
+def test_kink_step_is_where_the_tangents_of_a_v_meet():
+    # on a quadratic the mean slope of a bracket is the mean of its end
+    # slopes: no kink; on a V the tangents meet at the kink, kept 1% inside
+    for a, b in [(0.0, 1.0), (2.0, -3.0), (0.2, 0.25)]:
+        mid = 0.3 * a + 0.7 * b
+        f, g = (lambda s: (s - mid) ** 2), (lambda s: 2.0 * (s - mid))
+        assert _kink_step(a, f(a), g(a), b, f(b), g(b)) is None
+    for kink, step in [(0.1, 0.1), (0.9, 0.9), (0.001, 0.01), (0.5, None)]:
+        v = lambda s: 3.0 * abs(s - kink) + 0.5 * s
+        dv = lambda s: 0.5 + (3.0 if s > kink else -3.0)
+        # the best end may be either one
+        for a, b in [(0.0, 1.0), (1.0, 0.0)]:
+            found = _kink_step(a, v(a), dv(a), b, v(b), dv(b))
+            assert found is None if step is None else found == pytest.approx(step)
+    # slopes of one sign: no bracket of a kink
+    assert _kink_step(0.0, 0.0, -1.0, 1.0, -0.1, -0.5) is None
+
+
+def _kinked(x):
+    """``10 |x0 - 0.3| + x1^2``, kinked along ``x0 = 0.3``."""
+    return (10.0 * abs(x[0] - 0.3) + x[1] ** 2,
+            np.array([10.0 * np.sign(x[0] - 0.3), 2.0 * x[1]]))
+
+
+def test_line_search_steps_onto_a_kink(monkeypatch):
+    # from (0, 0.5) along -g = (10, -1) the first trial, step 1, crosses the
+    # kink at step 0.03; Moré-Thuente's cubic steps land 9.9e-4 from it in 5
+    # evaluations, the tangents' meeting point 4.4e-6 from it in 4
+    x = np.array([0.0, 0.5])
+    f, g = _kinked(x)
+    d = -g
+
+    def search():
+        return _line_search(_kinked, x, x + d, d, f, g, float(g @ d), 1.0)
+
+    (stp, *_), evals = search()
+    monkeypatch.setattr(evcop.fit, "_kink_step", lambda *ends: None)
+    (stp_off, *_), evals_off = search()
+    assert (evals, evals_off) == (4, 5)
+    # within 1% of the first bracket [0, 1] either way; the kink step also
+    # within 1e-5 of it
+    assert abs(stp - 0.03) <= 1e-5 < abs(stp_off - 0.03) <= 0.01
+
+
+@pytest.mark.parametrize("n", [2, 5])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_kink_step_never_fires_on_rosenbrock(n, seed, monkeypatch):
+    # a smooth function keeps Moré-Thuente's steps, so the port keeps
+    # scipy's path (test_minimize_takes_scipys_path_on_rosenbrock)
+    steps = []
+
+    def counted(*ends):
+        steps.append(_kink_step(*ends))
+        return steps[-1]
+
+    monkeypatch.setattr(evcop.fit, "_kink_step", counted)
+    evcop.fit.minimize(_rosen, np.random.default_rng(seed).uniform(-2.0, 2.0, n))
+    assert steps and steps.count(None) == len(steps)
+
+
 def test_a_nan_trial_value_is_never_accepted():
     # a line-search trial leaves the region where the objective is defined;
     # the search steps back and the fit converges
@@ -806,14 +867,14 @@ def test_a_nan_trial_value_is_never_accepted():
 
 
 def _search_reusing_the_last_trial(fun, x, z, d, finit, g0, ginit, stp):
-    """The Moré-Thuente search that reuses only ``x`` and its last trial.
+    """The port's search, kink step included, reusing only ``x`` and its last trial.
 
     The reference for the trial memo of ``evcop.fit._line_search``: the
     same steps, but a trial that lands on an earlier trial point other than
     the last one calls ``fun`` again.
     """
-    from evcop.fit import (_dcstep, _LS_FTOL, _LS_GTOL, _LS_XTOL, _MAXLS,
-                           _STPMAX)
+    from evcop.fit import (_dcstep, _kink_step, _LS_FTOL, _LS_GTOL, _LS_XTOL,
+                           _MAXLS, _STPMAX)
     gtest = _LS_FTOL * ginit
     width, width1 = _STPMAX, 2.0 * _STPMAX
     stx = sty = 0.0
@@ -856,9 +917,12 @@ def _search_reusing_the_last_trial(fun, x, z, d, finit, g0, ginit, stp):
             else:
                 stx, fx, gx, sty, fy, gy, stp, brackt = _dcstep(
                     stx, fx, gx, sty, fy, gy, stp, f, gd, brackt, stmin, stmax)
+            kink = _kink_step(stx, fx, gx, sty, fy, gy) if brackt else None
         except ZeroDivisionError:
             break
         if brackt:
+            if kink is not None:
+                stp = kink
             if abs(sty - stx) >= 0.66 * width1:
                 stp = stx + 0.5 * (sty - stx)
             width1, width = width, abs(sty - stx)
@@ -925,6 +989,31 @@ def test_line_search_evaluates_no_point_twice(fit1k_structures, monkeypatch):
         assert run.nfev == ref.nfev - ref_repeats
         repeats += ref_repeats
     assert repeats > 0
+
+
+def test_optimize_calls_the_objective_once_per_evaluation(fit1k_structures,
+                                                          monkeypatch):
+    # the data term at the optimizer's last point is read back, not
+    # evaluated again, and equals a fresh evaluation to the last bit
+    calls, objectives = [], []
+
+    def counted(*args):
+        calls.append(None)
+        return _loss_and_grad(*args)
+
+    def recorded(objective, *args):
+        objectives.append(objective)
+        return _maximize(objective, *args)
+
+    monkeypatch.setattr(evcop.fit, "_loss_and_grad", counted)
+    monkeypatch.setattr(evcop.fit, "_maximize", recorded)
+    for z in fit1k_structures:
+        calls.clear()
+        fm = optimize(z)
+        assert len(calls) == fm.evaluations
+        lik = objectives[-1]
+        fresh = _loss_and_grad(lik.pipe, lik.z, fm.theta + lik.center, False)
+        assert fm.loglik == fresh[0]
 
 
 def test_mcmc_gaussian_moments():
@@ -1215,4 +1304,3 @@ def test_raw_w0_estimate_reported_and_reloaded():
     assert est != 1.0
     assert est == fm.w0_estimate
     assert model_from_dict(doc).w0_estimate == est
-
