@@ -3,11 +3,14 @@
 Run from the repository root:
 
     PYTHONPATH=src python tools/optimizer_gate.py --fit-seeds 901-912 --study-seeds 921-936
+    PYTHONPATH=src python tools/optimizer_gate.py --fit-seeds 1-4 --sizes 100000
 
 Inputs are the benchmark's (``perfbench/inputs.py``): for each fit seed, the
-five fit-1k structures (stream 1, ops 0-4) at each ``--sizes`` entry, and
-for each study seed, the study-tvd spec ``study_spec(seed, 2)`` (two random
-truths, n = 250 and 1000).  Each input is fitted twice: first with
+five fit structures (ops 0-4) at each ``--sizes`` entry (250 and 1000 by
+default), drawn from the fit-100k workload's stream 2 at n = 100000 and from
+fit-1k's stream 1 at any other size, and for each study seed, the study-tvd
+spec ``study_spec(seed, 2)`` (two random truths, n = 250 and 1000).  At
+n = 100000 a fit takes seconds, so that size is run apart.  Each input is fitted twice: first with
 ``evcop.fit._kink_step`` patched to return None, which leaves Moré and
 Thuente's trial steps alone (the search as it was before the kink step),
 then as it is.  Printed per fit, without -> with: the penalized value
@@ -39,6 +42,8 @@ import evcop.fit  # noqa: E402
 from evcop.fit import FitConfig, optimize, z_transform  # noqa: E402
 
 T_PROBES = np.linspace(0.0, 1.0, 1001)
+# the input stream of each fit workload's samples, by size (fit-1k: 1)
+STREAMS = {100000: 2}
 # the gate's bounds: median relative change of the penalized value, the
 # worst fit's, the fall of total evaluations, and the relative rise allowed
 # in mean sup|A - A0| and in the median study tvd
@@ -64,7 +69,7 @@ def summary(fm) -> dict:
 
 def fit_input(seed: int, n: int, i: int) -> dict:
     structure = inputs.FIT_STRUCTURES[i % len(inputs.FIT_STRUCTURES)]
-    data = structure.sample(inputs.op_rng(seed, 1, i), n)
+    data = structure.sample(inputs.op_rng(seed, STREAMS.get(n, 1), i), n)
     fm = optimize(z_transform(data), FitConfig())
     a_hat = np.asarray(fm.pickands(T_PROBES), dtype=float)
     return dict(summary(fm), label=f"fit seed={seed} n={n} {structure.name}",
