@@ -204,10 +204,17 @@ def cmd_fit(args) -> int:
     return 0
 
 
+def _seed(args) -> int:
+    """``--seed``, which numpy's generators take only when non-negative."""
+    if args.seed < 0:
+        raise InputError(f"--seed must be >= 0, got {args.seed}")
+    return args.seed
+
+
 def cmd_simulate(args) -> int:
     doc = _load_json(args.model)
     _, cop = _rebuild_copula(doc)
-    sample = cop.simulate(args.n, seed=args.seed)
+    sample = cop.simulate(args.n, seed=_seed(args))
     write_pairs(args.output, sample)
     print(f"wrote {args.n} rows to {args.output}")
     return 0
@@ -353,7 +360,7 @@ def run_study(spec: dict, workers: int = 1):
     fams = spec.get("families")
     if not (tvd or fams):
         raise InputError("bias-variance study requires a 'families' list")
-    seed = read_field(spec, "seed", int, 0)
+    seed = read_field(spec, "seed", _at_least(0), 0)
     sizes = read_field(spec, "sample_sizes", _sample_sizes, [1000])
     reps = read_field(spec, "replications", _at_least(1), 1 if tvd else 100)
     lam = read_field(spec, "fit.lambda", float, 1e-4)
@@ -489,7 +496,7 @@ def cmd_joint(args) -> int:
     margin, fitted, final, joint, doubled = joint_pipeline(
         data, margin_dim=args.margin_dim, margin_lam=args.margin_lam,
         copula_dim=args.dim, copula_lam=args.lam, bounds=bounds,
-        n_samples=args.samples, seed=args.seed)
+        n_samples=args.samples, seed=_seed(args))
 
     margin_doc = {
         "version": 1,

@@ -228,7 +228,7 @@ def greatest_convex_minorant(x, y) -> np.ndarray:
     return np.interp(x, hx, hy)
 
 
-def cfg_estimator(sample, t_grid, from_z: bool = False) -> np.ndarray:
+def cfg_estimator(sample, t_grid) -> np.ndarray:
     """Rank-based nonparametric Pickands estimator.
 
     Uses the distribution of the pseudo-angle ``z = log u / log(uv)``:
@@ -236,18 +236,16 @@ def cfg_estimator(sample, t_grid, from_z: bool = False) -> np.ndarray:
     with the empirical CDF ``H``, integrated by the trapezoidal rule on a
     1024-node grid with the integrand pinned to 0 at both endpoints.
 
-    ``sample`` is an (n, 2) copula sample, or the pseudo-angles themselves
-    when ``from_z`` is true.
+    ``sample`` is an (n, 2) copula sample, or a 1-d array of the
+    pseudo-angles themselves.
     """
-    if from_z:
-        z = np.asarray(sample, dtype=float)
-    else:
-        uv = np.asarray(sample, dtype=float)
-        if uv.ndim != 2 or uv.shape[1] != 2:
-            raise InputError("sample must be an (n, 2) array")
-        lu = np.log(uv[:, 0])
-        lv = np.log(uv[:, 1])
+    z = np.asarray(sample, dtype=float)
+    if z.ndim == 2 and z.shape[1] == 2:
+        lu = np.log(z[:, 0])
+        lv = np.log(z[:, 1])
         z = lu / (lu + lv)
+    elif z.ndim != 1:
+        raise InputError("sample must be pseudo-angles or an (n, 2) array")
     if z.size == 0:
         raise InputError("empty sample")
     t_arr = np.atleast_1d(np.asarray(t_grid, dtype=float))

@@ -26,14 +26,14 @@ both run the Williamson kernel, divide the transform by its W(0+) mass and
 map each grid node through the affine link.  The objective does so on the
 fitting grid, the tabulation on :func:`evcop.williamson.default_w_nodes`,
 where the saved model reads ``A`` at the link images without inverting W.
-The optimizer (:func:`minimize`) is L-BFGS-B without bounds that keeps
-every curvature pair since its last restart, and whose line searches
-evaluate no point twice.  It follows L-BFGS-B except for one trial step:
-inside a bracket that straddles a kink of the objective the search tries
-where the bracket's end tangents meet (:func:`_kink_step`), not Moré and
-Thuente's cubic.  The data term at the optimizer's last point is read back,
-not evaluated again.  The pilot grid and the flip heuristic read the sample
-through one sorted copy each.
+Every fit, of a copula or of a density, whitens its ``value_and_grad`` by
+the penalty and descends it (:func:`_maximize`) by :func:`minimize`,
+L-BFGS-B without bounds that keeps every curvature pair since its last
+restart and evaluates no point twice in a line search.  Only one trial step
+differs: in a bracket that straddles a kink the search tries where the end
+tangents meet (:func:`_kink_step`), not Moré and Thuente's cubic.  The data
+term at the optimizer's last point is read back, not evaluated again.  The
+pilot grid and the flip heuristic read the sample through one sorted copy each.
 """
 
 from __future__ import annotations
@@ -111,6 +111,8 @@ _LS_FTOL, _LS_GTOL, _LS_XTOL = 1e-3, 0.9, 0.1
 # of an end (in units of its width); the trial there stays _KINK_MARGIN
 # inside the bracket
 _KINK, _KINK_MARGIN = 0.35, 0.01
+# more objective calls than one minimize run makes (two searches an iteration)
+_MEMO_SIZE = 1 + 2 * _MAXLS * (_MAX_ITER + 1)
 _EPS = float(np.finfo(float).eps)
 # edges of the flip heuristic's 32 histogram bins on [0, 1]
 _BIN_EDGES = np.arange(33) / 32.0
@@ -142,8 +144,8 @@ class FitConfig:
     flip: bool | None = None
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise InputError("lam must be >= 0")
+        if not 0.0 <= self.lam < math.inf:
+            raise InputError(f"lam must be finite and >= 0, got {self.lam}")
         if self.basis_dim <= _DEGREE:
             raise InputError(
                 f"basis_dim must exceed the spline degree {_DEGREE}")
@@ -209,7 +211,7 @@ def empirical_w_grid(z_sample, k: int) -> np.ndarray:
     # the pilot reads the sample only through its sorted values
     zs = np.sort(z, axis=None)
     q = sorted_quantiles(zs, np.arange(1, k + 1) / (k + 1))
-    x = q + cfg_estimator(zs, q, from_z=True) - 1.0
+    x = q + cfg_estimator(zs, q) - 1.0
     x = np.clip(x, 1e-9, 1.0 - 1e-9)
     keep = [x[0]]
     for xi in x[1:]:
@@ -238,8 +240,8 @@ class _HhatPipeline:
     The pipeline holds no data: :func:`_loss_and_grad` passes it the
     cotangents of the knots.  Its one buffer kept between calls is
     ``bounds``, the segment bounds of the data, rewritten on every call of
-    :func:`_loss_and_grad`; everything :meth:`sweep` and :meth:`forward`
-    return, and everything a pullback reads, is fresh on every call.
+    :func:`_loss_and_grad`; everything :meth:`sweep` returns, and
+    everything a pullback reads, is fresh on every call.
     """
 
     def __init__(self, basis: ZBasis, x_grid: np.ndarray):
@@ -249,23 +251,15 @@ class _HhatPipeline:
         self._half_xp = 0.5 * (1.0 + self.kernel.x_in)
         self.bounds = np.zeros(self.m + 2, dtype=np.intp)
 
-    def forward(self, theta: np.ndarray):
-        """Interpolation knots ``(t, h)`` of the z-density and their mass.
-
-        Returns ``(t_full, h_full, I_h, pullback)``, fresh on every call;
-        ``I_h`` is the trapezoid mass of the knots.  ``pullback(gt, gh)``
-        maps cotangents of the interior knots ``t_full[1:-1]`` and
-        ``h_full[1:-1]`` to the gradient in ``theta``.
-        """
-        knots, I_h, pullback = self.sweep(np.asarray(theta, dtype=float))
-        return knots[0], knots[1], I_h, pullback
-
     def sweep(self, theta: np.ndarray):
-        """:meth:`forward` with the knots as rows 0 and 1 of one (3, m + 2) block.
+        """Knots ``(t, h)`` of the z-density, their mass and a pullback.
 
-        ``theta`` must be a float array.  Row 2 of the block is zero, free
-        for the caller: :func:`_loss_and_grad` writes the segment slopes
-        there.
+        ``theta`` must be a float array.  Returns ``(knots, I_h, pullback)``,
+        fresh on every call.  Rows 0 and 1 of the (3, m + 2) block ``knots``
+        are ``t_full`` and ``h_full``; row 2 is zero, free for the caller
+        (:func:`_loss_and_grad` writes the segment slopes there).
+        ``pullback(gt, gh)`` maps cotangents of ``t_full[1:-1]`` and
+        ``h_full[1:-1]`` to the gradient in ``theta``.
         """
         p = self.B @ theta
         # exponentials clipped at +-_EXP_CLIP are constant in theta; a call
@@ -417,7 +411,10 @@ class PenalizedLikelihood:
     penalty collapses a fit onto the center model.  The basis is evaluated on
     the grid once, here, and the pseudo-angles are sorted once into ``z`` (a
     copy: the caller's array is left as it is); the sum is order-free, and
-    sorted data let the data term work per knot segment.
+    sorted data let the data term work per knot segment.  Each call of
+    :meth:`value_and_grad` keeps its data term, by the bytes of ``theta``, for
+    :meth:`loglik`; the memo is cleared once it holds more entries than one
+    optimizer run makes (``_MEMO_SIZE``), and a miss evaluates afresh.
     """
 
     def __init__(self, basis: ZBasis, x_grid, z, lam: float, center=0.0):
@@ -426,11 +423,10 @@ class PenalizedLikelihood:
         self.z = np.sort(np.asarray(z, dtype=float))
         self.lam = float(lam)
         self.center = np.zeros(basis.dim) + center
-        # the data term at each theta the last descent evaluated, by its bytes
         self._data_terms = {}
 
     def loglik(self, theta) -> float:
-        """The data term alone; read back where the last descent evaluated it."""
+        """The data term alone; read back where value_and_grad took it."""
         ll = self._data_terms.get(np.asarray(theta, dtype=float).tobytes())
         if ll is not None:
             return ll
@@ -444,33 +440,14 @@ class PenalizedLikelihood:
 
     def value_and_grad(self, theta):
         """Value and exact reverse-mode (adjoint) gradient."""
+        theta = np.asarray(theta, dtype=float)
         ll, grad = _loss_and_grad(self.pipe, self.z, theta + self.center, True)
-        return (ll - self.penalty(theta),
-                grad - 2.0 * self.lam * (self.omega @ theta))
-
-    def descent(self, white: np.ndarray):
-        """The function :func:`minimize` descends, ``phi -> (-value, -grad)``.
-
-        ``theta = white @ phi`` and the gradient is carried back through
-        ``white``.  Whitening, data term, penalty and gradient run in one
-        frame, in the operation order of :meth:`value_and_grad` and of the
-        generic whitening in :func:`_maximize`, so values agree to the
-        last bit.  Each call keeps its data term for :meth:`loglik`, so the
-        data term at the optimizer's last point is not evaluated again.
-        """
-        pipe, z, center = self.pipe, self.z, self.center
-        omega, lam = self.omega, self.lam
-        self._data_terms = data_terms = {}
-
+        if len(self._data_terms) >= _MEMO_SIZE:
+            self._data_terms.clear()
+        self._data_terms[theta.tobytes()] = ll
         # ndarray.dot makes the BLAS calls @ makes, with less overhead
-        def negloss_white(phi):
-            theta = white.dot(phi)
-            ll, grad = _loss_and_grad(pipe, z, theta + center, True)
-            data_terms[theta.tobytes()] = ll
-            return (-(ll - lam * float(theta.dot(omega).dot(theta))),
-                    white.dot(-(grad - 2.0 * lam * omega.dot(theta))))
-
-        return negloss_white
+        return (ll - self.lam * float(theta.dot(self.omega).dot(theta)),
+                grad - 2.0 * self.lam * self.omega.dot(theta))
 
 
 @dataclass(frozen=True)
@@ -804,24 +781,22 @@ class _OptimizerRun(NamedTuple):
     message: str
 
 
-def _maximize(objective, omega: np.ndarray, lam: float, callback=None):
+def _maximize(value_and_grad, omega: np.ndarray, lam: float, callback=None):
     """Ascent from zero by :func:`minimize`, in coordinates whitened by the penalty.
 
-    ``objective`` is a :class:`PenalizedLikelihood`, whose
-    :meth:`~PenalizedLikelihood.descent` is minimized, or any
-    ``value_and_grad(theta)`` returning the objective and its gradient;
+    Any ``value_and_grad(theta)`` is descended as ``phi -> (-value, -S
+    grad)`` at ``theta = S phi``, with ``S`` from :func:`_penalty_whitener`;
     ``callback``, when given, receives every accepted iterate.  Returns the
     maximizer and an :class:`_OptimizerRun`.  The run converged when the
     optimizer reports success (either of L-BFGS-B's convergence stops), or
     when no final gradient entry exceeds the tolerance.
     """
     white = _penalty_whitener(omega, lam)
-    if isinstance(objective, PenalizedLikelihood):
-        negloss_white = objective.descent(white)
-    else:
-        def negloss_white(phi):
-            value, grad = objective(white @ phi)
-            return -value, white @ -grad
+
+    # ndarray.dot makes the BLAS calls @ makes, with less overhead
+    def negloss_white(phi):
+        value, grad = value_and_grad(white.dot(phi))
+        return -value, white.dot(-grad)
 
     res = minimize(negloss_white, np.zeros(omega.shape[0]),
                    None if callback is None
@@ -856,7 +831,7 @@ def optimize(z_sample, config: FitConfig | None = None) -> FittedModel:
                                           cfg.basis_dim - _DEGREE))
     lik = PenalizedLikelihood(basis, x_grid, zf, cfg.lam,
                               project_center(basis))
-    theta_hat, run = _maximize(lik, lik.omega, cfg.lam)
+    theta_hat, run = _maximize(lik.value_and_grad, lik.omega, cfg.lam)
     model, dens, grid = pipeline_pickands(basis, theta_hat, True, flip)
     return FittedModel(theta=theta_hat, basis=basis, center_applied=True,
                        flipped=flip, loglik=lik.loglik(theta_hat),
@@ -919,8 +894,8 @@ def fit_univariate_density(sample, bounds, dim: int = 13, lam: float = 1e-4
     """
     a, b = float(bounds[0]), float(bounds[1])
     x = np.asarray(sample, dtype=float)
-    if lam < 0:
-        raise InputError("lam must be >= 0")
+    if not 0.0 <= lam < math.inf:
+        raise InputError(f"lam must be finite and >= 0, got {lam}")
     if not (b > a):
         raise InputError("bounds must satisfy a < b")
     if np.any(x <= a) or np.any(x >= b):
@@ -1060,8 +1035,8 @@ def random_pickands(lam: float, R: float, n: int, seed=None,
     that fail tabulation are replaced, with a warning.  Every second model is
     mirrored so the collection has no preferred orientation.
     """
-    if lam < 0 or R <= 0 or n < 1:
-        raise InputError("need lam >= 0, R > 0, n >= 1")
+    if not (0.0 <= lam < math.inf and 0.0 < R < math.inf and n >= 1):
+        raise InputError("need finite lam >= 0, finite R > 0, n >= 1")
     basis = basis if basis is not None else default_random_basis()
     draws = _prior_draws(lam, R, curvature_matrix(basis),
                          project_center(basis), np.random.default_rng(seed))

@@ -307,6 +307,33 @@ def test_fit_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command,extra,named", [
+    ("fit", ["--lambda", "nan"], "lam must be finite"),
+    ("fit", ["--lambda", "inf"], "lam must be finite"),
+    ("joint", ["--margin-lambda", "nan"], "lam must be finite"),
+    ("joint", ["--lambda", "nan"], "lam must be finite"),
+    ("joint", ["--seed", "-1"], "--seed"),
+    ("simulate", ["-n", "10", "--seed", "-1"], "--seed"),
+])
+def test_bad_flag_values_exit_2(tmp_path, capsys, gumbel2, gumbel2_fit,
+                                command, extra, named):
+    # a NaN or infinite penalty weight and a negative seed are input errors,
+    # found before any fit runs on them
+    if command == "simulate":
+        source = tmp_path / "model.json"
+        source.write_text(json.dumps(model_to_dict(gumbel2_fit)))
+    else:
+        uv = gumbel2.simulate(60, seed=13)
+        if command == "joint":
+            m = np.exp(1.0 + uv)
+            uv = np.column_stack([m.max(axis=1), m.min(axis=1)])
+        source = tmp_path / "pairs.csv"
+        write_pairs(source, uv)
+    out = str(tmp_path / "out")
+    assert main([command, str(source), "-o", out, *extra]) == 2
+    assert named in capsys.readouterr().err
+
+
 def test_fit_flip_heuristic_and_its_override(tmp_path, capsys):
     # the pseudo-angle histogram of this Tawn sample peaks left of 1/2
     tawn = EvCopula(ParametricPickands("gumbel", 3.0, khoudraji=(0.4, 0.9)))
@@ -535,13 +562,23 @@ _TINY_BV = {"study": "bias-variance", "seed": 1, "sample_sizes": [100],
     ("study", {**_TINY_BV, "families": [{"family": "gumbel", "theta": 2.0,
                                          "lambda": "x"}]}, [], None,
      "'lambda'"),
+    ("study", {**_TINY_STUDY, "seed": -1}, [], None, "'seed'"),
+    ("study", {**_TINY_BV, "seed": -3}, [], None, "'seed'"),
+    ("study", {**_TINY_STUDY, "random_evc": {"count": 1, "lambda": np.nan}},
+     [], None, "finite lam"),
+    ("study", {**_TINY_STUDY, "random_evc": {"count": 1, "R": np.inf}},
+     [], None, "finite R"),
+    ("study", {**_TINY_STUDY, "fit": {"lambda": np.nan}}, [], None,
+     "lam must be finite"),
 ], ids=["model-lambda", "model-diagnostics", "model-flipped", "model-knots",
         "spec-seed", "spec-list", "env-threads", "workers-0",
         "spec-replications-0", "spec-replications-negative",
         "spec-sizes-empty", "spec-size-below-30", "spec-count-0",
         "spec-random-dim-0", "spec-random-dim-2", "spec-fit-dim-3",
         "bias-variance-replications-0", "bias-variance-sizes-empty",
-        "bias-variance-family-lambda"])
+        "bias-variance-family-lambda", "spec-seed-negative",
+        "bias-variance-seed-negative", "spec-prior-lambda-nan",
+        "spec-prior-radius-inf", "spec-fit-lambda-nan"])
 def test_outside_input_exits_2_naming_the_field(
         tmp_path, monkeypatch, capsys, gumbel2_fit, kind, doc, extra,
         threads, named):

@@ -123,7 +123,7 @@ def test_cfg_near_uniform_angles():
     # close to the identity as it can get; the estimate then stays near 1
     z = np.linspace(1, 4096, 4096) / 4097.0
     t = np.linspace(0.0, 1.0, 51)
-    vals = cfg_estimator(z, t, from_z=True)
+    vals = cfg_estimator(z, t)
     assert np.max(np.abs(vals - 1.0)) <= 0.01
 
 
@@ -149,7 +149,18 @@ def test_cfg_finite_and_validates_input():
     with pytest.raises(InputError):
         cfg_estimator(uv, np.array([1.5]))
     with pytest.raises(InputError):
-        cfg_estimator(np.empty(0), np.array([0.5]), from_z=True)
+        cfg_estimator(np.empty(0), np.array([0.5]))
+
+
+def test_cfg_reads_the_sample_kind_from_its_shape():
+    # a 1-d sample is pseudo-angles, an (n, 2) one a copula sample
+    uv = np.random.default_rng(5).random((200, 2))
+    lu, lv = np.log(uv[:, 0]), np.log(uv[:, 1])
+    t = np.linspace(0.0, 1.0, 11)
+    assert np.array_equal(cfg_estimator(uv, t), cfg_estimator(lu / (lu + lv), t))
+    for bad in (np.ones((20, 3)), np.ones((4, 5, 2)), np.float64(0.5)):
+        with pytest.raises(InputError, match="pseudo-angles or an"):
+            cfg_estimator(bad, t)
 
 
 GALAMBOS_T = np.array([0.0, 1e-8, 1e-6, 0.5, 1.0 - 1e-6, 1.0])

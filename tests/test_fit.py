@@ -128,12 +128,12 @@ def test_empirical_w_grid_with_exact_pilots(monkeypatch):
     z = rng.random(800)
     q = np.quantile(z, np.arange(1, 21) / 21)
     monkeypatch.setattr(evcop.fit, "cfg_estimator",
-                        lambda zz, qq, from_z: np.ones_like(qq))
+                        lambda zz, qq: np.ones_like(qq))
     grid = empirical_w_grid(z, 20)
     assert np.max(np.abs(grid[1:-1] - q)) <= 1e-12
 
     monkeypatch.setattr(evcop.fit, "cfg_estimator",
-                        lambda zz, qq, from_z: qq * qq - qq + 1.0)
+                        lambda zz, qq: qq * qq - qq + 1.0)
     grid2 = empirical_w_grid(z, 20)
     assert np.max(np.abs(grid2[1:-1] - q * q)) <= 1e-12
 
@@ -149,7 +149,7 @@ def test_empirical_w_grid_increasing(gumbel2_sample):
 
 def _h_hat_knots(coeffs, basis, x_grid):
     """The objective's z-density knots, divided by their trapezoid mass."""
-    t, h, I_h, _ = _HhatPipeline(basis, x_grid).forward(coeffs)
+    (t, h, _), I_h, _ = _HhatPipeline(basis, x_grid).sweep(coeffs)
     return t, h / I_h
 
 
@@ -336,7 +336,7 @@ def test_adjoint_gradient_matches_finite_differences(gumbel_objectives):
     def value_and_bins(theta):
         # the objective has kinks where an observation crosses a moving t
         # node; a valid difference quotient keeps every bin fixed
-        bins = np.searchsorted(lik.pipe.forward(theta)[0], z)
+        bins = np.searchsorted(lik.pipe.sweep(theta)[0][0], z)
         return lik.value(theta), bins
 
     for norm in (0.0, 1.0):
@@ -390,7 +390,7 @@ def test_floored_observations_contribute_nothing(gumbel_objectives):
 
 def _per_observation_hhat(pipe, z, theta):
     """Reference z-density at each observation, located by its own search."""
-    t_full, h_full, I_h, _ = pipe.forward(theta)
+    (t_full, h_full, _), I_h, _ = pipe.sweep(theta)
     idx = np.clip(np.searchsorted(t_full, z, side="right") - 1, 0, pipe.m)
     tl, tr = t_full[idx], t_full[idx + 1]
     s = (z - tl) / (tr - tl)
@@ -404,7 +404,7 @@ def test_data_term_on_sorted_pseudo_angles(gumbel_objectives):
     # search per observation gives, whatever the order of the input
     basis, x_grid, z, omega, center = gumbel_objectives[4.0]
     theta = center + _offset(np.random.default_rng(11), basis.dim, 1.0)
-    t_full = _HhatPipeline(basis, x_grid).forward(theta)[0]
+    t_full = _HhatPipeline(basis, x_grid).sweep(theta)[0][0]
     # segments 20-29 emptied, knots 5-14 hit exactly, 50 observations
     # repeated, and three at the pinned ends, where h_hat is floored
     kept = z[(z < t_full[20]) | (z >= t_full[30])]
@@ -466,7 +466,7 @@ def test_fused_sweep_matches_link_and_h_formula():
         assert len(iterates) >= 5
         for theta in iterates:
             coeffs = theta + lik.center
-            t_full, h_full, _, _ = pipe.forward(coeffs)
+            (t_full, h_full, _), _, _ = pipe.sweep(coeffs)
             e = np.exp(np.clip(pipe.B @ coeffs, -_EXP_CLIP, _EXP_CLIP))
             w, wp, wpp, _, c = pipe.kernel(e.reshape(pipe.kernel.nodes.shape))
             t, a, ap, app = link(pipe.kernel.x_in, w / c, wp / c, wpp / c)
@@ -490,12 +490,12 @@ def test_objective_calls_share_no_state(gumbel_objectives):
     assert value == value1 and np.array_equal(grad, grad1)
 
     pipe = lik.pipe
-    t_full, h_full, I_h, pullback = pipe.forward(theta1 + center)
+    (t_full, h_full, _), I_h, pullback = pipe.sweep(theta1 + center)
     kept = (t_full.copy(), h_full.copy())
     cotangents = (np.cos(np.arange(pipe.m)), np.sin(np.arange(pipe.m)))
     g = pullback(*cotangents)
-    later = pipe.forward(theta2 + center)
-    later[3](*cotangents)
+    later = pipe.sweep(theta2 + center)
+    later[2](*cotangents)
     assert np.array_equal(t_full, kept[0]) and np.array_equal(h_full, kept[1])
     assert np.array_equal(pullback(*cotangents), g)
 
@@ -572,7 +572,7 @@ def test_empty_knot_segments_match_the_references():
     for basis, x_grid, lik, thetas in cases:
         for theta in thetas:
             coeffs = theta + lik.center
-            t_full = lik.pipe.forward(coeffs)[0]
+            t_full = lik.pipe.sweep(coeffs)[0][0]
             bounds = np.concatenate([[0], lik.z.searchsorted(t_full[1:-1]),
                                      [lik.z.size]])
             empties.append(int(np.sum(np.diff(bounds) == 0)))
@@ -595,16 +595,6 @@ def test_floored_and_unfloored_calls_share_no_state(gumbel_objectives):
             hhat = _assert_call_matches_references(pipe, basis, x_grid,
                                                    sample, theta, omega)
             assert (np.min(hhat) <= _LOG_FLOOR) == (sample is floored)
-
-
-def test_descent_is_the_whitened_value_and_grad():
-    # optimize minimizes the likelihood's one-frame descent; it must run as
-    # the generic whitening of value_and_grad does, to the last bit
-    for _, _, lik in _fit_inputs():
-        runs = [_maximize(objective, lik.omega, lik.lam)
-                for objective in (lik, lik.value_and_grad)]
-        (theta1, run1), (theta2, run2) = runs
-        assert np.array_equal(theta1, theta2) and run1 == run2
 
 
 def test_optimize_builds_one_pipeline(gumbel2_sample, monkeypatch):
@@ -1011,9 +1001,42 @@ def test_optimize_calls_the_objective_once_per_evaluation(fit1k_structures,
         calls.clear()
         fm = optimize(z)
         assert len(calls) == fm.evaluations
-        lik = objectives[-1]
+        lik = objectives[-1].__self__
         fresh = _loss_and_grad(lik.pipe, lik.z, fm.theta + lik.center, False)
         assert fm.loglik == fresh[0]
+
+
+
+def test_data_term_memo_is_bounded_and_exact(gumbel_objectives, monkeypatch):
+    # a likelihood called outside optimize keeps at most _MEMO_SIZE data
+    # terms; loglik reads a kept one back and evaluates a cleared one
+    # afresh, both to the last bit of the data term
+    basis, x_grid, z, omega, center = gumbel_objectives[4.0]
+    lik = PenalizedLikelihood(basis, x_grid, z, 1e-4, center)
+    monkeypatch.setattr(evcop.fit, "_MEMO_SIZE", 4)
+    rng = np.random.default_rng(20)
+    thetas = [_offset(rng, basis.dim, 1.0) for _ in range(10)]
+    for theta in thetas:
+        lik.value_and_grad(theta)
+        assert 1 <= len(lik._data_terms) <= 4
+    kept = [theta.tobytes() in lik._data_terms for theta in thetas]
+    assert kept[-1] and not kept[0]
+    fresh = [_loss_and_grad(lik.pipe, lik.z, theta + center, False)[0]
+             for theta in thetas]
+    assert [lik.loglik(theta) for theta in thetas] == fresh
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+def test_penalty_weights_and_radii_must_be_finite(bad):
+    # NaN passes every "< 0" test; it must be refused like a negative value
+    with pytest.raises(InputError, match="finite"):
+        FitConfig(lam=bad)
+    with pytest.raises(InputError, match="finite"):
+        fit_univariate_density(np.array([0.3, 0.5, 0.7]), (0.0, 1.0), 5, bad)
+    with pytest.raises(InputError, match="finite"):
+        random_pickands(bad, 5.0, 1)
+    with pytest.raises(InputError, match="finite"):
+        random_pickands(1e-4, bad, 1)
 
 
 def test_mcmc_gaussian_moments():
@@ -1256,13 +1279,13 @@ def test_objective_and_tabulation_share_the_chain(basis13):
     rng = np.random.default_rng(12)
     for _ in range(10):
         theta = rng.standard_normal(13)
-        t_full = pipe.forward(theta)[0]
+        t_full = pipe.sweep(theta)[0][0]
         w_objective = 1.0 + x[1:-1] - 2.0 * t_full[1:-1]
         grid = normalize_w(williamson_from_density(ClrDensity(basis13, theta), x))
         assert np.max(np.abs(w_objective - grid.w[1:-1])) <= 1e-14
         # the saved model's interior nodes are the objective's knots away
         # from the ends, with the same z-density there up to round-off
-        t, h = t_full[1:-1], pipe.forward(theta)[1][1:-1]
+        t, h = t_full[1:-1], pipe.sweep(theta)[0][1][1:-1]
         inner = (t >= 5e-4) & (t <= 1.0 - 5e-4)
         m = rotate(grid)
         assert np.max(np.abs(t[inner] - m.t[1:-1])) <= 1e-14
