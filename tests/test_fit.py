@@ -1006,7 +1006,6 @@ def test_optimize_calls_the_objective_once_per_evaluation(fit1k_structures,
         assert fm.loglik == fresh[0]
 
 
-
 def test_data_term_memo_is_bounded_and_exact(gumbel_objectives, monkeypatch):
     # a likelihood called outside optimize keeps at most _MEMO_SIZE data
     # terms; loglik reads a kept one back and evaluates a cleared one
