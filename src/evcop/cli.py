@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -28,6 +29,7 @@ from .fit import (
     model_from_dict,
     model_to_dict,
     optimize,
+    optimize_many,
     pipeline_pickands,  # noqa: F401 (perfbench's tracer wraps it here)
     random_pickands,
     z_transform,
@@ -60,6 +62,10 @@ logger = logging.getLogger("evcop")
 _TIE_SHARE = 0.01
 # field separators of input CSV files besides blanks
 _BLANK_SEPARATORS = str.maketrans(",;\t", "   ")
+# most study runs one worker fits in lockstep: per fit, a round's objective
+# pass costs 0.86 of a lone call at 2 fits, 0.57 at 4, 0.53 at 8 and 0.52
+# at 16 (tools/lockstep_cost.py, fit-1k inputs), so more would gain little
+_LOCKSTEP = 16
 
 
 # ---------------------------------------------------------------------------
@@ -163,12 +169,26 @@ def _rebuild_copula(doc: dict) -> tuple[FittedModel, EvCopula]:
 # fit / simulate / evaluate
 
 
+def _check_flag(flag: str, name: str, value, ok: bool, rule: str) -> None:
+    """Raise an InputError naming ``flag`` unless ``ok``; ``name`` is the
+    library's name of the value, which must be ``rule``."""
+    if not ok:
+        raise InputError(f"{flag}: {name} must be {rule}, got {value}")
+
+
+def _check_lambda(flag: str, lam: float) -> None:
+    _check_flag(flag, "lam", lam, 0.0 <= lam < math.inf, "finite and >= 0")
+
+
 def _fit_config_from_args(args) -> FitConfig:
     return FitConfig(basis_dim=args.dim, lam=args.lam,
                      flip=False if args.no_flip_heuristic else None)
 
 
 def cmd_fit(args) -> int:
+    # a cubic spline basis has more than 3 functions
+    _check_flag("--dim", "basis_dim", args.dim, args.dim >= 4, ">= 4")
+    _check_lambda("--lambda", args.lam)
     data = read_pairs(args.input)
     if data.shape[0] < 30:
         raise InputError(f"need at least 30 rows, got {data.shape[0]}")
@@ -204,17 +224,17 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _seed(args) -> int:
+def _check_seed(args) -> None:
     """``--seed``, which numpy's generators take only when non-negative."""
-    if args.seed < 0:
-        raise InputError(f"--seed must be >= 0, got {args.seed}")
-    return args.seed
+    _check_flag("--seed", "seed", args.seed, args.seed >= 0, ">= 0")
 
 
 def cmd_simulate(args) -> int:
+    _check_flag("-n", "n", args.n, args.n >= 1, ">= 1")
+    _check_seed(args)
     doc = _load_json(args.model)
     _, cop = _rebuild_copula(doc)
-    sample = cop.simulate(args.n, seed=_seed(args))
+    sample = cop.simulate(args.n, seed=args.seed)
     write_pairs(args.output, sample)
     print(f"wrote {args.n} rows to {args.output}")
     return 0
@@ -282,27 +302,50 @@ def _family_copula(conf: dict) -> EvCopula:
                                        khoudraji=kh))
 
 
-def _study_run(payload):
-    """One study run: simulate from the truth, fit, score."""
-    truth, cfg, size, seed_key, copula_id, replicate, t_grid = payload
-    rng = np.random.default_rng(np.random.SeedSequence(seed_key))
-    start = time.perf_counter()
-    row = {"copula_id": copula_id, "sample_size": size,
-           "replicate": replicate, "tvd": float("nan"),
-           "gini": float("nan"), "beta": float("nan")}
-    curve = error = None
-    try:
-        sample = truth.simulate(size, seed=rng)
-        fitted = optimize(z_transform(sample), cfg)
-        row.update(tvd=tvd_copulas(EvCopula(fitted.pickands), truth),
-                   gini=gini_from_pickands(fitted.pickands),
-                   beta=blomqvist_beta(fitted.pickands))
-        if t_grid is not None:
-            curve = np.asarray(fitted.pickands(t_grid))
-    except EvcopError as exc:  # recorded, not fatal
-        error = str(exc)
-    row["runtime_s"] = time.perf_counter() - start
-    return row, curve, error
+def _study_run(group):
+    """One group of study runs: simulate each, fit them in lockstep, score each.
+
+    Returns ``(row, curve, error)`` per run.  A run that fails keeps its row
+    with NaN scores and records its error; the others go on.  ``runtime_s``
+    is the run's own time: its simulation, fit set-up, tabulation and
+    scoring, and its share of the lockstep rounds of the descent (see
+    :func:`evcop.fit.optimize_many`).
+    """
+    rows, samples = [], []
+    curves, errors = [None] * len(group), [None] * len(group)
+    for i, payload in enumerate(group):
+        truth, _, size, seed_key, copula_id, replicate, _ = payload
+        start = time.perf_counter()
+        rows.append({"copula_id": copula_id, "sample_size": size,
+                     "replicate": replicate, "tvd": float("nan"),
+                     "gini": float("nan"), "beta": float("nan")})
+        rng = np.random.default_rng(np.random.SeedSequence(seed_key))
+        try:
+            samples.append(z_transform(truth.simulate(size, seed=rng)))
+        except EvcopError as exc:  # recorded, not fatal
+            samples.append(None)
+            errors[i] = str(exc)
+        rows[i]["runtime_s"] = time.perf_counter() - start
+    fitting = [i for i, z in enumerate(samples) if z is not None]
+    fits = optimize_many([samples[i] for i in fitting],
+                         [group[i][1] for i in fitting])
+    for i, (fitted, seconds) in zip(fitting, fits):
+        start = time.perf_counter()
+        truth, t_grid = group[i][0], group[i][6]
+        if isinstance(fitted, EvcopError):
+            errors[i] = str(fitted)
+        else:
+            try:
+                rows[i].update(
+                    tvd=tvd_copulas(EvCopula(fitted.pickands), truth),
+                    gini=gini_from_pickands(fitted.pickands),
+                    beta=blomqvist_beta(fitted.pickands))
+                if t_grid is not None:
+                    curves[i] = np.asarray(fitted.pickands(t_grid))
+            except EvcopError as exc:
+                errors[i] = str(exc)
+        rows[i]["runtime_s"] += seconds + time.perf_counter() - start
+    return list(zip(rows, curves, errors))
 
 
 def _worker_count(requested=None) -> int:
@@ -384,15 +427,20 @@ def run_study(spec: dict, workers: int = 1):
     payloads = [(truth, cfg, size, (seed, cid, si, rep), cid, rep, t_grid)
                 for cid, (truth, cfg) in enumerate(zip(truths, cfgs))
                 for si, size in enumerate(sizes) for rep in range(reps)]
-    if workers <= 1 or len(payloads) <= 1:
-        results = [_study_run(p) for p in payloads]
+    # consecutive runs in groups that each worker fits in lockstep, at most
+    # _LOCKSTEP runs and enough groups to keep every worker busy
+    step = min(_LOCKSTEP, -(-len(payloads) // max(workers, 1)))
+    groups = [payloads[i:i + step] for i in range(0, len(payloads), step)]
+    if workers <= 1 or len(groups) <= 1:
+        results = [_study_run(g) for g in groups]
     else:
         # imported here: multiprocessing and its sockets cost every other
         # command about 15 ms of start-up
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_study_run, payloads))
+            results = list(pool.map(_study_run, groups))
+    results = [run for group in results for run in group]
     rows = [r for r, _, _ in results]
     meta = {"summary": _summarize(rows),
             "errors": [e for _, _, e in results if e]}
@@ -423,8 +471,9 @@ def _write_rows(path, rows, columns):
 
 
 def cmd_study(args) -> int:
+    workers = _worker_count(args.workers)
     spec = _load_json(args.spec)
-    _, rows, meta = run_study(spec, _worker_count(args.workers))
+    _, rows, meta = run_study(spec, workers)
     _write_rows(args.output, rows,
                 ["copula_id", "sample_size", "replicate", "tvd", "gini",
                  "beta", "runtime_s"])
@@ -490,13 +539,26 @@ def joint_pipeline(data: np.ndarray, margin_dim: int = 17,
 
 
 def cmd_joint(args) -> int:
+    _check_flag("--samples", "n", args.samples, args.samples >= 1, ">= 1")
+    # a margin basis of dim d has d - 3 interior knots, a copula basis more
+    # than 3 functions
+    _check_flag("--margin-dim", "dim", args.margin_dim, args.margin_dim >= 3,
+                ">= 3")
+    _check_lambda("--margin-lambda", args.margin_lam)
+    _check_flag("--dim", "basis_dim", args.dim, args.dim >= 4, ">= 4")
+    _check_lambda("--lambda", args.lam)
+    if args.bounds:
+        lo, hi = args.bounds
+        _check_flag("--bounds", "bounds", f"{lo:g} {hi:g}", lo < hi,
+                    "two numbers a < b")
+    _check_seed(args)
     data = read_pairs(args.input)
     os.makedirs(args.outdir, exist_ok=True)
     bounds = tuple(args.bounds) if args.bounds else None
     margin, fitted, final, joint, doubled = joint_pipeline(
         data, margin_dim=args.margin_dim, margin_lam=args.margin_lam,
         copula_dim=args.dim, copula_lam=args.lam, bounds=bounds,
-        n_samples=args.samples, seed=_seed(args))
+        n_samples=args.samples, seed=args.seed)
 
     margin_doc = {
         "version": 1,

@@ -17,6 +17,7 @@ import numpy as np
 from ._quad import cumulative_trapezoid
 from .errors import InputError
 from .pickands import khoudraji
+from .splinebasis import ascending
 from .williamson import JetReads
 
 __all__ = [
@@ -253,7 +254,7 @@ def cfg_estimator(sample, t_grid) -> np.ndarray:
         raise InputError("t values must lie in [0, 1]")
 
     grid = np.linspace(0.0, 1.0, 1024)
-    zs = np.sort(z)
+    zs = ascending(z)
     hcdf = np.searchsorted(zs, grid, side="right") / z.size
     with np.errstate(divide="ignore", invalid="ignore"):
         integrand = (hcdf - grid) / (grid * (1.0 - grid))

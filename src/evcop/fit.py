@@ -32,14 +32,29 @@ L-BFGS-B without bounds that keeps every curvature pair since its last
 restart and evaluates no point twice in a line search.  Only one trial step
 differs: in a bracket that straddles a kink the search tries where the end
 tangents meet (:func:`_kink_step`), not Moré and Thuente's cubic.  The data
-term at the optimizer's last point is read back, not evaluated again.  The
-pilot grid and the flip heuristic read the sample through one sorted copy each.
+term at the optimizer's last point is read back, not evaluated again.  A
+copula fit sorts its sample once; the flip heuristic, the pilot grid and
+the likelihood read the sorted values.
+
+The optimizer is one generator, :func:`_descent`, that yields the points
+it needs evaluated.  :func:`minimize` drives one descent with a function:
+a lone fit (:func:`optimize`, the univariate fit).  :func:`optimize_many`
+drives the descents of many copula fits in lockstep
+(:func:`_descend_together`), as a simulation study's runs are fitted: each
+round evaluates the next point of every open fit in one objective pass on
+a stack of pipelines (:meth:`_HhatPipeline.stack`), one per grid size.  An
+evaluation at n = 1000 is mostly the fixed cost of about a hundred numpy
+calls, which a pass shares: per fit it costs 0.86 of a lone call at two
+fits, 0.57 at four and 0.52 at sixteen (``tools/lockstep_cost.py``).  The
+pass keeps each fit's BLAS products, dot products, sums and penalty per
+fit, so every fit takes the steps and returns the bits it does alone.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import time
 from itertools import islice
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -47,7 +62,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bayes import ClrDensity, mass_rule
-from .errors import InputError, NumericalError, read_field
+from .errors import EvcopError, InputError, NumericalError, read_field
 from .families import cfg_estimator
 from .pickands import (
     PickandsModel,
@@ -57,6 +72,7 @@ from .pickands import (
 from .splinebasis import (
     KnotConfig,
     ZBasis,
+    ascending,
     build_zb_basis,
     curvature_matrix,
     project_center,
@@ -80,6 +96,7 @@ __all__ = [
     "empirical_w_grid",
     "PenalizedLikelihood",
     "optimize",
+    "optimize_many",
     "ordering_heuristic",
     "fit_univariate_density",
     "UnivariateDensityFit",
@@ -179,14 +196,15 @@ def ordering_heuristic(z_sample) -> bool:
     1/2 indicates the steep part of the transform would land near 0; flipping
     ``z -> 1 - z`` (and mirroring the fitted Pickands function afterwards)
     avoids it.  Ties break toward not flipping.  The bins are counted as
-    ``np.histogram(z, 32, (0, 1))`` counts them, by one search on a sorted
-    copy: bin ``j`` holds ``j/32 <= z < (j + 1)/32``, the last one also
-    ``z = 1``, and values outside [0, 1] are left out.
+    ``np.histogram(z, 32, (0, 1))`` counts them, by one search on the
+    sorted sample (:func:`evcop.splinebasis.ascending`): bin ``j`` holds
+    ``j/32 <= z < (j + 1)/32``, the last one also ``z = 1``, and values
+    outside [0, 1] are left out.
     """
     z = np.asarray(z_sample, dtype=float)
     if z.size == 0:
         raise InputError("empty sample")
-    zs = np.sort(z, axis=None)
+    zs = ascending(z.ravel())
     below = zs.searchsorted(_BIN_EDGES, side="left")
     below[-1] = zs.searchsorted(1.0, side="right")
     counts = below[1:] - below[:-1]
@@ -209,7 +227,7 @@ def empirical_w_grid(z_sample, k: int) -> np.ndarray:
     if z.size == 0:
         raise InputError("empty sample")
     # the pilot reads the sample only through its sorted values
-    zs = np.sort(z, axis=None)
+    zs = ascending(z.ravel())
     q = sorted_quantiles(zs, np.arange(1, k + 1) / (k + 1))
     x = q + cfg_estimator(zs, q) - 1.0
     x = np.clip(x, 1e-9, 1.0 - 1e-9)
@@ -225,7 +243,7 @@ def empirical_w_grid(z_sample, k: int) -> np.ndarray:
 
 
 class _HhatPipeline:
-    """Precomputed design matrix for the coefficient-to-z-density chain.
+    """Precomputed design matrices for the coefficient-to-z-density chain.
 
     The basis is evaluated once at the quadrature nodes of the Williamson
     kernel on the grid; per-iteration work is array arithmetic on the grid.
@@ -236,6 +254,18 @@ class _HhatPipeline:
     The exact gradient is one reverse (adjoint) sweep: closed-form partials
     of ``h`` in ``(W, W', W'')`` built from the forward pass's arrays, the
     kernel's transpose and one product with the design matrix.
+
+    The constructor builds one fit's pipeline; :meth:`stack` joins the
+    pipelines of several fits whose grids and bases have one size, and
+    every array of a stack's passes carries a leading fit axis.  One set
+    of formulas serves both: the elementwise passes, the kernel and its
+    transpose run once for a whole stack, while the products with each
+    fit's design matrix and the dot products over a grid (``matvec``,
+    ``vecmat`` and ``vecdot`` make the BLAS calls ``@`` makes for one fit)
+    sum per fit, so each fit's knots and gradient in a stack are those of
+    its own pipeline, to the last bit.  A lone fit's per-fit values (its
+    W(0+) mass, the mass of its z-density) are numpy scalars, which numpy
+    takes several times faster than one-element arrays.
 
     The pipeline holds no data: :func:`_loss_and_grad` passes it the
     cotangents of the knots.  Its one buffer kept between calls is
@@ -249,28 +279,42 @@ class _HhatPipeline:
         self.m = self.kernel.x_in.size
         self.B = basis.evaluate(self.kernel.nodes.ravel())
         self._half_xp = 0.5 * (1.0 + self.kernel.x_in)
-        self.bounds = np.zeros(self.m + 2, dtype=np.intp)
+        self.bounds = np.zeros(self.m + 3, dtype=np.intp)
+
+    @classmethod
+    def stack(cls, pipes) -> _HhatPipeline:
+        """One pipeline for several fits whose grids and bases have one size."""
+        out = cls.__new__(cls)
+        out.kernel = WilliamsonKernel.stack([p.kernel for p in pipes])
+        out.m = pipes[0].m
+        out.B = np.stack([p.B for p in pipes])
+        out._half_xp = np.stack([p._half_xp for p in pipes])
+        out.bounds = np.zeros((len(pipes), out.m + 3), dtype=np.intp)
+        return out
 
     def sweep(self, theta: np.ndarray):
         """Knots ``(t, h)`` of the z-density, their mass and a pullback.
 
-        ``theta`` must be a float array.  Returns ``(knots, I_h, pullback)``,
-        fresh on every call.  Rows 0 and 1 of the (3, m + 2) block ``knots``
+        ``theta`` must be a float array, of shape (dim,) for one fit's
+        pipeline and (fits, dim) for a stack, whose outputs gain the same
+        leading axis.  Returns ``(knots, I_h, pullback)``, fresh on every
+        call.  Rows 0 and 1 of the block ``knots``, (3, m + 2) for one fit,
         are ``t_full`` and ``h_full``; row 2 is zero, free for the caller
         (:func:`_loss_and_grad` writes the segment slopes there).
-        ``pullback(gt, gh)`` maps cotangents of ``t_full[1:-1]`` and
-        ``h_full[1:-1]`` to the gradient in ``theta``.
+        ``pullback(gt, gh)`` maps cotangents of ``t_full[..., 1:-1]`` and
+        ``h_full[..., 1:-1]`` to the gradient in ``theta``.
         """
-        p = self.B @ theta
+        p = np.matvec(self.B, theta)
         # exponentials clipped at +-_EXP_CLIP are constant in theta; a call
         # that clips none skips the clip and the zeroing of their gradient
-        clip = np.abs(p).max() >= _EXP_CLIP
+        clip = np.maximum.reduce(np.abs(p), axis=None) >= _EXP_CLIP
         e = np.exp(p.clip(-_EXP_CLIP, _EXP_CLIP) if clip else p)
         kernel = self.kernel
         # dividing by the W(0+) mass, as normalize_w does for tabulated
         # models, also normalizes the density: the kernel is linear
         w, wp, wpp, _, c = kernel(e.reshape(kernel.nodes.shape))
-        Wp = wp / c
+        c_col = _column(c)
+        Wp = wp / c_col
         # the affine link and the z-density in the operation order of link
         # and h_formula, so that the knots round as the saved model's do;
         # scaling by powers of 2 is exact, so W/2 = w/(2c) and 4 W'' / d^3
@@ -278,21 +322,22 @@ class _HhatPipeline:
         dn = 1.0 - Wp                             # 1/d, d = 1/(1 - W')
         ap = (1.0 + Wp) / dn                      # A'
         dn3 = dn ** 3
-        app = wpp / (0.25 * c) / dn3              # A''
-        half_w = w / (2.0 * c)
-        knots = np.zeros((3, self.m + 2))
-        t_full, h_full, _ = knots
-        t_full[-1] = 1.0
-        t = np.subtract(self._half_xp, half_w, out=t_full[1:-1])
+        app = wpp / (0.25 * c_col) / dn3          # A''
+        half_w = w / (2.0 * c_col)
+        knots = np.zeros((3, *theta.shape[:-1], self.m + 2))
+        # rows by index: unpacking iterates, at several times the cost
+        t_full, h_full = knots[0], knots[1]
+        t_full[..., -1] = 1.0
+        t = np.subtract(self._half_xp, half_w, out=t_full[..., 1:-1])
         a = self._half_xp + half_w                # A
         r = ap / a
         q = 1.0 - 2.0 * t                         # W - x
         tt = t * (1.0 - t)
         s = app / a
         u = s - r * r
-        h = np.add(1.0 + q * r, tt * u, out=h_full[1:-1])
+        h = np.add(1.0 + q * r, tt * u, out=h_full[..., 1:-1])
         # trapezoid weights of the interior knots; h is 0 at both ends
-        I_h = float((0.5 * (t_full[2:] - t_full[:-2])).dot(h))
+        I_h = np.vecdot(0.5 * (t_full[..., 2:] - t_full[..., :-2]), h)
 
         def pullback(gt, gh):
             # h = 1 + q r + t(1 - t)(s - r^2) in q = W - x, r = A'/A and
@@ -307,87 +352,128 @@ class _HhatPipeline:
             gWpp = 4.0 * gs / (a * dn3)
             # the division by c, which is linear: the sweep runs on c times
             # the cotangents of the unnormalized (w, wp, wpp).  wp is the
-            # kernel's reversed view: gWp @ wp sums in that order, and a
-            # contiguous copy would sum in another and change last bits
-            gc = -(gW @ w + gWp @ wp + gWpp @ wpp) / c
+            # kernel's reversed view: a dot product with wp sums in that
+            # order, and a contiguous copy would sum in another and change
+            # last bits
+            gc = -(np.vecdot(gW, w) + np.vecdot(gWp, wp)
+                   + np.vecdot(gWpp, wpp)) / c
             gfv = kernel.transpose(gW, gWp, gWpp, gc)
             # clipped exponentials are constant in theta
-            gfv = gfv.ravel() * e
+            gfv = gfv.reshape(e.shape) * e
             if clip:
                 gfv[np.abs(p) >= _EXP_CLIP] = 0.0
-            return gfv @ self.B / c
+            return np.vecmat(gfv, self.B) / c_col
 
         return knots, I_h, pullback
 
 
-def _loss_and_grad(pipe: _HhatPipeline, z: np.ndarray, theta: np.ndarray,
+def _column(values):
+    """Per-fit values shaped to broadcast against arrays with a fit axis.
+
+    A stack's (fits,) array becomes a column; a lone fit's numpy scalar
+    stays one.
+    """
+    return values[:, None] if values.ndim else values
+
+
+def _loss_and_grad(pipe: _HhatPipeline, z, theta: np.ndarray,
                    want_grad: bool):
     """Data term ``sum log h_hat(z_i)`` at ``theta`` and, if wanted, its gradient.
 
-    ``z`` must be sorted ascending (:class:`PenalizedLikelihood` sorts it
-    once) and ``theta`` a float array.  The z-density is linear on each
-    knot segment ``[t_j, t_{j+1})``, ``h = h_j + beta_j (z - t_j)``, so the
-    segments are located by one search per knot, not per observation.  An
-    observation at ``t_j`` belongs to segment ``j``; the end segments take
-    anything beyond ``[0, 1]``.  The gradient needs only ``S0_j``, the sum
-    of ``1 / h``, and ``S1_j``, the sum of ``(z - t_j) / h``, over the live
-    observations of each segment (``h_hat`` above the log floor): the knot
-    cotangents follow from them in arithmetic on the grid, and the
-    pipeline's adjoint sweep (closed-form partials of ``h`` in ``(W, W',
-    W'')``) carries them to ``theta``.  The objective has kinks where an
-    observation meets a moving knot; the gradient is exact between them.
+    ``z`` must be sorted ascending and not empty (:class:`PenalizedLikelihood`
+    sorts it once) and ``theta`` a float array.  For a stacked pipeline,
+    ``z`` holds each fit's sample and ``theta`` has shape (fits, dim); the
+    data terms come as a list and the gradients as rows.  The z-density is
+    linear on each knot segment ``[t_j, t_{j+1})``, ``h = h_j + beta_j (z -
+    t_j)``, so the segments are located by one search per knot, not per
+    observation.  An observation at ``t_j`` belongs to segment ``j``; the
+    end segments take anything beyond ``[0, 1]``.  The gradient needs only
+    ``S0_j``, the sum of ``1 / h``, and ``S1_j``, the sum of ``(z - t_j) /
+    h``, over the live observations of each segment (``h_hat`` above the
+    log floor): the knot cotangents follow from them in arithmetic on the
+    grid, and the pipeline's adjoint sweep (closed-form partials of ``h``
+    in ``(W, W', W'')``) carries them to ``theta``.  The objective has
+    kinks where an observation meets a moving knot; the gradient is exact
+    between them.
 
-    Each call writes the segment bounds into the pipeline's ``bounds``
-    buffer; every other array is fresh, so calls share nothing else.  The
-    floor and the zero sums of empty segments cost array passes only on
-    the calls that need them.
+    A stack's observations are laid end to end, so one expansion of the
+    knots, the passes over the observations and one segment reduction
+    serve all its fits; the searches, and each data term's sum over the
+    fit's own observations, run per fit, as for a lone fit.  Each call
+    writes the segment bounds into the pipeline's ``bounds`` buffer; every
+    other array is fresh, so calls share nothing else.  The floor and the
+    zero sums of empty segments cost array passes only on the calls that
+    need them.
     """
     knots, I_h, pullback = pipe.sweep(theta)
-    I_h = max(I_h, 1e-300)
-    t_full, h_full, beta = knots
-    bounds = pipe.bounds  # bounds[0] stays 0
-    bounds[-1] = z.size
-    bounds[1:-1] = z.searchsorted(t_full[1:-1], side="left")
-    counts = bounds[1:] - bounds[:-1]
-    delta = t_full[1:] - t_full[:-1]
-    np.divide(h_full[1:] - h_full[:-1], delta, out=beta[:-1])
+    lone = theta.ndim == 1
+    I_h = max(I_h, 1e-300) if lone else np.maximum(I_h, 1e-300)
+    t_full, h_full, beta = knots[0], knots[1], knots[2]
+    # per fit: the start of each segment in its sample, then the sample's
+    # size twice, so that its end knot expands to no observation; column 0
+    # stays 0
+    bounds = pipe.bounds
+    for row, z_f, t_f in ((bounds, z, t_full),) if lone \
+            else zip(bounds, z, t_full):
+        row[1:-2] = z_f.searchsorted(t_f[1:-1], side="left")
+        row[-2:] = z_f.size
+    sizes = bounds[..., -1]
+    if not lone:
+        # the same bounds in the samples laid end to end
+        bounds = bounds + (np.cumsum(sizes) - sizes)[:, None]
+        z = np.concatenate(z)
+    counts = bounds[..., 1:] - bounds[..., :-1]
+    delta = t_full[..., 1:] - t_full[..., :-1]
+    np.divide(h_full[..., 1:] - h_full[..., :-1], delta, out=beta[..., :-1])
     # one expansion of (t_j, h_j, beta_j) to the observations; the passes
     # over them then run in place in its rows: at large n each fresh array
     # costs more in page faults than its arithmetic
-    per_obs = knots[:, :-1].repeat(counts, axis=1)
-    dz, hhat, raw = per_obs
+    per_obs = knots.reshape(3, -1).repeat(counts.ravel(), axis=1)
+    dz, hhat, raw = per_obs[0], per_obs[1], per_obs[2]
     np.subtract(z, dz, out=dz)
     raw *= dz
     raw += hhat
-    # division by I_h > 0 keeps the order, so the least raw value tells
-    # whether any h_hat is floored or any raw value below 1e-300
-    low = np.minimum.reduce(raw) if z.size else np.inf
-    floored = not (low >= 1e-300 and low / I_h > _LOG_FLOOR)
-    np.divide(raw, I_h, out=hhat)
+    # division by I_h > 0 keeps the order, so no fit floors an h_hat or
+    # has a raw value below 1e-300 when the least raw value is 1e-300 or
+    # more and, over the largest I_h, above the floor.  Else every fit takes
+    # the floor step, which changes nothing where nothing is floored
+    low = np.minimum.reduce(raw)
+    floored = not (low >= 1e-300
+                   and low / (I_h if lone else I_h.max()) > _LOG_FLOOR)
+    np.divide(raw, I_h if lone else I_h.repeat(sizes), out=hhat)
     if floored:
         live = hhat > _LOG_FLOOR
         np.maximum(hhat, _LOG_FLOOR, out=hhat)
-    ll = float(np.add.reduce(np.log(hhat, out=hhat)))
+    np.log(hhat, out=hhat)
+    if lone:
+        ll = float(np.add.reduce(hhat))
+    else:
+        ends = bounds[:, -1].tolist()
+        ll = [float(np.add.reduce(hhat[a:b]))
+              for a, b in zip([0] + ends, ends)]
     if not want_grad:
         return ll, None
 
     if floored:
         inv_raw = np.divide(live, np.maximum(raw, 1e-300, out=raw), out=raw)
-        n_live = np.count_nonzero(live)
+        n_live = np.count_nonzero(live) if lone \
+            else np.add.reduceat(live, bounds[:, 0])
     else:
         inv_raw = np.divide(1.0, raw, out=raw)
-        n_live = z.size
+        n_live = sizes
     dz *= inv_raw
     # rows (S0, S1) from one reduction over the rows (1/h, (z - t)/h).
     # reduceat sums each start up to the next one, so when a segment is
     # empty only the others are passed, and the empty ones keep zero sums
-    if np.count_nonzero(counts) == counts.size:
-        sums = np.add.reduceat(per_obs[::-2], bounds[:-1], axis=1)
+    seg_starts = bounds[..., :-2].ravel()
+    if np.count_nonzero(counts) == seg_starts.size:
+        sums = np.add.reduceat(per_obs[::-2], seg_starts, axis=1)
     else:
-        full = counts > 0
-        sums = np.zeros((2, pipe.m + 1))
-        sums[:, full] = np.add.reduceat(per_obs[::-2], bounds[:-1][full],
+        full = counts[..., :-1].ravel() > 0
+        sums = np.zeros((2, seg_starts.size))
+        sums[:, full] = np.add.reduceat(per_obs[::-2], seg_starts[full],
                                         axis=1)
+    sums.shape = (2, *delta.shape)
     # segment j sends a_j to h_j, b_j to h_{j+1}, -beta_j a_j to t_j and
     # -beta_j b_j to t_{j+1}; the end knots are pinned.  The data give
     # a_j = S0_j - q_j and b_j = q_j = S1_j / delta_j; the trapezoid mass
@@ -396,10 +482,10 @@ def _loss_and_grad(pipe: _HhatPipeline, z: np.ndarray, theta: np.ndarray,
     # the rows (S0, S1) become (a, b).
     sums[1] /= delta
     sums[0] -= sums[1]
-    sums += (-0.5 * n_live / I_h) * delta
-    gh = sums[0, 1:] + sums[1, :-1]
-    sums *= beta[:-1]
-    gt = -(sums[0, 1:] + sums[1, :-1])
+    sums += _column(-0.5 * n_live / I_h) * delta
+    gh = sums[0, ..., 1:] + sums[1, ..., :-1]
+    sums *= beta[..., :-1]
+    gt = -(sums[0, ..., 1:] + sums[1, ..., :-1])
     return ll, pullback(gt, gh)
 
 
@@ -409,24 +495,26 @@ class PenalizedLikelihood:
     ``value(theta) = sum log h_hat(z_i) - lam * theta' Omega theta``, the data
     term (densities floored at 1e-12) taken at ``theta + center``: a dominating
     penalty collapses a fit onto the center model.  The basis is evaluated on
-    the grid once, here, and the pseudo-angles are sorted once into ``z`` (a
-    copy: the caller's array is left as it is); the sum is order-free, and
-    sorted data let the data term work per knot segment.  Each call of
-    :meth:`value_and_grad` keeps its data term, by the bytes of ``theta``, for
-    :meth:`loglik`; the memo is cleared once it holds more entries than one
-    optimizer run makes (``_MEMO_SIZE``), and a miss evaluates afresh.
+    the grid once, here, and the pseudo-angles are kept sorted in ``z`` (the
+    caller's array when it is sorted already, else a sorted copy); the sum
+    is order-free, and sorted data let the data term work per knot segment.
+    Each value the objective takes (:meth:`value_and_grad`, or a stack of
+    fits evaluated together) keeps its data term, by the bytes of
+    ``theta``, for :meth:`loglik`; the memo is cleared once it holds more
+    entries than one optimizer run makes (``_MEMO_SIZE``), and a miss
+    evaluates afresh.
     """
 
     def __init__(self, basis: ZBasis, x_grid, z, lam: float, center=0.0):
         self.pipe = _HhatPipeline(basis, x_grid)
         self.omega = curvature_matrix(basis)
-        self.z = np.sort(np.asarray(z, dtype=float))
+        self.z = ascending(np.asarray(z, dtype=float))
         self.lam = float(lam)
         self.center = np.zeros(basis.dim) + center
         self._data_terms = {}
 
     def loglik(self, theta) -> float:
-        """The data term alone; read back where value_and_grad took it."""
+        """The data term alone; read back where the objective took it."""
         ll = self._data_terms.get(np.asarray(theta, dtype=float).tobytes())
         if ll is not None:
             return ll
@@ -442,6 +530,10 @@ class PenalizedLikelihood:
         """Value and exact reverse-mode (adjoint) gradient."""
         theta = np.asarray(theta, dtype=float)
         ll, grad = _loss_and_grad(self.pipe, self.z, theta + self.center, True)
+        return self._penalize(theta, ll, grad)
+
+    def _penalize(self, theta, ll, grad):
+        """The objective at ``theta`` from its data term and that term's gradient."""
         if len(self._data_terms) >= _MEMO_SIZE:
             self._data_terms.clear()
         self._data_terms[theta.tobytes()] = ll
@@ -614,13 +706,15 @@ def _kink_step(stx, fx, gx, sty, fy, gy):
     return stx + frac * (sty - stx)
 
 
-def _line_search(fun, x, z, d, finit, g0, ginit, stp):
+def _line_search(x, z, d, finit, g0, ginit, stp):
     """Moré & Thuente's search (MINPACK-2 ``dcsrch``) along ``d`` from ``x``.
 
-    ``z = x + d`` is the full step, ``finit``, ``g0`` and ``ginit`` the
-    value, gradient and slope at ``x``, and ``stp`` the first trial step.
-    Returns ``(stp, x, f, g, slope)`` at the accepted step, or None after
-    ``_MAXLS`` trials without one, and the count of evaluations.  As in
+    A generator, as :func:`_descent` is: it yields each trial point and is
+    sent the objective's value and gradient there.  ``z = x + d`` is the
+    full step, ``finit``, ``g0`` and ``ginit`` the value, gradient and
+    slope at ``x``, and ``stp`` the first trial step.  Returns ``(stp, x,
+    f, g, slope)`` at the accepted step, or None after ``_MAXLS`` trials
+    without one, and the count of evaluations.  As in
     L-BFGS-B, a search that warns accepts the step it last evaluated.  One
     step differs from ``dcsrch``: when the ends of a bracket have slopes of
     opposite sign and their tangents meet near one end, as they do across a
@@ -645,7 +739,7 @@ def _line_search(fun, x, z, d, finit, g0, ginit, stp):
         xt = z if stp == 1.0 else x + stp * d
         key = xt.tobytes()
         if key not in seen:
-            seen[key] = fun(xt)
+            seen[key] = yield xt
         f, g = seen[key]
         f, gd = float(f), float(g @ d)
         if not (math.isfinite(f) and math.isfinite(gd)):
@@ -695,8 +789,25 @@ def _line_search(fun, x, z, d, finit, g0, ginit, stp):
 def minimize(fun, x0, callback=None) -> _Minimum:
     """Unbounded L-BFGS-B minimization of ``fun``, which returns value and gradient.
 
-    A numpy port of what L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995, v3.0 as
-    scipy ships it) does without bounds, with its constants, stop rules and
+    Runs :func:`_descent`, calling ``fun`` at each point it yields.
+    """
+    steps = _descent(x0, callback)
+    try:
+        x = next(steps)
+        while True:
+            x = steps.send(fun(x))
+    except StopIteration as stop:
+        return stop.value
+
+
+def _descent(x0, callback=None):
+    """Unbounded L-BFGS-B from ``x0``, as a generator of the points to evaluate.
+
+    Each point it yields is sent back its objective value and gradient;
+    it returns the :class:`_Minimum`.  :func:`minimize` drives one descent
+    with a function, :func:`_descend_together` many in lockstep.  A numpy
+    port of what L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995, v3.0 as scipy
+    ships it) does without bounds, with its constants, stop rules and
     message strings.  It follows L-BFGS-B except for the trial step inside a
     line-search bracket that straddles a kink (see :func:`_line_search`),
     which smooth functions do not meet.  The direction is ``-H g``, with
@@ -711,12 +822,11 @@ def minimize(fun, x0, callback=None) -> _Minimum:
     first step is ``1/|g|``, later first steps 1.  A pair is skipped when
     ``s'y <= eps (-g'd stp)``.  A failed line search restarts once from
     steepest descent, then stops "ABNORMAL".  ``callback``, when given,
-    receives every accepted iterate.  ``nfev`` counts the calls of ``fun``;
-    no line search makes two at one point or one at its start (see
-    :func:`_line_search`).
+    receives every accepted iterate.  ``nfev`` counts the points evaluated;
+    no line search yields one twice or its start (see :func:`_line_search`).
     """
     x = np.array(x0, dtype=float)
-    f, g = fun(x)
+    f, g = yield x
     f, f_old = float(f), math.nan  # no reduction to test before a step
     nit, nfev, k = 0, 1, 0
     # the k pairs since the last restart by rows, oldest first: T = R^-1 S,
@@ -746,8 +856,8 @@ def minimize(fun, x0, callback=None) -> _Minimum:
         d = z - x
         gd = float(g @ d)
         stp = min(1.0 / math.sqrt(float(d @ d)), _STPMAX) if nit == 0 else 1.0
-        found, evals = (_line_search(fun, x, z, d, f, g, gd, stp) if gd < 0.0
-                        else (None, 0))
+        found, evals = ((yield from _line_search(x, z, d, f, g, gd, stp))
+                        if gd < 0.0 else (None, 0))
         nfev += evals
         if found is None:
             if k == 0:
@@ -781,15 +891,29 @@ class _OptimizerRun(NamedTuple):
     message: str
 
 
+def _ascent(white: np.ndarray, res: _Minimum):
+    """The maximizer and :class:`_OptimizerRun` of a descent in whitened coordinates.
+
+    The run converged when the optimizer reports success (either of
+    L-BFGS-B's convergence stops), or when no final gradient entry exceeds
+    the tolerance.
+    """
+    grad_max = float(np.max(np.abs(res.jac)))
+    converged = bool(res.success) or grad_max <= _GRAD_TOL
+    if not converged:
+        logger.warning("optimizer stopped without convergence: %s",
+                       res.message)
+    return white @ res.x, _OptimizerRun(converged, int(res.nit), int(res.nfev),
+                                        grad_max, str(res.message))
+
+
 def _maximize(value_and_grad, omega: np.ndarray, lam: float, callback=None):
     """Ascent from zero by :func:`minimize`, in coordinates whitened by the penalty.
 
     Any ``value_and_grad(theta)`` is descended as ``phi -> (-value, -S
     grad)`` at ``theta = S phi``, with ``S`` from :func:`_penalty_whitener`;
     ``callback``, when given, receives every accepted iterate.  Returns the
-    maximizer and an :class:`_OptimizerRun`.  The run converged when the
-    optimizer reports success (either of L-BFGS-B's convergence stops), or
-    when no final gradient entry exceeds the tolerance.
+    maximizer and an :class:`_OptimizerRun` (see :func:`_ascent`).
     """
     white = _penalty_whitener(omega, lam)
 
@@ -798,16 +922,104 @@ def _maximize(value_and_grad, omega: np.ndarray, lam: float, callback=None):
         value, grad = value_and_grad(white.dot(phi))
         return -value, white.dot(-grad)
 
-    res = minimize(negloss_white, np.zeros(omega.shape[0]),
-                   None if callback is None
-                   else lambda phi: callback(white @ phi))
-    grad_max = float(np.max(np.abs(res.jac)))
-    converged = bool(res.success) or grad_max <= _GRAD_TOL
-    if not converged:
-        logger.warning("optimizer stopped without convergence: %s",
-                       res.message)
-    return white @ res.x, _OptimizerRun(converged, int(res.nit), int(res.nfev),
-                                        grad_max, str(res.message))
+    return _ascent(white, minimize(
+        negloss_white, np.zeros(omega.shape[0]),
+        None if callback is None else lambda phi: callback(white @ phi)))
+
+
+def _descend_together(liks):
+    """:func:`_maximize` of each likelihood's ``value_and_grad``, all in lockstep.
+
+    Each round evaluates the pending point of every open descent: the fits
+    whose grids and bases have one size share one :func:`_loss_and_grad`
+    call on a stacked pipeline (a fit alone in its size, its own pipeline),
+    and each fit's whitening, center and penalty are its own, in the
+    operation order of a lone fit, so every fit takes the steps, and
+    returns the maximizer and run, that :func:`_maximize` gives it alone.  Returns those ``(theta, run)`` pairs and each fit's seconds:
+    its share of every round it was open for, the round's wall time over
+    the fits it served.
+    """
+    whites = [_penalty_whitener(lik.omega, lik.lam) for lik in liks]
+    descents = [_descent(np.zeros(lik.omega.shape[0])) for lik in liks]
+    pending = {f: next(steps) for f, steps in enumerate(descents)}
+    results, seconds = [None] * len(liks), [0.0] * len(liks)
+    stacks = {}
+    while pending:
+        start = time.perf_counter()
+        by_size = {}
+        for f in pending:
+            by_size.setdefault(liks[f].pipe.B.shape, []).append(f)
+        replies = {}
+        for fits in by_size.values():
+            thetas = [whites[f].dot(pending[f]) for f in fits]
+            if len(fits) == 1:
+                # a stack of one is the fit's own pipeline
+                values = [liks[fits[0]].value_and_grad(thetas[0])]
+            else:
+                key = tuple(fits)
+                if key not in stacks:
+                    stacks[key] = (
+                        _HhatPipeline.stack([liks[f].pipe for f in fits]),
+                        tuple(liks[f].z for f in fits),
+                        np.stack([liks[f].center for f in fits]))
+                pipe, z, centers = stacks[key]
+                ll, grad = _loss_and_grad(pipe, z, np.stack(thetas) + centers,
+                                          True)
+                values = [liks[f]._penalize(*args)
+                          for f, args in zip(fits, zip(thetas, ll, grad))]
+            for f, (value, g) in zip(fits, values):
+                replies[f] = (-value, whites[f].dot(-g))
+        for f, reply in replies.items():
+            try:
+                pending[f] = descents[f].send(reply)
+            except StopIteration as stop:
+                results[f] = _ascent(whites[f], stop.value)
+                del pending[f]
+        share = (time.perf_counter() - start) / len(replies)
+        for f in replies:
+            seconds[f] += share
+    return results, seconds
+
+
+class _Setup(NamedTuple):
+    """A fit set up to descend: its likelihood, basis and flip decision."""
+    lik: PenalizedLikelihood
+    basis: ZBasis
+    flipped: bool
+
+
+def _set_up(z_sample, config: FitConfig | None) -> _Setup:
+    """Flip decision, pilot grid, basis and likelihood of one fit.
+
+    The sample is sorted once; the flip heuristic, the pilot grid and the
+    likelihood read the sorted values.
+    """
+    cfg = config or FitConfig()
+    z = np.asarray(z_sample, dtype=float)
+    if z.size < 30:
+        raise InputError(f"sample size {z.size} < 30")
+    zs = np.sort(z, axis=None)
+    flip = ordering_heuristic(zs) if cfg.flip is None else bool(cfg.flip)
+    # 1 - z reverses the order
+    zf = 1.0 - zs[::-1] if flip else zs
+    x_grid = empirical_w_grid(zf, _GRID_K)
+    basis = build_zb_basis(quantile_knots(x_grid[1:-1],
+                                          cfg.basis_dim - _DEGREE))
+    lik = PenalizedLikelihood(basis, x_grid, zf, cfg.lam,
+                              project_center(basis))
+    return _Setup(lik, basis, flip)
+
+
+def _fitted(setup: _Setup, theta_hat, run: _OptimizerRun) -> FittedModel:
+    """The fitted model at the maximizer: tabulation and diagnostics."""
+    lik = setup.lik
+    model, dens, grid = pipeline_pickands(setup.basis, theta_hat, True,
+                                          setup.flipped)
+    return FittedModel(theta=theta_hat, basis=setup.basis, center_applied=True,
+                       flipped=setup.flipped, loglik=lik.loglik(theta_hat),
+                       penalty=lik.penalty(theta_hat), lam=lik.lam,
+                       pickands=model, **run._asdict(), density=dens,
+                       w_grid=grid)
 
 
 def optimize(z_sample, config: FitConfig | None = None) -> FittedModel:
@@ -818,26 +1030,40 @@ def optimize(z_sample, config: FitConfig | None = None) -> FittedModel:
     tabulated Pickands function.  Non-convergence returns the best iterate
     with ``converged=False``.
     """
-    cfg = config or FitConfig()
-    z = np.asarray(z_sample, dtype=float)
-    if z.size < 30:
-        raise InputError(f"sample size {z.size} < 30")
+    setup = _set_up(z_sample, config)
+    lik = setup.lik
+    return _fitted(setup, *_maximize(lik.value_and_grad, lik.omega, lik.lam))
 
-    flip = ordering_heuristic(z) if cfg.flip is None else bool(cfg.flip)
-    zf = 1.0 - z if flip else z
 
-    x_grid = empirical_w_grid(zf, _GRID_K)
-    basis = build_zb_basis(quantile_knots(x_grid[1:-1],
-                                          cfg.basis_dim - _DEGREE))
-    lik = PenalizedLikelihood(basis, x_grid, zf, cfg.lam,
-                              project_center(basis))
-    theta_hat, run = _maximize(lik.value_and_grad, lik.omega, cfg.lam)
-    model, dens, grid = pipeline_pickands(basis, theta_hat, True, flip)
-    return FittedModel(theta=theta_hat, basis=basis, center_applied=True,
-                       flipped=flip, loglik=lik.loglik(theta_hat),
-                       penalty=lik.penalty(theta_hat), lam=cfg.lam,
-                       pickands=model, **run._asdict(), density=dens,
-                       w_grid=grid)
+def optimize_many(z_samples, configs):
+    """:func:`optimize` of each sample with its config, descending in lockstep.
+
+    Returns one ``(outcome, seconds)`` per sample.  The outcome is the
+    :class:`FittedModel` that :func:`optimize` returns for the sample, to
+    the last bit, or the :class:`~evcop.errors.EvcopError` its set-up or
+    tabulation raised; a failed fit leaves the others alone.
+    ``seconds`` is the fit's own time: its set-up and tabulation, and its
+    share of the rounds of the descent (see :func:`_descend_together`).
+    """
+    outcomes, seconds, setups = [], [], []
+    for z, cfg in zip(z_samples, configs):
+        start = time.perf_counter()
+        try:
+            setups.append(_set_up(z, cfg))
+            outcomes.append(None)
+        except EvcopError as exc:
+            outcomes.append(exc)
+        seconds.append(time.perf_counter() - start)
+    live = [f for f, out in enumerate(outcomes) if out is None]
+    runs, shares = _descend_together([s.lik for s in setups])
+    for f, setup, (theta_hat, run), share in zip(live, setups, runs, shares):
+        start = time.perf_counter()
+        try:
+            outcomes[f] = _fitted(setup, theta_hat, run)
+        except EvcopError as exc:
+            outcomes[f] = exc
+        seconds[f] += share + time.perf_counter() - start
+    return list(zip(outcomes, seconds))
 
 
 @dataclass(frozen=True)

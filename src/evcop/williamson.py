@@ -122,36 +122,50 @@ class WilliamsonKernel:
         self._weights = np.stack([weights, np.zeros_like(weights)])
         self._weights[1, 1:] = -weights[1:] / self.nodes[1:]
 
+    @classmethod
+    def stack(cls, kernels) -> WilliamsonKernel:
+        """One kernel for several grids of one size.
+
+        Every array gains a leading axis, one entry per grid, and so do the
+        density values the stacked kernel takes and the outputs it returns.
+        Each entry is what its own kernel gives, to the last bit.
+        """
+        out = cls.__new__(cls)
+        for name in ("x", "x_in", "nodes", "_weights"):
+            setattr(out, name, np.stack([getattr(k, name) for k in kernels]))
+        return out
+
     def __call__(self, fv):
         """``(w, wp, wpp, tail, c)`` at the interior grid nodes.
 
         ``fv`` holds density values at :attr:`nodes`.  ``tail`` is the mass
         right of each node and ``c`` the mass of [0, 1], the transform's value
-        at 0+, as a float.  ``tail`` and ``wp`` are reversed views of one
-        array of suffix sums; a dot product with ``wp`` sums in that order.
+        at 0+.  ``tail`` and ``wp`` are reversed views of one array of suffix
+        sums; a dot product with ``wp`` sums in that order.
         """
         fv = np.asarray(fv, dtype=float)
-        PS = _einsum("ijk,jk->ij", self._weights, fv)
+        PS = _einsum("...ijk,...jk->...ij", self._weights, fv)
         # suffix sums: reversed prefix sums of the reversed rows
-        R = np.add.accumulate(PS[:, :0:-1], axis=1)[:, ::-1]
-        tail, wp = R[0], R[1]
-        wpp = fv[1:, 0] / self.x_in
-        return self.x_in * wp + tail, wp, wpp, tail, float(tail[0] + PS[0, 0])
+        R = np.add.accumulate(PS[..., :0:-1], axis=-1)[..., ::-1]
+        tail, wp = R[..., 0, :], R[..., 1, :]
+        wpp = fv[..., 1:, 0] / self.x_in
+        return (self.x_in * wp + tail, wp, wpp, tail,
+                tail[..., 0] + PS[..., 0, 0])
 
     def transpose(self, gw, gwp, gwpp, gc):
         """Cotangent of the density values from those of ``(w, wp, wpp, c)``.
 
         The reverse of each suffix sum in :meth:`__call__` is a prefix sum.
         """
-        G = np.empty((2, gw.size + 1))
+        G = np.empty(gw.shape[:-1] + (2, gw.shape[-1] + 1))
         # c is the sum of all P, so gc reaches every one of them
-        G[0, 0], G[1, 0] = gc, 0.0
-        G[0, 1:] = gw
-        np.multiply(self.x_in, gw, out=G[1, 1:])
-        G[1, 1:] += gwp
-        np.add.accumulate(G, axis=1, out=G)
-        gfv = _einsum("ijk,ij->jk", self._weights, G)
-        gfv[1:, 0] += gwpp / self.x_in
+        G[..., 0, 0], G[..., 1, 0] = gc, 0.0
+        G[..., 0, 1:] = gw
+        np.multiply(self.x_in, gw, out=G[..., 1, 1:])
+        G[..., 1, 1:] += gwp
+        np.add.accumulate(G, axis=-1, out=G)
+        gfv = _einsum("...ijk,...ij->...jk", self._weights, G)
+        gfv[..., 1:, 0] += gwpp / self.x_in
         return gfv
 
 

@@ -314,11 +314,21 @@ def test_fit_exit_codes(tmp_path, capsys):
     ("joint", ["--lambda", "nan"], "lam must be finite"),
     ("joint", ["--seed", "-1"], "--seed"),
     ("simulate", ["-n", "10", "--seed", "-1"], "--seed"),
+    ("fit", ["--lambda", "-1"], "--lambda: lam must be finite and >= 0"),
+    ("fit", ["--dim", "3"], "--dim: basis_dim must be >= 4, got 3"),
+    ("simulate", ["-n", "0"], "-n: n must be >= 1, got 0"),
+    ("joint", ["--samples", "0"], "--samples: n must be >= 1, got 0"),
+    ("joint", ["--samples", "-1"], "--samples: n must be >= 1, got -1"),
+    ("joint", ["--margin-dim", "2"], "--margin-dim: dim must be >= 3, got 2"),
+    ("joint", ["--dim", "3"], "--dim: basis_dim must be >= 4, got 3"),
+    ("joint", ["--margin-lambda", "-1"], "--margin-lambda: lam must be"),
+    ("joint", ["--bounds", "5", "1"], "--bounds: bounds must be two numbers"),
+    ("study", ["--workers", "0"], "--workers must be >= 1"),
 ])
 def test_bad_flag_values_exit_2(tmp_path, capsys, gumbel2, gumbel2_fit,
                                 command, extra, named):
-    # a NaN or infinite penalty weight and a negative seed are input errors,
-    # found before any fit runs on them
+    # a bad flag value is an input error that names the flag, found before
+    # any work: no fit runs on it and no output file or directory is made
     if command == "simulate":
         source = tmp_path / "model.json"
         source.write_text(json.dumps(model_to_dict(gumbel2_fit)))
@@ -332,6 +342,7 @@ def test_bad_flag_values_exit_2(tmp_path, capsys, gumbel2, gumbel2_fit,
     out = str(tmp_path / "out")
     assert main([command, str(source), "-o", out, *extra]) == 2
     assert named in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_fit_flip_heuristic_and_its_override(tmp_path, capsys):

@@ -32,6 +32,7 @@ from evcop.fit import (
     model_from_dict,
     model_to_dict,
     optimize,
+    optimize_many,
     ordering_heuristic,
     pipeline_pickands,
     random_pickands,
@@ -597,6 +598,81 @@ def test_floored_and_unfloored_calls_share_no_state(gumbel_objectives):
             assert (np.min(hhat) <= _LOG_FLOOR) == (sample is floored)
 
 
+def test_a_stacked_objective_gives_each_fit_its_own(gumbel_objectives):
+    # one call on a stack of pipelines, whose fits include one with floored
+    # densities, one whose 40 observations leave most segments empty and
+    # one whose exponentials are clipped, gives each fit the data term and
+    # gradient of a call on its own pipeline, to the last bit; the floor
+    # step that the floored fit forces on all changes nothing for the rest
+    rng = np.random.default_rng(21)
+    fits = []
+    for (dep, (basis, x_grid, z, _, center)), norm in zip(
+            gumbel_objectives.items(), (1.0, 3.0, 400.0)):
+        pipe = _HhatPipeline(basis, x_grid)
+        zs = np.sort(z)
+        fits.append((pipe, zs, center + _offset(rng, basis.dim, norm)))
+        if dep == 1.5:
+            floored = np.sort(np.concatenate([z, [0.0, 1e-300, 1.0]]))
+            fits.append((pipe, floored, center + _offset(rng, basis.dim, 1.0)))
+            fits.append((pipe, zs[::25],
+                         center + _offset(rng, basis.dim, 3.0)))
+    assert len({pipe.B.shape for pipe, _, _ in fits}) == 1
+    pipe, _, theta = fits[-1]
+    assert np.max(np.abs(pipe.B @ theta)) >= _EXP_CLIP
+    stack = _HhatPipeline.stack([pipe for pipe, _, _ in fits])
+    theta = np.stack([theta for _, _, theta in fits])
+    for want_grad in (True, False):
+        ll, grad = _loss_and_grad(stack, tuple(z for _, z, _ in fits), theta,
+                                  want_grad)
+        for f, (pipe, z, theta_f) in enumerate(fits):
+            ll_f, grad_f = _loss_and_grad(pipe, z, theta_f, want_grad)
+            assert ll[f] == ll_f
+            if want_grad:
+                assert grad[f].tobytes() == grad_f.tobytes()
+
+
+def test_a_fit_in_a_lockstep_group_is_the_fit_alone(monkeypatch):
+    # a group that mixes grid sizes (one grid keeps 76 interior nodes) and
+    # sample sizes 250 and 1000, with a run that fails in set-up: every
+    # other fit ends where it ends alone, after the same steps, and the
+    # failed one raises what it raises alone
+    truths = [EvCopula(m) for m in random_pickands(1e-4, 5.0, 2, seed=3)]
+    gumbel = EvCopula(ParametricPickands("gumbel", 3.0))
+    samples = [z_transform(truths[1].simulate(250, seed=1)),
+               z_transform(truths[0].simulate(1000, seed=2)),
+               np.full(10, 0.5),
+               z_transform(truths[1].simulate(1000, seed=4)),
+               z_transform(gumbel.simulate(250, seed=5))]
+    configs = [None, FitConfig(), None, FitConfig(lam=1e-5), None]
+    stacked = []
+
+    def counted(pipe, z, theta, want_grad):
+        stacked.append(theta.ndim == 2)
+        return _loss_and_grad(pipe, z, theta, want_grad)
+
+    monkeypatch.setattr(evcop.fit, "_loss_and_grad", counted)
+    group = optimize_many(samples, configs)
+    assert any(stacked)
+    for (outcome, seconds), z, config in zip(group, samples, configs):
+        assert seconds > 0.0
+        try:
+            alone = optimize(z, config)
+        except InputError as exc:
+            assert isinstance(outcome, InputError)
+            assert str(outcome) == str(exc)
+            continue
+        assert outcome.theta.tobytes() == alone.theta.tobytes()
+        assert ((outcome.iterations, outcome.evaluations, outcome.grad_max,
+                 outcome.message, outcome.loglik, outcome.converged)
+                == (alone.iterations, alone.evaluations, alone.grad_max,
+                    alone.message, alone.loglik, alone.converged))
+    assert sum(isinstance(o, InputError) for o, _ in group) == 1
+    # the fitting grids: 78 and 76 interior nodes
+    fitting = {evcop.fit._set_up(z, c).lik.pipe.m
+               for z, c in zip(samples, configs) if z.size >= 30}
+    assert fitting == {76, 78}
+
+
 def test_optimize_builds_one_pipeline(gumbel2_sample, monkeypatch):
     builds = _count_pipeline_builds(monkeypatch)
     optimize(z_transform(gumbel2_sample), FitConfig(lam=1e-4))
@@ -804,6 +880,16 @@ def _kinked(x):
             np.array([10.0 * np.sign(x[0] - 0.3), 2.0 * x[1]]))
 
 
+def _searched(fun, search):
+    """The result of a line search, a generator of trial points, run on ``fun``."""
+    try:
+        x = next(search)
+        while True:
+            x = search.send(fun(x))
+    except StopIteration as stop:
+        return stop.value
+
+
 def test_line_search_steps_onto_a_kink(monkeypatch):
     # from (0, 0.5) along -g = (10, -1) the first trial, step 1, crosses the
     # kink at step 0.03; Moré-Thuente's cubic steps land 9.9e-4 from it in 5
@@ -813,7 +899,8 @@ def test_line_search_steps_onto_a_kink(monkeypatch):
     d = -g
 
     def search():
-        return _line_search(_kinked, x, x + d, d, f, g, float(g @ d), 1.0)
+        return _searched(_kinked, _line_search(x, x + d, d, f, g,
+                                               float(g @ d), 1.0))
 
     (stp, *_), evals = search()
     monkeypatch.setattr(evcop.fit, "_kink_step", lambda *ends: None)
@@ -856,12 +943,13 @@ def test_a_nan_trial_value_is_never_accepted():
     assert res.success and np.max(np.abs(res.x - 1.0)) <= 1e-3
 
 
-def _search_reusing_the_last_trial(fun, x, z, d, finit, g0, ginit, stp):
+def _search_reusing_the_last_trial(x, z, d, finit, g0, ginit, stp):
     """The port's search, kink step included, reusing only ``x`` and its last trial.
 
-    The reference for the trial memo of ``evcop.fit._line_search``: the
-    same steps, but a trial that lands on an earlier trial point other than
-    the last one calls ``fun`` again.
+    The reference for the trial memo of ``evcop.fit._line_search``, and a
+    generator of trial points as it is: the same steps, but a trial that
+    lands on an earlier trial point other than the last one is yielded
+    again.
     """
     from evcop.fit import (_dcstep, _kink_step, _LS_FTOL, _LS_GTOL, _LS_XTOL,
                            _MAXLS, _STPMAX)
@@ -881,7 +969,7 @@ def _search_reusing_the_last_trial(fun, x, z, d, finit, g0, ginit, stp):
         elif trial and (xt == xl).all():
             f, g = fl, gl
         else:
-            xl, (fl, gl) = xt, fun(xt)
+            xl, (fl, gl) = xt, (yield xt)
             f, g, nfev = fl, gl, nfev + 1
         f, gd = float(f), float(g @ d)
         if not (np.isfinite(f) and np.isfinite(gd)):

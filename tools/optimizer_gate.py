@@ -39,7 +39,7 @@ import inputs  # noqa: E402  (perfbench/inputs.py)
 
 import evcop.cli  # noqa: E402
 import evcop.fit  # noqa: E402
-from evcop.fit import FitConfig, optimize, z_transform  # noqa: E402
+from evcop.fit import FitConfig, optimize, optimize_many, z_transform  # noqa: E402
 
 T_PROBES = np.linspace(0.0, 1.0, 1001)
 # the input stream of each fit workload's samples, by size (fit-1k: 1)
@@ -78,25 +78,21 @@ def fit_input(seed: int, n: int, i: int) -> dict:
 
 def study_fits(seed: int) -> list[dict]:
     """The fits of one study-tvd spec, each with its tvd to the truth."""
-    study_run, runs, fitted = evcop.cli._study_run, [], [None]
+    fitted = []
 
-    def fit(z, cfg):
-        fitted[0] = optimize(z, cfg)
-        return fitted[0]
+    def fit_many(z_samples, configs):
+        outcomes = optimize_many(z_samples, configs)
+        fitted.extend(fm for fm, _ in outcomes)
+        return outcomes
 
-    def run(payload):
-        fitted[0] = None
-        result = study_run(payload)
-        runs.append((result[0], fitted[0]))
-        return result
-
-    with mock.patch.object(evcop.cli, "optimize", fit), \
-            mock.patch.object(evcop.cli, "_study_run", run):
-        evcop.cli.run_study(inputs.study_spec(seed, 2), 1)
+    with mock.patch.object(evcop.cli, "optimize_many", fit_many):
+        _, rows, _ = evcop.cli.run_study(inputs.study_spec(seed, 2), 1)
+    # one worker fits every run in one group, in the rows' order
+    assert len(fitted) == len(rows), "a study sample failed to simulate"
     return [dict(summary(fm), error=float(row["tvd"]),
                  label=f"study seed={seed} truth={row['copula_id']} "
                        f"n={row['sample_size']}")
-            for row, fm in runs if fm is not None]
+            for row, fm in zip(rows, fitted) if not isinstance(fm, Exception)]
 
 
 def both_ways(make):
