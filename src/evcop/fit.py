@@ -370,10 +370,9 @@ class _HhatPipeline:
 def _column(values):
     """Per-fit values shaped to broadcast against arrays with a fit axis.
 
-    A stack's (fits,) array becomes a column; a lone fit's numpy scalar
-    stays one.
+    A stack's (fits,) array becomes a column; a lone fit's scalar stays.
     """
-    return values[:, None] if values.ndim else values
+    return values[:, None] if isinstance(values, np.ndarray) else values
 
 
 def _loss_and_grad(pipe: _HhatPipeline, z, theta: np.ndarray,
