@@ -949,19 +949,20 @@ def _descend_together(liks):
         for f in pending:
             by_size.setdefault(liks[f].pipe.B.shape, []).append(f)
         replies = {}
-        for fits in by_size.values():
+        for shape, fits in by_size.items():
             thetas = [whites[f].dot(pending[f]) for f in fits]
             if len(fits) == 1:
                 # a stack of one is the fit's own pipeline
                 values = [liks[fits[0]].value_and_grad(thetas[0])]
             else:
-                key = tuple(fits)
-                if key not in stacks:
-                    stacks[key] = (
+                # each size's stack is rebuilt when one of its fits closes
+                if stacks.get(shape, (None,))[0] != fits:
+                    stacks[shape] = (
+                        fits,
                         _HhatPipeline.stack([liks[f].pipe for f in fits]),
                         tuple(liks[f].z for f in fits),
                         np.stack([liks[f].center for f in fits]))
-                pipe, z, centers = stacks[key]
+                _, pipe, z, centers = stacks[shape]
                 ll, grad = _loss_and_grad(pipe, z, np.stack(thetas) + centers,
                                           True)
                 values = [liks[f]._penalize(*args)
