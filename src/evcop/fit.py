@@ -419,7 +419,7 @@ def _loss_and_grad(pipe: _HhatPipeline, z, theta: np.ndarray,
     sizes = bounds[..., -1]
     if not lone:
         # the same bounds in the samples laid end to end
-        bounds = bounds + (np.cumsum(sizes) - sizes)[:, None]
+        bounds = bounds + (np.add.accumulate(sizes) - sizes)[:, None]
         z = np.concatenate(z)
     counts = bounds[..., 1:] - bounds[..., :-1]
     delta = t_full[..., 1:] - t_full[..., :-1]
@@ -438,7 +438,8 @@ def _loss_and_grad(pipe: _HhatPipeline, z, theta: np.ndarray,
     # the floor step, which changes nothing where nothing is floored
     low = np.minimum.reduce(raw)
     floored = not (low >= 1e-300
-                   and low / (I_h if lone else I_h.max()) > _LOG_FLOOR)
+                   and low / (I_h if lone else np.maximum.reduce(I_h))
+                   > _LOG_FLOOR)
     np.divide(raw, I_h if lone else I_h.repeat(sizes), out=hhat)
     if floored:
         live = hhat > _LOG_FLOOR
@@ -939,6 +940,7 @@ def _descend_together(liks):
     the fits it served.
     """
     whites = [_penalty_whitener(lik.omega, lik.lam) for lik in liks]
+    shapes = [lik.pipe.B.shape for lik in liks]
     descents = [_descent(np.zeros(lik.omega.shape[0])) for lik in liks]
     pending = {f: next(steps) for f, steps in enumerate(descents)}
     results, seconds = [None] * len(liks), [0.0] * len(liks)
@@ -947,7 +949,7 @@ def _descend_together(liks):
         start = time.perf_counter()
         by_size = {}
         for f in pending:
-            by_size.setdefault(liks[f].pipe.B.shape, []).append(f)
+            by_size.setdefault(shapes[f], []).append(f)
         replies = {}
         for shape, fits in by_size.items():
             thetas = [whites[f].dot(pending[f]) for f in fits]
@@ -961,9 +963,9 @@ def _descend_together(liks):
                         fits,
                         _HhatPipeline.stack([liks[f].pipe for f in fits]),
                         tuple(liks[f].z for f in fits),
-                        np.stack([liks[f].center for f in fits]))
+                        np.array([liks[f].center for f in fits]))
                 _, pipe, z, centers = stacks[shape]
-                ll, grad = _loss_and_grad(pipe, z, np.stack(thetas) + centers,
+                ll, grad = _loss_and_grad(pipe, z, np.array(thetas) + centers,
                                           True)
                 values = [liks[f]._penalize(*args)
                           for f, args in zip(fits, zip(thetas, ll, grad))]
