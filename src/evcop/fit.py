@@ -279,6 +279,7 @@ class _HhatPipeline:
         self.m = self.kernel.x_in.size
         self.B = basis.evaluate(self.kernel.nodes.ravel())
         self._half_xp = 0.5 * (1.0 + self.kernel.x_in)
+        self._knots_shape = (3, self.m + 2)
         self.bounds = np.zeros(self.m + 3, dtype=np.intp)
 
     @classmethod
@@ -289,6 +290,7 @@ class _HhatPipeline:
         out.m = pipes[0].m
         out.B = np.stack([p.B for p in pipes])
         out._half_xp = np.stack([p._half_xp for p in pipes])
+        out._knots_shape = (3, len(pipes), out.m + 2)
         out.bounds = np.zeros((len(pipes), out.m + 3), dtype=np.intp)
         return out
 
@@ -324,7 +326,7 @@ class _HhatPipeline:
         dn3 = dn ** 3
         app = wpp / (0.25 * c_col) / dn3          # A''
         half_w = w / (2.0 * c_col)
-        knots = np.zeros((3, *theta.shape[:-1], self.m + 2))
+        knots = np.zeros(self._knots_shape)
         # rows by index: unpacking iterates, at several times the cost
         t_full, h_full = knots[0], knots[1]
         t_full[..., -1] = 1.0
@@ -416,10 +418,12 @@ def _loss_and_grad(pipe: _HhatPipeline, z, theta: np.ndarray,
             else zip(bounds, z, t_full):
         row[1:-2] = z_f.searchsorted(t_f[1:-1], side="left")
         row[-2:] = z_f.size
-    sizes = bounds[..., -1]
+    sizes = z.size if lone else bounds[:, -1]
+    seg_starts = bounds[:-2]
     if not lone:
         # the same bounds in the samples laid end to end
         bounds = bounds + (np.add.accumulate(sizes) - sizes)[:, None]
+        seg_starts = bounds[:, :-2].ravel()
         z = np.concatenate(z)
     counts = bounds[..., 1:] - bounds[..., :-1]
     delta = t_full[..., 1:] - t_full[..., :-1]
@@ -465,7 +469,6 @@ def _loss_and_grad(pipe: _HhatPipeline, z, theta: np.ndarray,
     # rows (S0, S1) from one reduction over the rows (1/h, (z - t)/h).
     # reduceat sums each start up to the next one, so when a segment is
     # empty only the others are passed, and the empty ones keep zero sums
-    seg_starts = bounds[..., :-2].ravel()
     if np.count_nonzero(counts) == seg_starts.size:
         sums = np.add.reduceat(per_obs[::-2], seg_starts, axis=1)
     else:
@@ -473,7 +476,8 @@ def _loss_and_grad(pipe: _HhatPipeline, z, theta: np.ndarray,
         sums = np.zeros((2, seg_starts.size))
         sums[:, full] = np.add.reduceat(per_obs[::-2], seg_starts[full],
                                         axis=1)
-    sums.shape = (2, *delta.shape)
+    if not lone:
+        sums.shape = (2, *delta.shape)
     # segment j sends a_j to h_j, b_j to h_{j+1}, -beta_j a_j to t_j and
     # -beta_j b_j to t_{j+1}; the end knots are pinned.  The data give
     # a_j = S0_j - q_j and b_j = q_j = S1_j / delta_j; the trapezoid mass
@@ -741,7 +745,7 @@ def _line_search(x, z, d, finit, g0, ginit, stp):
         if key not in seen:
             seen[key] = yield xt
         f, g = seen[key]
-        f, gd = float(f), float(g @ d)
+        f, gd = float(f), float(g.dot(d))
         if not (math.isfinite(f) and math.isfinite(gd)):
             stp = stpmax = stx + 0.5 * (stp - stx)
             continue
@@ -825,6 +829,7 @@ def _descent(x0, callback=None):
     receives every accepted iterate.  ``nfev`` counts the points evaluated;
     no line search yields one twice or its start (see :func:`_line_search`).
     """
+    # ndarray.dot makes the BLAS calls @ makes, with less overhead
     x = np.array(x0, dtype=float)
     f, g = yield x
     f, f_old = float(f), math.nan  # no reduction to test before a step
@@ -838,7 +843,7 @@ def _descent(x0, callback=None):
         if nit >= _MAX_ITER:
             message = "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"
             break
-        if float(abs(g).max()) <= _GRAD_TOL:
+        if float(np.maximum.reduce(abs(g))) <= _GRAD_TOL:
             message = "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL"
             break
         if f_old - f <= _REL_TOL * max(abs(f_old), abs(f), 1.0):
@@ -850,12 +855,12 @@ def _descent(x0, callback=None):
             # H g = (I - G)(I - G)' g / theta + T'D T g with G = T'Y: the
             # compact form of Byrd, Nocedal & Schnabel with H0 = I / theta
             Tk, Yk = T[:k], Y[:k]
-            tg = Tk @ g
-            v = g - tg @ Yk
-            z = x - (v / theta + (D[:k] * tg - (Yk @ v) / theta) @ Tk)
+            tg = Tk.dot(g)
+            v = g - tg.dot(Yk)
+            z = x - (v / theta + (D[:k] * tg - Yk.dot(v) / theta).dot(Tk))
         d = z - x
-        gd = float(g @ d)
-        stp = min(1.0 / math.sqrt(float(d @ d)), _STPMAX) if nit == 0 else 1.0
+        gd = float(g.dot(d))
+        stp = min(1.0 / math.sqrt(float(d.dot(d))), _STPMAX) if nit == 0 else 1.0
         found, evals = ((yield from _line_search(x, z, d, f, g, gd, stp))
                         if gd < 0.0 else (None, 0))
         nfev += evals
@@ -876,9 +881,9 @@ def _descent(x0, callback=None):
         # s / s'y and T -= (T y) (s / s'y)'
         u = d * (stp / s_y)
         Tk = T[:k]
-        Tk -= np.multiply.outer(Tk @ y, u)
+        Tk -= np.multiply.outer(Tk.dot(y), u)
         T[k], Y[k], D[k] = u, y, s_y
-        theta = float(y @ y) / s_y
+        theta = float(y.dot(y)) / s_y
         k += 1
     return _Minimum(x, g, nit, nfev, message.startswith("CONV"), message)
 

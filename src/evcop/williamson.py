@@ -157,7 +157,7 @@ class WilliamsonKernel:
 
         The reverse of each suffix sum in :meth:`__call__` is a prefix sum.
         """
-        G = np.empty(gw.shape[:-1] + (2, gw.shape[-1] + 1))
+        G = np.empty(self._weights.shape[:-1])
         # c is the sum of all P, so gc reaches every one of them
         G[..., 0, 0], G[..., 1, 0] = gc, 0.0
         G[..., 0, 1:] = gw
