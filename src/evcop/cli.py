@@ -63,8 +63,9 @@ _TIE_SHARE = 0.01
 # field separators of input CSV files besides blanks
 _BLANK_SEPARATORS = str.maketrans(",;\t", "   ")
 # most study runs one worker fits in lockstep: per fit, a round's objective
-# pass costs 0.86 of a lone call at 2 fits, 0.57 at 4, 0.53 at 8 and 0.52
-# at 16 (tools/lockstep_cost.py, fit-1k inputs), so more would gain little
+# pass costs 0.79 of a lone call at 2 fits, 0.56 at 4, 0.50 at 8 and 0.48
+# at 16 (tools/lockstep_cost.py, fit-1k inputs, median of seeds 1-3), so
+# more would gain little
 _LOCKSTEP = 16
 
 

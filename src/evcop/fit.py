@@ -44,8 +44,8 @@ drives the descents of many copula fits in lockstep
 round evaluates the next point of every open fit in one objective pass on
 a stack of pipelines (:meth:`_HhatPipeline.stack`), one per grid size.  An
 evaluation at n = 1000 is mostly the fixed cost of about a hundred numpy
-calls, which a pass shares: per fit it costs 0.86 of a lone call at two
-fits, 0.57 at four and 0.52 at sixteen (``tools/lockstep_cost.py``).  The
+calls, which a pass shares: per fit it costs 0.79 of a lone call at two
+fits, 0.56 at four and 0.48 at sixteen (``tools/lockstep_cost.py``).  The
 pass keeps each fit's BLAS products, dot products, sums and penalty per
 fit, so every fit takes the steps and returns the bits it does alone.
 """

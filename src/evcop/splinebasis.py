@@ -31,6 +31,7 @@ __all__ = [
     "project_center",
     "quantile_knots",
     "sorted_quantiles",
+    "ascending",
 ]
 
 
