@@ -158,7 +158,10 @@ def _load_json(path) -> dict:
     return doc
 
 
-def _rebuild_copula(doc: dict) -> tuple[FittedModel, EvCopula]:
+def _rebuild_copula(path) -> tuple[FittedModel, EvCopula]:
+    doc = _load_json(path)
+    if doc.get("kind") == "margin":
+        raise InputError("expected a copula model, not a margin model")
     fm = model_from_dict(doc)
     pick = fm.pickands
     if doc.get("symmetrized"):
@@ -167,29 +170,44 @@ def _rebuild_copula(doc: dict) -> tuple[FittedModel, EvCopula]:
 
 
 # ---------------------------------------------------------------------------
+# input rules: one reader each, the argparse type and read_field converter
+
+
+class _Refused(argparse.ArgumentTypeError, ValueError):
+    """A value outside its rule; argparse and read_field both report it."""
+
+
+def _reader(kind, name: str, rule: str, ok):
+    """Reader of a ``kind`` value, called ``name`` in the library, that must
+    be ``rule``: ``ok`` of it holds."""
+    def convert(text):
+        value = kind(text)
+        if not ok(value):
+            raise _Refused(f"{name} must be {rule}, got {value}")
+        return value
+    convert.__name__ = kind.__name__  # argparse: "invalid int value: 'x'"
+    return convert
+
+
+def _at_least(name: str, lo: int):
+    """Reader of an integer that must be ``lo`` or more."""
+    return _reader(int, name, f">= {lo}", lambda n: n >= lo)
+
+
+# a cubic spline basis has more than 3 functions
+_BASIS_DIM = _at_least("basis_dim", 4)
+_COUNT = _at_least("n", 1)
+# numpy's generators take only non-negative seeds
+_SEED = _at_least("seed", 0)
+_LAM = _reader(float, "lam", "finite and >= 0", lambda x: 0.0 <= x < math.inf)
+_RADIUS = _reader(float, "R", "finite and > 0", lambda x: 0.0 < x < math.inf)
+
+
+# ---------------------------------------------------------------------------
 # fit / simulate / evaluate
 
 
-def _check_flag(flag: str, name: str, value, ok: bool, rule: str) -> None:
-    """Raise an InputError naming ``flag`` unless ``ok``; ``name`` is the
-    library's name of the value, which must be ``rule``."""
-    if not ok:
-        raise InputError(f"{flag}: {name} must be {rule}, got {value}")
-
-
-def _check_lambda(flag: str, lam: float) -> None:
-    _check_flag(flag, "lam", lam, 0.0 <= lam < math.inf, "finite and >= 0")
-
-
-def _fit_config_from_args(args) -> FitConfig:
-    return FitConfig(basis_dim=args.dim, lam=args.lam,
-                     flip=False if args.no_flip_heuristic else None)
-
-
 def cmd_fit(args) -> int:
-    # a cubic spline basis has more than 3 functions
-    _check_flag("--dim", "basis_dim", args.dim, args.dim >= 4, ">= 4")
-    _check_lambda("--lambda", args.lam)
     data = read_pairs(args.input)
     if data.shape[0] < 30:
         raise InputError(f"need at least 30 rows, got {data.shape[0]}")
@@ -200,7 +218,9 @@ def cmd_fit(args) -> int:
                          "use --pseudo for raw measurements")
     if args.survival:
         data = 1.0 - data
-    fm = optimize(z_transform(data), _fit_config_from_args(args))
+    fm = optimize(z_transform(data), FitConfig(
+        basis_dim=args.dim, lam=args.lam,
+        flip=False if args.no_flip_heuristic else None))
     doc = model_to_dict(fm)
     if args.survival:
         doc["survival"] = True
@@ -225,16 +245,8 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _check_seed(args) -> None:
-    """``--seed``, which numpy's generators take only when non-negative."""
-    _check_flag("--seed", "seed", args.seed, args.seed >= 0, ">= 0")
-
-
 def cmd_simulate(args) -> int:
-    _check_flag("-n", "n", args.n, args.n >= 1, ">= 1")
-    _check_seed(args)
-    doc = _load_json(args.model)
-    _, cop = _rebuild_copula(doc)
+    _, cop = _rebuild_copula(args.model)
     sample = cop.simulate(args.n, seed=args.seed)
     write_pairs(args.output, sample)
     print(f"wrote {args.n} rows to {args.output}")
@@ -242,10 +254,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    doc = _load_json(args.model)
-    if doc.get("kind") == "margin":
-        raise InputError("evaluate expects a copula model, not a margin model")
-    fm, cop = _rebuild_copula(doc)
+    fm, cop = _rebuild_copula(args.model)
     pick = cop.pickands  # symmetrized when the document says so
     sm = spectral_from_w(fm.pickands)
     diag = validate_pickands(pick)
@@ -261,7 +270,7 @@ def cmd_evaluate(args) -> int:
         "boundary_slopes": [float(pick.deriv(0.0)), float(pick.deriv(1.0))],
         "spectral": {"H0": sm.h0, "H1": sm.h1},
         "constraints_ok": diag.passed(1e-6),
-        "survival": bool(doc.get("survival", False)),
+        "survival": cop.survival,
     }
     print(json.dumps(report, indent=2))
     if args.table:
@@ -275,18 +284,9 @@ def cmd_evaluate(args) -> int:
 # studies
 
 
-def _at_least(lo: int):
-    """Reader of an integer field whose value must be ``lo`` or more."""
-    def convert(value) -> int:
-        if int(value) < lo:
-            raise ValueError(f"must be >= {lo}, got {value!r}")
-        return int(value)
-    return convert
-
-
 def _sample_sizes(values) -> list[int]:
     """A non-empty list of fit sample sizes, each at least 30."""
-    sizes = [_at_least(30)(v) for v in values]
+    sizes = [_at_least("sample size", 30)(v) for v in values]
     if not sizes:
         raise ValueError("must list at least one sample size")
     return sizes
@@ -352,8 +352,6 @@ def _study_run(group):
 def _worker_count(requested=None) -> int:
     """``--workers``, by default the CPUs this process may run on, capped by
     ``EVCOP_THREADS``."""
-    if requested is not None and requested < 1:
-        raise InputError(f"--workers must be >= 1, got {requested}")
     n = requested
     if n is None:
         try:
@@ -404,25 +402,25 @@ def run_study(spec: dict, workers: int = 1):
     fams = spec.get("families")
     if not (tvd or fams):
         raise InputError("bias-variance study requires a 'families' list")
-    seed = read_field(spec, "seed", _at_least(0), 0)
+    seed = read_field(spec, "seed", _SEED, 0)
     sizes = read_field(spec, "sample_sizes", _sample_sizes, [1000])
-    reps = read_field(spec, "replications", _at_least(1), 1 if tvd else 100)
-    lam = read_field(spec, "fit.lambda", float, 1e-4)
-    # a cubic spline basis has more than 3 functions
-    dim = read_field(spec, "fit.dim", _at_least(4), 13)
+    reps = read_field(spec, "replications",
+                      _at_least("replications", 1), 1 if tvd else 100)
+    lam = read_field(spec, "fit.lambda", _LAM, 1e-4)
+    dim = read_field(spec, "fit.dim", _BASIS_DIM, 13)
     if tvd:
-        count = read_field(spec, "random_evc.count", _at_least(1), 20)
-        prior_lam = read_field(spec, "random_evc.lambda", float, 1e-4)
-        radius = read_field(spec, "random_evc.R", float, 5.0)
+        count = read_field(spec, "random_evc.count", _COUNT, 20)
+        prior_lam = read_field(spec, "random_evc.lambda", _LAM, 1e-4)
+        radius = read_field(spec, "random_evc.R", _RADIUS, 5.0)
         basis = default_random_basis(
-            read_field(spec, "random_evc.dim", _at_least(4), 13))
+            read_field(spec, "random_evc.dim", _BASIS_DIM, 13))
         cfgs = [FitConfig(basis_dim=dim, lam=lam)] * count
         truths = [EvCopula(m) for m in random_pickands(prior_lam, radius, count,
                                                        seed=seed, basis=basis)]
         t_grid = None
     else:
         truths = [_family_copula(fam) for fam in fams]
-        cfgs = [FitConfig(basis_dim=dim, lam=read_field(fam, "lambda", float, lam))
+        cfgs = [FitConfig(basis_dim=dim, lam=read_field(fam, "lambda", _LAM, lam))
                 for fam in fams]
         t_grid = np.linspace(0.0, 1.0, 101)
     payloads = [(truth, cfg, size, (seed, cid, si, rep), cid, rep, t_grid)
@@ -540,26 +538,16 @@ def joint_pipeline(data: np.ndarray, margin_dim: int = 17,
 
 
 def cmd_joint(args) -> int:
-    _check_flag("--samples", "n", args.samples, args.samples >= 1, ">= 1")
-    # a margin basis of dim d has d - 3 interior knots, a copula basis more
-    # than 3 functions
-    _check_flag("--margin-dim", "dim", args.margin_dim, args.margin_dim >= 3,
-                ">= 3")
-    _check_lambda("--margin-lambda", args.margin_lam)
-    _check_flag("--dim", "basis_dim", args.dim, args.dim >= 4, ">= 4")
-    _check_lambda("--lambda", args.lam)
-    if args.bounds:
-        lo, hi = args.bounds
-        _check_flag("--bounds", "bounds", f"{lo:g} {hi:g}", lo < hi,
-                    "two numbers a < b")
-    _check_seed(args)
+    if args.bounds and not args.bounds[0] < args.bounds[1]:
+        raise InputError("--bounds: bounds must be two numbers a < b, got "
+                         "{:g} {:g}".format(*args.bounds))
     data = read_pairs(args.input)
-    os.makedirs(args.outdir, exist_ok=True)
     bounds = tuple(args.bounds) if args.bounds else None
     margin, fitted, final, joint, doubled = joint_pipeline(
         data, margin_dim=args.margin_dim, margin_lam=args.margin_lam,
         copula_dim=args.dim, copula_lam=args.lam, bounds=bounds,
         n_samples=args.samples, seed=args.seed)
+    os.makedirs(args.outdir, exist_ok=True)
 
     margin_doc = {
         "version": 1,
@@ -614,15 +602,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rank-transform raw data to (0,1) first")
     p.add_argument("--survival", action="store_true",
                    help="fit through the survival transform")
-    p.add_argument("--dim", type=int, default=13)
-    p.add_argument("--lambda", dest="lam", type=float, default=1e-4)
+    p.add_argument("--dim", type=_BASIS_DIM, default=13)
+    p.add_argument("--lambda", dest="lam", type=_LAM, default=1e-4)
     p.add_argument("--no-flip-heuristic", action="store_true")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("simulate", help="draw a sample from a model file")
     p.add_argument("model")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("-n", type=_COUNT, required=True)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("-o", "--output", default="sample.csv")
     p.set_defaults(func=cmd_simulate)
 
@@ -637,33 +625,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default="results.csv")
     p.add_argument("--summary", default=None)
     p.add_argument("--envelope", default=None)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=_at_least("workers", 1), default=None)
     p.set_defaults(func=cmd_study)
 
     p = sub.add_parser("joint", help="shared-margin joint model for ordered pairs")
     p.add_argument("input")
     p.add_argument("-o", "--outdir", default="joint_out")
-    p.add_argument("--margin-dim", type=int, default=17)
-    p.add_argument("--margin-lambda", dest="margin_lam", type=float, default=10.0)
+    # a margin basis of dim d has d - 3 interior knots
+    p.add_argument("--margin-dim", type=_at_least("dim", 3), default=17)
+    p.add_argument("--margin-lambda", dest="margin_lam", type=_LAM, default=10.0)
     p.add_argument("--bounds", nargs=2, type=float, default=None)
-    p.add_argument("--dim", type=int, default=13)
-    p.add_argument("--lambda", dest="lam", type=float, default=1e-5)
-    p.add_argument("--samples", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--dim", type=_BASIS_DIM, default=13)
+    p.add_argument("--lambda", dest="lam", type=_LAM, default=1e-5)
+    p.add_argument("--samples", type=_COUNT, default=500)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.set_defaults(func=cmd_joint)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return int(args.func(args) or 0)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except SystemExit as exc:  # --help, or a usage error argparse reported
+        return exc.code
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -1268,8 +1268,12 @@ def random_pickands(lam: float, R: float, n: int, seed=None,
     that fail tabulation are replaced, with a warning.  Every second model is
     mirrored so the collection has no preferred orientation.
     """
-    if not (0.0 <= lam < math.inf and 0.0 < R < math.inf and n >= 1):
-        raise InputError("need finite lam >= 0, finite R > 0, n >= 1")
+    if not 0.0 <= lam < math.inf:
+        raise InputError(f"lam must be finite and >= 0, got {lam}")
+    if not 0.0 < R < math.inf:
+        raise InputError(f"R must be finite and > 0, got {R}")
+    if n < 1:
+        raise InputError(f"n must be >= 1, got {n}")
     basis = basis if basis is not None else default_random_basis()
     draws = _prior_draws(lam, R, curvature_matrix(basis),
                          project_center(basis), np.random.default_rng(seed))
@@ -1318,12 +1322,19 @@ def _as_bool(value) -> bool:
     return value
 
 
+def _finite_vector(value) -> np.ndarray:
+    theta = np.asarray(value, dtype=float)
+    if not np.isfinite(theta).all():
+        raise ValueError("expected finite numbers")
+    return theta
+
+
 def model_from_dict(d: dict) -> FittedModel:
     """Rebuild a fitted model (and its Pickands function) from its JSON form."""
     basis = build_zb_basis(KnotConfig(
         interior_knots=read_field(d, "knots", lambda v: tuple(map(float, v))),
         degree=read_field(d, "degree", int)))
-    theta = read_field(d, "theta", lambda v: np.asarray(v, dtype=float))
+    theta = read_field(d, "theta", _finite_vector)
     center_applied = read_field(d, "center_applied", _as_bool)
     flipped = read_field(d, "flipped", _as_bool)
     lam = read_field(d, "lambda", float)

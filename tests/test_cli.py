@@ -323,7 +323,7 @@ def test_fit_exit_codes(tmp_path, capsys):
     ("joint", ["--dim", "3"], "--dim: basis_dim must be >= 4, got 3"),
     ("joint", ["--margin-lambda", "-1"], "--margin-lambda: lam must be"),
     ("joint", ["--bounds", "5", "1"], "--bounds: bounds must be two numbers"),
-    ("study", ["--workers", "0"], "--workers must be >= 1"),
+    ("study", ["--workers", "0"], "--workers: workers must be >= 1, got 0"),
 ])
 def test_bad_flag_values_exit_2(tmp_path, capsys, gumbel2, gumbel2_fit,
                                 command, extra, named):
@@ -342,6 +342,28 @@ def test_bad_flag_values_exit_2(tmp_path, capsys, gumbel2, gumbel2_fit,
     out = str(tmp_path / "out")
     assert main([command, str(source), "-o", out, *extra]) == 2
     assert named in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_help_and_usage_errors_return_their_exit_code(capsys):
+    # main returns argparse's exit code rather than raising SystemExit
+    assert main(["fit", "--help"]) == 0
+    assert main(["fit"]) == 2
+    assert "the following arguments are required: input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "simulate"])
+def test_a_margin_model_is_refused_as_a_copula_model(tmp_path, capsys, command):
+    # the margin.json that joint writes
+    margin = {"version": 1, "kind": "margin", "degree": 3,
+              "knots": [0.25, 0.5, 0.75], "theta": [0.0] * 6,
+              "bounds": [0.0, 1.0], "lambda": 10.0}
+    path = tmp_path / "margin.json"
+    path.write_text(json.dumps(margin))
+    out = str(tmp_path / "out.csv")
+    extra = ["-n", "10", "-o", out] if command == "simulate" else []
+    assert main([command, str(path), *extra]) == 2
+    assert "expected a copula model, not a margin model" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 
@@ -576,11 +598,31 @@ _TINY_BV = {"study": "bias-variance", "seed": 1, "sample_sizes": [100],
     ("study", {**_TINY_STUDY, "seed": -1}, [], None, "'seed'"),
     ("study", {**_TINY_BV, "seed": -3}, [], None, "'seed'"),
     ("study", {**_TINY_STUDY, "random_evc": {"count": 1, "lambda": np.nan}},
-     [], None, "finite lam"),
+     [], None, "'random_evc.lambda'"),
     ("study", {**_TINY_STUDY, "random_evc": {"count": 1, "R": np.inf}},
-     [], None, "finite R"),
+     [], None, "'random_evc.R'"),
     ("study", {**_TINY_STUDY, "fit": {"lambda": np.nan}}, [], None,
-     "lam must be finite"),
+     "'fit.lambda': lam must be finite"),
+    ("model", {"theta": [np.nan] * 12}, [], None, "'theta'"),
+    ("study", {**_TINY_STUDY, "fit": {"lambda": np.inf}}, [], None,
+     "'fit.lambda': lam must be finite and >= 0, got inf"),
+    ("study", {**_TINY_STUDY, "fit": {"lambda": -1}}, [], None,
+     "'fit.lambda': lam must be finite and >= 0, got -1.0"),
+    ("study", {**_TINY_BV, "families": [{"family": "gumbel", "theta": 2.0,
+                                         "lambda": np.nan}]}, [], None,
+     "'lambda': lam must be finite and >= 0, got nan"),
+    ("study", {**_TINY_BV, "families": [{"family": "gumbel", "theta": 2.0,
+                                         "lambda": np.inf}]}, [], None,
+     "'lambda': lam must be finite and >= 0, got inf"),
+    ("study", {**_TINY_BV, "families": [{"family": "gumbel", "theta": 2.0,
+                                         "lambda": -1e-5}]}, [], None,
+     "'lambda': lam must be finite and >= 0, got -1e-05"),
+    ("study", {**_TINY_STUDY, "random_evc": {"count": 1, "lambda": -1}},
+     [], None, "'random_evc.lambda': lam must be finite and >= 0, got -1.0"),
+    ("study", {**_TINY_STUDY, "random_evc": {"count": 1, "R": 0}},
+     [], None, "'random_evc.R': R must be finite and > 0, got 0.0"),
+    ("study", {**_TINY_STUDY, "random_evc": {"count": 1, "R": -2}},
+     [], None, "'random_evc.R': R must be finite and > 0, got -2.0"),
 ], ids=["model-lambda", "model-diagnostics", "model-flipped", "model-knots",
         "spec-seed", "spec-list", "env-threads", "workers-0",
         "spec-replications-0", "spec-replications-negative",
@@ -589,7 +631,11 @@ _TINY_BV = {"study": "bias-variance", "seed": 1, "sample_sizes": [100],
         "bias-variance-replications-0", "bias-variance-sizes-empty",
         "bias-variance-family-lambda", "spec-seed-negative",
         "bias-variance-seed-negative", "spec-prior-lambda-nan",
-        "spec-prior-radius-inf", "spec-fit-lambda-nan"])
+        "spec-prior-radius-inf", "spec-fit-lambda-nan", "model-theta-nan",
+        "spec-fit-lambda-inf", "spec-fit-lambda-negative",
+        "bias-variance-family-lambda-nan", "bias-variance-family-lambda-inf",
+        "bias-variance-family-lambda-negative", "spec-prior-lambda-negative",
+        "spec-prior-radius-0", "spec-prior-radius-negative"])
 def test_outside_input_exits_2_naming_the_field(
         tmp_path, monkeypatch, capsys, gumbel2_fit, kind, doc, extra,
         threads, named):
@@ -714,6 +760,21 @@ def test_joint_pipeline_ranks_tied_masses_by_average(gumbel2):
 def test_joint_rejects_unordered():
     with pytest.raises(InputError):
         joint_pipeline(np.array([[1.0, 2.0], [3.0, 1.0]]))
+
+
+@pytest.mark.parametrize("rows,extra,named", [
+    ([[1.0, 2.0]] + [[3.0, 1.0]] * 40, [], "col1 >= col2"),
+    ([[3.0 + 0.01 * i, 1.0] for i in range(40)], ["--bounds", "0", "3.2"],
+     "inside the bounds"),
+], ids=["unordered", "outside-bounds"])
+def test_joint_bad_data_makes_no_output_directory(tmp_path, capsys, rows,
+                                                  extra, named):
+    path = tmp_path / "masses.csv"
+    write_pairs(path, np.asarray(rows), header="m1,m2")
+    outdir = str(tmp_path / "jout")
+    assert main(["joint", str(path), "-o", outdir, *extra]) == 2
+    assert named in capsys.readouterr().err
+    assert not os.path.exists(outdir)
 
 
 def test_joint_command(tmp_path, gumbel2, capsys):
