@@ -178,8 +178,8 @@ class _Refused(argparse.ArgumentTypeError, ValueError):
 
 
 def _reader(kind, name: str, rule: str, ok):
-    """Reader of a ``kind`` value, called ``name`` in the library, that must
-    be ``rule``: ``ok`` of it holds."""
+    """Reader of a ``kind`` value that ``ok`` accepts; it refuses any other,
+    saying that ``name`` (the library's name of the value) must be ``rule``."""
     def convert(text):
         value = kind(text)
         if not ok(value):

@@ -354,7 +354,7 @@ def test_help_and_usage_errors_return_their_exit_code(capsys):
 
 @pytest.mark.parametrize("command", ["evaluate", "simulate"])
 def test_a_margin_model_is_refused_as_a_copula_model(tmp_path, capsys, command):
-    # the margin.json that joint writes
+    # shaped like the margin.json that joint writes
     margin = {"version": 1, "kind": "margin", "degree": 3,
               "knots": [0.25, 0.5, 0.75], "theta": [0.0] * 6,
               "bounds": [0.0, 1.0], "lambda": 10.0}
