@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from .copula import EvCopula, tvd_copulas
-from .errors import EvcopError, InputError, NumericalError, read_field
+from .errors import EvcopError, InputError, NumericalError, integer, read_field
 from .families import ParametricPickands
 from .fit import (
     FitConfig,
@@ -63,9 +63,9 @@ _TIE_SHARE = 0.01
 # field separators of input CSV files besides blanks
 _BLANK_SEPARATORS = str.maketrans(",;\t", "   ")
 # most study runs one worker fits in lockstep: per fit, a round's objective
-# pass costs 0.79 of a lone call at 2 fits, 0.56 at 4, 0.50 at 8 and 0.48
-# at 16 (tools/lockstep_cost.py, fit-1k inputs, median of seeds 1-3), so
-# more would gain little
+# pass costs about half a lone call from 8 fits on and falls little further
+# (tools/lockstep_cost.py prints the cost at 1-16 fits), so more would gain
+# little
 _LOCKSTEP = 16
 
 
@@ -185,13 +185,13 @@ def _reader(kind, name: str, rule: str, ok):
         if not ok(value):
             raise _Refused(f"{name} must be {rule}, got {value}")
         return value
-    convert.__name__ = kind.__name__  # argparse: "invalid int value: 'x'"
+    convert.__name__ = kind.__name__  # argparse: "invalid integer value: 'x'"
     return convert
 
 
 def _at_least(name: str, lo: int):
     """Reader of an integer that must be ``lo`` or more."""
-    return _reader(int, name, f">= {lo}", lambda n: n >= lo)
+    return _reader(integer, name, f">= {lo}", lambda n: n >= lo)
 
 
 # a cubic spline basis has more than 3 functions
@@ -308,9 +308,10 @@ def _study_run(group):
 
     Returns ``(row, curve, error)`` per run.  A run that fails keeps its row
     with NaN scores and records its error; the others go on.  ``runtime_s``
-    is the run's own time: its simulation, fit set-up, tabulation and
-    scoring, and its share of the lockstep rounds of the descent (see
-    :func:`evcop.fit.optimize_many`).
+    is the run's own time, its simulation and scoring, plus a share of the
+    one :func:`evcop.fit.optimize_many` call in proportion to its fit's
+    ``evaluations``: a lockstep round evaluates every open fit once.  A fit
+    that raised gets no share.
     """
     rows, samples = [], []
     curves, errors = [None] * len(group), [None] * len(group)
@@ -328,9 +329,13 @@ def _study_run(group):
             errors[i] = str(exc)
         rows[i]["runtime_s"] = time.perf_counter() - start
     fitting = [i for i, z in enumerate(samples) if z is not None]
+    start = time.perf_counter()
     fits = optimize_many([samples[i] for i in fitting],
                          [group[i][1] for i in fitting])
-    for i, (fitted, seconds) in zip(fitting, fits):
+    evaluations = [0 if isinstance(fitted, EvcopError) else fitted.evaluations
+                   for fitted in fits]
+    per_evaluation = (time.perf_counter() - start) / max(sum(evaluations), 1)
+    for i, fitted, count in zip(fitting, fits, evaluations):
         start = time.perf_counter()
         truth, t_grid = group[i][0], group[i][6]
         if isinstance(fitted, EvcopError):
@@ -345,7 +350,8 @@ def _study_run(group):
                     curves[i] = np.asarray(fitted.pickands(t_grid))
             except EvcopError as exc:
                 errors[i] = str(exc)
-        rows[i]["runtime_s"] += seconds + time.perf_counter() - start
+        rows[i]["runtime_s"] += (count * per_evaluation
+                                 + time.perf_counter() - start)
     return list(zip(rows, curves, errors))
 
 
@@ -538,9 +544,10 @@ def joint_pipeline(data: np.ndarray, margin_dim: int = 17,
 
 
 def cmd_joint(args) -> int:
-    if args.bounds and not args.bounds[0] < args.bounds[1]:
-        raise InputError("--bounds: bounds must be two numbers a < b, got "
-                         "{:g} {:g}".format(*args.bounds))
+    if args.bounds and not (np.isfinite(args.bounds).all()
+                            and args.bounds[0] < args.bounds[1]):
+        raise InputError("--bounds: bounds must be two finite numbers a < b, "
+                         "got {:g} {:g}".format(*args.bounds))
     data = read_pairs(args.input)
     bounds = tuple(args.bounds) if args.bounds else None
     margin, fitted, final, joint, doubled = joint_pipeline(

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the reader of input fields."""
+"""Exception types shared across the package, and the readers of input fields."""
 
 
 class EvcopError(Exception):
@@ -34,3 +34,13 @@ def read_field(doc: dict, path: str, convert, default=None):
         return convert(value)
     except (TypeError, ValueError) as exc:
         raise InputError(f"malformed field {path!r}: {exc}") from exc
+
+
+def integer(value) -> int:
+    """An int, an integral float or a numeric string as an int; a boolean or
+    a fractional number raises ValueError instead of reading as 0, 1 or its
+    truncation."""
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)

@@ -18,9 +18,9 @@ sums per knot segment (``S0`` and ``S1``, see :func:`_loss_and_grad`).  An
 evaluation costs about a hundred numpy calls on arrays of the grid's size
 whatever the sample size, so it is written to make few of them; every
 value and gradient keeps the operation order of the plain formulas, to the
-last bit, because the optimizer's path hinges on last bits.  The only
-array kept between evaluations is the pipeline's buffer of segment bounds;
-everything an evaluation returns is fresh.  The objective and the
+last bit, because the optimizer's path hinges on last bits.  A fit keeps
+no state between evaluations: every array an evaluation makes is fresh,
+and the objects set-up built are never written.  The objective and the
 tabulation of fitted models (:func:`pipeline_pickands`) are one construction:
 both run the Williamson kernel, divide the transform by its W(0+) mass and
 map each grid node through the affine link.  The objective does so on the
@@ -31,10 +31,10 @@ the penalty and descends it (:func:`_maximize`) by :func:`minimize`,
 L-BFGS-B without bounds that keeps every curvature pair since its last
 restart and evaluates no point twice in a line search.  Only one trial step
 differs: in a bracket that straddles a kink the search tries where the end
-tangents meet (:func:`_kink_step`), not Moré and Thuente's cubic.  The data
-term at the optimizer's last point is read back, not evaluated again.  A
-copula fit sorts its sample once; the flip heuristic, the pilot grid and
-the likelihood read the sorted values.
+tangents meet (:func:`_kink_step`), not Moré and Thuente's cubic.  The
+fitted model's data term is evaluated once more, without gradient, at the
+maximizer.  A copula fit sorts its sample once; the flip heuristic, the
+pilot grid and the likelihood read the sorted values.
 
 The optimizer is one generator, :func:`_descent`, that yields the points
 it needs evaluated.  :func:`minimize` drives one descent with a function:
@@ -44,17 +44,15 @@ drives the descents of many copula fits in lockstep
 round evaluates the next point of every open fit in one objective pass on
 a stack of pipelines (:meth:`_HhatPipeline.stack`), one per grid size.  An
 evaluation at n = 1000 is mostly the fixed cost of about a hundred numpy
-calls, which a pass shares: per fit it costs 0.79 of a lone call at two
-fits, 0.56 at four and 0.48 at sixteen (``tools/lockstep_cost.py``).  The
-pass keeps each fit's BLAS products, dot products, sums and penalty per
-fit, so every fit takes the steps and returns the bits it does alone.
+calls, which a pass shares.  The pass keeps each fit's BLAS products, dot
+products, sums and penalty per fit, so every fit takes the steps and
+returns the bits it does alone.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import time
 from itertools import islice
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -62,7 +60,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bayes import ClrDensity, mass_rule
-from .errors import EvcopError, InputError, NumericalError, read_field
+from .errors import EvcopError, InputError, NumericalError, integer, read_field
 from .families import cfg_estimator
 from .pickands import (
     PickandsModel,
@@ -128,8 +126,6 @@ _LS_FTOL, _LS_GTOL, _LS_XTOL = 1e-3, 0.9, 0.1
 # of an end (in units of its width); the trial there stays _KINK_MARGIN
 # inside the bracket
 _KINK, _KINK_MARGIN = 0.35, 0.01
-# more objective calls than one minimize run makes (two searches an iteration)
-_MEMO_SIZE = 1 + 2 * _MAXLS * (_MAX_ITER + 1)
 _EPS = float(np.finfo(float).eps)
 # edges of the flip heuristic's 32 histogram bins on [0, 1]
 _BIN_EDGES = np.arange(33) / 32.0
@@ -267,11 +263,9 @@ class _HhatPipeline:
     W(0+) mass, the mass of its z-density) are numpy scalars, which numpy
     takes several times faster than one-element arrays.
 
-    The pipeline holds no data: :func:`_loss_and_grad` passes it the
-    cotangents of the knots.  Its one buffer kept between calls is
-    ``bounds``, the segment bounds of the data, rewritten on every call of
-    :func:`_loss_and_grad`; everything :meth:`sweep` returns, and
-    everything a pullback reads, is fresh on every call.
+    The pipeline holds no data and no buffer: :func:`_loss_and_grad` passes
+    it the cotangents of the knots, and everything :meth:`sweep` returns,
+    and everything a pullback reads, is fresh on every call.
     """
 
     def __init__(self, basis: ZBasis, x_grid: np.ndarray):
@@ -280,7 +274,6 @@ class _HhatPipeline:
         self.B = basis.evaluate(self.kernel.nodes.ravel())
         self._half_xp = 0.5 * (1.0 + self.kernel.x_in)
         self._knots_shape = (3, self.m + 2)
-        self.bounds = np.zeros(self.m + 3, dtype=np.intp)
 
     @classmethod
     def stack(cls, pipes) -> _HhatPipeline:
@@ -291,7 +284,6 @@ class _HhatPipeline:
         out.B = np.stack([p.B for p in pipes])
         out._half_xp = np.stack([p._half_xp for p in pipes])
         out._knots_shape = (3, len(pipes), out.m + 2)
-        out.bounds = np.zeros((len(pipes), out.m + 3), dtype=np.intp)
         return out
 
     def sweep(self, theta: np.ndarray):
@@ -400,11 +392,10 @@ def _loss_and_grad(pipe: _HhatPipeline, z, theta: np.ndarray,
     A stack's observations are laid end to end, so one expansion of the
     knots, the passes over the observations and one segment reduction
     serve all its fits; the searches, and each data term's sum over the
-    fit's own observations, run per fit, as for a lone fit.  Each call
-    writes the segment bounds into the pipeline's ``bounds`` buffer; every
-    other array is fresh, so calls share nothing else.  The floor and the
-    zero sums of empty segments cost array passes only on the calls that
-    need them.
+    fit's own observations, run per fit, as for a lone fit.  Every array a
+    call makes is fresh, so calls share nothing.  The floor and the zero
+    sums of empty segments cost array passes only on the calls that need
+    them.
     """
     knots, I_h, pullback = pipe.sweep(theta)
     lone = theta.ndim == 1
@@ -413,7 +404,8 @@ def _loss_and_grad(pipe: _HhatPipeline, z, theta: np.ndarray,
     # per fit: the start of each segment in its sample, then the sample's
     # size twice, so that its end knot expands to no observation; column 0
     # stays 0
-    bounds = pipe.bounds
+    bounds = np.zeros((*t_full.shape[:-1], t_full.shape[-1] + 1),
+                      dtype=np.intp)
     for row, z_f, t_f in ((bounds, z, t_full),) if lone \
             else zip(bounds, z, t_full):
         row[1:-2] = z_f.searchsorted(t_f[1:-1], side="left")
@@ -502,11 +494,7 @@ class PenalizedLikelihood:
     the grid once, here, and the pseudo-angles are kept sorted in ``z`` (the
     caller's array when it is sorted already, else a sorted copy); the sum
     is order-free, and sorted data let the data term work per knot segment.
-    Each value the objective takes (:meth:`value_and_grad`, or a stack of
-    fits evaluated together) keeps its data term, by the bytes of
-    ``theta``, for :meth:`loglik`; the memo is cleared once it holds more
-    entries than one optimizer run makes (``_MEMO_SIZE``), and a miss
-    evaluates afresh.
+    Nothing here changes after set-up: each call evaluates afresh.
     """
 
     def __init__(self, basis: ZBasis, x_grid, z, lam: float, center=0.0):
@@ -515,13 +503,9 @@ class PenalizedLikelihood:
         self.z = ascending(np.asarray(z, dtype=float))
         self.lam = float(lam)
         self.center = np.zeros(basis.dim) + center
-        self._data_terms = {}
 
     def loglik(self, theta) -> float:
-        """The data term alone; read back where the objective took it."""
-        ll = self._data_terms.get(np.asarray(theta, dtype=float).tobytes())
-        if ll is not None:
-            return ll
+        """The data term alone."""
         return _loss_and_grad(self.pipe, self.z, theta + self.center, False)[0]
 
     def penalty(self, theta) -> float:
@@ -538,9 +522,6 @@ class PenalizedLikelihood:
 
     def _penalize(self, theta, ll, grad):
         """The objective at ``theta`` from its data term and that term's gradient."""
-        if len(self._data_terms) >= _MEMO_SIZE:
-            self._data_terms.clear()
-        self._data_terms[theta.tobytes()] = ll
         # ndarray.dot makes the BLAS calls @ makes, with less overhead
         return (ll - self.lam * float(theta.dot(self.omega).dot(theta)),
                 grad - 2.0 * self.lam * self.omega.dot(theta))
@@ -940,18 +921,16 @@ def _descend_together(liks):
     call on a stacked pipeline (a fit alone in its size, its own pipeline),
     and each fit's whitening, center and penalty are its own, in the
     operation order of a lone fit, so every fit takes the steps, and
-    returns the maximizer and run, that :func:`_maximize` gives it alone.  Returns those ``(theta, run)`` pairs and each fit's seconds:
-    its share of every round it was open for, the round's wall time over
-    the fits it served.
+    returns the maximizer and run, that :func:`_maximize` gives it alone.
+    Returns those ``(theta, run)`` pairs.
     """
     whites = [_penalty_whitener(lik.omega, lik.lam) for lik in liks]
     shapes = [lik.pipe.B.shape for lik in liks]
     descents = [_descent(np.zeros(lik.omega.shape[0])) for lik in liks]
     pending = {f: next(steps) for f, steps in enumerate(descents)}
-    results, seconds = [None] * len(liks), [0.0] * len(liks)
+    results = [None] * len(liks)
     stacks = {}
     while pending:
-        start = time.perf_counter()
         by_size = {}
         for f in pending:
             by_size.setdefault(shapes[f], []).append(f)
@@ -982,10 +961,7 @@ def _descend_together(liks):
             except StopIteration as stop:
                 results[f] = _ascent(whites[f], stop.value)
                 del pending[f]
-        share = (time.perf_counter() - start) / len(replies)
-        for f in replies:
-            seconds[f] += share
-    return results, seconds
+    return results
 
 
 class _Setup(NamedTuple):
@@ -1045,32 +1021,26 @@ def optimize(z_sample, config: FitConfig | None = None) -> FittedModel:
 def optimize_many(z_samples, configs):
     """:func:`optimize` of each sample with its config, descending in lockstep.
 
-    Returns one ``(outcome, seconds)`` per sample.  The outcome is the
-    :class:`FittedModel` that :func:`optimize` returns for the sample, to
-    the last bit, or the :class:`~evcop.errors.EvcopError` its set-up or
-    tabulation raised; a failed fit leaves the others alone.
-    ``seconds`` is the fit's own time: its set-up and tabulation, and its
-    share of the rounds of the descent (see :func:`_descend_together`).
+    Returns one outcome per sample: the :class:`FittedModel` that
+    :func:`optimize` returns for the sample, to the last bit, or the
+    :class:`~evcop.errors.EvcopError` its set-up or tabulation raised; a
+    failed fit leaves the others alone.
     """
-    outcomes, seconds, setups = [], [], []
+    outcomes, setups = [], []
     for z, cfg in zip(z_samples, configs):
-        start = time.perf_counter()
         try:
             setups.append(_set_up(z, cfg))
             outcomes.append(None)
         except EvcopError as exc:
             outcomes.append(exc)
-        seconds.append(time.perf_counter() - start)
     live = [f for f, out in enumerate(outcomes) if out is None]
-    runs, shares = _descend_together([s.lik for s in setups])
-    for f, setup, (theta_hat, run), share in zip(live, setups, runs, shares):
-        start = time.perf_counter()
+    runs = _descend_together([s.lik for s in setups])
+    for f, setup, (theta_hat, run) in zip(live, setups, runs):
         try:
             outcomes[f] = _fitted(setup, theta_hat, run)
         except EvcopError as exc:
             outcomes[f] = exc
-        seconds[f] += share + time.perf_counter() - start
-    return list(zip(outcomes, seconds))
+    return outcomes
 
 
 @dataclass(frozen=True)
@@ -1129,8 +1099,9 @@ def fit_univariate_density(sample, bounds, dim: int = 13, lam: float = 1e-4
     x = np.asarray(sample, dtype=float)
     if not 0.0 <= lam < math.inf:
         raise InputError(f"lam must be finite and >= 0, got {lam}")
-    if not (b > a):
-        raise InputError("bounds must satisfy a < b")
+    if not -math.inf < a < b < math.inf:
+        raise InputError("bounds must be two finite numbers a < b, "
+                         f"got {a:g} {b:g}")
     if np.any(x <= a) or np.any(x >= b):
         raise InputError("sample values must lie strictly inside the bounds")
     y = (x - a) / (b - a)
@@ -1333,7 +1304,7 @@ def model_from_dict(d: dict) -> FittedModel:
     """Rebuild a fitted model (and its Pickands function) from its JSON form."""
     basis = build_zb_basis(KnotConfig(
         interior_knots=read_field(d, "knots", lambda v: tuple(map(float, v))),
-        degree=read_field(d, "degree", int)))
+        degree=read_field(d, "degree", integer)))
     theta = read_field(d, "theta", _finite_vector)
     center_applied = read_field(d, "center_applied", _as_bool)
     flipped = read_field(d, "flipped", _as_bool)
@@ -1341,8 +1312,8 @@ def model_from_dict(d: dict) -> FittedModel:
     loglik = read_field(d, "diagnostics.loglik", float, np.nan)
     penalty = read_field(d, "diagnostics.penalty", float, np.nan)
     converged = read_field(d, "diagnostics.converged", _as_bool, True)
-    iterations = read_field(d, "diagnostics.iterations", int, 0)
-    evaluations = read_field(d, "diagnostics.evaluations", int, 0)
+    iterations = read_field(d, "diagnostics.iterations", integer, 0)
+    evaluations = read_field(d, "diagnostics.evaluations", integer, 0)
     grad_max = read_field(d, "diagnostics.grad_max", float, np.nan)
     message = read_field(d, "diagnostics.message", str, "")
     model, dens, grid = pipeline_pickands(basis, theta, center_applied, flipped)

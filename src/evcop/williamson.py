@@ -70,8 +70,12 @@ def default_w_nodes() -> np.ndarray:
 
 @cache
 def default_kernel() -> WilliamsonKernel:
-    """The :class:`WilliamsonKernel` of :func:`default_w_nodes`, built once."""
-    return WilliamsonKernel(default_w_nodes())
+    """The :class:`WilliamsonKernel` of :func:`default_w_nodes`, built once,
+    shared and read-only."""
+    kernel = WilliamsonKernel(default_w_nodes())
+    kernel.nodes.setflags(write=False)
+    kernel._weights.setflags(write=False)
+    return kernel
 
 
 def _segment_edges(x: np.ndarray) -> np.ndarray:

@@ -53,6 +53,7 @@ def test_start_up_builds_no_cached_constant():
 def test_cached_arrays_are_read_only():
     arrays = [*quad._legendre(8), *quad.gauss_square(1e-4, 96),
               *mass_rule(), default_w_nodes(), default_kernel().x,
+              default_kernel().nodes, default_kernel()._weights,
               default_random_basis()._pieces]
     for a in arrays:
         with pytest.raises(ValueError):

@@ -322,8 +322,11 @@ def test_fit_exit_codes(tmp_path, capsys):
     ("joint", ["--margin-dim", "2"], "--margin-dim: dim must be >= 3, got 2"),
     ("joint", ["--dim", "3"], "--dim: basis_dim must be >= 4, got 3"),
     ("joint", ["--margin-lambda", "-1"], "--margin-lambda: lam must be"),
-    ("joint", ["--bounds", "5", "1"], "--bounds: bounds must be two numbers"),
+    ("joint", ["--bounds", "5", "1"],
+     "--bounds: bounds must be two finite numbers a < b, got 5 1"),
     ("study", ["--workers", "0"], "--workers: workers must be >= 1, got 0"),
+    ("joint", ["--bounds", "0", "inf"],
+     "--bounds: bounds must be two finite numbers a < b, got 0 inf"),
 ])
 def test_bad_flag_values_exit_2(tmp_path, capsys, gumbel2, gumbel2_fit,
                                 command, extra, named):
@@ -443,6 +446,17 @@ def test_study_parallel_matches_serial(tmp_path):
     _, rows1, _ = run_study(spec, workers=1)
     _, rows2, _ = run_study(spec, workers=2)
     assert _strip_runtime_rows(rows1) == _strip_runtime_rows(rows2)
+
+
+def test_study_runtimes_are_positive():
+    # each run's runtime_s holds its simulation and scoring, and its share
+    # of the group's lockstep fit by its evaluations
+    spec = {"study": "tvd", "seed": 2, "sample_sizes": [100, 250],
+            "random_evc": {"count": 2}}
+    _, rows, _ = run_study(spec, workers=1)
+    assert len(rows) == 4
+    assert all(np.isfinite(r["runtime_s"]) and r["runtime_s"] > 0.0
+               for r in rows)
 
 
 def test_study_random_truths_follow_spec_dim():
@@ -623,6 +637,16 @@ _TINY_BV = {"study": "bias-variance", "seed": 1, "sample_sizes": [100],
      [], None, "'random_evc.R': R must be finite and > 0, got 0.0"),
     ("study", {**_TINY_STUDY, "random_evc": {"count": 1, "R": -2}},
      [], None, "'random_evc.R': R must be finite and > 0, got -2.0"),
+    ("study", {**_TINY_STUDY, "fit": {"dim": 13.7}}, [], None,
+     "'fit.dim': expected an integer, got 13.7"),
+    ("study", {**_TINY_STUDY, "seed": 1.9}, [], None,
+     "'seed': expected an integer, got 1.9"),
+    ("study", {**_TINY_STUDY, "replications": True}, [], None,
+     "'replications': expected an integer, got True"),
+    ("study", {**_TINY_STUDY, "sample_sizes": [100, 250.5]}, [], None,
+     "'sample_sizes': expected an integer, got 250.5"),
+    ("model", {"degree": 3.7}, [], None, "'degree': expected an integer"),
+    ("model", {"degree": True}, [], None, "'degree': expected an integer"),
 ], ids=["model-lambda", "model-diagnostics", "model-flipped", "model-knots",
         "spec-seed", "spec-list", "env-threads", "workers-0",
         "spec-replications-0", "spec-replications-negative",
@@ -635,7 +659,10 @@ _TINY_BV = {"study": "bias-variance", "seed": 1, "sample_sizes": [100],
         "spec-fit-lambda-inf", "spec-fit-lambda-negative",
         "bias-variance-family-lambda-nan", "bias-variance-family-lambda-inf",
         "bias-variance-family-lambda-negative", "spec-prior-lambda-negative",
-        "spec-prior-radius-0", "spec-prior-radius-negative"])
+        "spec-prior-radius-0", "spec-prior-radius-negative",
+        "spec-fit-dim-fractional", "spec-seed-fractional",
+        "spec-replications-boolean", "spec-size-fractional",
+        "model-degree-fractional", "model-degree-boolean"])
 def test_outside_input_exits_2_naming_the_field(
         tmp_path, monkeypatch, capsys, gumbel2_fit, kind, doc, extra,
         threads, named):

@@ -479,8 +479,8 @@ def test_fused_sweep_matches_link_and_h_formula():
 
 
 def test_objective_calls_share_no_state(gumbel_objectives):
-    # the pipeline reuses buffers across calls: what one call returns must
-    # survive later calls, and a call must not read what an earlier left
+    # what one call returns must survive later calls, and a call must not
+    # read what an earlier one left
     basis, x_grid, z, omega, center = gumbel_objectives[4.0]
     lik = PenalizedLikelihood(basis, x_grid, z, 1e-4, center)
     rng = np.random.default_rng(16)
@@ -653,8 +653,7 @@ def test_a_fit_in_a_lockstep_group_is_the_fit_alone(monkeypatch):
     monkeypatch.setattr(evcop.fit, "_loss_and_grad", counted)
     group = optimize_many(samples, configs)
     assert any(stacked)
-    for (outcome, seconds), z, config in zip(group, samples, configs):
-        assert seconds > 0.0
+    for outcome, z, config in zip(group, samples, configs):
         try:
             alone = optimize(z, config)
         except InputError as exc:
@@ -666,7 +665,7 @@ def test_a_fit_in_a_lockstep_group_is_the_fit_alone(monkeypatch):
                  outcome.message, outcome.loglik, outcome.converged)
                 == (alone.iterations, alone.evaluations, alone.grad_max,
                     alone.message, alone.loglik, alone.converged))
-    assert sum(isinstance(o, InputError) for o, _ in group) == 1
+    assert sum(isinstance(o, InputError) for o in group) == 1
     # the fitting grids: 78 and 76 interior nodes
     fitting = {evcop.fit._set_up(z, c).lik.pipe.m
                for z, c in zip(samples, configs) if z.size >= 30}
@@ -1071,8 +1070,8 @@ def test_line_search_evaluates_no_point_twice(fit1k_structures, monkeypatch):
 
 def test_optimize_calls_the_objective_once_per_evaluation(fit1k_structures,
                                                           monkeypatch):
-    # the data term at the optimizer's last point is read back, not
-    # evaluated again, and equals a fresh evaluation to the last bit
+    # once per optimizer evaluation, and once more for the saved model's
+    # data term, which equals a fresh evaluation to the last bit
     calls, objectives = [], []
 
     def counted(*args):
@@ -1088,29 +1087,46 @@ def test_optimize_calls_the_objective_once_per_evaluation(fit1k_structures,
     for z in fit1k_structures:
         calls.clear()
         fm = optimize(z)
-        assert len(calls) == fm.evaluations
+        assert len(calls) == fm.evaluations + 1
         lik = objectives[-1].__self__
         fresh = _loss_and_grad(lik.pipe, lik.z, fm.theta + lik.center, False)
         assert fm.loglik == fresh[0]
 
 
-def test_data_term_memo_is_bounded_and_exact(gumbel_objectives, monkeypatch):
-    # a likelihood called outside optimize keeps at most _MEMO_SIZE data
-    # terms; loglik reads a kept one back and evaluates a cleared one
-    # afresh, both to the last bit of the data term
-    basis, x_grid, z, omega, center = gumbel_objectives[4.0]
-    lik = PenalizedLikelihood(basis, x_grid, z, 1e-4, center)
-    monkeypatch.setattr(evcop.fit, "_MEMO_SIZE", 4)
-    rng = np.random.default_rng(20)
-    thetas = [_offset(rng, basis.dim, 1.0) for _ in range(10)]
-    for theta in thetas:
-        lik.value_and_grad(theta)
-        assert 1 <= len(lik._data_terms) <= 4
-    kept = [theta.tobytes() in lik._data_terms for theta in thetas]
-    assert kept[-1] and not kept[0]
-    fresh = [_loss_and_grad(lik.pipe, lik.z, theta + center, False)[0]
-             for theta in thetas]
-    assert [lik.loglik(theta) for theta in thetas] == fresh
+def _state(value):
+    """A snapshot of ``value``: arrays by dtype, shape and bytes, objects by
+    their attributes and dicts by their entries, anything else as it is."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if hasattr(value, "__dict__"):
+        value = vars(value)
+    if isinstance(value, dict):
+        return {k: _state(v) for k, v in value.items()}
+    return value
+
+
+def test_a_fit_leaves_its_likelihood_and_pipeline_as_set_up(fit1k_structures,
+                                                             monkeypatch):
+    # a fit keeps no state between calls: after the descent and the
+    # tabulation, alone or in lockstep, every attribute of its likelihood,
+    # of the likelihood's pipeline and of the pipeline's kernel holds what
+    # set-up left there
+    made = []
+    set_up = evcop.fit._set_up
+
+    def recorded(*args):
+        setup = set_up(*args)
+        made.append((setup.lik, _state(setup.lik)))
+        return setup
+
+    monkeypatch.setattr(evcop.fit, "_set_up", recorded)
+    samples = fit1k_structures[:5]
+    for z in samples:
+        optimize(z)
+    optimize_many(samples, [None] * len(samples))
+    assert len(made) == 2 * len(samples)
+    for lik, state in made:
+        assert _state(lik) == state
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])

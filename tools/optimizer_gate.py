@@ -82,7 +82,7 @@ def study_fits(seed: int) -> list[dict]:
 
     def fit_many(z_samples, configs):
         outcomes = optimize_many(z_samples, configs)
-        fitted.extend(fm for fm, _ in outcomes)
+        fitted.extend(outcomes)
         return outcomes
 
     with mock.patch.object(evcop.cli, "optimize_many", fit_many):
