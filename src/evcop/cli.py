@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 import time
@@ -19,7 +18,9 @@ import time
 import numpy as np
 
 from .copula import EvCopula, tvd_copulas
-from .errors import EvcopError, InputError, NumericalError, integer, read_field
+from .errors import (_BASIS_DIM, _BOUNDS, _COUNT, _LAM, _RADIUS, _SAMPLE_SIZE,
+                     _SEED, EvcopError, InputError, NumericalError, _as_bool,
+                     _at_least, read_field, real)
 from .families import ParametricPickands
 from .fit import (
     FitConfig,
@@ -88,11 +89,12 @@ def read_pairs(path) -> np.ndarray:
 
     Fields are separated by ``,``, ``;``, tabs or blanks.  Blank lines and
     fields after the second are ignored, and line 1 is a header when its
-    first two fields are not numbers.  The rows are parsed by one
-    :func:`numpy.loadtxt` call once every separator is a blank.  A NaN or
-    infinite value in the two columns is rejected, naming its line.
+    first two fields are not numbers; a UTF-8 byte-order mark is dropped.
+    The rows are parsed by one :func:`numpy.loadtxt` call once every
+    separator is a blank.  A NaN or infinite value is rejected, naming its
+    line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lines = fh.read().translate(_BLANK_SEPARATORS).split("\n")
     rows = lines if _leading_pair(lines[0]) else lines[1:]
     if not any(map(str.strip, rows)):
@@ -164,43 +166,10 @@ def _rebuild_copula(path) -> tuple[FittedModel, EvCopula]:
         raise InputError("expected a copula model, not a margin model")
     fm = model_from_dict(doc)
     pick = fm.pickands
-    if doc.get("symmetrized"):
+    if read_field(doc, "symmetrized", _as_bool, False):
         pick = symmetrize(pick)
-    return fm, EvCopula(pick, survival=bool(doc.get("survival", False)))
-
-
-# ---------------------------------------------------------------------------
-# input rules: one reader each, the argparse type and read_field converter
-
-
-class _Refused(argparse.ArgumentTypeError, ValueError):
-    """A value outside its rule; argparse and read_field both report it."""
-
-
-def _reader(kind, name: str, rule: str, ok):
-    """Reader of a ``kind`` value that ``ok`` accepts; it refuses any other,
-    saying that ``name`` (the library's name of the value) must be ``rule``."""
-    def convert(text):
-        value = kind(text)
-        if not ok(value):
-            raise _Refused(f"{name} must be {rule}, got {value}")
-        return value
-    convert.__name__ = kind.__name__  # argparse: "invalid integer value: 'x'"
-    return convert
-
-
-def _at_least(name: str, lo: int):
-    """Reader of an integer that must be ``lo`` or more."""
-    return _reader(integer, name, f">= {lo}", lambda n: n >= lo)
-
-
-# a cubic spline basis has more than 3 functions
-_BASIS_DIM = _at_least("basis_dim", 4)
-_COUNT = _at_least("n", 1)
-# numpy's generators take only non-negative seeds
-_SEED = _at_least("seed", 0)
-_LAM = _reader(float, "lam", "finite and >= 0", lambda x: 0.0 <= x < math.inf)
-_RADIUS = _reader(float, "R", "finite and > 0", lambda x: 0.0 < x < math.inf)
+    return fm, EvCopula(pick, survival=read_field(doc, "survival", _as_bool,
+                                                  False))
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +178,6 @@ _RADIUS = _reader(float, "R", "finite and > 0", lambda x: 0.0 < x < math.inf)
 
 def cmd_fit(args) -> int:
     data = read_pairs(args.input)
-    if data.shape[0] < 30:
-        raise InputError(f"need at least 30 rows, got {data.shape[0]}")
     if args.pseudo:
         data = pseudo_observations(data)
     if np.any(data <= 0.0) or np.any(data >= 1.0):
@@ -285,21 +252,20 @@ def cmd_evaluate(args) -> int:
 
 
 def _sample_sizes(values) -> list[int]:
-    """A non-empty list of fit sample sizes, each at least 30."""
-    sizes = [_at_least("sample size", 30)(v) for v in values]
-    if not sizes:
+    """A non-empty list of fit sample sizes."""
+    if not values:
         raise ValueError("must list at least one sample size")
-    return sizes
+    return [_SAMPLE_SIZE(v) for v in values]
 
 
 def _family_copula(conf: dict) -> EvCopula:
     if not isinstance(conf, dict):
         raise InputError("each entry of field 'families' must be an object")
-    alpha = read_field(conf, "alpha", float, 1.0)
-    beta = read_field(conf, "beta", float, 1.0)
+    alpha = read_field(conf, "alpha", real, 1.0)
+    beta = read_field(conf, "beta", real, 1.0)
     kh = None if alpha == 1.0 and beta == 1.0 else (alpha, beta)
     return EvCopula(ParametricPickands(read_field(conf, "family", str),
-                                       read_field(conf, "theta", float),
+                                       read_field(conf, "theta", real),
                                        khoudraji=kh))
 
 
@@ -364,13 +330,9 @@ def _worker_count(requested=None) -> int:
             n = len(os.sched_getaffinity(0))
         except AttributeError:  # no affinity mask on this platform
             n = os.cpu_count() or 1
-    cap = os.environ.get("EVCOP_THREADS")
-    if cap:
-        try:
-            n = min(n, max(1, int(cap)))
-        except ValueError:
-            raise InputError(
-                f"EVCOP_THREADS must be an integer, got {cap!r}") from None
+    if os.environ.get("EVCOP_THREADS"):  # unset or empty: no cap
+        n = min(n, read_field(os.environ, "EVCOP_THREADS",
+                              _at_least("EVCOP_THREADS", 1)))
     return n
 
 
@@ -544,12 +506,11 @@ def joint_pipeline(data: np.ndarray, margin_dim: int = 17,
 
 
 def cmd_joint(args) -> int:
-    if args.bounds and not (np.isfinite(args.bounds).all()
-                            and args.bounds[0] < args.bounds[1]):
-        raise InputError("--bounds: bounds must be two finite numbers a < b, "
-                         "got {:g} {:g}".format(*args.bounds))
+    try:
+        bounds = args.bounds and _BOUNDS(args.bounds)
+    except InputError as exc:
+        raise InputError(f"--bounds: {exc}") from None
     data = read_pairs(args.input)
-    bounds = tuple(args.bounds) if args.bounds else None
     margin, fitted, final, joint, doubled = joint_pipeline(
         data, margin_dim=args.margin_dim, margin_lam=args.margin_lam,
         copula_dim=args.dim, copula_lam=args.lam, bounds=bounds,

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._quad import gauss_square
 from ._rootfind import vector_bisect
-from .errors import InputError, NumericalError
+from .errors import _COUNT, NumericalError
 from .pickands import PickandsModel
 
 __all__ = ["EvCopula", "tvd_copulas", "supnorm_bound_check", "SupnormBound"]
@@ -132,8 +132,7 @@ class EvCopula:
         steps in ``v`` solve inside the bracket.  Deterministic for a given
         seed; at independence the draw is ``(U, P)`` itself.
         """
-        if n < 1:
-            raise InputError("n must be >= 1")
+        _COUNT(n)
         rng = seed if isinstance(seed, np.random.Generator) \
             else np.random.default_rng(seed)
         u = rng.random(n)

@@ -60,7 +60,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .bayes import ClrDensity, mass_rule
-from .errors import EvcopError, InputError, NumericalError, integer, read_field
+from .errors import (_BASIS_DIM, _BOUNDS, _COUNT, _LAM, _RADIUS, _SAMPLE_SIZE,
+                     EvcopError, InputError, NumericalError, _as_bool,
+                     _at_least, integer, read_field, real)
 from .families import cfg_estimator
 from .pickands import (
     PickandsModel,
@@ -157,11 +159,8 @@ class FitConfig:
     flip: bool | None = None
 
     def __post_init__(self):
-        if not 0.0 <= self.lam < math.inf:
-            raise InputError(f"lam must be finite and >= 0, got {self.lam}")
-        if self.basis_dim <= _DEGREE:
-            raise InputError(
-                f"basis_dim must exceed the spline degree {_DEGREE}")
+        _LAM(self.lam)
+        _BASIS_DIM(self.basis_dim)
 
 
 def z_transform(sample) -> np.ndarray:
@@ -218,8 +217,7 @@ def empirical_w_grid(z_sample, k: int) -> np.ndarray:
     fitted model roughly follow the sample.
     """
     z = np.asarray(z_sample, dtype=float)
-    if k < 2:
-        raise InputError("k must be >= 2")
+    _at_least("k", 2)(k)
     if z.size == 0:
         raise InputError("empty sample")
     # the pilot reads the sample only through its sorted values
@@ -979,8 +977,7 @@ def _set_up(z_sample, config: FitConfig | None) -> _Setup:
     """
     cfg = config or FitConfig()
     z = np.asarray(z_sample, dtype=float)
-    if z.size < 30:
-        raise InputError(f"sample size {z.size} < 30")
+    _SAMPLE_SIZE(z.size)
     zs = np.sort(z, axis=None)
     flip = ordering_heuristic(zs) if cfg.flip is None else bool(cfg.flip)
     # 1 - z reverses the order
@@ -1024,8 +1021,11 @@ def optimize_many(z_samples, configs):
     Returns one outcome per sample: the :class:`FittedModel` that
     :func:`optimize` returns for the sample, to the last bit, or the
     :class:`~evcop.errors.EvcopError` its set-up or tabulation raised; a
-    failed fit leaves the others alone.
+    failed fit leaves the others alone.  The lists must be equally long.
     """
+    if len(z_samples) != len(configs):
+        raise InputError(f"optimize_many: {len(z_samples)} samples but "
+                         f"{len(configs)} configs")
     outcomes, setups = [], []
     for z, cfg in zip(z_samples, configs):
         try:
@@ -1095,13 +1095,9 @@ def fit_univariate_density(sample, bounds, dim: int = 13, lam: float = 1e-4
     Omega theta`` (no affine center).  The gradient is available in closed
     form, making the optimization fast and reliable.
     """
-    a, b = float(bounds[0]), float(bounds[1])
+    _LAM(lam)
+    a, b = _BOUNDS(bounds)
     x = np.asarray(sample, dtype=float)
-    if not 0.0 <= lam < math.inf:
-        raise InputError(f"lam must be finite and >= 0, got {lam}")
-    if not -math.inf < a < b < math.inf:
-        raise InputError("bounds must be two finite numbers a < b, "
-                         f"got {a:g} {b:g}")
     if np.any(x <= a) or np.any(x >= b):
         raise InputError("sample values must lie strictly inside the bounds")
     y = (x - a) / (b - a)
@@ -1184,9 +1180,7 @@ def mcmc_sample(log_target, dim: int, n_samples: int, seed=None,
 
 def default_random_basis(dim: int = 13) -> ZBasis:
     """Uniform-knot cubic basis used to generate random models."""
-    if dim <= _DEGREE:
-        raise InputError(f"basis dim must exceed the spline degree {_DEGREE}, "
-                         f"got {dim}")
+    _BASIS_DIM(dim)
     knots = tuple(np.linspace(0.0, 1.0, dim - _DEGREE + 2)[1:-1])
     return build_zb_basis(KnotConfig(interior_knots=knots, degree=_DEGREE))
 
@@ -1239,12 +1233,9 @@ def random_pickands(lam: float, R: float, n: int, seed=None,
     that fail tabulation are replaced, with a warning.  Every second model is
     mirrored so the collection has no preferred orientation.
     """
-    if not 0.0 <= lam < math.inf:
-        raise InputError(f"lam must be finite and >= 0, got {lam}")
-    if not 0.0 < R < math.inf:
-        raise InputError(f"R must be finite and > 0, got {R}")
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
+    _LAM(lam)
+    _RADIUS(R)
+    _COUNT(n)
     basis = basis if basis is not None else default_random_basis()
     draws = _prior_draws(lam, R, curvature_matrix(basis),
                          project_center(basis), np.random.default_rng(seed))
@@ -1287,14 +1278,8 @@ def model_to_dict(fm: FittedModel) -> dict:
     }
 
 
-def _as_bool(value) -> bool:
-    if not isinstance(value, bool):
-        raise TypeError(f"expected true or false, got {value!r}")
-    return value
-
-
 def _finite_vector(value) -> np.ndarray:
-    theta = np.asarray(value, dtype=float)
+    theta = np.asarray([real(v) for v in value], dtype=float)
     if not np.isfinite(theta).all():
         raise ValueError("expected finite numbers")
     return theta
@@ -1303,18 +1288,18 @@ def _finite_vector(value) -> np.ndarray:
 def model_from_dict(d: dict) -> FittedModel:
     """Rebuild a fitted model (and its Pickands function) from its JSON form."""
     basis = build_zb_basis(KnotConfig(
-        interior_knots=read_field(d, "knots", lambda v: tuple(map(float, v))),
+        interior_knots=read_field(d, "knots", lambda v: tuple(map(real, v))),
         degree=read_field(d, "degree", integer)))
     theta = read_field(d, "theta", _finite_vector)
     center_applied = read_field(d, "center_applied", _as_bool)
     flipped = read_field(d, "flipped", _as_bool)
-    lam = read_field(d, "lambda", float)
-    loglik = read_field(d, "diagnostics.loglik", float, np.nan)
-    penalty = read_field(d, "diagnostics.penalty", float, np.nan)
+    lam = read_field(d, "lambda", _LAM)
+    loglik = read_field(d, "diagnostics.loglik", real, np.nan)
+    penalty = read_field(d, "diagnostics.penalty", real, np.nan)
     converged = read_field(d, "diagnostics.converged", _as_bool, True)
     iterations = read_field(d, "diagnostics.iterations", integer, 0)
     evaluations = read_field(d, "diagnostics.evaluations", integer, 0)
-    grad_max = read_field(d, "diagnostics.grad_max", float, np.nan)
+    grad_max = read_field(d, "diagnostics.grad_max", real, np.nan)
     message = read_field(d, "diagnostics.message", str, "")
     model, dens, grid = pipeline_pickands(basis, theta, center_applied, flipped)
     return FittedModel(theta=theta, basis=basis, center_applied=center_applied,

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._hermite import PiecewiseBernstein
 from ._quad import gauss_legendre
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, _at_least
 
 __all__ = [
     "KnotConfig",
@@ -49,8 +49,7 @@ class KnotConfig:
     def __post_init__(self):
         kn = tuple(float(k) for k in self.interior_knots)
         object.__setattr__(self, "interior_knots", kn)
-        if self.degree < 1:
-            raise InputError(f"degree must be >= 1, got {self.degree}")
+        _at_least("degree", 1)(self.degree)
         arr = np.asarray(kn)
         if arr.size:
             if not np.all((arr > 0.0) & (arr < 1.0)):
@@ -340,8 +339,7 @@ def quantile_knots(sample, n_interior: int) -> KnotConfig:
     than ``n_interior`` distinct knots survive.
     """
     s = np.asarray(sample, dtype=float)
-    if n_interior < 0:
-        raise InputError("n_interior must be >= 0")
+    _at_least("n_interior", 0)(n_interior)
     if n_interior == 0:
         return KnotConfig(interior_knots=(), degree=3)
     if s.size < n_interior + 2:

@@ -41,7 +41,7 @@ def test_csv_roundtrip_precision(tmp_path):
 def _line_by_line_pairs(path) -> np.ndarray:
     """Reference: the CSV reader as a loop over lines, one row at a time."""
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh):
             text = line.strip()
             if not text:
@@ -81,12 +81,16 @@ def test_read_pairs_header_and_formats(tmp_path):
         "header": f"pair u,pair v\n{x[0]},{x[1]}\n",
         "one_field_header": f"{x[0]}\n{x[1]},{x[2]}\n",
         "empty_fields": f"{x[0]},,{x[1]}\n{x[2]}, ,{x[3]},\n",
+        # a byte-order mark, as Excel and PowerShell write: row 1 is data
+        "bom_headerless": f"\ufeff{x[0]},{x[1]}\n{x[2]},{x[3]}\n",
+        "bom_header": f"\ufeffu,v\n{x[0]},{x[1]}\n{x[2]},{x[3]}\n",
     }
     for name, text in accepted.items():
         path = tmp_path / f"{name}.csv"
         path.write_bytes(text.encode("utf-8"))
         data = read_pairs(path)
-        assert data.shape[1] == 2, name
+        assert data.shape == (1 if name in ("header", "one_field_header")
+                              else 2, 2), name
         assert np.array_equal(data, _line_by_line_pairs(path), equal_nan=True), name
     for name, (text, line) in {
             "bad_field": (f"u,v\n{x[0]},{x[1]}\n\n{x[2]},{x[3]}\nnot,numbers\n1,2\n", 5),
@@ -647,6 +651,24 @@ _TINY_BV = {"study": "bias-variance", "seed": 1, "sample_sizes": [100],
      "'sample_sizes': expected an integer, got 250.5"),
     ("model", {"degree": 3.7}, [], None, "'degree': expected an integer"),
     ("model", {"degree": True}, [], None, "'degree': expected an integer"),
+    ("study", {**_TINY_STUDY, "fit": {"lambda": True}}, [], None,
+     "'fit.lambda': expected a number, got True"),
+    ("study", {**_TINY_BV, "families": [{"family": "gumbel", "theta": True}]},
+     [], None, "'theta': expected a number, got True"),
+    ("study", {**_TINY_STUDY, "random_evc": {"count": 1, "R": True}},
+     [], None, "'random_evc.R': expected a number, got True"),
+    ("model", {"survival": "false"}, [], None,
+     "'survival': expected true or false, got 'false'"),
+    ("model", {"symmetrized": "no"}, [], None,
+     "'symmetrized': expected true or false, got 'no'"),
+    ("model", {"lambda": np.nan}, [], None,
+     "'lambda': lam must be finite and >= 0, got nan"),
+    ("model", {"lambda": -1}, [], None,
+     "'lambda': lam must be finite and >= 0, got -1.0"),
+    ("model", {"theta": [True] * 12}, [], None,
+     "'theta': expected a number, got True"),
+    ("study", _TINY_STUDY, [], "0", "EVCOP_THREADS must be >= 1, got 0"),
+    ("study", _TINY_STUDY, [], "-2", "EVCOP_THREADS must be >= 1, got -2"),
 ], ids=["model-lambda", "model-diagnostics", "model-flipped", "model-knots",
         "spec-seed", "spec-list", "env-threads", "workers-0",
         "spec-replications-0", "spec-replications-negative",
@@ -662,7 +684,11 @@ _TINY_BV = {"study": "bias-variance", "seed": 1, "sample_sizes": [100],
         "spec-prior-radius-0", "spec-prior-radius-negative",
         "spec-fit-dim-fractional", "spec-seed-fractional",
         "spec-replications-boolean", "spec-size-fractional",
-        "model-degree-fractional", "model-degree-boolean"])
+        "model-degree-fractional", "model-degree-boolean",
+        "spec-fit-lambda-boolean", "bias-variance-family-theta-boolean",
+        "spec-prior-radius-boolean", "model-survival-string",
+        "model-symmetrized-string", "model-lambda-nan", "model-lambda-negative",
+        "model-theta-boolean", "env-threads-0", "env-threads-negative"])
 def test_outside_input_exits_2_naming_the_field(
         tmp_path, monkeypatch, capsys, gumbel2_fit, kind, doc, extra,
         threads, named):

@@ -672,6 +672,14 @@ def test_a_fit_in_a_lockstep_group_is_the_fit_alone(monkeypatch):
     assert fitting == {76, 78}
 
 
+@pytest.mark.parametrize("configs", [[None], []])
+def test_optimize_many_refuses_unequal_lists(gumbel2_sample, configs):
+    # zipping would drop the samples without a config
+    z = z_transform(gumbel2_sample)
+    with pytest.raises(InputError, match=f"2 samples but {len(configs)} "):
+        optimize_many([z, z], configs)
+
+
 def test_optimize_builds_one_pipeline(gumbel2_sample, monkeypatch):
     builds = _count_pipeline_builds(monkeypatch)
     optimize(z_transform(gumbel2_sample), FitConfig(lam=1e-4))
@@ -1193,7 +1201,8 @@ def test_mcmc_mode_consistent_with_map(gumbel2_sample, monkeypatch):
 
 def test_random_basis_needs_more_functions_than_the_degree():
     for dim in (0, 2, 3):
-        with pytest.raises(InputError, match="spline degree 3"):
+        with pytest.raises(InputError,
+                           match=f"basis_dim must be >= 4, got {dim}$"):
             default_random_basis(dim)
     assert default_random_basis(4).dim == 4
 

@@ -1,7 +1,9 @@
-"""Dead-code guards over ``src/evcop``, read from the syntax tree only.
+"""Guards over ``src/evcop``, read from the syntax tree only.
 
 An import nothing reads, or a private module-level name nothing refers to,
-is code that no caller runs.
+is code that no caller runs.  A field read by a builtin converter, or a
+``.get`` read through ``bool``, takes ``true`` for 1 and ``"false"`` for
+true: every outside value is read by a reader of ``evcop.errors``.
 """
 
 import ast
@@ -76,3 +78,26 @@ def test_every_private_module_name_is_referenced():
                      if name.startswith("_") and not name.startswith("__")
                      and name not in referenced]
     assert not dead, "unreferenced private names: " + ", ".join(dead)
+
+
+def _calls(tree, name):
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name) and node.func.id == name]
+
+
+def test_fields_are_read_by_the_input_readers():
+    loose = []
+    for path, _, tree in _modules():
+        for call in _calls(tree, "read_field"):
+            convert = call.args[2:3] + [k.value for k in call.keywords
+                                        if k.arg == "convert"]
+            if any(isinstance(c, ast.Name) and c.id in ("float", "int", "bool")
+                   for c in convert):
+                loose.append(f"{path.name}:{call.lineno}: read_field "
+                             f"through {convert[0].id}")
+        for call in _calls(tree, "bool"):
+            if any(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                   and n.func.attr == "get"
+                   for arg in call.args for n in ast.walk(arg)):
+                loose.append(f"{path.name}:{call.lineno}: bool of a .get")
+    assert not loose, "fields read without their reader: " + ", ".join(loose)
