@@ -330,9 +330,13 @@ def _worker_count(requested=None) -> int:
             n = len(os.sched_getaffinity(0))
         except AttributeError:  # no affinity mask on this platform
             n = os.cpu_count() or 1
-    if os.environ.get("EVCOP_THREADS"):  # unset or empty: no cap
-        n = min(n, read_field(os.environ, "EVCOP_THREADS",
-                              _at_least("EVCOP_THREADS", 1)))
+    cap = os.environ.get("EVCOP_THREADS")
+    if cap:  # unset or empty: no cap
+        try:
+            n = min(n, _at_least("EVCOP_THREADS", 1)(cap))
+        except InputError as exc:
+            raise InputError("malformed environment variable "
+                             f"'EVCOP_THREADS': {exc}") from None
     return n
 
 
@@ -374,14 +378,15 @@ def run_study(spec: dict, workers: int = 1):
     sizes = read_field(spec, "sample_sizes", _sample_sizes, [1000])
     reps = read_field(spec, "replications",
                       _at_least("replications", 1), 1 if tvd else 100)
-    lam = read_field(spec, "fit.lambda", _LAM, 1e-4)
-    dim = read_field(spec, "fit.dim", _BASIS_DIM, 13)
+    # a field left out takes the library's default
+    lam = read_field(spec, "fit.lambda", _LAM, FitConfig.lam)
+    dim = read_field(spec, "fit.dim", _BASIS_DIM, FitConfig.basis_dim)
     if tvd:
         count = read_field(spec, "random_evc.count", _COUNT, 20)
-        prior_lam = read_field(spec, "random_evc.lambda", _LAM, 1e-4)
+        prior_lam = read_field(spec, "random_evc.lambda", _LAM, FitConfig.lam)
         radius = read_field(spec, "random_evc.R", _RADIUS, 5.0)
         basis = default_random_basis(
-            read_field(spec, "random_evc.dim", _BASIS_DIM, 13))
+            read_field(spec, "random_evc.dim", _BASIS_DIM, FitConfig.basis_dim))
         cfgs = [FitConfig(basis_dim=dim, lam=lam)] * count
         truths = [EvCopula(m) for m in random_pickands(prior_lam, radius, count,
                                                        seed=seed, basis=basis)]
@@ -464,9 +469,11 @@ def cmd_study(args) -> int:
 # joint pipeline
 
 
-def joint_pipeline(data: np.ndarray, margin_dim: int = 17,
-                   margin_lam: float = 10.0, copula_dim: int = 13,
-                   copula_lam: float = 1e-5, bounds=None, n_samples: int = 500, seed=0):
+def joint_pipeline(data: np.ndarray, *, margin_dim: int = 17,
+                   margin_lam: float = 10.0,
+                   copula_dim: int = FitConfig.basis_dim,
+                   copula_lam: float = 1e-5, bounds=None, n_samples: int = 500,
+                   seed=0):
     """Shared-margin joint model for ordered pairs (col1 >= col2).
 
     The sample is duplicated with swapped columns so both margins coincide,
@@ -570,8 +577,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="rank-transform raw data to (0,1) first")
     p.add_argument("--survival", action="store_true",
                    help="fit through the survival transform")
-    p.add_argument("--dim", type=_BASIS_DIM, default=13)
-    p.add_argument("--lambda", dest="lam", type=_LAM, default=1e-4)
+    p.add_argument("--dim", type=_BASIS_DIM, default=FitConfig.basis_dim)
+    p.add_argument("--lambda", dest="lam", type=_LAM, default=FitConfig.lam)
     p.add_argument("--no-flip-heuristic", action="store_true")
     p.set_defaults(func=cmd_fit)
 
@@ -597,16 +604,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_study)
 
     p = sub.add_parser("joint", help="shared-margin joint model for ordered pairs")
+    joint = joint_pipeline.__kwdefaults__  # the library's defaults
     p.add_argument("input")
     p.add_argument("-o", "--outdir", default="joint_out")
     # a margin basis of dim d has d - 3 interior knots
-    p.add_argument("--margin-dim", type=_at_least("dim", 3), default=17)
-    p.add_argument("--margin-lambda", dest="margin_lam", type=_LAM, default=10.0)
+    p.add_argument("--margin-dim", type=_at_least("dim", 3),
+                   default=joint["margin_dim"])
+    p.add_argument("--margin-lambda", dest="margin_lam", type=_LAM,
+                   default=joint["margin_lam"])
     p.add_argument("--bounds", nargs=2, type=float, default=None)
-    p.add_argument("--dim", type=_BASIS_DIM, default=13)
-    p.add_argument("--lambda", dest="lam", type=_LAM, default=1e-5)
-    p.add_argument("--samples", type=_COUNT, default=500)
-    p.add_argument("--seed", type=_SEED, default=0)
+    p.add_argument("--dim", type=_BASIS_DIM, default=joint["copula_dim"])
+    p.add_argument("--lambda", dest="lam", type=_LAM, default=joint["copula_lam"])
+    p.add_argument("--samples", type=_COUNT, default=joint["n_samples"])
+    p.add_argument("--seed", type=_SEED, default=joint["seed"])
     p.set_defaults(func=cmd_joint)
 
     return parser

@@ -5,19 +5,25 @@ The class also evaluates through the survival transform
 ``u + v - 1 + C(1 - u, 1 - v)``, which swaps lower and upper tail behavior.
 Simulation inverts the conditional distribution ``dC/du``: a table of it at
 the nodes of the Pickands function brackets each root, and safeguarded Newton
-steps solve inside the bracket.
+steps solve inside the bracket.  Total variation is taken in the coordinates
+of Ghoudi, Khoudraji & Rivest (1998), ``u = e^{-rz}``, ``v = e^{-r(1-z)}``,
+where the density times the Jacobian is ``e^{-rA(z)} (r P(z) + Q(z))``: a
+Gauss rule in ``z`` on panels at quantiles of both pseudo-angle laws, and
+the ``r``-integral in closed form between the sign changes of the
+difference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
 
-from ._quad import gauss_square
+from ._quad import _read_only, gauss_legendre
 from ._rootfind import vector_bisect
-from .errors import _COUNT, NumericalError
+from .errors import _COUNT, InputError, NumericalError
 from .pickands import PickandsModel
 
 __all__ = ["EvCopula", "tvd_copulas", "supnorm_bound_check", "SupnormBound"]
@@ -29,8 +35,12 @@ _V_MIN, _V_MAX = 1e-15, 1.0 - 1e-15
 _T_GRID = np.linspace(0.0, 1.0, 401)
 _T_RUN = np.geomspace(1e-12, 1e-3, 37)
 _NEWTON_STEPS = 8
-# tvd_copulas integrates on [_TVD_EPS, 1 - _TVD_EPS]^2 by a 96 x 96 Gauss rule
-_TVD_EPS = 1e-4
+# tvd_copulas: Gauss-Legendre order of its z panels, and the largest error it
+# allows in either density's mass on them, 10 times the worst measured: 9.9e-5
+# over 1500 fitted/truth pairs of tvd studies (sizes 250 and 1000) and 5.8e-5
+# over Gumbel (theta up to 50), Galambos, Khoudraji and random spline models
+_TVD_ORDER = 8
+_TVD_MASS_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -235,21 +245,105 @@ def _scalar_if_scalars(u, v, out):
     return float(out.flat[0]) if np.ndim(u) == 0 and np.ndim(v) == 0 else out
 
 
+@cache
+def _tvd_tables():
+    """The fixed tables of :func:`tvd_copulas`, built at first use and
+    read-only: the ``z`` table on which each pseudo-angle CDF is read, the
+    CDF levels whose quantiles are panel edges (geometric from 1e-7 to 0.02,
+    then ``k/20``, then the mirrored tail levels), and the grid in
+    ``x = r min(A1, A2)`` that brackets the sign changes in ``r``."""
+    tail = np.geomspace(1e-10, 0.02, 15)
+    z = np.concatenate([tail, np.linspace(0.02, 0.98, 121)[1:-1],
+                        1.0 - tail[::-1]])
+    geo = np.geomspace(1e-7, 0.02, 6)
+    levels = np.concatenate([geo, np.arange(1, 20) / 20, 1.0 - geo[::-1]])
+    x = np.concatenate([[0.0], np.geomspace(0.05, 32.0, 15)])
+    return _read_only(z, levels, x)
+
+
+def _tvd_nodes(a1, a2):
+    """Nodes and weights in ``z`` of :func:`tvd_copulas` for the Pickands
+    functions ``a1`` and ``a2``: 8-point Gauss-Legendre on the panels between
+    the quantiles of both pseudo-angle CDFs ``H = z + z(1 - z)A'/A``, each
+    read by one ``jet`` call on a fixed table."""
+    z_table, levels, _ = _tvd_tables()
+    edges = [np.array([0.0, 1.0])]
+    for a in (a1, a2):
+        f, f1, _ = (np.asarray(v, dtype=float) for v in a.jet(z_table))
+        cdf = z_table + z_table * (1.0 - z_table) * f1 / f
+        cdf = np.maximum.accumulate(np.clip(cdf, 0.0, 1.0))
+        edges.append(np.interp(levels, cdf, z_table))
+    return gauss_legendre(np.unique(np.concatenate(edges)), _TVD_ORDER)
+
+
+def _angle_terms(a, z):
+    """``A``, ``P = (A + (1 - z)A')(A - zA')`` and ``Q = z(1 - z)A''`` at ``z``,
+    from one ``jet`` read."""
+    f, f1, f2 = (np.asarray(v, dtype=float) for v in a.jet(z))
+    return f, (f + (1.0 - z) * f1) * (f - z * f1), z * (1.0 - z) * f2
+
+
 def tvd_copulas(c1, c2) -> float:
     """Total variation distance between two copula densities.
 
-    96 x 96 tensor Gauss-Legendre quadrature of ``|c1 - c2| / 2`` on the
-    square ``[eps, 1-eps]^2``, ``eps = 1e-4``.  The excluded boundary strip
-    carries copula mass at most ``4 eps`` under each model, so the truncation
-    understates the true distance by at most ``4 eps``.  The rule is built
-    once, at the first call, and shared read-only by every later one.
+    In ``u = e^{-rz}``, ``v = e^{-r(1-z)}`` a density times its Jacobian is
+    ``e^{-rA}(rP + Q)`` (see :func:`_angle_terms`), so the distance is half
+    the integral over ``z`` of ``T(z) = int_0^inf |g| dr``, ``g`` the
+    difference of the two.  ``g = -G'`` for ``G = F1 - F2``,
+    ``F = e^{-rA}((rP + Q)/A + P/A^2)``, with ``G(0) = h1 - h2`` (the
+    pseudo-angle densities) and ``G(inf) = 0``; so ``T`` is the sum of
+    ``|G|``'s steps between the sign changes of ``g``, exact in ``r`` but for
+    the roots.  Each root is bracketed on a fixed grid in ``r min(A1, A2)``
+    and placed by one secant step; its error enters only at second order.
+    No bound on the number of roots is assumed: where ``A'' < 0``,
+    ``rP + Q`` itself changes sign.  In ``z`` the rule is 8-point
+    Gauss-Legendre on the panels between quantiles of both pseudo-angle laws.
+
+    Each density's mass ``sum w h`` is checked on the same rule, and a mass
+    off 1 by more than ``_TVD_MASS_TOL`` raises :class:`NumericalError`.  The
+    distance does not change when both copulas are reflected, so both must
+    have the same survival flag.  Swapping the pair gives the same value,
+    and equal models give 0.
     """
-    uu, vv, w2 = gauss_square(_TVD_EPS, 96)
-    d1 = np.asarray(c1.pdf(uu, vv), dtype=float)
-    d2 = np.asarray(c2.pdf(uu, vv), dtype=float)
-    if not (np.all(np.isfinite(d1)) and np.all(np.isfinite(d2))):
-        raise NumericalError("non-finite copula density inside the unit square")
-    return float(0.5 * np.sum(w2 * np.abs(d1 - d2)))
+    if c1.survival != c2.survival:
+        raise InputError("tvd_copulas: both copulas need the same survival flag")
+    z, w = _tvd_nodes(c1.pickands, c2.pickands)
+    f1, p1, q1 = _angle_terms(c1.pickands, z)
+    f2, p2, q2 = _angle_terms(c2.pickands, z)
+    h1 = (p1 / f1 + q1) / f1
+    h2 = (p2 / f2 + q2) / f2
+    for mass in (w @ h1, w @ h2):
+        if not abs(mass - 1.0) <= _TVD_MASS_TOL:
+            raise NumericalError(
+                f"copula density integrates to {mass:.8g} on the tvd rule, "
+                f"off 1 by more than {_TVD_MASS_TOL:g}")
+
+    # on the grid r = x / m, m = min(A1, A2), e^{rm} g is the difference of
+    # e^{-r(A - m)} (rP + Q) between the two models
+    m = np.minimum(f1, f2)[:, None]
+    r = _tvd_tables()[2] / m
+    k = np.zeros_like(r)
+    for f, p, q, sign in ((f1, p1, q1, 1.0), (f2, p2, q2, -1.0)):
+        k += sign * np.exp(r * (m - f[:, None])) * (r * p[:, None] + q[:, None])
+    up = k >= 0.0
+    rows, cols = np.nonzero(up[:, 1:] != up[:, :-1])
+    ka, kb = k[rows, cols], k[rows, cols + 1]
+    ra, rb = r[rows, cols], r[rows, cols + 1]
+    root = ra - ka * (rb - ra) / (kb - ka)
+    g_root = np.zeros(rows.size)
+    for f, p, q, sign in ((f1, p1, q1, 1.0), (f2, p2, q2, -1.0)):
+        f, p, q = f[rows], p[rows], q[rows]
+        g_root += sign * np.exp(-root * f) * (root * p + q + p / f) / f
+    # steps of G row by row: G(0), G at each root, G(inf) = 0
+    g0 = h1 - h2
+    first = np.append(True, rows[1:] != rows[:-1])
+    last = np.append(first[1:], True)
+    before = np.where(first, g0[rows], np.roll(g_root, 1))
+    steps = np.abs(before - g_root) + last * np.abs(g_root)
+    total = np.where(np.bincount(rows, minlength=z.size) == 0,
+                     np.abs(g0),  # g keeps one sign
+                     np.bincount(rows, steps, minlength=z.size))
+    return float(0.5 * (w @ total))
 
 
 class SupnormBound(NamedTuple):

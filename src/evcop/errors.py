@@ -22,7 +22,7 @@ class NumericalError(EvcopError, RuntimeError):
 
 def read_field(doc: dict, path: str, convert, default=None):
     """``convert`` of the value at the dotted ``path`` of a JSON document (or
-    of any mapping, such as ``os.environ``).
+    of any mapping).
 
     An absent or null value gives ``default``, and is an error when
     ``default`` is None.  Malformed input raises :class:`InputError` naming
@@ -45,19 +45,27 @@ def read_field(doc: dict, path: str, convert, default=None):
 
 
 def integer(value) -> int:
-    """An int, integral float or numeric string as an int; a boolean or a
-    fractional number is refused, not read as 0, 1 or its truncation."""
-    if isinstance(value, bool) or (isinstance(value, float)
-                                   and not value.is_integer()):
-        raise InputError(f"expected an integer, got {value!r}")
-    return int(value)
+    """An int, integral float or numeric string as an int; a boolean, a
+    fractional number or other text is refused, not read as 0, 1 or its
+    truncation."""
+    if not (isinstance(value, bool) or (isinstance(value, float)
+                                        and not value.is_integer())):
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise InputError(f"expected an integer, got {value!r}")
 
 
 def real(value) -> float:
-    """A number or numeric string as a float; a boolean is not 0.0 or 1.0."""
-    if isinstance(value, bool):
-        raise InputError(f"expected a number, got {value!r}")
-    return float(value)
+    """A number or numeric string as a float; a boolean is not 0.0 or 1.0,
+    and other text is refused."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise InputError(f"expected a number, got {value!r}")
 
 
 def _as_bool(value) -> bool:

@@ -1178,7 +1178,7 @@ def mcmc_sample(log_target, dim: int, n_samples: int, seed=None,
     return chain[burn:]
 
 
-def default_random_basis(dim: int = 13) -> ZBasis:
+def default_random_basis(dim: int = FitConfig.basis_dim) -> ZBasis:
     """Uniform-knot cubic basis used to generate random models."""
     _BASIS_DIM(dim)
     knots = tuple(np.linspace(0.0, 1.0, dim - _DEGREE + 2)[1:-1])

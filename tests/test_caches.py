@@ -45,14 +45,16 @@ def test_start_up_builds_no_cached_constant():
                          capture_output=True, text=True, check=True, timeout=120)
     sizes = json.loads(out.stdout)
     assert {"evcop._quad._legendre", "evcop._quad.gauss_square",
-            "evcop.bayes.mass_rule", "evcop.williamson.default_w_nodes",
+            "evcop.copula._tvd_tables", "evcop.bayes.mass_rule",
+            "evcop.williamson.default_w_nodes",
             "evcop.williamson.default_kernel"} <= set(sizes)
     assert sizes == dict.fromkeys(sizes, 0)
 
 
 def test_cached_arrays_are_read_only():
     arrays = [*quad._legendre(8), *quad.gauss_square(1e-4, 96),
-              *mass_rule(), default_w_nodes(), default_kernel().x,
+              *evcop.copula._tvd_tables(), *mass_rule(), default_w_nodes(),
+              default_kernel().x,
               default_kernel().nodes, default_kernel()._weights,
               default_random_basis()._pieces,
               project_center(default_random_basis())]
@@ -68,9 +70,11 @@ def copulas():
 
 def test_tvd_with_the_cached_rule_equals_a_fresh_one(copulas, monkeypatch):
     cached = tvd_copulas(*copulas)
+    tables = evcop.copula._tvd_tables
+    fresh = tables.__wrapped__()
+    assert all(np.array_equal(a, b) for a, b in zip(tables(), fresh, strict=True))
     monkeypatch.setattr(quad, "_legendre", quad._legendre.__wrapped__)
-    monkeypatch.setattr(evcop.copula, "gauss_square",
-                        quad.gauss_square.__wrapped__)
+    monkeypatch.setattr(evcop.copula, "_tvd_tables", tables.__wrapped__)
     assert tvd_copulas(*copulas) == cached
 
 
@@ -84,10 +88,11 @@ def test_tvd_builds_the_legendre_rule_once(copulas, monkeypatch):
 
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
     quad._legendre.cache_clear()
-    quad.gauss_square.cache_clear()
+    evcop.copula._tvd_tables.cache_clear()
     tvd_copulas(*copulas)
     tvd_copulas(*copulas)
-    assert calls == [96]
+    assert calls == [evcop.copula._TVD_ORDER]
+    assert evcop.copula._tvd_tables.cache_info().misses == 1
 
 
 def test_random_models_read_their_splines_from_one_table(monkeypatch):

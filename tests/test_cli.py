@@ -592,9 +592,12 @@ _TINY_BV = {"study": "bias-variance", "seed": 1, "sample_sizes": [100],
     ("model", {"diagnostics": []}, [], None, "'diagnostics'"),
     ("model", {"flipped": "false"}, [], None, "'flipped'"),
     ("model", {"knots": [float("nan")] * 10}, [], None, "knots"),
-    ("study", {**_TINY_STUDY, "seed": "x"}, [], None, "'seed'"),
+    ("study", {**_TINY_STUDY, "seed": "x"}, [], None,
+     "malformed field 'seed': expected an integer, got 'x'"),
     ("study", [_TINY_STUDY], [], None, "JSON object"),
-    ("study", _TINY_STUDY, [], "abc", "EVCOP_THREADS"),
+    ("study", _TINY_STUDY, [], "abc",
+     "malformed environment variable 'EVCOP_THREADS': expected an integer, "
+     "got 'abc'"),
     ("study", _TINY_STUDY, ["--workers", "0"], None, "--workers"),
     ("study", {**_TINY_STUDY, "replications": 0}, [], None, "'replications'"),
     ("study", {**_TINY_STUDY, "replications": -3}, [], None, "'replications'"),
@@ -669,6 +672,8 @@ _TINY_BV = {"study": "bias-variance", "seed": 1, "sample_sizes": [100],
      "'theta': expected a number, got True"),
     ("study", _TINY_STUDY, [], "0", "EVCOP_THREADS must be >= 1, got 0"),
     ("study", _TINY_STUDY, [], "-2", "EVCOP_THREADS must be >= 1, got -2"),
+    ("study", {**_TINY_STUDY, "fit": {"lambda": "x"}}, [], None,
+     "malformed field 'fit.lambda': expected a number, got 'x'"),
 ], ids=["model-lambda", "model-diagnostics", "model-flipped", "model-knots",
         "spec-seed", "spec-list", "env-threads", "workers-0",
         "spec-replications-0", "spec-replications-negative",
@@ -688,7 +693,8 @@ _TINY_BV = {"study": "bias-variance", "seed": 1, "sample_sizes": [100],
         "spec-fit-lambda-boolean", "bias-variance-family-theta-boolean",
         "spec-prior-radius-boolean", "model-survival-string",
         "model-symmetrized-string", "model-lambda-nan", "model-lambda-negative",
-        "model-theta-boolean", "env-threads-0", "env-threads-negative"])
+        "model-theta-boolean", "env-threads-0", "env-threads-negative",
+        "spec-fit-lambda-string"])
 def test_outside_input_exits_2_naming_the_field(
         tmp_path, monkeypatch, capsys, gumbel2_fit, kind, doc, extra,
         threads, named):

@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
 
+from evcop._quad import gauss_legendre
 from evcop._rootfind import vector_bisect
-from evcop.copula import EvCopula, supnorm_bound_check, tvd_copulas
+from evcop.copula import (
+    EvCopula,
+    _angle_terms,
+    _tvd_nodes,
+    supnorm_bound_check,
+    tvd_copulas,
+)
 from evcop.errors import InputError
 from evcop.families import ParametricPickands
-from evcop.fit import random_pickands
+from evcop.fit import FitConfig, optimize, random_pickands, z_transform
 from evcop.pickands import (
     PickandsModel,
     h_density,
@@ -386,13 +393,13 @@ def test_custom_object_with_call_and_jet_runs_everywhere():
     assert np.max(np.abs(f2 - 1.0)) <= 1e-3
 
 
-def test_tvd_copulas_properties(gumbel2):
-    ci = EvCopula(FlatPickands())
-    assert tvd_copulas(gumbel2, gumbel2) == 0.0
-    d1 = tvd_copulas(ci, gumbel2)
-    d2 = tvd_copulas(gumbel2, ci)
-    assert 0.0 < d1 < 1.0
-    assert abs(d1 - d2) <= 1e-9
+def test_tvd_copulas_properties(tvd_pairs):
+    for c1, c2 in tvd_pairs:
+        assert tvd_copulas(c1, c1) == 0.0
+        assert tvd_copulas(c2, c2) == 0.0
+        d = tvd_copulas(c1, c2)
+        assert 0.0 < d < 1.0
+        assert abs(d - tvd_copulas(c2, c1)) <= 1e-9
 
 
 def test_supnorm_bound(gumbel2):
@@ -414,3 +421,67 @@ def test_supnorm_bound_random_spline_pairs(basis13):
                                      True, False)
         res = supnorm_bound_check(a1, a2)
         assert res.measured <= res.bound + 1e-9
+
+
+def _brute_tvd(c1, c2):
+    """TVD by a tensor Gauss rule in (z, r) on the densities themselves:
+    ``u = e^{-rz}``, ``v = e^{-r(1-z)}``, Jacobian ``r u v``, fine fixed
+    panels in both coordinates and no root finding."""
+    tail = np.geomspace(1e-10, 0.01, 30)
+    z_edges = np.concatenate([[0.0], tail, np.linspace(0.01, 0.99, 385)[1:-1],
+                              1.0 - tail[::-1], [1.0]])
+    z, wz = gauss_legendre(z_edges, 8)
+    x, wx = gauss_legendre(np.append(0.0, np.geomspace(1e-6, 60.0, 300)), 4)
+    total = 0.0
+    for lo in range(0, z.size, 128):
+        zs = z[lo:lo + 128, None]
+        # r = x / m keeps every node inside the decay scale of both densities
+        m = np.minimum(c1.pickands(zs), c2.pickands(zs))
+        r = x / m
+        u, v = np.exp(-r * zs), np.exp(-r * (1.0 - zs))
+        diff = np.abs(c1.pdf(u, v) - c2.pdf(u, v)) * r * u * v
+        total += wz[lo:lo + 128] @ ((diff * wx) / m).sum(axis=1)
+    return 0.5 * total
+
+
+@pytest.fixture(scope="module")
+def tvd_pairs():
+    gumbel = [EvCopula(ParametricPickands("gumbel", th)) for th in (3.0, 20.0, 50.0)]
+    # a fit whose first Pickands piece is not convex (A'' < 0 near t = 0)
+    truth = EvCopula(random_pickands(1e-4, 5.0, 4, seed=7)[0])
+    fitted = optimize(z_transform(truth.simulate(1000, seed=1)), FitConfig())
+    t = np.linspace(0.0, fitted.pickands.t[1], 50)
+    assert np.min(fitted.pickands.jet(t)[2]) < 0.0
+    spline = random_pickands(1e-4, 5.0, 2, seed=3)
+    return [(gumbel[1], gumbel[2]),
+            (EvCopula(fitted.pickands), truth),
+            (EvCopula(FlatPickands()), EvCopula(ParametricPickands("gumbel", 2.0))),
+            (EvCopula(ParametricPickands("gumbel", 3.0, khoudraji=(0.4, 0.9))),
+             gumbel[0]),
+            (EvCopula(spline[0]), EvCopula(spline[1]))]
+
+
+def test_tvd_matches_a_brute_force_rule(tvd_pairs):
+    for c1, c2 in tvd_pairs:
+        assert abs(tvd_copulas(c1, c2) - _brute_tvd(c1, c2)) <= 2e-4
+
+
+def test_tvd_rule_masses():
+    models = [ParametricPickands("gumbel", th) for th in (2.0, 8.0, 20.0, 50.0)]
+    models += [ParametricPickands("galambos", 1.0),
+               ParametricPickands("gumbel", 3.0, khoudraji=(0.4, 0.9)),
+               *random_pickands(1e-4, 5.0, 20, seed=3)]
+    # each model on its own panels and on those merged with the next model's
+    for a, b in zip(models, models[1:] + models[:1]):
+        for pair in ((a, a), (a, b)):
+            z, w = _tvd_nodes(*pair)
+            f, p, q = _angle_terms(a, z)
+            assert abs(w @ ((p / f + q) / f) - 1.0) <= 1e-4
+
+
+def test_tvd_of_survival_copulas(tvd_pairs):
+    for c1, c2 in tvd_pairs[1:3]:
+        assert tvd_copulas(c1.survival_copula(), c2.survival_copula()) \
+            == tvd_copulas(c1, c2)
+        with pytest.raises(InputError, match="survival"):
+            tvd_copulas(c1.survival_copula(), c2)
