@@ -10,28 +10,36 @@ nonparametric pilot estimate) lets the whole chain
 be evaluated as plain array arithmetic, so the penalized log-likelihood and
 its exact reverse-mode (adjoint) gradient are cheap enough for quasi-Newton
 optimization: the adjoint sweep reuses the forward sweep's intermediates in
-the closed-form partials of the z-density in ``(W, W', W'')``.  The
-pseudo-angles are sorted once, when the objective is set up; the z-density
-is linear between the grid's knots, so each evaluation locates the data
-with one search per knot, and the gradient of the data term reduces to two
-sums per knot segment (``S0`` and ``S1``, see :func:`_loss_and_grad`).  An
-evaluation costs about a hundred numpy calls on arrays of the grid's size
+the closed-form partials of the knots in ``(W, W', W'', s')``.  Between the
+knots the z-density is the derivative of the quintic Hermite interpolant
+of its CDF ``H(z) = z + z(1 - z)A'/A`` (Ghoudi, Khoudraji & Rivest 1998)
+that matches ``H``, the density ``h`` and its slope ``h'`` at both knots of
+each segment: a quartic per segment whose mass is exactly the rise of
+``H``, so the density has mass 1 with no normalizer, and the objective is
+C1 in the coefficients.  The pseudo-angles are sorted once, when the
+objective is set up, so each evaluation locates the data with one search
+per knot, and the gradient of the data term reduces to five sums per knot
+segment (the sums of ``u^k / h``, see :func:`_loss_and_grad`).  An
+evaluation costs under two hundred numpy calls on arrays of the grid's size
 whatever the sample size, so it is written to make few of them; every
-value and gradient keeps the operation order of the plain formulas, to the
-last bit, because the optimizer's path hinges on last bits.  A fit keeps
-no state between evaluations: every array an evaluation makes is fresh,
-and the objects set-up built are never written.  The objective and the
-tabulation of fitted models (:func:`pipeline_pickands`) are one construction:
-both run the Williamson kernel, divide the transform by its W(0+) mass and
-map each grid node through the affine link.  The objective does so on the
-fitting grid, the tabulation on :func:`evcop.williamson.default_w_nodes`,
-where the saved model reads ``A`` at the link images without inverting W.
+value and gradient keeps one operation order for a fit alone and in a
+stack, to the last bit, because the optimizer's path hinges on last bits.
+A fit keeps no state between evaluations: every array an evaluation makes
+is fresh, and the objects set-up built are never written.  The objective
+and the tabulation of fitted models (:func:`pipeline_pickands`) are one
+construction: both run the Williamson kernel, divide the transform by its
+W(0+) mass and map each grid node through the affine link.  The objective
+does so on the fitting grid (the pilot grid with nodes added toward 0,
+:func:`_end_refined`), the tabulation on
+:func:`evcop.williamson.default_w_nodes`, where the saved model reads
+``A`` at the link images without inverting W.
 Every fit, of a copula or of a density, whitens its ``value_and_grad`` by
 the penalty and descends it (:func:`_maximize`) by :func:`minimize`,
 L-BFGS-B without bounds that keeps every curvature pair since its last
 restart and evaluates no point twice in a line search.  Only one trial step
-differs: in a bracket that straddles a kink the search tries where the end
-tangents meet (:func:`_kink_step`), not Moré and Thuente's cubic.  The
+differs: in a bracket that straddles a kink (the C1 objective keeps those
+of its log floor) the search tries where the end tangents meet
+(:func:`_kink_step`), not Moré and Thuente's cubic.  The
 fitted model's data term is evaluated once more, without gradient, at the
 maximizer.  A copula fit sorts its sample once; the flip heuristic, the
 pilot grid and the likelihood read the sorted values.
@@ -43,8 +51,8 @@ drives the descents of many copula fits in lockstep
 (:func:`_descend_together`), as a simulation study's runs are fitted: each
 round evaluates the next point of every open fit in one objective pass on
 a stack of pipelines (:meth:`_HhatPipeline.stack`), one per grid size.  An
-evaluation at n = 1000 is mostly the fixed cost of about a hundred numpy
-calls, which a pass shares.  The pass keeps each fit's BLAS products, dot
+evaluation at n = 1000 is mostly the fixed cost of its numpy calls, which a
+pass shares.  The pass keeps each fit's BLAS products, dot
 products, sums and penalty per fit, so every fit takes the steps and
 returns the bits it does alone.
 """
@@ -82,6 +90,7 @@ from .splinebasis import (
 from .williamson import (
     WilliamsonGrid,
     WilliamsonKernel,
+    _einsum,
     default_kernel,
     normalize_w,
     williamson_from_density,
@@ -111,8 +120,10 @@ _LOG_FLOOR = 1e-12
 _EXP_CLIP = 300.0
 # spline degree of every fitted basis (the degree quantile_knots returns)
 _DEGREE = 3
-# interior nodes of the fitting grid (grid size _GRID_K + 2)
+# interior nodes of the pilot grid (grid size _GRID_K + 2); the objective
+# adds _END_NODES more toward 0 (_end_refined)
 _GRID_K = 78
+_END_NODES = 4
 # L-BFGS-B's iteration cap and projected-gradient stop; the gradient bound
 # also counts a run as converged when the optimizer stops for another reason
 _MAX_ITER = 500
@@ -240,26 +251,33 @@ class _HhatPipeline:
     """Precomputed design matrices for the coefficient-to-z-density chain.
 
     The basis is evaluated once at the quadrature nodes of the Williamson
-    kernel on the grid; per-iteration work is array arithmetic on the grid.
-    The forward pass takes the normalized ``(W, W', W'')`` at the interior
-    nodes, where ``W'`` is finite, straight to the knots ``(t, h)``, rounding
-    as :func:`evcop.pickands.link` and :func:`evcop.pickands.h_formula` do
-    (which also serve the endpoint limits of :func:`evcop.pickands.rotate`).
+    kernel on the grid, and its derivative once at the grid's interior
+    nodes; per-iteration work is array arithmetic on the grid.  The forward
+    pass takes the normalized ``(W, W', W'')`` at the interior nodes, where
+    ``W'`` is finite, straight to the knots ``(t, h)``, rounding as
+    :func:`evcop.pickands.link` and :func:`evcop.pickands.h_formula` do
+    (which also serve the endpoint limits of :func:`evcop.pickands.rotate`),
+    and on to the pseudo-angle CDF ``H = t + t(1 - t)A'/A`` (Ghoudi,
+    Khoudraji & Rivest 1998) and the slope ``h'`` of the density there.
+    ``h'`` reads ``A'''``, hence ``W''' = W''(s' - 1/x)``, where ``s'`` is
+    the slope of the spline log-density, read from the derivative design.
     The exact gradient is one reverse (adjoint) sweep: closed-form partials
-    of ``h`` in ``(W, W', W'')`` built from the forward pass's arrays, the
-    kernel's transpose and one product with the design matrix.
+    of ``(t, h, h', H)`` in ``(W, W', W'', s')`` built from the forward
+    pass's arrays, the kernel's transpose and one product with the design,
+    whose rows are the basis at the kernel's nodes and then its derivative
+    at the interior grid nodes (``B`` is the first block).
 
     The constructor builds one fit's pipeline; :meth:`stack` joins the
     pipelines of several fits whose grids and bases have one size, and
     every array of a stack's passes carries a leading fit axis.  One set
     of formulas serves both: the elementwise passes, the kernel and its
     transpose run once for a whole stack, while the products with each
-    fit's design matrix and the dot products over a grid (``matvec``,
+    fit's design matrices and the dot products over a grid (``matvec``,
     ``vecmat`` and ``vecdot`` make the BLAS calls ``@`` makes for one fit)
     sum per fit, so each fit's knots and gradient in a stack are those of
-    its own pipeline, to the last bit.  A lone fit's per-fit values (its
-    W(0+) mass, the mass of its z-density) are numpy scalars, which numpy
-    takes several times faster than one-element arrays.
+    its own pipeline, to the last bit.  A lone fit's W(0+) mass is a numpy
+    scalar, which numpy takes several times faster than a one-element
+    array.
 
     The pipeline holds no data and no buffer: :func:`_loss_and_grad` passes
     it the cotangents of the knots, and everything :meth:`sweep` returns,
@@ -269,9 +287,15 @@ class _HhatPipeline:
     def __init__(self, basis: ZBasis, x_grid: np.ndarray):
         self.kernel = WilliamsonKernel(x_grid)
         self.m = self.kernel.x_in.size
-        self.B = basis.evaluate(self.kernel.nodes.ravel())
+        nodes = self.kernel.nodes.ravel()
+        self.design = np.concatenate([basis.evaluate(nodes),
+                                      basis.evaluate(self.kernel.x_in, 1)])
+        self.B = self.design[:nodes.size]
         self._half_xp = 0.5 * (1.0 + self.kernel.x_in)
-        self._knots_shape = (3, self.m + 2)
+        self._inv_x = 1.0 / self.kernel.x_in
+        self._knots_shape = (4, self.m + 2)
+        self._ends = _segment_ends(self._knots_shape)
+        self._quartic, self._back = _segment_maps(self.m + 1)
 
     @classmethod
     def stack(cls, pipes) -> _HhatPipeline:
@@ -279,24 +303,34 @@ class _HhatPipeline:
         out = cls.__new__(cls)
         out.kernel = WilliamsonKernel.stack([p.kernel for p in pipes])
         out.m = pipes[0].m
-        out.B = np.stack([p.B for p in pipes])
-        out._half_xp = np.stack([p._half_xp for p in pipes])
-        out._knots_shape = (3, len(pipes), out.m + 2)
+        for name in ("design", "_half_xp", "_inv_x"):
+            setattr(out, name, np.stack([getattr(p, name) for p in pipes]))
+        out.B = out.design[:, :pipes[0].B.shape[0]]
+        for name in ("_quartic", "_back"):
+            setattr(out, name, np.stack([getattr(p, name) for p in pipes],
+                                        axis=-2))
+        out._knots_shape = (4, len(pipes), out.m + 2)
+        out._ends = _segment_ends(out._knots_shape)
         return out
 
     def sweep(self, theta: np.ndarray):
-        """Knots ``(t, h)`` of the z-density, their mass and a pullback.
+        """Knots ``(t, h, h', H)`` of the pseudo-angle law and a pullback.
 
         ``theta`` must be a float array, of shape (dim,) for one fit's
         pipeline and (fits, dim) for a stack, whose outputs gain the same
-        leading axis.  Returns ``(knots, I_h, pullback)``, fresh on every
-        call.  Rows 0 and 1 of the block ``knots``, (3, m + 2) for one fit,
-        are ``t_full`` and ``h_full``; row 2 is zero, free for the caller
-        (:func:`_loss_and_grad` writes the segment slopes there).
-        ``pullback(gt, gh)`` maps cotangents of ``t_full[..., 1:-1]`` and
-        ``h_full[..., 1:-1]`` to the gradient in ``theta``.
+        leading axis.  Returns ``(knots, pullback)``, fresh on every call.
+        The rows of the block ``knots``, (4, m + 2) for one fit, are the
+        knots ``t``, the z-density ``h``, its slope ``h'`` and the CDF
+        ``H``.  The end knots are pinned: ``t = 0`` and ``1``, ``h = 0``,
+        ``H = 0`` and ``1``; their ``h'`` is left 0, because the
+        interpolant takes the end segments' secant slope there
+        (:func:`_loss_and_grad`).  ``pullback(g)`` maps cotangents of the
+        interior knots' columns of the block, an array (4, m) for one fit,
+        to the gradient in ``theta``.
         """
-        p = np.matvec(self.B, theta)
+        pk = np.matvec(self.design, theta)
+        n_nodes = self.B.shape[-2]
+        p = pk[..., :n_nodes]
         # exponentials clipped at +-_EXP_CLIP are constant in theta; a call
         # that clips none skips the clip and the zeroing of their gradient
         clip = np.maximum.reduce(np.abs(p), axis=None) >= _EXP_CLIP
@@ -310,38 +344,71 @@ class _HhatPipeline:
         # the affine link and the z-density in the operation order of link
         # and h_formula, so that the knots round as the saved model's do;
         # scaling by powers of 2 is exact, so W/2 = w/(2c) and 4 W'' / d^3
-        # = (wpp / (c/4)) / d^3 to the last bit
+        # = (wpp / (c/4)) / d^3 to the last bit.  X holds A', A'' and A'''
+        X = np.empty((3, *Wp.shape))
         dn = 1.0 - Wp                             # 1/d, d = 1/(1 - W')
-        ap = (1.0 + Wp) / dn                      # A'
+        np.divide(1.0 + Wp, dn, X[0])
         dn3 = dn ** 3
-        app = wpp / (0.25 * c_col) / dn3          # A''
+        app = np.divide(wpp / (0.25 * c_col), dn3, X[1])
+        # A''' = 8 W''' d^4 + 24 W''^2 d^5, where W''' = W'' k and k = s' -
+        # 1/x: 2 A'' k d + 1.5 A''^2 / d
+        k = pk[..., n_nodes:] - self._inv_x
+        k2 = (k + k) / dn
+        app_dn = 1.5 * app * dn
+        np.multiply(app, k2 + app_dn, X[2])
         half_w = w / (2.0 * c_col)
         knots = np.zeros(self._knots_shape)
-        # rows by index: unpacking iterates, at several times the cost
-        t_full, h_full = knots[0], knots[1]
-        t_full[..., -1] = 1.0
+        t_full = knots[0]
+        t_full[..., -1] = knots[3, ..., -1] = 1.0
         t = np.subtract(self._half_xp, half_w, out=t_full[..., 1:-1])
         a = self._half_xp + half_w                # A
-        r = ap / a
+        R = X / a
+        r, s, v = R[0], R[1], R[2]                # A'/A, A''/A, A'''/A
         q = 1.0 - 2.0 * t                         # W - x
         tt = t * (1.0 - t)
-        s = app / a
-        u = s - r * r
-        h = np.add(1.0 + q * r, tt * u, out=h_full[..., 1:-1])
-        # trapezoid weights of the interior knots; h is 0 at both ends
-        I_h = np.vecdot(0.5 * (t_full[..., 2:] - t_full[..., :-2]), h)
+        u = s - r * r                             # r'
+        # the partials of (h, h', H) in t at fixed r, r' and r'', for the
+        # pullback; the last one is also a term of h
+        dt = np.empty(X.shape)
+        np.add(1.0, q * r, dt[2])
+        np.add(dt[2], tt * u, out=knots[1, ..., 1:-1])
+        # h' = -2r + 2q r' + t(1 - t) r'' and H = t + t(1 - t) r, with
+        # r'' = v - r(s + 2r')
+        s2u = s + (u + u)
+        rr = v - r * s2u
+        qu = q * u
+        np.add((qu - r) * 2.0, tt * rr, out=knots[2, ..., 1:-1])
+        np.add(t, tt * r, out=knots[3, ..., 1:-1])
+        np.subtract(qu, r + r, dt[0])
+        np.subtract(q * rr, 4.0 * u, dt[1])
 
-        def pullback(gt, gh):
-            # h = 1 + q r + t(1 - t)(s - r^2) in q = W - x, r = A'/A and
-            # s = A''/A, with t = (1 - q)/2, A = (1 + x + W)/2,
-            # A' = 2d - 1 and A'' = 4 W'' d^3
-            gq = gh * (r - 0.5 * q * u)
-            gr = gh * (q - 2.0 * tt * r)
-            gs = gh * tt
-            gs_s = gs * s
-            gW = gq - 0.5 * ((gr * r + gs_s) / a + gt)
-            gWp = (2.0 * gr / (a * dn) + 3.0 * gs_s) / dn
-            gWpp = 4.0 * gs / (a * dn3)
+        def pullback(g_in):
+            gh, ghp = g_in[1], g_in[2]
+            # (h, h', H) are linear in r, r' and r''
+            tg = g_in[1:] * tt
+            G = np.empty(X.shape)                 # rows for A', A'', A'''
+            g_rr = G[2]
+            g_rr[...] = tg[1]
+            gq = q * ghp
+            g_u = tg[0] + (gq + gq)
+            g_r = tg[2] + gh * q - (ghp + ghp)
+            g_t = g_in[0] + _einsum("j...,j...->...", g_in[1:], dt)
+            # then r' = s - r^2 and r'' = v - r(s + 2r')
+            rg = r * g_rr
+            g_u -= rg + rg
+            np.subtract(g_u, rg, G[1])
+            np.subtract(g_r, s2u * g_rr + (r + r) * g_u, G[0])
+            # r, s and v are A', A'' and A''' over A = (1 + x + W)/2, and
+            # t = (1 + x - W)/2
+            G /= a
+            gW = -0.5 * (g_t + _einsum("j...,j...->...", G, R))
+            # A' = 2d - 1, A'' = 4 W'' d^3 and A''' = A''(2k d + 1.5 A''/d)
+            g_ap, g_app, g_appp = G[0], G[1], G[2]
+            g_app = g_app + g_appp * (k2 + (app_dn + app_dn))
+            gWp = ((g_ap + g_ap) / dn
+                   + app * (3.0 * g_app - g_appp * (app_dn - k2))) / dn
+            gWpp = 4.0 * g_app / dn3
+            gk = (g_appp + g_appp) * app / dn
             # the division by c, which is linear: the sweep runs on c times
             # the cotangents of the unnormalized (w, wp, wpp).  wp is the
             # kernel's reversed view: a dot product with wp sums in that
@@ -350,13 +417,18 @@ class _HhatPipeline:
             gc = -(np.vecdot(gW, w) + np.vecdot(gWp, wp)
                    + np.vecdot(gWpp, wpp)) / c
             gfv = kernel.transpose(gW, gWp, gWpp, gc)
+            # one product with the design: the density values' cotangents,
+            # whose division by c comes last, then c times those of s'
+            g_design = np.empty(pk.shape)
+            head = np.multiply(gfv.reshape(e.shape), e,
+                               out=g_design[..., :n_nodes])
             # clipped exponentials are constant in theta
-            gfv = gfv.reshape(e.shape) * e
             if clip:
-                gfv[np.abs(p) >= _EXP_CLIP] = 0.0
-            return np.vecmat(gfv, self.B) / c_col
+                head[np.abs(p) >= _EXP_CLIP] = 0.0
+            np.multiply(gk, c_col, out=g_design[..., n_nodes:])
+            return np.vecmat(g_design, self.design) / c_col
 
-        return knots, I_h, pullback
+        return knots, pullback
 
 
 def _column(values):
@@ -367,6 +439,73 @@ def _column(values):
     return values[:, None] if isinstance(values, np.ndarray) else values
 
 
+# On a knot segment [t_j, t_{j+1}] of width delta, h_hat is the derivative of
+# the quintic Hermite interpolant of H that matches (H, h, h') at both knots:
+# a quartic sum_k c_k u^k in u = (z - t_j)/delta.  _QUARTIC maps y = (h_j,
+# h_{j+1}, delta h'_j, delta h'_{j+1}, (H_{j+1} - H_j)/delta) to c_0 ... c_4
+# and to the coefficients (k + 1) c_{k+1} of its derivative in u
+_QUARTIC = np.array([[1.0, 0.0, 0.0, 0.0, 0.0],
+                     [0.0, 0.0, 1.0, 0.0, 0.0],
+                     [-18.0, -12.0, -4.5, 1.5, 30.0],
+                     [32.0, 28.0, 6.0, -4.0, -60.0],
+                     [-15.0, -15.0, -2.5, 2.5, 30.0]])
+_QUARTIC = np.vstack([_QUARTIC, np.arange(1.0, 5.0)[:, None] * _QUARTIC[1:]])
+
+
+def _segment_maps(segments: int):
+    """_QUARTIC per segment, and its transpose for the knots' cotangents.
+
+    The end segments' outer slope is the secant slope of h, so there delta
+    h' is h_1 - h_0 = h_1 and h_{m+1} - h_m = -h_m: their _QUARTIC folds
+    that column into an h column.  The transpose maps the cotangents of
+    c_0 ... c_4 to those of y, with the mean's twice: minus it for H_j, as
+    is for H_{j+1}.  Both put the segment axis last.
+    """
+    quartic = np.repeat(_QUARTIC[..., None], segments, axis=-1)
+    quartic[:, 1, 0] += quartic[:, 2, 0]
+    quartic[:, 0, -1] -= quartic[:, 3, -1]
+    quartic[:, 2, 0] = quartic[:, 3, -1] = 0.0
+    coef = quartic[:5]
+    back = np.concatenate([coef[:, :4], -coef[:, 4:], coef[:, 4:]], axis=1)
+    return quartic, back.transpose(1, 0, 2).copy()
+
+
+def _segment_ends(knots_shape):
+    """Indices into a flat knot block that lay out :func:`_quartics`' rows.
+
+    For a block of ``knots_shape``, rows t, h, h', H by knot, the rows of
+    the result are, by segment: ``t_j`` (and ten placeholders), ``t_{j+1}``,
+    ``H_{j+1}``, ``t_j``, ``H_j``, then ``h_j``, ``h_{j+1}``, ``h'_j`` and
+    ``h'_{j+1}`` (and a placeholder).
+    """
+    index = np.arange(np.prod(knots_shape)).reshape(knots_shape)
+    left, right = index[..., :-1], index[..., 1:]
+    return np.stack([left[0]] * 11 + [right[0], right[3], left[0], left[3],
+                                      left[1], right[1], left[2], right[2],
+                                      left[0]])
+
+
+def _quartics(pipe: _HhatPipeline, knots: np.ndarray):
+    """The quartic z-density of every knot segment, from the knots of a sweep.
+
+    Returns ``(seg, y, delta)``: rows ``t_j``, ``1/delta_j``, ``c_0 ... c_4``
+    and the slope coefficients ``b_k = (k + 1) c_{k+1}`` of each segment
+    ``j``, where ``h_hat = sum_k c_k u^k`` in ``u = (z - t_j) / delta_j``;
+    the inputs ``y`` of _QUARTIC; and the widths ``delta``.  One gather of
+    the knots fills the rows of one block that are read as they are
+    (:func:`_segment_ends`); the others are computed in place.
+    """
+    block = knots.take(pipe._ends)
+    seg, y = block[:11], block[15:]
+    diff = block[11:13] - block[13:15]
+    delta = diff[0]
+    y[2:4] *= delta
+    np.divide(diff[1], delta, y[4])
+    np.divide(1.0, delta, seg[1])
+    _einsum("ij...,j...->i...", pipe._quartic, y, out=seg[2:])
+    return seg, y, delta
+
+
 def _loss_and_grad(pipe: _HhatPipeline, z, theta: np.ndarray,
                    want_grad: bool):
     """Data term ``sum log h_hat(z_i)`` at ``theta`` and, if wanted, its gradient.
@@ -374,113 +513,143 @@ def _loss_and_grad(pipe: _HhatPipeline, z, theta: np.ndarray,
     ``z`` must be sorted ascending and not empty (:class:`PenalizedLikelihood`
     sorts it once) and ``theta`` a float array.  For a stacked pipeline,
     ``z`` holds each fit's sample and ``theta`` has shape (fits, dim); the
-    data terms come as a list and the gradients as rows.  The z-density is
-    linear on each knot segment ``[t_j, t_{j+1})``, ``h = h_j + beta_j (z -
-    t_j)``, so the segments are located by one search per knot, not per
+    data terms come as a list and the gradients as rows.  On each knot
+    segment ``[t_j, t_{j+1})`` the z-density ``h_hat`` is the derivative of
+    the quintic Hermite interpolant of the CDF ``H`` that matches ``(H, h,
+    h')`` at both knots; at the pinned end knots ``h'`` is the end
+    segment's secant slope of ``h``.  On the segment ``h_hat`` is a quartic
+    in ``u = (z - t_j) / delta_j`` whose mass is exactly ``H_{j+1} - H_j``,
+    so ``h_hat`` has mass 1 with no normalizer and is C1 in ``z`` and in
+    ``theta``.  The segments are located by one search per knot, not per
     observation.  An observation at ``t_j`` belongs to segment ``j``; the
     end segments take anything beyond ``[0, 1]``.  The gradient needs only
-    ``S0_j``, the sum of ``1 / h``, and ``S1_j``, the sum of ``(z - t_j) /
-    h``, over the live observations of each segment (``h_hat`` above the
-    log floor): the knot cotangents follow from them in arithmetic on the
-    grid, and the pipeline's adjoint sweep (closed-form partials of ``h``
-    in ``(W, W', W'')``) carries them to ``theta``.  The objective has
-    kinks where an observation meets a moving knot; the gradient is exact
-    between them.
+    the sums of ``u^k / h_hat``, ``k = 0 ... 4``, over the live
+    observations of each segment (``h_hat`` above the log floor): the
+    cotangents of the quartic's coefficients, and through ``u`` those of
+    the moving knots, follow from them in arithmetic on the grid, and the
+    pipeline's adjoint sweep carries them to ``theta``.
 
     A stack's observations are laid end to end, so one expansion of the
-    knots, the passes over the observations and one segment reduction
+    segments, the passes over the observations and one segment reduction
     serve all its fits; the searches, and each data term's sum over the
     fit's own observations, run per fit, as for a lone fit.  Every array a
     call makes is fresh, so calls share nothing.  The floor and the zero
     sums of empty segments cost array passes only on the calls that need
     them.
     """
-    knots, I_h, pullback = pipe.sweep(theta)
+    knots, pullback = pipe.sweep(theta)
     lone = theta.ndim == 1
-    I_h = max(I_h, 1e-300) if lone else np.maximum(I_h, 1e-300)
-    t_full, h_full, beta = knots[0], knots[1], knots[2]
-    # per fit: the start of each segment in its sample, then the sample's
-    # size twice, so that its end knot expands to no observation; column 0
-    # stays 0
-    bounds = np.zeros((*t_full.shape[:-1], t_full.shape[-1] + 1),
-                      dtype=np.intp)
+    t_full = knots[0]
+    # per fit: the start of each segment in its sample, then its size
+    bounds = np.empty(t_full.shape, dtype=np.intp)
     for row, z_f, t_f in ((bounds, z, t_full),) if lone \
             else zip(bounds, z, t_full):
-        row[1:-2] = z_f.searchsorted(t_f[1:-1], side="left")
-        row[-2:] = z_f.size
+        row[0] = 0
+        row[1:-1] = z_f.searchsorted(t_f[1:-1], side="left")
+        row[-1] = z_f.size
     sizes = z.size if lone else bounds[:, -1]
-    seg_starts = bounds[:-2]
+    seg_starts = bounds[:-1]
     if not lone:
         # the same bounds in the samples laid end to end
         bounds = bounds + (np.add.accumulate(sizes) - sizes)[:, None]
-        seg_starts = bounds[:, :-2].ravel()
+        seg_starts = bounds[:, :-1].ravel()
         z = np.concatenate(z)
     counts = bounds[..., 1:] - bounds[..., :-1]
-    delta = t_full[..., 1:] - t_full[..., :-1]
-    np.divide(h_full[..., 1:] - h_full[..., :-1], delta, out=beta[..., :-1])
-    # one expansion of (t_j, h_j, beta_j) to the observations; the passes
-    # over them then run in place in its rows: at large n each fresh array
-    # costs more in page faults than its arithmetic
-    per_obs = knots.reshape(3, -1).repeat(counts.ravel(), axis=1)
-    dz, hhat, raw = per_obs[0], per_obs[1], per_obs[2]
-    np.subtract(z, dz, out=dz)
-    raw *= dz
-    raw += hhat
-    # division by I_h > 0 keeps the order, so no fit floors an h_hat or
-    # has a raw value below 1e-300 when the least raw value is 1e-300 or
-    # more and, over the largest I_h, above the floor.  Else every fit takes
-    # the floor step, which changes nothing where nothing is floored
-    low = np.minimum.reduce(raw)
-    floored = not (low >= 1e-300
-                   and low / (I_h if lone else np.maximum.reduce(I_h))
-                   > _LOG_FLOOR)
-    np.divide(raw, I_h if lone else I_h.repeat(sizes), out=hhat)
+    seg, y, delta = _quartics(pipe, knots)
+    inv_delta = seg[1]
+    # one expansion of the segments to the observations; the passes over
+    # them then run in place in its rows: at large n each fresh array costs
+    # more in page faults than its arithmetic
+    per_obs = seg[:7].reshape(7, -1).repeat(counts.ravel(), axis=1)
+    u, hhat, logs = per_obs[0], per_obs[6], per_obs[5]
+    np.subtract(z, u, u)
+    u *= per_obs[1]
+    # Horner's rule from c_4, in its row
+    hhat *= u
+    hhat += per_obs[5]
+    hhat *= u
+    hhat += per_obs[4]
+    hhat *= u
+    hhat += per_obs[3]
+    hhat *= u
+    hhat += per_obs[2]
+    # no fit floors an h_hat when the least one is above the floor.  Else
+    # every fit takes the floor step, which changes nothing where nothing
+    # is floored
+    floored = not np.minimum.reduce(hhat) > _LOG_FLOOR
     if floored:
         live = hhat > _LOG_FLOOR
-        np.maximum(hhat, _LOG_FLOOR, out=hhat)
-    np.log(hhat, out=hhat)
+        np.log(np.maximum(hhat, _LOG_FLOOR, out=logs), logs)
+    else:
+        np.log(hhat, logs)
     if lone:
-        ll = float(np.add.reduce(hhat))
+        ll = float(np.add.reduce(logs))
     else:
         ends = bounds[:, -1].tolist()
-        ll = [float(np.add.reduce(hhat[a:b]))
+        ll = [float(np.add.reduce(logs[a:b]))
               for a, b in zip([0] + ends, ends)]
     if not want_grad:
         return ll, None
 
+    # rows u^k / h_hat, k = 0 ... 4, in rows 1 to 5, summed per segment
+    # (S_0 ... S_4).  reduceat sums each start up to the next one, so when
+    # a segment is empty only the others are passed, and the empty ones
+    # keep zero sums
+    terms = per_obs[1:6]
     if floored:
-        inv_raw = np.divide(live, np.maximum(raw, 1e-300, out=raw), out=raw)
-        n_live = np.count_nonzero(live) if lone \
-            else np.add.reduceat(live, bounds[:, 0])
+        np.divide(live, np.maximum(hhat, 1e-300, out=hhat), terms[0])
     else:
-        inv_raw = np.divide(1.0, raw, out=raw)
-        n_live = sizes
-    dz *= inv_raw
-    # rows (S0, S1) from one reduction over the rows (1/h, (z - t)/h).
-    # reduceat sums each start up to the next one, so when a segment is
-    # empty only the others are passed, and the empty ones keep zero sums
+        np.divide(1.0, hhat, terms[0])
+    np.multiply(terms[0], u, terms[1])
+    np.multiply(terms[1], u, terms[2])
+    np.multiply(terms[2], u, terms[3])
+    np.multiply(terms[3], u, terms[4])
     if np.count_nonzero(counts) == seg_starts.size:
-        sums = np.add.reduceat(per_obs[::-2], seg_starts, axis=1)
+        sums = np.add.reduceat(terms, seg_starts, axis=1)
     else:
-        full = counts[..., :-1].ravel() > 0
-        sums = np.zeros((2, seg_starts.size))
-        sums[:, full] = np.add.reduceat(per_obs[::-2], seg_starts[full],
-                                        axis=1)
-    if not lone:
-        sums.shape = (2, *delta.shape)
-    # segment j sends a_j to h_j, b_j to h_{j+1}, -beta_j a_j to t_j and
-    # -beta_j b_j to t_{j+1}; the end knots are pinned.  The data give
-    # a_j = S0_j - q_j and b_j = q_j = S1_j / delta_j; the trapezoid mass
-    # I_h = sum_j delta_j (h_j + h_{j+1}) / 2, whose cotangent is minus the
-    # live count over I_h, adds that times delta_j / 2 to both.  In place,
-    # the rows (S0, S1) become (a, b).
-    sums[1] /= delta
-    sums[0] -= sums[1]
-    sums += _column(-0.5 * n_live / I_h) * delta
-    gh = sums[0, ..., 1:] + sums[1, ..., :-1]
-    sums *= beta[..., :-1]
-    gt = -(sums[0, ..., 1:] + sums[1, ..., :-1])
-    return ll, pullback(gt, gh)
+        full = counts.ravel() > 0
+        sums = np.zeros((5, seg_starts.size))
+        sums[:, full] = np.add.reduceat(terms, seg_starts[full], axis=1)
+    sums.shape = y.shape
+    # the sums are the cotangents of c_0 ... c_4.  Rows of cot: for each
+    # of t, h, h' and H, the segment's left knot, then its right one.  u =
+    # (z - t_j) / delta moves with both knots: U0 and U1 sum h_hat_u /
+    # h_hat and u h_hat_u / h_hat
+    cot = np.empty((8, *delta.shape))
+    back = _einsum("ij...,j...->i...", pipe._back, sums, out=cot[2:])
+    slope = seg[7:]
+    u0 = _einsum("k...,k...->...", slope, sums[:4])
+    u1 = _einsum("k...,k...->...", slope, sums[1:])
+    # delta's cotangent: through y at fixed u, and through u
+    t_right = np.subtract(_einsum("j...,j...->...", y[2:], back[2:5]), u1,
+                          cot[1])
+    t_right *= inv_delta
+    np.subtract(-t_right, u0 * inv_delta, cot[0])
+    back[2:4] *= delta
+    back[4:] *= inv_delta
+    # an interior knot is the left knot of one segment and the right knot
+    # of the one before
+    cot.shape = (4, 2, *delta.shape)
+    return ll, pullback(cot[:, 0, ..., 1:] + cot[:, 1, ..., :-1])
+
+
+def _end_refined(x_grid: np.ndarray) -> np.ndarray:
+    """``x_grid`` with _END_NODES more nodes below its first interior node,
+    each halving the distance to 0.
+
+    The objective's first knot segment, ``[0, t_1]``, is wide when W falls
+    fast between 0 and the grid's first interior node ``x_1``, as it does
+    for a density with much of its mass near 0.  A quartic z-density cannot
+    follow a density that rises there to many times its mean (no
+    nonnegative quartic exceeds 25 times its mean at an end of its
+    interval), so on such a segment it dips below zero, and the density of
+    an observation near its zero is a small sum of large terms.  Toward
+    x = 1 the same nodes would sit where a fit near independence puts its
+    density, and there the link's ``1 + W'`` loses digits.
+    """
+    x_grid = np.asarray(x_grid, dtype=float)
+    halves = 0.5 ** np.arange(_END_NODES, 0, -1)
+    return np.concatenate([[0.0], x_grid[1] * halves, x_grid[1:]])
 
 
 class PenalizedLikelihood:
@@ -489,14 +658,15 @@ class PenalizedLikelihood:
     ``value(theta) = sum log h_hat(z_i) - lam * theta' Omega theta``, the data
     term (densities floored at 1e-12) taken at ``theta + center``: a dominating
     penalty collapses a fit onto the center model.  The basis is evaluated on
-    the grid once, here, and the pseudo-angles are kept sorted in ``z`` (the
+    the grid, refined toward 0 (:func:`_end_refined`), once, here,
+    and the pseudo-angles are kept sorted in ``z`` (the
     caller's array when it is sorted already, else a sorted copy); the sum
     is order-free, and sorted data let the data term work per knot segment.
     Nothing here changes after set-up: each call evaluates afresh.
     """
 
     def __init__(self, basis: ZBasis, x_grid, z, lam: float, center=0.0):
-        self.pipe = _HhatPipeline(basis, x_grid)
+        self.pipe = _HhatPipeline(basis, _end_refined(x_grid))
         self.omega = curvature_matrix(basis)
         self.z = ascending(np.asarray(z, dtype=float))
         self.lam = float(lam)

@@ -148,33 +148,46 @@ def test_empirical_w_grid_increasing(gumbel2_sample):
         empirical_w_grid(z, 1)
 
 
+def _objective_grid(z, k):
+    """The grid a fit's objective runs on: the pilot grid of ``k`` interior
+    nodes, refined toward both ends."""
+    return evcop.fit._end_refined(empirical_w_grid(z, k))
+
+
 def _h_hat_knots(coeffs, basis, x_grid):
-    """The objective's z-density knots, divided by their trapezoid mass."""
-    (t, h, _), I_h, _ = _HhatPipeline(basis, x_grid).sweep(coeffs)
-    return t, h / I_h
+    """The objective's knots t and z-density values h there."""
+    knots, _ = _HhatPipeline(basis, x_grid).sweep(coeffs)
+    return knots[0], knots[1]
 
 
 def test_build_h_hat_normalization_and_consistency(gumbel2_fit, gumbel2_sample):
     fm = gumbel2_fit
     z = z_transform(gumbel2_sample)
     zf = 1.0 - z if fm.flipped else z
-    t, h = _h_hat_knots(fm.coeffs, fm.basis, empirical_w_grid(zf, 78))
-    # exact unit mass on its own knots
-    assert abs(np.trapezoid(h, t) - 1.0) <= 1e-12
+    x_grid = _objective_grid(zf, 78)
+    t, h = _h_hat_knots(fm.coeffs, fm.basis, x_grid)
+    # unit mass with no normalizer: the CDF rises from 0 to 1 over the knots
+    H = _HhatPipeline(fm.basis, x_grid).sweep(fm.coeffs)[0][3]
+    assert (H[0], H[-1]) == (0.0, 1.0)
+    assert np.all(np.diff(H) > 0.0)
 
-    # converges to the density computed through the dense route as the grid
-    # grows; knot values already agree at the default grid size
+    # close to the density computed through the dense route; knot values
+    # already agree at the default grid size.  Between the knots the
+    # quintic Hermite surrogate errs less than a linear interpolant of the
+    # same knots, which converged from 0.088 at 40 nodes to 0.009 at 300:
+    # it errs by 7.5e-3, 3.6e-3 and 5.4e-3, about the error of the knot
+    # values themselves (1.3e-3 to 2.3e-3)
     dens_model, _, grid = pipeline_pickands(fm.basis, fm.theta,
                                             fm.center_applied, False)
     h_slow = h_density(dens_model)
     zz = np.linspace(0.05, 0.95, 181)
     assert np.max(np.abs(h[1:-1] - h_slow(t[1:-1]))) <= 0.02
-    errs = []
     for k in (40, 78, 300):
-        tk, hk = _h_hat_knots(fm.coeffs, fm.basis, empirical_w_grid(zf, k))
-        errs.append(float(np.max(np.abs(np.interp(zz, tk, hk) - h_slow(zz)))))
-    assert errs[0] > errs[1] > errs[2]
-    assert errs[2] <= 0.05
+        knots = _HhatPipeline(fm.basis, _objective_grid(zf, k)).sweep(
+            fm.coeffs)[0]
+        err = np.max(np.abs(_surrogate(knots, zz) - h_slow(zz)))
+        linear = np.max(np.abs(np.interp(zz, knots[0], knots[1]) - h_slow(zz)))
+        assert err < linear and err <= 0.01
 
 
 def test_build_h_hat_near_independence():
@@ -182,10 +195,10 @@ def test_build_h_hat_near_independence():
     uv = rng.random((1500, 2))
     z = z_transform(uv)
     fm = optimize(z, FitConfig(lam=1e-4))
-    x_grid = empirical_w_grid(1.0 - z if fm.flipped else z, 78)
-    t, h = _h_hat_knots(fm.coeffs, fm.basis, x_grid)
+    x_grid = _objective_grid(1.0 - z if fm.flipped else z, 78)
+    knots, _ = _HhatPipeline(fm.basis, x_grid).sweep(fm.coeffs)
     zz = np.linspace(0.1, 0.9, 101)
-    assert np.mean(np.abs(np.interp(zz, t, h) - 1.0)) <= 0.15
+    assert np.mean(np.abs(_surrogate(knots, zz) - 1.0)) <= 0.15
 
 
 def test_penalized_loglik_penalty_scaling(gumbel2_sample):
@@ -225,68 +238,203 @@ def test_gradient_matches_finite_differences(gumbel2_sample, dim, k, lam):
         assert np.max(np.abs(grad - fd)) / np.max(np.abs(fd)) <= 1e-4
 
 
-def _forward_mode_loss_and_grad(pipe, omega, z, lam, theta):
-    """Reference: the objective with one Jacobian column per coefficient.
+class _Jet:
+    """Values with one derivative column per coefficient: forward mode.
 
-    This is the forward-mode differentiation the objective used before its
-    reverse sweep; the kernel, being linear, is applied column by column.
+    ``v`` has any shape and ``d`` that shape plus the coefficient axis;
+    plain numbers and arrays are constants, and an array operand defers to
+    the jet's operators.
     """
-    kernel = pipe.kernel
+
+    __array_ufunc__ = None
+
+    def __init__(self, v, d):
+        self.v, self.d = np.asarray(v, dtype=float), np.asarray(d, dtype=float)
+
+    @staticmethod
+    def _parts(other):
+        if isinstance(other, _Jet):
+            return other.v, other.d
+        return np.asarray(other, dtype=float), 0.0
+
+    def __add__(self, other):
+        v, d = self._parts(other)
+        return _Jet(self.v + v, self.d + d)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Jet(-self.v, -self.d)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        v, d = self._parts(other)
+        return _Jet(self.v * v, self.d * v[..., None] + self.v[..., None] * d)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        v, d = self._parts(other)
+        q = self.v / v
+        return _Jet(q, (self.d - q[..., None] * d) / v[..., None])
+
+    def __pow__(self, k):
+        out = self
+        for _ in range(k - 1):
+            out = out * self
+        return out
+
+    def __getitem__(self, idx):
+        return _Jet(self.v[idx], self.d[idx])
+
+
+def _joined(parts):
+    """Jets and plain end values joined along the node axis."""
+    dim = next(p.d.shape[-1] for p in parts if isinstance(p, _Jet))
+    jets = [p if isinstance(p, _Jet) else _Jet([p], np.zeros((1, dim)))
+            for p in parts]
+    return _Jet(np.concatenate([j.v for j in jets]),
+                np.concatenate([j.d for j in jets]))
+
+
+def _reference_knots(basis, x_grid, theta):
+    """Reference knots (t, h, h', H) of the objective, each a _Jet.
+
+    Built from its own kernel and designs: the Williamson kernel applied to
+    exp(spline) and, being linear, to each Jacobian column; the affine
+    link; A''' = 8 W''' / (1 - W')^4 + 24 W''^2 / (1 - W')^5 with W''' =
+    W'' (x s' - 1) / x, s' the slope of the spline; then H = t + t(1 - t) r,
+    its slope h and the slope h' of h, in r = A'/A.  The end knots are
+    pinned (t and H at 0 and 1, h = 0), with the end segments' secant
+    slopes of h as their h'.
+    """
+    kernel = WilliamsonKernel(x_grid)
     shape = kernel.nodes.shape
-    d = theta.size
-    p = pipe.B @ theta
-    live = np.abs(p) < _EXP_CLIP
+    B = basis.evaluate(kernel.nodes.ravel())
+    p = B @ theta
     e = np.exp(np.clip(p, -_EXP_CLIP, _EXP_CLIP))
-    w, wp, wpp, _, c = kernel(e.reshape(shape))
-    w, wp, wpp = w / c, wp / c, wpp / c
-    t, a, ap, app = link(kernel.x_in, w, wp, wpp)
-    h = h_formula(t, a, ap, app)
-    t_full = np.concatenate([[0.0], t, [1.0]])
-    h_full = np.concatenate([[0.0], h, [0.0]])
-    wt = 0.5 * np.concatenate([[t_full[1] - t_full[0]],
-                               t_full[2:] - t_full[:-2],
-                               [t_full[-1] - t_full[-2]]])
-    I_h = max(float(wt @ h_full), 1e-300)
+    de = ((e * (np.abs(p) < _EXP_CLIP))[:, None] * B).reshape(shape + (-1,))
+    outs = kernel(e.reshape(shape))
+    cols = [kernel(de[..., i]) for i in range(theta.size)]
+    w, wp, wpp, c = (_Jet(outs[k], np.stack([col[k] for col in cols], -1))
+                     for k in (0, 1, 2, 4))
+    W, W1, W2 = w / c, wp / c, wpp / c
+    x = kernel.x_in
+    slope_design = basis.evaluate(x, 1)
+    s1 = _Jet(slope_design @ theta, slope_design)
+    W3 = W2 * (x * s1 - 1.0) / x
+    t = (1.0 + x - W) / 2.0
+    A = (1.0 + x + W) / 2.0
+    A1 = (1.0 + W1) / (1.0 - W1)
+    A2 = 4.0 * W2 / (1.0 - W1) ** 3
+    A3 = 8.0 * W3 / (1.0 - W1) ** 4 + 24.0 * W2 * W2 / (1.0 - W1) ** 5
+    r = A1 / A
+    r1 = A2 / A - r * r
+    r2 = A3 / A - (A2 / A) * r - 2.0 * r * r1
+    tt = t * (1.0 - t)
+    H = t + tt * r
+    h = 1.0 + (1.0 - 2.0 * t) * r + tt * r1
+    hp = -2.0 * r + 2.0 * (1.0 - 2.0 * t) * r1 + tt * r2
+    return (_joined([0.0, t, 1.0]), _joined([0.0, h, 0.0]),
+            _joined([h[:1] / t[:1], hp, -h[-1:] / (1.0 - t[-1:])]),
+            _joined([0.0, H, 1.0]))
 
-    J_e = ((e * live)[:, None] * pipe.B).reshape(shape + (d,))
-    cols = [kernel(J_e[..., i]) for i in range(d)]
-    J_w, J_wp, J_wpp, _, J_c = (np.stack(q, axis=-1) for q in zip(*cols))
-    J_w = (J_w - w[:, None] * J_c) / c
-    J_wp = (J_wp - wp[:, None] * J_c) / c
-    J_wpp = (J_wpp - wpp[:, None] * J_c) / c
-    J_t = -0.5 * J_w
-    J_a = 0.5 * J_w
-    J_ap = (2.0 / (1.0 - wp) ** 2)[:, None] * J_wp
-    J_app = (4.0 / (1.0 - wp) ** 3)[:, None] * J_wpp \
-        + (12.0 * wpp / (1.0 - wp) ** 4)[:, None] * J_wp
-    rr = ap / a
-    J_rr = J_ap / a[:, None] - (ap / a ** 2)[:, None] * J_a
-    dh_dt = -2.0 * rr + (1.0 - 2.0 * t) * (app / a - rr * rr)
-    dh_drr = (1.0 - 2.0 * t) - 2.0 * t * (1.0 - t) * rr
-    dh_dapp = t * (1.0 - t) / a
-    dh_da = -t * (1.0 - t) * app / a ** 2
-    J_h = (dh_dt[:, None] * J_t + dh_drr[:, None] * J_rr
-           + dh_dapp[:, None] * J_app + dh_da[:, None] * J_a)
-    J_Ih = 0.5 * (h_full[:-2] - h_full[2:]) @ J_t + wt[1:-1] @ J_h
 
-    idx = np.clip(np.searchsorted(t_full, z, side="right") - 1, 0, pipe.m)
-    tl, tr = t_full[idx], t_full[idx + 1]
-    hl, hr = h_full[idx], h_full[idx + 1]
+# the quintic Hermite basis on [0, 1], for the value, slope and second
+# derivative at 0, then at 1; coefficients by power, lowest first
+_HERMITE = np.array([[1.0, 0.0, 0.0, -10.0, 15.0, -6.0],
+                     [0.0, 1.0, 0.0, -6.0, 8.0, -3.0],
+                     [0.0, 0.0, 0.5, -1.5, 1.5, -0.5],
+                     [0.0, 0.0, 0.0, 10.0, -15.0, 6.0],
+                     [0.0, 0.0, 0.0, -4.0, 7.0, -3.0],
+                     [0.0, 0.0, 0.0, 0.5, -1.0, 0.5]])
+
+
+def _hermite_density(knots, z):
+    """Reference z-density at ``z`` from knot values ``(t, h, h', H)``.
+
+    The derivative of the quintic Hermite interpolant of H, from the
+    textbook basis.  Returns the density, each observation's segment, the
+    density's partials in the segment's (t, h, h', H) at its left knot,
+    then at its right one, and the density's condition number: the sum of
+    its terms' magnitudes over its own.
+    """
+    t, h, hp, H = knots
+    idx = np.clip(np.searchsorted(t, z, side="right") - 1, 0, t.size - 2)
+    tl, tr = t[idx], t[idx + 1]
     delta = tr - tl
     s = (z - tl) / delta
-    raw = hl * (1.0 - s) + hr * s
-    live_z = raw / I_h > _LOG_FLOOR
-    inv_raw = np.where(live_z, 1.0 / np.maximum(raw, 1e-300), 0.0)
-    # rows of J_t and J_h for the left and right knot of every observation;
-    # the pinned end knots have zero rows
-    J_t_full = np.vstack([np.zeros(d), J_t, np.zeros(d)])
-    J_h_full = np.vstack([np.zeros(d), J_h, np.zeros(d)])
-    slope = hr - hl
-    grad_z = (((1.0 - s) * inv_raw) @ J_h_full[idx]
-              + (s * inv_raw) @ J_h_full[idx + 1]
-              + (slope * (z - tr) / delta ** 2 * inv_raw) @ J_t_full[idx]
-              - (slope * (z - tl) / delta ** 2 * inv_raw) @ J_t_full[idx + 1])
-    return grad_z - np.sum(live_z) * J_Ih / I_h - 2.0 * lam * (omega @ theta)
+    poly = np.polynomial.polynomial
+    d1 = [poly.polyval(s, poly.polyder(b)) for b in _HERMITE]
+    d2 = [poly.polyval(s, poly.polyder(b, 2)) for b in _HERMITE]
+    data = [H[idx], delta * h[idx], delta ** 2 * hp[idx],
+            H[idx + 1], delta * h[idx + 1], delta ** 2 * hp[idx + 1]]
+    dens = sum(a * b for a, b in zip(data, d1)) / delta
+    size = sum(np.abs(a * b) for a, b in zip(data, d1)) / delta
+    # in delta at fixed s, and in s
+    d_delta = (h[idx] * d1[1] + 2.0 * delta * hp[idx] * d1[2]
+               + h[idx + 1] * d1[4] + 2.0 * delta * hp[idx + 1] * d1[5]
+               - dens) / delta
+    d_s = sum(a * b for a, b in zip(data, d2)) / delta
+    partials = [-d_delta - d_s * (1.0 - s) / delta, d1[1], delta * d1[2],
+                d1[0] / delta,
+                d_delta - d_s * s / delta, d1[4], delta * d1[5],
+                d1[3] / delta]
+    # the pinned ends have density 0, and no condition number
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return dens, idx, partials, size / np.abs(dens)
+
+
+def _surrogate(knots, z):
+    """The objective's z-density at ``z``, from the knot block of a sweep.
+
+    The block leaves the end knots' slopes 0: they are the end segments'
+    secant slopes of h.
+    """
+    t, h, hp, H = (row.copy() for row in knots)
+    hp[0], hp[-1] = h[1] / t[1], -h[-2] / (1.0 - t[-2])
+    return _hermite_density((t, h, hp, H), np.asarray(z, dtype=float))[0]
+
+
+def _forward_mode_loss_and_grad(basis, x_grid, omega, z, lam, theta):
+    """Reference: the gradient, by forward mode through the knots, and its scale.
+
+    The knots carry one Jacobian column per coefficient
+    (:func:`_reference_knots`); each live observation adds its density's
+    partials in its segment's knots, over the density, times their columns.
+    The scale bounds the gradient's rounding: per coefficient, the sum of
+    the magnitudes of the terms that add up to it, each observation's
+    times its density's condition number.  Near a zero of the surrogate
+    the density is a small sum of large terms, so two evaluations that
+    round differently differ by a few units of 1e-16 times this scale.
+    """
+    jets = _reference_knots(basis, x_grid, theta)
+    dens, idx, partials, cond = _hermite_density([j.v for j in jets], z)
+    live = dens > _LOG_FLOOR
+    weight = np.where(live, 1.0 / np.where(live, dens, 1.0), 0.0)
+    grad = -2.0 * lam * (omega @ theta)
+    scale = 2.0 * lam * (np.abs(omega) @ np.abs(theta))
+    for side in (0, 1):
+        for jet, part in zip(jets, partials[4 * side:4 * side + 4]):
+            term = weight * part
+            size = jets[0].v.size
+            grad = grad + np.bincount(idx + side, term, size) @ jet.d
+            scale = scale + np.bincount(
+                idx + side, np.abs(term) * np.where(live, cond, 0.0),
+                size) @ np.abs(jet.d)
+    return grad, scale
+
+
+def _assert_matches_forward_mode(grad, basis, x_grid, omega, z, lam, theta):
+    ref, scale = _forward_mode_loss_and_grad(basis, x_grid, omega, z, lam,
+                                             theta)
+    assert np.all(np.abs(grad - ref) <= 1e-15 * scale)
+    return ref
 
 
 def _gumbel_objective(theta, n):
@@ -325,34 +473,26 @@ def test_adjoint_gradient_matches_forward_mode(gumbel_objectives, dep, n):
     for norm in (0.0, 1.0, 3.0, 10.0):
         theta = center + _offset(rng, basis.dim, norm)
         _, grad = lik.value_and_grad(theta)
-        ref = _forward_mode_loss_and_grad(lik.pipe, omega, z, 1e-4, theta)
-        assert np.max(np.abs(grad - ref)) <= 1e-12 * np.max(np.abs(ref))
+        _assert_matches_forward_mode(grad, basis, lik.pipe.kernel.x, omega, z,
+                                     1e-4, theta)
 
 
 def test_adjoint_gradient_matches_finite_differences(gumbel_objectives):
+    # the objective is C1 in theta, so no observation needs to keep its
+    # segment within the step.  At the affine center of this sample an
+    # observation lies 1.4e-6 from a knot: the piecewise-linear objective
+    # missed by 3.8e-3 there
     basis, x_grid, z, omega, center = gumbel_objectives[1.5]
     lik = PenalizedLikelihood(basis, x_grid, z, 1e-4)
     rng = np.random.default_rng(6)
-
-    def value_and_bins(theta):
-        # the objective has kinks where an observation crosses a moving t
-        # node; a valid difference quotient keeps every bin fixed
-        bins = np.searchsorted(lik.pipe.sweep(theta)[0][0], z)
-        return lik.value(theta), bins
-
     for norm in (0.0, 1.0):
         theta = center + _offset(rng, basis.dim, norm)
         _, grad = lik.value_and_grad(theta)
-        bins = value_and_bins(theta)[1]
         fd = np.empty(basis.dim)
         for i in range(basis.dim):
             step = np.zeros(basis.dim)
-            step[i] = 1e-6
-            up, bins_up = value_and_bins(theta + step)
-            down, bins_down = value_and_bins(theta - step)
-            assert np.array_equal(bins_up, bins)
-            assert np.array_equal(bins_down, bins)
-            fd[i] = (up - down) / 2e-6
+            step[i] = 1e-5
+            fd[i] = (lik.value(theta + step) - lik.value(theta - step)) / 2e-5
         assert np.max(np.abs(grad - fd)) <= 1e-6 * np.max(np.abs(grad))
 
 
@@ -365,9 +505,9 @@ def test_clipped_exponentials_contribute_nothing(gumbel_objectives):
     clipped = np.abs(B @ theta) >= _EXP_CLIP
     assert 0 < np.sum(clipped) < clipped.size
     value, grad = lik.value_and_grad(theta)
-    ref = _forward_mode_loss_and_grad(lik.pipe, omega, z, 1e-4, theta)
     assert np.isfinite(value)
-    assert np.max(np.abs(grad - ref)) <= 1e-12 * np.max(np.abs(ref))
+    _assert_matches_forward_mode(grad, basis, lik.pipe.kernel.x, omega, z,
+                                 1e-4, theta)
     # moving the clipped spline values further out changes nothing at all
     B[clipped] *= 2.0
     assert lik.value_and_grad(theta)[0] == value
@@ -383,20 +523,18 @@ def test_floored_observations_contribute_nothing(gumbel_objectives):
         theta)
     lik_f = PenalizedLikelihood(basis, x_grid, z_floor, 1e-4)
     value_f, grad_f = lik_f.value_and_grad(theta)
-    ref = _forward_mode_loss_and_grad(lik_f.pipe, omega, z_floor, 1e-4, theta)
     assert value_f == pytest.approx(value + 3.0 * np.log(_LOG_FLOOR), abs=1e-9)
-    assert np.max(np.abs(grad_f - ref)) <= 1e-12 * np.max(np.abs(ref))
+    _assert_matches_forward_mode(grad_f, basis, lik_f.pipe.kernel.x, omega,
+                                 z_floor, 1e-4, theta)
     assert np.array_equal(grad_f, grad)
 
 
-def _per_observation_hhat(pipe, z, theta):
-    """Reference z-density at each observation, located by its own search."""
-    (t_full, h_full, _), I_h, _ = pipe.sweep(theta)
-    idx = np.clip(np.searchsorted(t_full, z, side="right") - 1, 0, pipe.m)
-    tl, tr = t_full[idx], t_full[idx + 1]
-    s = (z - tl) / (tr - tl)
-    raw = h_full[idx] * (1.0 - s) + h_full[idx + 1] * s
-    return raw / max(I_h, 1e-300)
+def _per_observation_hhat(basis, x_grid, z, theta):
+    """Reference z-density at each observation, located by its own search,
+    and its condition number (see :func:`_hermite_density`)."""
+    knots = [jet.v for jet in _reference_knots(basis, x_grid, theta)]
+    dens, _, _, cond = _hermite_density(knots, z)
+    return dens, cond
 
 
 def test_data_term_on_sorted_pseudo_angles(gumbel_objectives):
@@ -405,7 +543,8 @@ def test_data_term_on_sorted_pseudo_angles(gumbel_objectives):
     # search per observation gives, whatever the order of the input
     basis, x_grid, z, omega, center = gumbel_objectives[4.0]
     theta = center + _offset(np.random.default_rng(11), basis.dim, 1.0)
-    t_full = _HhatPipeline(basis, x_grid).sweep(theta)[0][0]
+    grid = evcop.fit._end_refined(x_grid)
+    t_full = _HhatPipeline(basis, grid).sweep(theta)[0][0]
     # segments 20-29 emptied, knots 5-14 hit exactly, 50 observations
     # repeated, and three at the pinned ends, where h_hat is floored
     kept = z[(z < t_full[20]) | (z >= t_full[30])]
@@ -413,15 +552,14 @@ def test_data_term_on_sorted_pseudo_angles(gumbel_objectives):
     lik = PenalizedLikelihood(basis, x_grid, z_case, 1e-4)
     counts = np.diff(np.searchsorted(lik.z, t_full[1:-1]))
     assert np.sum(counts == 0) >= 9
-    hhat = _per_observation_hhat(lik.pipe, z_case, theta)
+    hhat = _per_observation_hhat(basis, grid, z_case, theta)[0]
     assert np.sum(hhat <= _LOG_FLOOR) >= 3
 
     value, grad = lik.value_and_grad(theta)
     ref_value = (float(np.sum(np.log(np.maximum(hhat, _LOG_FLOOR))))
                  - lik.penalty(theta))
-    ref_grad = _forward_mode_loss_and_grad(lik.pipe, omega, z_case, 1e-4, theta)
     assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
-    assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
+    _assert_matches_forward_mode(grad, basis, grid, omega, z_case, 1e-4, theta)
 
     shuffled = np.random.default_rng(12).permutation(z_case)
     before = shuffled.copy()
@@ -459,15 +597,16 @@ def _fit_inputs(n=1000):
 
 def test_fused_sweep_matches_link_and_h_formula():
     # at every iterate of a fit, the knots of the fused forward pass are
-    # those of the affine link and h_formula on the same kernel output
-    for _, _, lik in _fit_inputs():
+    # those of the affine link and h_formula on the same kernel output, and
+    # H and h' those of the reference's closed forms
+    for basis, x_grid, lik in _fit_inputs():
         pipe = lik.pipe
         iterates = []
         _maximize(lik.value_and_grad, lik.omega, lik.lam, iterates.append)
         assert len(iterates) >= 5
         for theta in iterates:
             coeffs = theta + lik.center
-            (t_full, h_full, _), _, _ = pipe.sweep(coeffs)
+            t_full, h_full, hp_full, H_full = pipe.sweep(coeffs)[0]
             e = np.exp(np.clip(pipe.B @ coeffs, -_EXP_CLIP, _EXP_CLIP))
             w, wp, wpp, _, c = pipe.kernel(e.reshape(pipe.kernel.nodes.shape))
             t, a, ap, app = link(pipe.kernel.x_in, w / c, wp / c, wpp / c)
@@ -476,6 +615,52 @@ def test_fused_sweep_matches_link_and_h_formula():
             big = h >= 1e-6
             assert np.max(np.abs(h_full[1:-1] - h)[big] / h[big]) <= 1e-12
             assert (t_full[0], t_full[-1], h_full[0], h_full[-1]) == (0, 1, 0, 0)
+            assert (H_full[0], H_full[-1], hp_full[0], hp_full[-1]) == (0, 1, 0, 0)
+            _, _, hp_ref, H_ref = _reference_knots(basis, pipe.kernel.x,
+                                                   coeffs)
+            assert np.max(np.abs(H_full - H_ref.v)) <= 1e-14
+            inner = hp_ref.v[1:-1]
+            assert (np.max(np.abs(hp_full[1:-1] - inner))
+                    <= 1e-11 * np.max(np.abs(inner)))
+
+
+def test_the_surrogate_has_unit_mass_on_every_segment():
+    # on each knot segment the quartic of h_hat, integrated by 8-point
+    # Gauss (exact for a quartic), is H_{j+1} - H_j, and at the knots it
+    # takes their h and h'; so h_hat has mass 1 with no normalizer.  Each
+    # comparison holds up to the rounding of the sums that form the
+    # quartic's coefficients c_k from the knots (c_size)
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    u = 0.5 * (nodes + 1.0)
+    powers = u[:, None] ** np.arange(5)
+    k = np.arange(5.0)[:, None]
+    rng = np.random.default_rng(23)
+    for basis, x_grid, lik in _fit_inputs():
+        for norm in (0.0, 1.0, 3.0, 10.0):
+            coeffs = lik.center + _offset(rng, basis.dim, norm)
+            knots = lik.pipe.sweep(coeffs)[0]
+            t, h, hp, H = knots
+            seg, y, delta = evcop.fit._quartics(lik.pipe, knots)
+            c = seg[2:7]
+            c_size = np.einsum("kjs,js->ks", np.abs(lik.pipe._quartic[:5]),
+                               np.abs(y))
+            mass = delta * (0.5 * weights @ powers @ c)
+            size = delta * np.sum(c_size, axis=0) + np.abs(H[1:])
+            assert np.all(np.abs(mass - np.diff(H)) <= 1e-14 * size)
+            assert abs(np.sum(mass) - 1.0) <= 1e-14 * np.sum(size)
+            value, slope = np.sum(c, axis=0), np.sum(k * c, axis=0) / delta
+            slope_size = np.sum(k * c_size, axis=0) / delta
+            assert np.all(c[0] == h[:-1])
+            assert np.all(np.abs(value - h[1:])
+                          <= 1e-14 * np.sum(c_size, axis=0))
+            assert np.all(np.abs(c[1] / delta - hp[:-1])[1:]
+                          <= 1e-14 * slope_size[1:])
+            assert np.all(np.abs(slope - hp[1:])[:-1]
+                          <= 1e-14 * slope_size[:-1])
+            # the end segments' outer slopes are the secant slopes of h
+            assert c[1, 0] == h[1]
+            assert (abs(slope[-1] + h[-2] / delta[-1])
+                    <= 1e-14 * slope_size[-1])
 
 
 def test_objective_calls_share_no_state(gumbel_objectives):
@@ -491,21 +676,22 @@ def test_objective_calls_share_no_state(gumbel_objectives):
     assert value == value1 and np.array_equal(grad, grad1)
 
     pipe = lik.pipe
-    (t_full, h_full, _), I_h, pullback = pipe.sweep(theta1 + center)
-    kept = (t_full.copy(), h_full.copy())
-    cotangents = (np.cos(np.arange(pipe.m)), np.sin(np.arange(pipe.m)))
-    g = pullback(*cotangents)
+    knots, pullback = pipe.sweep(theta1 + center)
+    kept = knots.copy()
+    inner = knots[:, 1:-1]
+    cotangents = np.cos(np.arange(inner.size)).reshape(inner.shape)
+    g = pullback(cotangents.copy())
     later = pipe.sweep(theta2 + center)
-    later[2](*cotangents)
-    assert np.array_equal(t_full, kept[0]) and np.array_equal(h_full, kept[1])
-    assert np.array_equal(pullback(*cotangents), g)
+    later[1](cotangents.copy())
+    assert np.array_equal(knots, kept)
+    assert np.array_equal(pullback(cotangents.copy()), g)
 
     # samples of other sizes on one pipeline, as on a fresh one each
     z_sorted = np.sort(z)
     for sample in (z_sorted, z_sorted[::3], z_sorted[:-1], z_sorted):
         ll, g = _loss_and_grad(pipe, sample, theta1 + center, True)
-        ref_ll, ref_g = _loss_and_grad(_HhatPipeline(basis, x_grid), sample,
-                                       theta1 + center, True)
+        ref_ll, ref_g = _loss_and_grad(_HhatPipeline(basis, pipe.kernel.x),
+                                       sample, theta1 + center, True)
         assert ll == ref_ll and np.array_equal(g, ref_g)
 
 
@@ -526,7 +712,7 @@ def test_value_and_grad_is_the_loss_and_grad_composition(gumbel_objectives):
     # optimizer composed it by hand before the likelihood object
     basis, x_grid, z, omega, center = gumbel_objectives[4.0]
     lik = PenalizedLikelihood(basis, x_grid, z, 1e-4, center)
-    pipe = _HhatPipeline(basis, x_grid)
+    pipe = _HhatPipeline(basis, lik.pipe.kernel.x)
     z_sorted = np.sort(z)
     rng = np.random.default_rng(10)
     for norm in (0.0, 1.0, 3.0):
@@ -538,16 +724,19 @@ def test_value_and_grad_is_the_loss_and_grad_composition(gumbel_objectives):
         assert lik.value(theta) == value
 
 
-def _assert_call_matches_references(pipe, basis, x_grid, z, theta, omega):
+def _assert_call_matches_references(pipe, basis, z, theta, omega):
     """One objective call on a used pipeline against a fresh one and forward mode."""
+    x_grid = pipe.kernel.x
     ll, g = _loss_and_grad(pipe, z, theta, True)
     ref_ll, ref_g = _loss_and_grad(_HhatPipeline(basis, x_grid), z, theta, True)
     assert ll == ref_ll and np.array_equal(g, ref_g)
-    hhat = _per_observation_hhat(pipe, z, theta)
+    hhat, cond = _per_observation_hhat(basis, x_grid, z, theta)
     direct = float(np.sum(np.log(np.maximum(hhat, _LOG_FLOOR))))
-    assert abs(ll - direct) <= 1e-12 * abs(direct)
-    ref = _forward_mode_loss_and_grad(pipe, omega, z, 0.0, theta)
-    assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # each log errs by its density's rounding, a few units of 1e-16 times
+    # its condition number
+    slack = 1e-15 * np.sum(cond[hhat > _LOG_FLOOR])
+    assert abs(ll - direct) <= 1e-12 * abs(direct) + slack
+    _assert_matches_forward_mode(g, basis, x_grid, omega, z, 0.0, theta)
     return hhat
 
 
@@ -555,12 +744,12 @@ def test_empty_knot_segments_match_the_references():
     # with empty segments the per-segment sums are scattered into zeros;
     # with none they come straight from one reduction.  Small samples
     # leave many of the 79 segments empty: the five n = 250 fit inputs at
-    # every fourth iterate of their fits, and n = 40
+    # every second iterate of their fits, and n = 40
     cases = []
     for basis, x_grid, lik in _fit_inputs(250):
         iterates = [np.zeros(basis.dim)]
         _maximize(lik.value_and_grad, lik.omega, lik.lam, iterates.append)
-        cases.append((basis, x_grid, lik, iterates[::4]))
+        cases.append((basis, x_grid, lik, iterates[::2]))
     uv = EvCopula(ParametricPickands("gumbel", 2.0)).simulate(40, seed=17)
     z = z_transform(uv)
     x_grid = empirical_w_grid(z, 78)
@@ -577,8 +766,8 @@ def test_empty_knot_segments_match_the_references():
             bounds = np.concatenate([[0], lik.z.searchsorted(t_full[1:-1]),
                                      [lik.z.size]])
             empties.append(int(np.sum(np.diff(bounds) == 0)))
-            _assert_call_matches_references(lik.pipe, basis, x_grid, lik.z,
-                                            coeffs, lik.omega)
+            _assert_call_matches_references(lik.pipe, basis, lik.z, coeffs,
+                                            lik.omega)
     assert len(empties) >= 50 and max(empties) >= 30
     assert sum(e > 0 for e in empties) >= 0.9 * len(empties)
 
@@ -593,8 +782,8 @@ def test_floored_and_unfloored_calls_share_no_state(gumbel_objectives):
     for order in ((floored, plain), (plain, floored)):
         pipe = _HhatPipeline(basis, x_grid)
         for sample in order:
-            hhat = _assert_call_matches_references(pipe, basis, x_grid,
-                                                   sample, theta, omega)
+            hhat = _assert_call_matches_references(pipe, basis, sample, theta,
+                                                   omega)
             assert (np.min(hhat) <= _LOG_FLOOR) == (sample is floored)
 
 
@@ -666,8 +855,9 @@ def test_a_fit_in_a_lockstep_group_is_the_fit_alone(monkeypatch):
                 == (alone.iterations, alone.evaluations, alone.grad_max,
                     alone.message, alone.loglik, alone.converged))
     assert sum(isinstance(o, InputError) for o in group) == 1
-    # the fitting grids: 78 and 76 interior nodes
-    fitting = {evcop.fit._set_up(z, c).lik.pipe.m
+    # the fitting grids: 78 and 76 interior pilot nodes, and the nodes
+    # toward 0
+    fitting = {evcop.fit._set_up(z, c).lik.pipe.m - evcop.fit._END_NODES
                for z, c in zip(samples, configs) if z.size >= 30}
     assert fitting == {76, 78}
 
@@ -1057,15 +1247,34 @@ def fit1k_structures():
     return samples
 
 
+def _recorded_minimize(fun, x0, search, monkeypatch):
+    """``minimize(fun, x0)`` with ``search``: the points evaluated, iterates
+    and run."""
+    points, iterates = [], []
+
+    def fun_logged(x):
+        points.append(x.tobytes())
+        return fun(x)
+
+    monkeypatch.setattr(evcop.fit, "_line_search", search)
+    run = minimize(fun_logged, x0, lambda x: iterates.append(x.tobytes()))
+    return points, iterates, run
+
+
 def test_line_search_evaluates_no_point_twice(fit1k_structures, monkeypatch):
     # the memo of every trial changes which calls are made, never a value:
     # both searches take the same path, and the memo saves exactly the
-    # reference's repeated points
+    # reference's repeated points.  The fits of the C1 objective repeat
+    # none; searches across the kink of a V do
+    runs = [lambda search, z=z: _recorded_fit(z, search, monkeypatch)
+            for z in fit1k_structures]
+    runs += [lambda search, x0=x0: _recorded_minimize(
+        _kinked, np.array(x0), search, monkeypatch)
+        for x0 in ([0.0, 0.5], [1.0, 1.0], [-2.0, 3.0])]
     repeats = 0
-    for z in fit1k_structures:
-        ref_points, ref_iterates, ref = _recorded_fit(
-            z, _search_reusing_the_last_trial, monkeypatch)
-        points, iterates, run = _recorded_fit(z, _line_search, monkeypatch)
+    for record in runs:
+        ref_points, ref_iterates, ref = record(_search_reusing_the_last_trial)
+        points, iterates, run = record(_line_search)
         assert iterates == ref_iterates
         assert (run.nit, run.message) == (ref.nit, ref.message)
         assert run.x.tobytes() == ref.x.tobytes()
@@ -1193,7 +1402,10 @@ def test_mcmc_mode_consistent_with_map(gumbel2_sample, monkeypatch):
 
     chain = mcmc_sample(log_target, fm.basis.dim, 8000, seed=7,
                         step_scale=0.05, x0=fm.theta)
-    best = max(log_target(s) for s in chain[::20])
+    # every state of the chain: the best of every 20th lands within 2.0 of
+    # the maximum only by luck of the seed (seeds 8, 10 and 13 miss on the
+    # piecewise-linear objective too)
+    best = max(log_target(s) for s in chain)
     assert log_target(fm.theta) - best <= 2.0
     assert best <= log_target(fm.theta) + 1e-6
     assert len(builds) == 1
@@ -1439,3 +1651,12 @@ def test_raw_w0_estimate_reported_and_reloaded():
     assert est != 1.0
     assert est == fm.w0_estimate
     assert model_from_dict(doc).w0_estimate == est
+
+
+def test_a_gumbel_20_fit_ends_on_a_convergence_stop():
+    # on the piecewise-linear objective this fit ended "ABNORMAL" after 104
+    # evaluations: the line search stalled at a kink
+    uv = EvCopula(ParametricPickands("gumbel", 20.0)).simulate(1000, seed=1)
+    fm = optimize(z_transform(uv))
+    assert fm.converged and fm.message.startswith("CONVERGENCE")
+    assert fm.grad_max <= evcop.fit._GRAD_TOL
