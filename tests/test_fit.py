@@ -150,44 +150,37 @@ def test_empirical_w_grid_increasing(gumbel2_sample):
 
 def _objective_grid(z, k):
     """The grid a fit's objective runs on: the pilot grid of ``k`` interior
-    nodes, refined toward both ends."""
+    nodes, refined toward 0."""
     return evcop.fit._end_refined(empirical_w_grid(z, k))
-
-
-def _h_hat_knots(coeffs, basis, x_grid):
-    """The objective's knots t and z-density values h there."""
-    knots, _ = _HhatPipeline(basis, x_grid).sweep(coeffs)
-    return knots[0], knots[1]
 
 
 def test_build_h_hat_normalization_and_consistency(gumbel2_fit, gumbel2_sample):
     fm = gumbel2_fit
     z = z_transform(gumbel2_sample)
     zf = 1.0 - z if fm.flipped else z
-    x_grid = _objective_grid(zf, 78)
-    t, h = _h_hat_knots(fm.coeffs, fm.basis, x_grid)
+    t, h, _, H = _HhatPipeline(fm.basis, _objective_grid(zf, 78)).sweep(
+        fm.coeffs)[0]
     # unit mass with no normalizer: the CDF rises from 0 to 1 over the knots
-    H = _HhatPipeline(fm.basis, x_grid).sweep(fm.coeffs)[0][3]
     assert (H[0], H[-1]) == (0.0, 1.0)
     assert np.all(np.diff(H) > 0.0)
 
-    # close to the density computed through the dense route; knot values
-    # already agree at the default grid size.  Between the knots the
-    # quintic Hermite surrogate errs less than a linear interpolant of the
-    # same knots, which converged from 0.088 at 40 nodes to 0.009 at 300:
-    # it errs by 7.5e-3, 3.6e-3 and 5.4e-3, about the error of the knot
-    # values themselves (1.3e-3 to 2.3e-3)
+    # converges to the density computed through the dense route as the grid
+    # grows, and errs less than a linear interpolant of the same knots;
+    # knot values already agree at the default grid size
     dens_model, _, grid = pipeline_pickands(fm.basis, fm.theta,
                                             fm.center_applied, False)
     h_slow = h_density(dens_model)
     zz = np.linspace(0.05, 0.95, 181)
     assert np.max(np.abs(h[1:-1] - h_slow(t[1:-1]))) <= 0.02
+    errs = []
     for k in (40, 78, 300):
         knots = _HhatPipeline(fm.basis, _objective_grid(zf, k)).sweep(
             fm.coeffs)[0]
-        err = np.max(np.abs(_surrogate(knots, zz) - h_slow(zz)))
-        linear = np.max(np.abs(np.interp(zz, knots[0], knots[1]) - h_slow(zz)))
-        assert err < linear and err <= 0.01
+        errs.append(float(np.max(np.abs(_surrogate(knots, zz) - h_slow(zz)))))
+        linear = np.interp(zz, knots[0], knots[1])
+        assert errs[-1] < np.max(np.abs(linear - h_slow(zz)))
+    assert errs[0] > errs[1] > errs[2]
+    assert errs[2] <= 0.05
 
 
 def test_build_h_hat_near_independence():
