@@ -19,11 +19,11 @@ each segment: a quartic per segment whose mass is exactly the rise of
 C1 in the coefficients.  The pseudo-angles are sorted once, when the
 objective is set up, so each evaluation locates the data with one search
 per knot, and the gradient of the data term reduces to five sums per knot
-segment (the sums of ``u^k / h``, see :func:`_loss_and_grad`).  An
-evaluation costs under two hundred numpy calls on arrays of the grid's size
-whatever the sample size, so it is written to make few of them; every
-value and gradient keeps one operation order for a fit alone and in a
-stack, to the last bit, because the optimizer's path hinges on last bits.
+segment (the sums of ``u^k / h``, see :func:`_loss_and_grad`).  Apart
+from its passes over the data, an evaluation is a fixed number of numpy
+calls on arrays of the grid's size, so it is written to make few of them;
+every value and gradient keeps one operation order for a fit alone and in
+a stack, to the last bit, because the optimizer's path hinges on last bits.
 A fit keeps no state between evaluations: every array an evaluation makes
 is fresh, and the objects set-up built are never written.  The objective
 and the tabulation of fitted models (:func:`pipeline_pickands`) are one
@@ -520,9 +520,11 @@ def _loss_and_grad(pipe: _HhatPipeline, z, theta: np.ndarray,
     segment's secant slope of ``h``.  On the segment ``h_hat`` is a quartic
     in ``u = (z - t_j) / delta_j`` whose mass is exactly ``H_{j+1} - H_j``,
     so ``h_hat`` has mass 1 with no normalizer and is C1 in ``z`` and in
-    ``theta``.  The segments are located by one search per knot, not per
-    observation.  An observation at ``t_j`` belongs to segment ``j``; the
-    end segments take anything beyond ``[0, 1]``.  The gradient needs only
+    ``theta``; the data term keeps kinks only where an ``h_hat`` meets the
+    log floor or a spline value the exponential clip.  The segments are
+    located by one search per knot, not per observation.  An observation at
+    ``t_j`` belongs to segment ``j``; the end segments take anything beyond
+    ``[0, 1]``.  The gradient needs only
     the sums of ``u^k / h_hat``, ``k = 0 ... 4``, over the live
     observations of each segment (``h_hat`` above the log floor): the
     cotangents of the quartic's coefficients, and through ``u`` those of
