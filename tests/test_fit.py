@@ -388,9 +388,10 @@ def _surrogate(knots, z):
     return _hermite_density(knots, np.asarray(z, dtype=float))[0]
 
 
-# a live density whose condition number exceeds this is ill-conditioned:
-# rounded in two orders of operations, it may differ by more than 1e-13
-# relative
+# a live density whose condition number (the sum of its terms' magnitudes
+# over its own) exceeds this is ill-conditioned: two orders of operations
+# may round it apart by a few units of 1e-14 relative or more, and the
+# checks against the references give it slack
 _ILL = 100.0
 
 
@@ -1655,9 +1656,9 @@ def test_a_gumbel_20_fit_ends_on_a_convergence_stop():
 def test_a_strongly_dependent_fit_floors_no_observation(dep):
     # on strongly dependent samples the pseudo-angle density falls from the
     # last pilot knot to near 0 within a fraction of the wide end segment
-    # [t_m, 1], where a quartic over the whole segment dipped below zero and
-    # floored from 1 to 5 observations of each of these fits; the end
-    # segments' cuts keep the fitted surrogate above the floor at every one
+    # [t_m, 1], which one quartic cannot follow without dipping below zero;
+    # on the cut segments the fitted surrogate stays above the floor at
+    # every observation
     for seed in range(1, 6):
         z = z_transform(EvCopula(ParametricPickands("gumbel", dep)).simulate(
             1000, seed=seed))
