@@ -107,7 +107,10 @@ class WilliamsonKernel:
     ``W_j = W_{j+1} + x_j W'_j - x_{j+1} W'_{j+1} + P_j``
     run from the right endpoint and keep ``W`` non-increasing and ``W'``
     non-decreasing exactly.  :meth:`transpose` is the adjoint map, which
-    carries cotangents of the outputs back to the density values.
+    carries cotangents of the outputs back to the density values.  Both
+    broadcast over leading axes of their inputs, one entry per fit of a
+    lockstep round, and give each entry what a call on it alone gives, to
+    the last bit.
     """
 
     def __init__(self, x_nodes):
@@ -125,19 +128,6 @@ class WilliamsonKernel:
         weights = trapezoid_weights(self.nodes)
         self._weights = np.stack([weights, np.zeros_like(weights)])
         self._weights[1, 1:] = -weights[1:] / self.nodes[1:]
-
-    @classmethod
-    def stack(cls, kernels) -> WilliamsonKernel:
-        """One kernel for several grids of one size.
-
-        Every array gains a leading axis, one entry per grid, and so do the
-        density values the stacked kernel takes and the outputs it returns.
-        Each entry is what its own kernel gives, to the last bit.
-        """
-        out = cls.__new__(cls)
-        for name in ("x", "x_in", "nodes", "_weights"):
-            setattr(out, name, np.stack([getattr(k, name) for k in kernels]))
-        return out
 
     def __call__(self, fv):
         """``(w, wp, wpp, tail, c)`` at the interior grid nodes.
@@ -161,7 +151,7 @@ class WilliamsonKernel:
 
         The reverse of each suffix sum in :meth:`__call__` is a prefix sum.
         """
-        G = np.empty(self._weights.shape[:-1])
+        G = np.empty((*np.shape(gc), *self._weights.shape[:-1]))
         # c is the sum of all P, so gc reaches every one of them
         G[..., 0, 0], G[..., 1, 0] = gc, 0.0
         G[..., 0, 1:] = gw

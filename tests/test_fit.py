@@ -148,34 +148,41 @@ def test_empirical_w_grid_increasing(gumbel2_sample):
         empirical_w_grid(z, 1)
 
 
-def _objective_grid(z, k):
-    """The grid a fit's objective runs on: the pilot grid of ``k`` interior
-    nodes, its end segments cut."""
-    return evcop.fit._end_refined(empirical_w_grid(z, k))
+def _likelihood(basis, x_grid, z, lam, center=0.0):
+    """A likelihood on ``basis`` and ``x_grid``, its end segments cut as a
+    fit's are."""
+    chain = evcop.fit._Chain(basis, evcop.fit._end_refined(x_grid), center)
+    return PenalizedLikelihood(chain, z, lam)
 
 
-def test_build_h_hat_normalization_and_consistency(gumbel2_fit, gumbel2_sample):
+def _strided_grid(stride):
+    """Every ``stride``-th node of the tabulation grid, and 1: a fit's grid
+    at stride _GRID_STRIDE, before its end segments are cut."""
+    return np.unique(np.append(default_w_nodes()[::stride], 1.0))
+
+
+def test_build_h_hat_normalization_and_consistency(gumbel2_fit):
     fm = gumbel2_fit
-    z = z_transform(gumbel2_sample)
-    zf = 1.0 - z if fm.flipped else z
-    t, h, _, H = _HhatPipeline(fm.basis, _objective_grid(zf, 78)).sweep(
-        fm.coeffs)[0]
+    assert fm.basis is evcop.fit._fit_chain(fm.basis.dim).basis
+    pipe = evcop.fit._fit_chain(fm.basis.dim).pipe
+    t, h, _, H = pipe.sweep(fm.coeffs)[0]
     # unit mass with no normalizer: the CDF rises from 0 to 1 over the knots
     assert (H[0], H[-1]) == (0.0, 1.0)
     assert np.all(np.diff(H) > 0.0)
 
     # converges to the density computed through the dense route as the grid
-    # grows, and errs less than a linear interpolant of the same knots;
-    # knot values already agree at the default grid size
+    # grows, from every 8th node of the tabulation grid to every 4th (the
+    # fit's) and all of them, and errs less than a linear interpolant of
+    # the same knots; knot values already agree on the fit's grid
     dens_model, _, grid = pipeline_pickands(fm.basis, fm.theta,
                                             fm.center_applied, False)
     h_slow = h_density(dens_model)
     zz = np.linspace(0.05, 0.95, 181)
     assert np.max(np.abs(h[1:-1] - h_slow(t[1:-1]))) <= 0.02
     errs = []
-    for k in (40, 78, 300):
-        knots = _HhatPipeline(fm.basis, _objective_grid(zf, k)).sweep(
-            fm.coeffs)[0]
+    for stride in (8, evcop.fit._GRID_STRIDE, 1):
+        knots = _HhatPipeline(fm.basis, evcop.fit._end_refined(
+            _strided_grid(stride))).sweep(fm.coeffs)[0]
         errs.append(float(np.max(np.abs(_surrogate(knots, zz) - h_slow(zz)))))
         linear = np.interp(zz, knots[0], knots[1])
         assert errs[-1] < np.max(np.abs(linear - h_slow(zz)))
@@ -188,10 +195,34 @@ def test_build_h_hat_near_independence():
     uv = rng.random((1500, 2))
     z = z_transform(uv)
     fm = optimize(z, FitConfig(lam=1e-4))
-    x_grid = _objective_grid(1.0 - z if fm.flipped else z, 78)
-    knots, _ = _HhatPipeline(fm.basis, x_grid).sweep(fm.coeffs)
+    knots, _ = evcop.fit._fit_chain(fm.basis.dim).pipe.sweep(fm.coeffs)
     zz = np.linspace(0.1, 0.9, 101)
     assert np.mean(np.abs(_surrogate(knots, zz) - 1.0)) <= 0.15
+
+
+def _uniform_pairs(entropy):
+    return np.random.default_rng(entropy).random((1000, 2))
+
+
+@pytest.mark.parametrize("sample", [
+    pytest.param(lambda: _uniform_pairs(2031), id="independence"),
+    pytest.param(lambda: EvCopula(ParametricPickands("gumbel", 8.0)).simulate(
+        1000, seed=2031), id="gumbel-8"),
+    # the fit benchmark's independence input of seed 3, op 0
+    pytest.param(lambda: _uniform_pairs(np.random.SeedSequence([3, 1, 0])),
+                 id="independence-fit1k-3-0"),
+])
+def test_the_objective_is_the_saved_model(sample):
+    # the data term a fit maximizes is the log-likelihood of the model it
+    # saves, sum log h of the pseudo-angle density of its tabulated Pickands
+    # function (Ghoudi, Khoudraji & Rivest 1998), floored as the objective
+    # floors it, up to the interpolation between the objective's knots.  On
+    # a grid placed by a pilot estimate the last input's were 13.5 apart
+    z = z_transform(sample())
+    fm = optimize(z)
+    h = h_density(fm.pickands)(z)
+    saved = float(np.sum(np.log(np.maximum(h, _LOG_FLOOR))))
+    assert abs(fm.loglik - saved) <= 0.5
 
 
 def test_penalized_loglik_penalty_scaling(gumbel2_sample):
@@ -202,7 +233,7 @@ def test_penalized_loglik_penalty_scaling(gumbel2_sample):
     omega = curvature_matrix(basis)
     rng = np.random.default_rng(4)
     theta = 0.4 * rng.standard_normal(basis.dim)
-    l0, l1, l2 = (PenalizedLikelihood(basis, x_grid, z, lam).value(theta)
+    l0, l1, l2 = (_likelihood(basis, x_grid, z, lam).value(theta)
                   for lam in (0.0, 1.0, 2.0))
     pen = theta @ omega @ theta
     assert pen > 0.0
@@ -217,7 +248,7 @@ def test_gradient_matches_finite_differences(gumbel2_sample, dim, k, lam):
     x_grid = empirical_w_grid(z, k)
     knots = quantile_knots(x_grid[1:-1], dim - 3)
     basis = build_zb_basis(knots)
-    lik = PenalizedLikelihood(basis, x_grid, z, lam)
+    lik = _likelihood(basis, x_grid, z, lam)
     rng = np.random.default_rng(5)
     for _ in range(5):
         theta = 0.3 * rng.standard_normal(basis.dim)
@@ -435,14 +466,15 @@ def _assert_matches_forward_mode(grad, basis, x_grid, omega, z, lam, theta):
 
 
 def _gumbel_objective(theta, n):
-    """Objective pieces of an n-pair Gumbel sample, set up as `optimize` does."""
+    """Objective pieces of an n-pair Gumbel sample, set up as `optimize` does:
+    the fit's basis and grid, before its end segments are cut."""
     uv = EvCopula(ParametricPickands("gumbel", theta)).simulate(n, seed=3)
     z = z_transform(uv)
     if ordering_heuristic(z):
         z = 1.0 - z
-    x_grid = empirical_w_grid(z, 78)
-    basis = build_zb_basis(quantile_knots(x_grid[1:-1], 10))
-    return (basis, x_grid, z, curvature_matrix(basis), project_center(basis))
+    chain = evcop.fit._fit_chain(13)
+    return (chain.basis, _strided_grid(evcop.fit._GRID_STRIDE), z,
+            chain.omega, chain.center)
 
 
 @pytest.fixture(scope="module")
@@ -465,13 +497,13 @@ def _offset(rng, dim, norm):
 def test_adjoint_gradient_matches_forward_mode(gumbel_objectives, dep, n):
     basis, x_grid, z, omega, center = (
         gumbel_objectives[dep] if n == 1000 else _gumbel_objective(dep, n))
-    lik = PenalizedLikelihood(basis, x_grid, z, 1e-4)
+    lik = _likelihood(basis, x_grid, z, 1e-4)
     rng = np.random.default_rng(int(dep))
     for norm in (0.0, 1.0, 3.0, 10.0):
         theta = center + _offset(rng, basis.dim, norm)
         _, grad = lik.value_and_grad(theta)
-        _assert_matches_forward_mode(grad, basis, lik.pipe.kernel.x, omega, z,
-                                     1e-4, theta)
+        _assert_matches_forward_mode(grad, basis, lik.chain.pipe.kernel.x,
+                                     omega, z, 1e-4, theta)
 
 
 def test_adjoint_gradient_matches_finite_differences(gumbel_objectives):
@@ -480,7 +512,7 @@ def test_adjoint_gradient_matches_finite_differences(gumbel_objectives):
     # observation lies 1.4e-6 from a knot: the piecewise-linear objective
     # missed by 3.8e-3 there
     basis, x_grid, z, omega, center = gumbel_objectives[1.5]
-    lik = PenalizedLikelihood(basis, x_grid, z, 1e-4)
+    lik = _likelihood(basis, x_grid, z, 1e-4)
     rng = np.random.default_rng(6)
     for norm in (0.0, 1.0):
         theta = center + _offset(rng, basis.dim, norm)
@@ -495,16 +527,16 @@ def test_adjoint_gradient_matches_finite_differences(gumbel_objectives):
 
 def test_clipped_exponentials_contribute_nothing(gumbel_objectives):
     basis, x_grid, z, omega, center = gumbel_objectives[4.0]
-    lik = PenalizedLikelihood(basis, x_grid, z, 1e-4)
-    B = lik.pipe.B
+    lik = _likelihood(basis, x_grid, z, 1e-4)
+    B = lik.chain.pipe.B
     theta = center + _offset(np.random.default_rng(7), basis.dim, 1.0)
     theta *= 1.1 * _EXP_CLIP / np.max(np.abs(B @ theta))
     clipped = np.abs(B @ theta) >= _EXP_CLIP
     assert 0 < np.sum(clipped) < clipped.size
     value, grad = lik.value_and_grad(theta)
     assert np.isfinite(value)
-    _assert_matches_forward_mode(grad, basis, lik.pipe.kernel.x, omega, z,
-                                 1e-4, theta)
+    _assert_matches_forward_mode(grad, basis, lik.chain.pipe.kernel.x, omega,
+                                 z, 1e-4, theta)
     # moving the clipped spline values further out changes nothing at all
     B[clipped] *= 2.0
     assert lik.value_and_grad(theta)[0] == value
@@ -516,13 +548,12 @@ def test_floored_observations_contribute_nothing(gumbel_objectives):
     theta = center + _offset(np.random.default_rng(8), basis.dim, 1.0)
     # the z-density is pinned to 0 at both ends, so these fall below the floor
     z_floor = np.concatenate([z, [0.0, 1e-300, 1.0]])
-    value, grad = PenalizedLikelihood(basis, x_grid, z, 1e-4).value_and_grad(
-        theta)
-    lik_f = PenalizedLikelihood(basis, x_grid, z_floor, 1e-4)
+    value, grad = _likelihood(basis, x_grid, z, 1e-4).value_and_grad(theta)
+    lik_f = _likelihood(basis, x_grid, z_floor, 1e-4)
     value_f, grad_f = lik_f.value_and_grad(theta)
     assert value_f == pytest.approx(value + 3.0 * np.log(_LOG_FLOOR), abs=1e-9)
-    _assert_matches_forward_mode(grad_f, basis, lik_f.pipe.kernel.x, omega,
-                                 z_floor, 1e-4, theta)
+    _assert_matches_forward_mode(grad_f, basis, lik_f.chain.pipe.kernel.x,
+                                 omega, z_floor, 1e-4, theta)
     assert np.array_equal(grad_f, grad)
 
 
@@ -546,7 +577,7 @@ def test_data_term_on_sorted_pseudo_angles(gumbel_objectives):
     # repeated, and three at the pinned ends, where h_hat is floored
     kept = z[(z < t_full[20]) | (z >= t_full[30])]
     z_case = np.concatenate([kept, t_full[5:15], kept[:50], [0.0, 1e-300, 1.0]])
-    lik = PenalizedLikelihood(basis, x_grid, z_case, 1e-4)
+    lik = _likelihood(basis, x_grid, z_case, 1e-4)
     counts = np.diff(np.searchsorted(lik.z, t_full[1:-1]))
     assert np.sum(counts == 0) >= 9
     hhat = _per_observation_hhat(basis, grid, z_case, theta)[0]
@@ -560,19 +591,18 @@ def test_data_term_on_sorted_pseudo_angles(gumbel_objectives):
 
     shuffled = np.random.default_rng(12).permutation(z_case)
     before = shuffled.copy()
-    value_s, grad_s = PenalizedLikelihood(basis, x_grid, shuffled,
-                                          1e-4).value_and_grad(theta)
+    value_s, grad_s = _likelihood(basis, x_grid, shuffled,
+                                  1e-4).value_and_grad(theta)
     assert np.array_equal(shuffled, before)
     assert abs(value_s - value) <= 1e-12 * abs(value)
     assert np.max(np.abs(grad_s - grad)) <= 1e-12 * np.max(np.abs(grad))
 
 
 def _fit_inputs(n=1000):
-    """Objectives of five n-pair samples, set up as `optimize` does.
+    """Likelihoods of five n-pair samples, set up as `optimize` sets them up.
 
     Independence, Gumbel 1.5, 3 and 8, and Khoudraji's asymmetric
     max-construction on Gumbel 3 (shape 0.6, 0.9), which takes the flip.
-    Yields ``(basis, x_grid, likelihood)``.
     """
     rng = np.random.default_rng(13)
     g3 = EvCopula(ParametricPickands("gumbel", 3.0)).simulate(n, seed=14)
@@ -583,26 +613,21 @@ def _fit_inputs(n=1000):
             np.maximum(g3[:, 0] ** (1 / 0.9), r[:, 0] ** (1 / 0.1)),
             np.maximum(g3[:, 1] ** (1 / 0.6), r[:, 1] ** (1 / 0.4))])]
     for uv in samples:
-        z = z_transform(uv)
-        if ordering_heuristic(z):
-            z = 1.0 - z
-        x_grid = empirical_w_grid(z, 78)
-        basis = build_zb_basis(quantile_knots(x_grid[1:-1], 10))
-        yield basis, x_grid, PenalizedLikelihood(basis, x_grid, z, 1e-4,
-                                                 project_center(basis))
+        yield evcop.fit._set_up(z_transform(uv), None).lik
 
 
 def test_fused_sweep_matches_link_and_h_formula():
     # at every iterate of a fit, the knots of the fused forward pass are
     # those of the affine link and h_formula on the same kernel output, and
     # H and h' those of the reference's closed forms
-    for basis, x_grid, lik in _fit_inputs():
-        pipe = lik.pipe
+    for lik in _fit_inputs():
+        basis, pipe = lik.chain.basis, lik.chain.pipe
         iterates = []
-        _maximize(lik.value_and_grad, lik.omega, lik.lam, iterates.append)
+        _maximize(lik.value_and_grad, lik.chain.omega, lik.lam,
+                  iterates.append)
         assert len(iterates) >= 5
         for theta in iterates:
-            coeffs = theta + lik.center
+            coeffs = theta + lik.chain.center
             t_full, h_full, hp_full, H_full = pipe.sweep(coeffs)[0]
             e = np.exp(np.clip(pipe.B @ coeffs, -_EXP_CLIP, _EXP_CLIP))
             w, wp, wpp, _, c = pipe.kernel(e.reshape(pipe.kernel.nodes.shape))
@@ -634,12 +659,12 @@ def test_the_surrogate_has_unit_mass_on_every_segment():
     powers = u[:, None] ** np.arange(5)
     k = np.arange(5.0)[:, None]
     rng = np.random.default_rng(23)
-    for basis, x_grid, lik in _fit_inputs():
+    for lik in _fit_inputs():
         for norm in (0.0, 1.0, 3.0, 10.0):
-            coeffs = lik.center + _offset(rng, basis.dim, norm)
-            knots = lik.pipe.sweep(coeffs)[0]
+            coeffs = lik.chain.center + _offset(rng, lik.chain.basis.dim, norm)
+            knots = lik.chain.pipe.sweep(coeffs)[0]
             t, h, hp, H = knots
-            seg, y, delta = evcop.fit._quartics(lik.pipe, knots)
+            seg, y, delta = evcop.fit._quartics(knots)
             c = seg[2:7]
             c_size = np.abs(evcop.fit._QUARTIC[:5]) @ np.abs(y)
             mass = delta * (0.5 * weights @ powers @ c)
@@ -660,7 +685,7 @@ def test_objective_calls_share_no_state(gumbel_objectives):
     # what one call returns must survive later calls, and a call must not
     # read what an earlier one left
     basis, x_grid, z, omega, center = gumbel_objectives[4.0]
-    lik = PenalizedLikelihood(basis, x_grid, z, 1e-4, center)
+    lik = _likelihood(basis, x_grid, z, 1e-4, center)
     rng = np.random.default_rng(16)
     theta1, theta2 = _offset(rng, basis.dim, 1.0), _offset(rng, basis.dim, 3.0)
     value1, grad1 = lik.value_and_grad(theta1)
@@ -668,7 +693,7 @@ def test_objective_calls_share_no_state(gumbel_objectives):
     value, grad = lik.value_and_grad(theta1)
     assert value == value1 and np.array_equal(grad, grad1)
 
-    pipe = lik.pipe
+    pipe = lik.chain.pipe
     knots, pullback = pipe.sweep(theta1 + center)
     kept = knots.copy()
     cotangents = np.cos(np.arange(knots.size)).reshape(knots.shape)
@@ -700,19 +725,23 @@ def _count_pipeline_builds(monkeypatch):
 
 
 def test_value_and_grad_is_the_loss_and_grad_composition(gumbel_objectives):
-    # the data term at theta + center minus the penalty on theta, as the
-    # optimizer composed it by hand before the likelihood object
+    # the data term at theta + center minus the penalty on theta, read as
+    # lam |R theta|^2 with R'R = Omega
     basis, x_grid, z, omega, center = gumbel_objectives[4.0]
-    lik = PenalizedLikelihood(basis, x_grid, z, 1e-4, center)
-    pipe = _HhatPipeline(basis, lik.pipe.kernel.x)
+    lik = _likelihood(basis, x_grid, z, 1e-4, center)
+    root = lik.chain.root
+    assert np.max(np.abs(root.T @ root - omega)) <= 1e-12 * np.max(omega)
+    pipe = _HhatPipeline(basis, lik.chain.pipe.kernel.x)
     z_sorted = np.sort(z)
     rng = np.random.default_rng(10)
     for norm in (0.0, 1.0, 3.0):
         theta = _offset(rng, basis.dim, norm)
         ll, g = _loss_and_grad(pipe, z_sorted, theta + center, True)
         value, grad = lik.value_and_grad(theta)
-        assert value == ll - 1e-4 * float(theta @ omega @ theta)
-        assert np.array_equal(grad, g - 2.0 * 1e-4 * (omega @ theta))
+        r = root @ theta
+        assert value == ll - 1e-4 * float(r @ r)
+        assert np.array_equal(grad, g - 2.0 * 1e-4 * (r @ root))
+        assert lik.penalty(theta) == 1e-4 * float(r @ r)
         assert lik.value(theta) == value
 
 
@@ -735,31 +764,30 @@ def _assert_call_matches_references(pipe, basis, z, theta, omega):
 def test_empty_knot_segments_match_the_references():
     # with empty segments the per-segment sums are scattered into zeros;
     # with none they come straight from one reduction.  Small samples
-    # leave many of the 79 segments empty: the five n = 250 fit inputs at
+    # leave many of the 137 segments empty: the five n = 250 fit inputs at
     # every second iterate of their fits, and n = 40
     cases = []
-    for basis, x_grid, lik in _fit_inputs(250):
-        iterates = [np.zeros(basis.dim)]
-        _maximize(lik.value_and_grad, lik.omega, lik.lam, iterates.append)
-        cases.append((basis, x_grid, lik, iterates[::2]))
+    for lik in _fit_inputs(250):
+        iterates = [np.zeros(lik.chain.basis.dim)]
+        _maximize(lik.value_and_grad, lik.chain.omega, lik.lam,
+                  iterates.append)
+        cases.append((lik, iterates[::2]))
     uv = EvCopula(ParametricPickands("gumbel", 2.0)).simulate(40, seed=17)
-    z = z_transform(uv)
-    x_grid = empirical_w_grid(z, 78)
-    basis = build_zb_basis(quantile_knots(x_grid[1:-1], 10))
-    lik = PenalizedLikelihood(basis, x_grid, z, 1e-4, project_center(basis))
+    lik = evcop.fit._set_up(z_transform(uv), None).lik
     rng = np.random.default_rng(18)
-    cases.append((basis, x_grid, lik, [_offset(rng, basis.dim, norm)
-                                       for norm in (0.0, 1.0, 3.0)]))
+    cases.append((lik, [_offset(rng, lik.chain.basis.dim, norm)
+                        for norm in (0.0, 1.0, 3.0)]))
     empties = []
-    for basis, x_grid, lik, thetas in cases:
+    for lik, thetas in cases:
+        chain = lik.chain
         for theta in thetas:
-            coeffs = theta + lik.center
-            t_full = lik.pipe.sweep(coeffs)[0][0]
+            coeffs = theta + chain.center
+            t_full = chain.pipe.sweep(coeffs)[0][0]
             bounds = np.concatenate([[0], lik.z.searchsorted(t_full[1:-1]),
                                      [lik.z.size]])
             empties.append(int(np.sum(np.diff(bounds) == 0)))
-            _assert_call_matches_references(lik.pipe, basis, lik.z, coeffs,
-                                            lik.omega)
+            _assert_call_matches_references(chain.pipe, chain.basis, lik.z,
+                                            coeffs, chain.omega)
     assert len(empties) >= 50 and max(empties) >= 30
     assert sum(e > 0 for e in empties) >= 0.9 * len(empties)
 
@@ -780,32 +808,30 @@ def test_floored_and_unfloored_calls_share_no_state(gumbel_objectives):
 
 
 def test_a_stacked_objective_gives_each_fit_its_own(gumbel_objectives):
-    # one call on a stack of pipelines, whose fits include one with floored
-    # densities, one whose 40 observations leave most segments empty and
-    # one whose exponentials are clipped, gives each fit the data term and
-    # gradient of a call on its own pipeline, to the last bit; the floor
-    # step that the floored fit forces on all changes nothing for the rest
+    # one call with the coefficients of several fits stacked on one
+    # pipeline, whose fits include one with floored densities, one whose 40
+    # observations leave most segments empty and one whose exponentials
+    # are clipped, gives each fit the data term and gradient of its lone
+    # call, to the last bit; the floor step that the floored fit forces on
+    # all changes nothing for the rest
     rng = np.random.default_rng(21)
+    basis, x_grid = gumbel_objectives[1.5][:2]
+    pipe = _HhatPipeline(basis, evcop.fit._end_refined(x_grid))
     fits = []
-    for (dep, (basis, x_grid, z, _, center)), norm in zip(
+    for (dep, (_, _, z, _, center)), norm in zip(
             gumbel_objectives.items(), (1.0, 3.0, 400.0)):
-        pipe = _HhatPipeline(basis, x_grid)
         zs = np.sort(z)
-        fits.append((pipe, zs, center + _offset(rng, basis.dim, norm)))
+        fits.append((zs, center + _offset(rng, basis.dim, norm)))
         if dep == 1.5:
             floored = np.sort(np.concatenate([z, [0.0, 1e-300, 1.0]]))
-            fits.append((pipe, floored, center + _offset(rng, basis.dim, 1.0)))
-            fits.append((pipe, zs[::25],
-                         center + _offset(rng, basis.dim, 3.0)))
-    assert len({pipe.B.shape for pipe, _, _ in fits}) == 1
-    pipe, _, theta = fits[-1]
-    assert np.max(np.abs(pipe.B @ theta)) >= _EXP_CLIP
-    stack = _HhatPipeline.stack([pipe for pipe, _, _ in fits])
-    theta = np.stack([theta for _, _, theta in fits])
+            fits.append((floored, center + _offset(rng, basis.dim, 1.0)))
+            fits.append((zs[::25], center + _offset(rng, basis.dim, 3.0)))
+    assert np.max(np.abs(pipe.B @ fits[-1][1])) >= _EXP_CLIP
+    theta = np.stack([theta for _, theta in fits])
     for want_grad in (True, False):
-        ll, grad = _loss_and_grad(stack, tuple(z for _, z, _ in fits), theta,
+        ll, grad = _loss_and_grad(pipe, tuple(z for z, _ in fits), theta,
                                   want_grad)
-        for f, (pipe, z, theta_f) in enumerate(fits):
+        for f, (z, theta_f) in enumerate(fits):
             ll_f, grad_f = _loss_and_grad(pipe, z, theta_f, want_grad)
             assert ll[f] == ll_f
             if want_grad:
@@ -813,18 +839,20 @@ def test_a_stacked_objective_gives_each_fit_its_own(gumbel_objectives):
 
 
 def test_a_fit_in_a_lockstep_group_is_the_fit_alone(monkeypatch):
-    # a group that mixes grid sizes (one grid keeps 76 interior nodes) and
-    # sample sizes 250 and 1000, with a run that fails in set-up: every
-    # other fit ends where it ends alone, after the same steps, and the
-    # failed one raises what it raises alone
+    # a group that mixes basis sizes (a fit of 8 functions, alone on its
+    # pipeline), penalty weights and sample sizes 250 and 1000, with a run
+    # that fails in set-up: every other fit ends where it ends alone, after
+    # the same steps, and the failed one raises what it raises alone
     truths = [EvCopula(m) for m in random_pickands(1e-4, 5.0, 2, seed=3)]
     gumbel = EvCopula(ParametricPickands("gumbel", 3.0))
     samples = [z_transform(truths[1].simulate(250, seed=1)),
                z_transform(truths[0].simulate(1000, seed=2)),
                np.full(10, 0.5),
                z_transform(truths[1].simulate(1000, seed=4)),
-               z_transform(gumbel.simulate(250, seed=5))]
-    configs = [None, FitConfig(), None, FitConfig(lam=1e-5), None]
+               z_transform(gumbel.simulate(250, seed=5)),
+               z_transform(gumbel.simulate(1000, seed=6))]
+    configs = [None, FitConfig(), None, FitConfig(lam=1e-5), None,
+               FitConfig(basis_dim=8)]
     stacked = []
 
     def counted(pipe, z, theta, want_grad):
@@ -847,12 +875,7 @@ def test_a_fit_in_a_lockstep_group_is_the_fit_alone(monkeypatch):
                 == (alone.iterations, alone.evaluations, alone.grad_max,
                     alone.message, alone.loglik, alone.converged))
     assert sum(isinstance(o, InputError) for o in group) == 1
-    # the fitting grids: 78 and 76 interior pilot nodes, and the cuts of
-    # the two end segments
-    cuts = 2 * (evcop.fit._END_PIECES - 1)
-    fitting = {evcop.fit._set_up(z, c).lik.pipe.m - cuts
-               for z, c in zip(samples, configs) if z.size >= 30}
-    assert fitting == {76, 78}
+    assert group[-1].basis.dim == 8
 
 
 @pytest.mark.parametrize("configs", [[None], []])
@@ -864,9 +887,19 @@ def test_optimize_many_refuses_unequal_lists(gumbel2_sample, configs):
 
 
 def test_optimize_builds_one_pipeline(gumbel2_sample, monkeypatch):
+    # one pipeline per basis size and process, whatever the fits' samples,
+    # penalties and drivers
+    z = z_transform(gumbel2_sample)
+    configs = [FitConfig(lam=1e-4), FitConfig(basis_dim=9, lam=1e-5)]
     builds = _count_pipeline_builds(monkeypatch)
-    optimize(z_transform(gumbel2_sample), FitConfig(lam=1e-4))
-    assert len(builds) == 1
+    for cfg in configs:
+        optimize(z, cfg)
+    assert len(builds) <= 2
+    builds.clear()
+    for cfg in configs:
+        optimize(z[::2], cfg)
+    optimize_many([z, z[::3], z], configs + [None])
+    assert builds == []
 
 
 def test_optimize_requires_sample():
@@ -886,14 +919,10 @@ def test_optimize_center_self_consistency(basis13, center_model):
 def test_optimize_monotone_objective(gumbel2_sample):
     # the objective optimize maximizes, set up as it does, at every accepted
     # iterate
-    z = z_transform(gumbel2_sample)
-    if ordering_heuristic(z):
-        z = 1.0 - z
-    x_grid = empirical_w_grid(z, evcop.fit._GRID_K)
-    basis = build_zb_basis(quantile_knots(x_grid[1:-1], 10))
-    lik = PenalizedLikelihood(basis, x_grid, z, 1e-5, project_center(basis))
+    lik = evcop.fit._set_up(z_transform(gumbel2_sample),
+                            FitConfig(lam=1e-5)).lik
     trace = []
-    _maximize(lik.value_and_grad, lik.omega, lik.lam,
+    _maximize(lik.value_and_grad, lik.chain.omega, lik.lam,
               lambda theta: trace.append(lik.value(theta)))
     assert len(trace) > 3
     diffs = np.diff(np.asarray(trace))
@@ -1299,7 +1328,8 @@ def test_optimize_calls_the_objective_once_per_evaluation(fit1k_structures,
         fm = optimize(z)
         assert len(calls) == fm.evaluations + 1
         lik = objectives[-1].__self__
-        fresh = _loss_and_grad(lik.pipe, lik.z, fm.theta + lik.center, False)
+        fresh = _loss_and_grad(lik.chain.pipe, lik.z,
+                               fm.theta + lik.chain.center, False)
         assert fm.loglik == fresh[0]
 
 
@@ -1319,14 +1349,20 @@ def test_a_fit_leaves_its_likelihood_and_pipeline_as_set_up(fit1k_structures,
                                                              monkeypatch):
     # a fit keeps no state between calls: after the descent and the
     # tabulation, alone or in lockstep, every attribute of its likelihood,
-    # of the likelihood's pipeline and of the pipeline's kernel holds what
-    # set-up left there
+    # of the shared chain, of the chain's pipeline and of the pipeline's
+    # kernel holds what set-up left there.  The basis is left out: it
+    # memoizes tables for the tabulation, which no objective call reads
     made = []
     set_up = evcop.fit._set_up
 
+    def snapshot(lik):
+        state = _state(lik)
+        del state["chain"]["basis"]
+        return state
+
     def recorded(*args):
         setup = set_up(*args)
-        made.append((setup.lik, _state(setup.lik)))
+        made.append((setup.lik, snapshot(setup.lik)))
         return setup
 
     monkeypatch.setattr(evcop.fit, "_set_up", recorded)
@@ -1336,7 +1372,7 @@ def test_a_fit_leaves_its_likelihood_and_pipeline_as_set_up(fit1k_structures,
     optimize_many(samples, [None] * len(samples))
     assert len(made) == 2 * len(samples)
     for lik, state in made:
-        assert _state(lik) == state
+        assert snapshot(lik) == state
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
@@ -1381,12 +1417,10 @@ def test_mcmc_mode_consistent_with_map(gumbel2_sample, monkeypatch):
     z = z_transform(gumbel2_sample)
     cfg = FitConfig(lam=1e-4, flip=False)
     fm = optimize(z, cfg)
-    x_grid = empirical_w_grid(z, evcop.fit._GRID_K)
     builds = _count_pipeline_builds(monkeypatch)
-    # same objective the optimizer maximizes: data term plus the curvature
-    # penalty on the perturbation away from the center
-    lik = PenalizedLikelihood(fm.basis, x_grid, z, cfg.lam,
-                              project_center(fm.basis))
+    # the fit's own objective: data term plus the curvature penalty on the
+    # perturbation away from the center
+    lik = evcop.fit._set_up(z, cfg).lik
 
     def log_target(theta):
         if np.linalg.norm(theta) > 8.0:
@@ -1398,7 +1432,7 @@ def test_mcmc_mode_consistent_with_map(gumbel2_sample, monkeypatch):
     best = max(log_target(s) for s in chain[::20])
     assert log_target(fm.theta) - best <= 2.0
     assert best <= log_target(fm.theta) + 1e-6
-    assert len(builds) == 1
+    assert builds == []
 
 
 def test_random_basis_needs_more_functions_than_the_degree():
@@ -1664,5 +1698,5 @@ def test_a_strongly_dependent_fit_floors_no_observation(dep):
             1000, seed=seed))
         fm = optimize(z)
         lik = evcop.fit._set_up(z, None).lik
-        hhat = _surrogate(lik.pipe.sweep(fm.coeffs)[0], lik.z)
+        hhat = _surrogate(lik.chain.pipe.sweep(fm.coeffs)[0], lik.z)
         assert np.min(hhat) > _LOG_FLOOR

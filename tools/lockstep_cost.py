@@ -6,15 +6,15 @@ Run from the repository root:
     PYTHONPATH=src python tools/lockstep_cost.py --seed 2 --repeats 9
 
 Inputs are the fit-1k benchmark's (``perfbench/inputs.py``, stream 1): the
-samples of ops 0, 1, ... of ``--seed``, n = 1000, each set up as
-``evcop fit`` sets it up.  The first 16 whose fitting grid has the most
-common size are kept, since a stack holds fits of one grid size.  Each fit
-is evaluated at its center plus a random offset of norm 1.  For each group
-size G in 1, 2, 4, 8 and 16, one ``_loss_and_grad`` call on the stacked
-pipeline of the first G fits is timed (best of ``--repeats`` runs of
-``--calls`` calls), and its time per fit is printed next to a lone call's
-(the mean over the G fits of a call on each one's own pipeline); the ratio
-is the per-fit cost of a lockstep round against lone fits.  Every fit's data
+samples of ops 0 to 15 of ``--seed``, n = 1000, each set up as ``evcop
+fit`` sets it up, so all on the one shared pipeline of the default basis
+size.  Each fit is evaluated at its center plus a random offset of norm 1.
+For each group size G in 1, 2, 4, 8 and 16, one ``_loss_and_grad`` call
+with the coefficients of the first G fits stacked on that pipeline is
+timed (best of ``--repeats`` runs of ``--calls`` calls), and its time per
+fit is printed next to a lone call's (the mean over the G fits of a call
+on each one alone); the ratio is the per-fit cost of a lockstep round
+against lone fits.  Every fit's data
 term and gradient in the stacked call must equal its lone call's to the last
 bit.  The last line is one JSON object with the table; the script only
 prints and exits 0 whatever it reads.
@@ -35,21 +35,19 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import inputs  # noqa: E402  (perfbench/inputs.py)
 
-from evcop.fit import _HhatPipeline, _loss_and_grad, _set_up, z_transform  # noqa: E402
+from evcop.fit import _loss_and_grad, _set_up, z_transform  # noqa: E402
 
 SIZES = (1, 2, 4, 8, 16)
 
 
 def fit_setups(seed: int, count: int) -> list:
-    """The first ``count`` fit-1k set-ups of one grid size, the commonest."""
-    setups = []
-    for op in range(4 * count):
+    """The likelihoods of the first ``count`` fit-1k set-ups."""
+    liks = []
+    for op in range(count):
         structure = inputs.FIT_STRUCTURES[op % len(inputs.FIT_STRUCTURES)]
         data = structure.sample(inputs.op_rng(seed, 1, op), 1000)
-        setups.append(_set_up(z_transform(data), None))
-    sizes = [s.lik.pipe.m for s in setups]
-    common = max(set(sizes), key=sizes.count)
-    return [s for s in setups if s.lik.pipe.m == common][:count]
+        liks.append(_set_up(z_transform(data), None).lik)
+    return liks
 
 
 def best_seconds(call, calls: int, repeats: int) -> float:
@@ -69,25 +67,25 @@ def main(argv=None) -> int:
     p.add_argument("--calls", type=int, default=200)
     p.add_argument("--repeats", type=int, default=5)
     args = p.parse_args(argv)
-    setups = fit_setups(args.seed, max(SIZES))
+    liks = fit_setups(args.seed, max(SIZES))
+    chain = liks[0].chain
+    pipe = chain.pipe
     rng = np.random.default_rng(args.seed)
     coeffs = []
-    for s in setups:
-        offset = rng.standard_normal(s.basis.dim)
-        coeffs.append(s.lik.center + offset / np.linalg.norm(offset))
-    lone = [best_seconds(lambda s=s, c=c: _loss_and_grad(
-        s.lik.pipe, s.lik.z, c, True), args.calls, args.repeats)
-        for s, c in zip(setups, coeffs)]
+    for _ in liks:
+        offset = rng.standard_normal(chain.basis.dim)
+        coeffs.append(chain.center + offset / np.linalg.norm(offset))
+    lone = [best_seconds(lambda lik=lik, c=c: _loss_and_grad(
+        pipe, lik.z, c, True), args.calls, args.repeats)
+        for lik, c in zip(liks, coeffs)]
     rows = []
     for size in SIZES:
-        group = setups[:size]
-        pipe = _HhatPipeline.stack([s.lik.pipe for s in group])
-        z = tuple(s.lik.z for s in group)
+        z = tuple(lik.z for lik in liks[:size])
         theta = np.stack(coeffs[:size])
         ll, grad = _loss_and_grad(pipe, z, theta, True)
         identical = True
-        for f, s in enumerate(group):
-            ll_f, grad_f = _loss_and_grad(s.lik.pipe, s.lik.z, coeffs[f], True)
+        for f, lik in enumerate(liks[:size]):
+            ll_f, grad_f = _loss_and_grad(pipe, lik.z, coeffs[f], True)
             identical &= (ll[f] == ll_f
                           and grad[f].tobytes() == grad_f.tobytes())
         per_fit = best_seconds(lambda: _loss_and_grad(pipe, z, theta, True),
@@ -99,7 +97,7 @@ def main(argv=None) -> int:
         print(f"G={size:2d}  per fit {1e6 * per_fit:7.1f} us  lone {1e6 * alone:7.1f} us"
               f"  ratio {per_fit / alone:.3f}  bit-identical {identical}",
               flush=True)
-    print(json.dumps({"seed": args.seed, "grid_nodes": setups[0].lik.pipe.m,
+    print(json.dumps({"seed": args.seed, "grid_nodes": pipe.m,
                       "n": 1000, "rows": rows}))
     return 0
 
